@@ -12,23 +12,8 @@ from . import polys
 from .errors import NotInXp
 
 
-def trim_T(K, bp):
-    out = [polys.trim(K, c) for c in bp]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
 def deg_T(bp):
     return len(bp) - 1
-
-
-def deg_X(bp):
-    return max((len(c) - 1 for c in bp if c), default=-1)
-
-
-def is_monic_T(K, bp):
-    return bool(bp) and bp[-1] == [K.one]
 
 
 def scale_similarity(K, factor, c):
@@ -63,18 +48,6 @@ def compress_xp(K, f, p):
         while len(out) <= e:
             out.append(K.zero)
         out[e] = c
-    return polys.trim(K, out)
-
-
-def expand_xp(K, g, p):
-    """Inverse of compress_xp: substitute X = x^p."""
-    out = []
-    for e, c in enumerate(g):
-        if c == K.zero:
-            continue
-        while len(out) <= e * p:
-            out.append(K.zero)
-        out[e * p] = c
     return polys.trim(K, out)
 
 

@@ -20,10 +20,14 @@ import sys
 import time
 from dataclasses import dataclass
 
-from . import bivar, diffop, fields, local_eval, nilprofile, polys, reconstruct
-from .errors import (CharTooSmall, EpsilonOutOfRange, NonPrime,
-                     OperatorSyntaxError, PoleAtPoint, SelectionFailed,
-                     ZeroLeadingCoefficient, ZeroOperator)
+from . import bivar, diffop, fields, nilprofile, polys, reconstruct
+from .errors import (CharTooSmall, EpsilonOutOfRange,
+                     ExtensionDegreeOutOfRange, NonPrime, OperatorSyntaxError,
+                     SelectionFailed, ZeroLeadingCoefficient, ZeroOperator)
+
+# Largest x-degree or Dx-order a parsed expression may reach; the parser
+# refuses a power or product above it before building the dense result.
+MAX_PARSED_DEGREE = 10 ** 5
 
 
 @dataclass(frozen=True)
@@ -41,7 +45,6 @@ class RunFlags:
     seed: int = None
     check: bool = False
     profile: bool = False
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -56,10 +59,6 @@ class ResultDocument:
 
     def to_json(self):
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls(**json.loads(text))
 
 
 def _tokenize(text):
@@ -88,6 +87,12 @@ def _tokenize(text):
             raise OperatorSyntaxError(f"unexpected character {ch!r}", i)
     toks.append(("end", None, n))
     return toks
+
+
+def _check_degree(n, what, pos):
+    if n > MAX_PARSED_DEGREE:
+        raise OperatorSyntaxError(
+            f"{what} {n} exceeds the limit {MAX_PARSED_DEGREE}", pos)
 
 
 class _OpParser:
@@ -139,7 +144,7 @@ class _OpParser:
     def _power(self):
         v, pos = self._atom()
         if self._peek() == "^":
-            self._next()
+            pos = self._next()[2]
             kind, e, epos = self._next()
             if kind != "int":
                 raise OperatorSyntaxError("exponent must be an integer", epos)
@@ -192,11 +197,15 @@ class _OpParser:
         if not v or not w:
             return {}
         if set(v) == {0}:
+            top = polys.deg(v[0]) + max(polys.deg(c) for c in w.values())
+            _check_degree(top, "x-degree", pos)
             return {k: polys.mul(K, v[0], c) for k, c in w.items()}
         if set(w) == {0} and polys.deg(w[0]) == 0:
             return {k: polys.scale(K, w[0][0], c) for k, c in v.items()}
         if self._is_monomial(v) and self._is_monomial(w):
-            return {next(iter(v)) + next(iter(w)): [K.one]}
+            order = next(iter(v)) + next(iter(w))
+            _check_degree(order, "Dx-order", pos)
+            return {order: [K.one]}
         raise OperatorSyntaxError(
             "the differential part must be the last factor of a term", pos)
 
@@ -206,8 +215,10 @@ class _OpParser:
         if not v:
             return {0: [K.one]} if e == 0 else {}
         if set(v) == {0}:
+            _check_degree(polys.deg(v[0]) * e, "x-degree", pos)
             return {0: polys.poly_pow(K, v[0], e)}
         if self._is_monomial(v):
+            _check_degree(next(iter(v)) * e, "Dx-order", pos)
             return {next(iter(v)) * e: [K.one]}
         raise OperatorSyntaxError(
             "cannot raise a differential expression to a power", pos)
@@ -238,6 +249,9 @@ def parse_polynomial(text, field):
 def make_field(p, ext):
     if not fields.is_prime(p):
         raise NonPrime(f"characteristic must be prime, got {p}")
+    if ext < 1:
+        raise ExtensionDegreeOutOfRange(
+            f"extension degree must be at least 1, got {ext}")
     K = fields.PrimeField(p)
     if ext > 1:
         K = fields.ExtensionField(K, fields.find_irreducible(K, ext))
@@ -294,7 +308,7 @@ def run(spec, flags):
     K = inp.K
     t_parse = time.perf_counter() - t0
 
-    params = {"mode": "naive", "threads": flags.threads}
+    params = {"mode": "naive"}
     t0 = time.perf_counter()
     if flags.algo == "naive":
         factors = diffop.naive_invariant_factors(_as_system(inp), spec.p)
@@ -302,7 +316,7 @@ def run(spec, flags):
         eps = flags.epsilon if flags.algo == "mc" else None
         pub = reconstruct.select_params(inp, epsilon=eps, seed=flags.seed)
         eff = reconstruct.effective_params(inp, pub)
-        params = dict(dataclasses.asdict(eff), threads=flags.threads)
+        params = dataclasses.asdict(eff)
         if flags.algo == "mc":
             factors = reconstruct.reconstruct_montecarlo(inp, spec.p, pub)
         else:
@@ -339,50 +353,6 @@ def run(spec, flags):
     )
 
 
-def _bench_point(inp):
-    """Small evaluation point avoiding the poles of A."""
-    K = inp.K
-    lead = (list(inp.f_A) if isinstance(inp, diffop.DiffSystem)
-            else inp.leading)
-    for c in range(K.q):
-        a = K.elem(c)
-        if polys.eval_at(K, lead, a) != K.zero:
-            return a
-    raise PoleAtPoint("every point of the base field is a pole")
-
-
-def bench_scaling(spec, plist, runs=5):
-    """Median wall time of one local evaluation, for each characteristic.
-
-    The input text is re-reduced mod every p, the evaluation point is the
-    smallest non-pole of the base field, and each timing is the median of
-    `runs` calls, so rows are comparable across p.
-    """
-    for p in plist:
-        if not fields.is_prime(p):
-            raise NonPrime(f"bench characteristics must be prime, got {p}")
-    doc = None
-    if spec.kind == "system":
-        with open(spec.payload) as fh:
-            doc = json.load(fh)
-    rows = []
-    for p in plist:
-        if doc is not None:
-            inp = _system_from_doc(doc, p, doc.get("ext", 1))
-        else:
-            inp = parse_operator(spec.payload, make_field(p, spec.ext))
-        a = _bench_point(inp)
-        times = []
-        for _ in range(runs):
-            t0 = time.perf_counter()
-            local_eval.invariant_factors_at(inp, inp.K, a, p)
-            times.append(time.perf_counter() - t0)
-        times.sort()
-        rows.append({"p": p, "median_s": round(times[len(times) // 2], 6),
-                     "best_s": round(times[0], 6), "runs": runs})
-    return rows
-
-
 def _emit_error(code, exc):
     doc = {"error": code, "message": str(exc)}
     if isinstance(exc, OperatorSyntaxError):
@@ -409,10 +379,6 @@ def main(argv=None):
                     help="also run the naive oracle and compare")
     ap.add_argument("--profile", action="store_true",
                     help="emit the rank profile of the nilpotent part")
-    ap.add_argument("--bench", metavar="P,P,...",
-                    help="benchmark local evaluation at these primes, as CSV")
-    ap.add_argument("--bench-runs", type=int, default=5)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     if args.op is not None and args.p is None:
@@ -422,35 +388,15 @@ def main(argv=None):
     epsilon = args.epsilon if args.epsilon is not None else 0.1
 
     try:
-        if args.system is not None and args.bench is None:
+        if args.system is not None:
             _, p, ext = load_system(args.system, args.p, args.ext
                                     if args.ext != 1 else None)
         else:
             p, ext = args.p, args.ext
         spec = InputSpec(p=p, ext=ext, kind=kind, payload=payload)
-
-        if args.bench is not None:
-            plist = [int(t) for t in args.bench.split(",") if t.strip()]
-            rows = bench_scaling(spec, plist, runs=args.bench_runs)
-            print("p,median_s,best_s,runs")
-            for row in rows:
-                print("{p},{median_s},{best_s},{runs}".format(**row))
-            if len(rows) >= 2 and rows[0]["median_s"] > 0:
-                ratio = rows[-1]["median_s"] / rows[0]["median_s"]
-                print(f"time ratio p={rows[-1]['p']} vs p={rows[0]['p']}: "
-                      f"{ratio:.2f}", file=sys.stderr)
-            return 0
-
         flags = RunFlags(algo=args.algo, epsilon=epsilon, seed=args.seed,
-                         check=args.check, profile=args.profile,
-                         threads=args.threads)
+                         check=args.check, profile=args.profile)
         doc = run(spec, flags)
-        print(doc.to_json())
-        if doc.check is not None and not doc.check["match"]:
-            _emit_error("check-mismatch",
-                        ValueError("fast and naive outputs differ"))
-            return 5
-        return 0
     except OperatorSyntaxError as e:
         _emit_error("syntax", e)
         return 2
@@ -460,7 +406,8 @@ def main(argv=None):
     except (json.JSONDecodeError, KeyError, OSError) as e:
         _emit_error("bad-system-file", e)
         return 2
-    except (NonPrime, CharTooSmall, EpsilonOutOfRange) as e:
+    except (NonPrime, ExtensionDegreeOutOfRange, CharTooSmall,
+            EpsilonOutOfRange) as e:
         _emit_error("precondition", e)
         return 3
     except SelectionFailed as e:
@@ -469,6 +416,15 @@ def main(argv=None):
     except ValueError as e:
         _emit_error("bad-input", e)
         return 2
+
+    # outside the try: a failed write (say, a closed pipe) is not an input
+    # error, so it must not be reported as one
+    print(doc.to_json())
+    if doc.check is not None and not doc.check["match"]:
+        _emit_error("check-mismatch",
+                    ValueError("fast and naive outputs differ"))
+        return 5
+    return 0
 
 
 if __name__ == "__main__":

@@ -65,6 +65,10 @@ class EpsilonOutOfRange(ValueError):
     """Failure probability bound must lie strictly between 0 and 1."""
 
 
+class ExtensionDegreeOutOfRange(ValueError):
+    """The extension degree of the base field must be at least 1."""
+
+
 class NonPrime(ValueError):
     """The modulus is not a prime number."""
 

@@ -330,11 +330,6 @@ class ExtensionField:
         return f"GF({self.q})"
 
 
-def require_same_field(K, L, what="operands"):
-    if K.key != L.key:
-        raise FieldMismatch(f"{what} live in different fields: {K} vs {L}")
-
-
 def _prime_factors(n):
     out = []
     d = 2

@@ -5,33 +5,34 @@ An element a_power that generates ell = F_q[u]/S gives a second basis
 off the unique polynomial of degree < deg S taking that value at a_power.
 """
 
+import functools
+
 from . import polys
 from .errors import NoSolutionWithinBound, NotAGenerator
 from .linalg import LinearSolver
 
-_basis_cache = {}
+BASIS_CACHE_SIZE = 64
 
 
+@functools.lru_cache(maxsize=BASIS_CACHE_SIZE)
 def power_basis_solver(ell, a_power):
     """Change of basis from powers of a_power to the defining basis of ell.
 
     Cached per (field, element): the reconstruction drivers call this once
-    per coefficient of every invariant factor with the same a_power.
+    per coefficient of every invariant factor with the same a_power.  The
+    Monte Carlo driver cycles through its k_sel points per coefficient, so
+    the cache holds a few runs' worth of points and no more.
     """
-    key = (ell.key, a_power)
-    solver = _basis_cache.get(key)
-    if solver is None:
-        n = ell.degree
-        pw = []
-        w = ell.one
-        for _ in range(n):
-            pw.append(w)
-            w = ell.mul(w, a_power)
-        cols = [[pw[j][i] for j in range(n)] for i in range(n)]
-        solver = LinearSolver(ell.base, cols)
-        if solver.rank < n:
-            raise NotAGenerator("powers of the element do not span the field")
-        _basis_cache[key] = solver
+    n = ell.degree
+    pw = []
+    w = ell.one
+    for _ in range(n):
+        pw.append(w)
+        w = ell.mul(w, a_power)
+    cols = [[pw[j][i] for j in range(n)] for i in range(n)]
+    solver = LinearSolver(ell.base, cols)
+    if solver.rank < n:
+        raise NotAGenerator("powers of the element do not span the field")
     return solver
 
 

@@ -15,19 +15,10 @@ import math
 
 from . import polys
 from .errors import DimensionMismatch, NotSquare
-from .nilprofile import RankProfile
 
 
 def identity(K, n):
     return [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
-
-
-def zero_matrix(K, m, n):
-    return [[K.zero] * n for _ in range(m)]
-
-
-def mat_add(K, A, B):
-    return [[K.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_sub(K, A, B):
@@ -36,10 +27,6 @@ def mat_sub(K, A, B):
 
 def mat_neg(K, A):
     return [[K.neg(a) for a in row] for row in A]
-
-
-def mat_scale(K, c, A):
-    return [[K.mul(c, a) for a in row] for row in A]
 
 
 def matmul(K, A, B):
@@ -193,40 +180,6 @@ class LinearSolver:
         for i, c in enumerate(self.pivots):
             x[c] = w[i]
         return x
-
-
-def kernel_dim_of_power(K, M, P, e):
-    """dim ker P(M)^e for a polynomial P in one variable over K."""
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise NotSquare("kernel dimension needs a square matrix")
-    if e == 0:
-        return 0
-    PM = zero_matrix(K, n, n)
-    for c in reversed(P):
-        PM = matmul(K, PM, M)
-        for i in range(n):
-            PM[i][i] = K.add(PM[i][i], c)
-    acc = identity(K, n)
-    for _ in range(e):
-        acc = matmul(K, acc, PM)
-    return n - LinearSolver(K, acc).rank
-
-
-def rank_profile(K, M):
-    """Ranks of M^0, M^1, ... until the sequence goes stationary."""
-    n = len(M)
-    if any(len(row) != n for row in M):
-        raise NotSquare("rank profile needs a square matrix")
-    ranks = [n]
-    acc = identity(K, n)
-    while True:
-        acc = matmul(K, acc, M)
-        r = LinearSolver(K, acc).rank
-        if r == ranks[-1]:
-            break
-        ranks.append(r)
-    return RankProfile(tuple(ranks))
 
 
 def char_matrix(K, A):

@@ -118,11 +118,6 @@ def build_B_operator(op, ell, a):
     return RecMatrix(ell=ell, entries=_tidy(ell, rows), corner=r)
 
 
-def matrix_factorial(rec, count):
-    """The product rec(count-1) ... rec(1) rec(0) over the coefficient field."""
-    return linalg.matrix_factorial(rec.ell, rec.entries, count)
-
-
 def invariant_factors_at(inp, ell, a, p=None):
     """Invariant factors of A_p(a) for a system or operator, over ell.
 
@@ -138,7 +133,7 @@ def invariant_factors_at(inp, ell, a, p=None):
         rec = build_B_system(inp, ell, a)
     else:
         rec = build_B_operator(inp, ell, a)
-    M = matrix_factorial(rec, p)
+    M = linalg.matrix_factorial(ell, rec.entries, p)
     n, r = rec.size, rec.corner
     corner = [[ell.neg(M[i][j]) for j in range(n - r, n)]
               for i in range(n - r, n)]

@@ -27,20 +27,12 @@ def deg(f):
     return len(f) - 1
 
 
-def is_zero(f):
-    return not f
-
-
 def constant(K, c):
     return [] if c == K.zero else [c]
 
 
 def one(K):
     return [K.one]
-
-
-def x_power(K, n):
-    return [K.zero] * n + [K.one]
 
 
 def add(K, f, g):
@@ -366,13 +358,6 @@ class SubproductTree:
 
         descend(len(self.levels) - 1, 0, f)
         return vals
-
-
-def multipoint_eval(K, f, points):
-    """Evaluate f at each point; trees win once both sides are large."""
-    if len(points) < 8 or len(f) < 16:
-        return [eval_at(K, f, a) for a in points]
-    return SubproductTree(K, points).evaluate(f)
 
 
 def format_poly(K, f, var="x"):

@@ -53,6 +53,38 @@ def matrix_factorial_sequential(K, B, count, eval_at):
     return acc
 
 
+def rank(K, M):
+    """Rank by row echelon form of a copy of M."""
+    rows = [list(row) for row in M]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != K.zero),
+                   None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = K.inv(rows[r][c])
+        for i in range(r + 1, len(rows)):
+            f = K.mul(rows[i][c], inv)
+            rows[i] = [K.sub(a, K.mul(f, b))
+                       for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def rank_profile(K, M):
+    """Ranks of M^0, M^1, ... up to the first repeat, as a tuple."""
+    n = len(M)
+    acc = [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
+    ranks = [n]
+    while True:
+        acc = matmul_schoolbook(K, acc, M)
+        r = rank(K, acc)
+        if r == ranks[-1]:
+            return tuple(ranks)
+        ranks.append(r)
+
+
 def det_cofactor(K, M):
     """Determinant by cofactor expansion; fine up to 5x5 or so."""
     n = len(M)

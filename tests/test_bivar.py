@@ -13,24 +13,17 @@ mat3 = st.lists(
 
 
 def test_trim_and_degrees():
-    bp = [[F5.one], [], [F5.zero]]
-    assert bivar.trim_T(F5, bp) == [[F5.one]]
+    # deg_T counts T-coefficients, including ones that are zero in X
     assert bivar.deg_T([[F5.one], [F5.one]]) == 1
-    assert bivar.deg_X([[F5.one, F5.one], [F5.one]]) == 1
-    assert bivar.deg_X([[], [F5.one]]) == 0
-
-
-def test_is_monic_T():
-    assert bivar.is_monic_T(F5, [[F5.zero, F5.one], [F5.one]])
-    assert not bivar.is_monic_T(F5, [[F5.one], [F5.from_int(2)]])
-    assert not bivar.is_monic_T(F5, [])
+    assert bivar.deg_T([[F5.zero, F5.one]]) == 0
+    assert bivar.deg_T([[], [F5.one]]) == 1
 
 
 @given(mat3, st.integers(1, 4))
 def test_scale_similarity_matches_scaled_matrix(M, c):
     # the invariant factors of c*M are the twisted factors of M
     ce = F5.from_int(c)
-    scaled = linalg.mat_scale(F5, ce, M)
+    scaled = [[F5.mul(ce, a) for a in row] for row in M]
     want = linalg.invariant_factors_of(F5, scaled)
     got = [bivar.scale_similarity(F5, f, ce)
            for f in linalg.invariant_factors_of(F5, M)]
@@ -51,7 +44,9 @@ def test_compress_expand_round_trip():
     f[5] = F5.from_int(2)
     g = bivar.compress_xp(F5, f, p)
     assert g == [F5.one, F5.from_int(2), F5.from_int(3)]
-    assert bivar.expand_xp(F5, g, p) == f
+    back = [F5.zero] * len(f)
+    back[::p] = g  # substitute X = x^p
+    assert back == f
 
 
 def test_compress_rejects_stray_exponents():

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import pytest
 
@@ -87,6 +89,16 @@ def test_main_det_pin(capsys):
     doc = json.loads(out)
     assert doc["factors"] == ["T + X"]
     assert doc["params"]["D"] == 1
+    assert "threads" not in doc["params"]
+
+
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--bench", "101"],
+                                  ["--bench-runs", "3"]])
+def test_removed_flags_are_unknown(flag, capsys):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--p", "3", "--op", "Dx - x"] + flag)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_main_mc_seeded(capsys):
@@ -120,13 +132,35 @@ def test_main_naive_algo(capsys):
     assert len(doc["factors"]) == 2
 
 
-def test_main_exit_codes(capsys):
+def test_main_exit_codes(tmp_path, capsys):
     assert _run(["--p", "5", "--op", "Dx + @"], capsys)[0] == 2
     assert _run(["--p", "3", "--op", "3*Dx"], capsys)[0] == 2
     assert _run(["--p", "4", "--op", "Dx"], capsys)[0] == 3
     assert _run(["--p", "3", "--op", "Dx^3 + x"], capsys)[0] == 3
     assert _run(["--p", "5", "--op", "Dx", "--epsilon", "2.0",
                  "--algo", "mc"], capsys)[0] == 3
+    assert _run(["--p", "5", "--ext", "0", "--op", "Dx"], capsys)[0] == 3
+    assert _run(["--p", "5", "--ext", "-1", "--op", "Dx"], capsys)[0] == 3
+    path = tmp_path / "ext0.json"
+    path.write_text(json.dumps({"p": 5, "ext": 0, "f_A": "1",
+                                "A_tilde": [["x"]]}))
+    code, _, err = _run(["--system", str(path)], capsys)
+    assert code == 3
+    assert json.loads(err)["error"] == "precondition"
+
+
+@pytest.mark.parametrize("text, position", [("x^1000000000", 1),
+                                            ("Dx^1000000000", 2),
+                                            ("(x^60000)*(x^60000)", 9)])
+def test_parsed_degree_cap(text, position, capsys):
+    t0 = time.perf_counter()
+    code, _, err = _run(["--p", "5", "--op", text], capsys)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "syntax"
+    assert doc["position"] == position
+    assert "exceeds the limit" in doc["message"]
 
 
 def test_main_error_reports_are_machine_readable(capsys):
@@ -141,7 +175,7 @@ def test_result_document_round_trips(capsys):
     code, out, _ = _run(["--p", "7", "--op", "(x^2+1)*Dx - (3*x)",
                          "--check", "--profile"], capsys)
     assert code == 0
-    doc = cli.ResultDocument.from_json(out)
+    doc = cli.ResultDocument(**json.loads(out))
     assert doc.to_json() == out.strip()
 
 
@@ -185,28 +219,19 @@ def test_load_system_values():
         os.unlink(name)
 
 
-def test_bench_csv(capsys):
-    code, out, err = _run(["--p", "5", "--op", "x*Dx^2 + Dx + 1",
-                           "--bench", "101,211", "--bench-runs", "2"],
-                          capsys)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "p,median_s,best_s,runs"
-    assert lines[1].startswith("101,")
-    assert lines[2].startswith("211,")
-    assert "time ratio" in err
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
 
 
-def test_bench_rejects_composite(capsys):
-    code, _, err = _run(["--p", "5", "--op", "Dx", "--bench", "4"], capsys)
-    assert code == 3
-    assert json.loads(err)["error"] == "precondition"
-
-
-def test_bench_empty_list(capsys):
-    code, out, _ = _run(["--p", "5", "--op", "Dx", "--bench", ""], capsys)
-    assert code == 0
-    assert out.strip().splitlines() == ["p,median_s,best_s,runs"]
+def test_write_failure_is_not_a_system_file_error(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["--p", "5", "--op", "Dx + x"])
+    assert "bad-system-file" not in capsys.readouterr().err
 
 
 def test_selection_failure_maps_to_exit_4(monkeypatch, capsys):

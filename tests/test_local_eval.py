@@ -92,14 +92,6 @@ def test_characteristic_mismatch_raises():
         local_eval.invariant_factors_at(L, F5, F5.zero, p=7)
 
 
-def test_matrix_factorial_wrapper_matches_linalg(rng):
-    L = random_operator(F5, rng, 1, 2)
-    rec = local_eval.build_B_operator(L, F5, F5.from_int(_nonpole_op(L)))
-    got = local_eval.matrix_factorial(rec, 5)
-    want = linalg.matrix_factorial(F5, [list(r) for r in rec.entries], 5)
-    assert [list(r) for r in got] == want
-
-
 def test_local_factors_match_naive_in_prime_field(rng):
     for p, K in ((5, F5), (7, F7)):
         for _ in range(6):
