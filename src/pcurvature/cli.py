@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from . import bivar, diffop, fields, nilprofile, polys, reconstruct
 from .errors import (CharTooSmall, EpsilonOutOfRange,
                      ExtensionDegreeOutOfRange, NonPrime, OperatorSyntaxError,
-                     SelectionFailed, ZeroLeadingCoefficient, ZeroOperator)
+                     SelectionFailed, SystemFileError,
+                     ZeroLeadingCoefficient, ZeroOperator)
 
 # Largest x-degree or Dx-order a parsed expression may reach; the parser
 # refuses a power or product above it before building the dense result.
@@ -32,6 +33,8 @@ MAX_PARSED_DEGREE = 10 ** 5
 
 @dataclass(frozen=True)
 class InputSpec:
+    """What to solve.  For a system, p and ext may be None (no flag given)
+    until run() reads them from the file."""
     p: int
     ext: int
     kind: str
@@ -270,8 +273,22 @@ def load_system(path, p=None, ext=None):
     """DiffSystem from the JSON file; flags may repeat but not contradict."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise SystemFileError("the system file must hold a JSON object")
     file_p = doc.get("p")
     file_ext = doc.get("ext", 1)
+    # bool is a subclass of int, so compare the exact type
+    if file_p is not None and type(file_p) is not int:
+        raise SystemFileError(f'"p" must be an integer, got {file_p!r}')
+    if type(file_ext) is not int:
+        raise SystemFileError(f'"ext" must be an integer, got {file_ext!r}')
+    rows = doc.get("A_tilde")
+    if not (isinstance(doc.get("f_A"), str) and isinstance(rows, list)
+            and all(isinstance(row, list)
+                    and all(isinstance(e, str) for e in row)
+                    for row in rows)):
+        raise SystemFileError('"f_A" must be a string and "A_tilde" a list '
+                              'of rows of polynomial strings')
     if p is not None and file_p is not None and p != file_p:
         raise ValueError(f"--p {p} contradicts the system file (p = {file_p})")
     if ext is not None and ext != file_ext:
@@ -284,11 +301,12 @@ def load_system(path, p=None, ext=None):
 
 
 def _parse_input(spec):
+    """The input of spec, and spec with p and ext read from a system file."""
     if spec.kind == "system":
-        sysv, _, _ = load_system(spec.payload, spec.p, spec.ext)
-        return sysv
+        sysv, p, ext = load_system(spec.payload, spec.p, spec.ext)
+        return sysv, dataclasses.replace(spec, p=p, ext=ext)
     K = make_field(spec.p, spec.ext)
-    return parse_operator(spec.payload, K)
+    return parse_operator(spec.payload, K), spec
 
 
 def _format_factors(K, factors):
@@ -304,7 +322,7 @@ def _as_system(inp):
 def run(spec, flags):
     """Compute the invariant factors the flags ask for, as a document."""
     t0 = time.perf_counter()
-    inp = _parse_input(spec)
+    inp, spec = _parse_input(spec)
     K = inp.K
     t_parse = time.perf_counter() - t0
 
@@ -387,15 +405,13 @@ def main(argv=None):
     payload = args.op if args.op is not None else args.system
     epsilon = args.epsilon if args.epsilon is not None else 0.1
 
+    ext = args.ext
+    if args.system is not None and ext == 1:
+        ext = None  # the default: the system file decides
+    spec = InputSpec(p=args.p, ext=ext, kind=kind, payload=payload)
+    flags = RunFlags(algo=args.algo, epsilon=epsilon, seed=args.seed,
+                     check=args.check, profile=args.profile)
     try:
-        if args.system is not None:
-            _, p, ext = load_system(args.system, args.p, args.ext
-                                    if args.ext != 1 else None)
-        else:
-            p, ext = args.p, args.ext
-        spec = InputSpec(p=p, ext=ext, kind=kind, payload=payload)
-        flags = RunFlags(algo=args.algo, epsilon=epsilon, seed=args.seed,
-                         check=args.check, profile=args.profile)
         doc = run(spec, flags)
     except OperatorSyntaxError as e:
         _emit_error("syntax", e)
@@ -403,7 +419,7 @@ def main(argv=None):
     except (ZeroOperator, ZeroLeadingCoefficient) as e:
         _emit_error("bad-input", e)
         return 2
-    except (json.JSONDecodeError, KeyError, OSError) as e:
+    except (json.JSONDecodeError, KeyError, OSError, SystemFileError) as e:
         _emit_error("bad-system-file", e)
         return 2
     except (NonPrime, ExtensionDegreeOutOfRange, CharTooSmall,

@@ -84,5 +84,10 @@ class OperatorSyntaxError(ValueError):
         self.position = position
 
 
+class SystemFileError(ValueError):
+    """A system file holds JSON of the wrong shape or a field of the wrong
+    type."""
+
+
 class ZeroOperator(ValueError):
     """The parsed operator is identically zero or has order zero."""

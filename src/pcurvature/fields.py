@@ -12,6 +12,9 @@ multiplication, and extensions delay the modular reduction so a dot product
 of k element pairs costs k packed convolutions but a single reduction.
 """
 
+import functools
+import random
+
 from . import polys
 from .errors import FieldMismatch, NonPrime
 
@@ -172,7 +175,8 @@ class ExtensionField:
     @property
     def gen(self):
         """The image of u, a root of the modulus."""
-        return self._pad([self.base.zero, self.base.one])
+        return self._pad(polys.rem(self.base, [self.base.zero, self.base.one],
+                                   self.modulus))
 
     def add(self, a, b):
         base = self.base
@@ -229,8 +233,9 @@ class ExtensionField:
         while e:
             if e & 1:
                 result = self.mul(result, a)
-            a = self.mul(a, a)
             e >>= 1
+            if e:
+                a = self.mul(a, a)
         return result
 
     def from_int(self, n):
@@ -344,8 +349,33 @@ def _prime_factors(n):
     return out
 
 
+def _frobenius_columns(K, h, red, n):
+    """Columns of the Berlekamp matrix of f: row j is u^(jq) = h^j mod f.
+
+    Frobenius g -> g^q fixes K, so it is K-linear on K[u]/(f), and
+    coefficient k of g^q is the dot product of g with column k.
+    """
+    rows = [[K.one], h]
+    for _ in range(n - 2):
+        rows.append(red.rem(polys.mul(K, rows[-1], h)))
+    zero = K.zero
+    padded = [r + [zero] * (n - len(r)) for r in rows]
+    return [list(col) for col in zip(*padded)]
+
+
+def _apply_frobenius(K, cols, g):
+    """g^q mod f from the Berlekamp columns; g is reduced modulo f."""
+    g = g + [K.zero] * (len(cols) - len(g))
+    return polys.trim(K, [K.dot(g, col) for col in cols])
+
+
 def is_irreducible(K, f):
-    """Rabin's test over F_q, with cheap low-degree factor screens first."""
+    """Rabin's test over F_q, with cheap low-degree factor screens first.
+
+    h_i = u^(q^i) mod f.  h_1 comes from square and multiply; once f has
+    no linear factor, every further h_i is one product with the Berlekamp
+    matrix of f.
+    """
     f = polys.trim(K, f)
     n = len(f) - 1
     if n <= 0:
@@ -354,61 +384,48 @@ def is_irreducible(K, f):
         return True
     if f[0] == K.zero:
         return False
-    q = K.q
     u = [K.zero, K.one]
     red = polys.MonicModReducer(K, f)
-    # chain of Frobenius powers: h[i] = u^(q^i) mod f
-    h = polys.pow_mod(K, u, q, f, red)
-    frob = {1: h}
+    h = polys.pow_mod(K, u, K.q, f, red)
+    if len(polys.gcd(K, polys.sub(K, h, u), f)) != 1:
+        return False
+    cols = _frobenius_columns(K, h, red, n)
     screen_to = min(3, n // 2)
-    for i in range(1, screen_to + 1):
-        if i > 1:
-            h = polys.pow_mod(K, h, q, f, red)
-            frob[i] = h
-        if len(polys.gcd(K, polys.sub(K, h, u), f)) != 1:
-            return False
-    i = max(frob)
-    critical = set(n // t for t in _prime_factors(n))
-    for m in sorted(critical | {n}):
-        while i < m:
-            h = polys.pow_mod(K, h, q, f, red)
-            i += 1
-            frob[i] = h
-        if m == n:
-            if frob[n] != u:
+    critical = set(n // t for t in _prime_factors(n) if n // t > screen_to)
+    for i in range(2, n + 1):
+        h = _apply_frobenius(K, cols, h)
+        if i <= screen_to or i in critical:
+            if len(polys.gcd(K, polys.sub(K, h, u), f)) != 1:
                 return False
-        elif m > screen_to:
-            if len(polys.gcd(K, polys.sub(K, frob[m], u), f)) != 1:
-                return False
-    return True
+    return h == u
 
 
-_irreducible_cache = {}
+# Moduli kept per (field, degree); like interp.power_basis_solver, the
+# cache is bounded so a long-lived process cannot grow it without limit.
+IRREDUCIBLE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=IRREDUCIBLE_CACHE_SIZE)
+def _seeded_irreducible(K, n):
+    rng = random.Random(f"pcurvature-irreducible:{K.q}:{n}")
+    while True:
+        f = [K.random_elem(rng) for _ in range(n)] + [K.one]
+        if is_irreducible(K, f):
+            return tuple(f)
 
 
 def find_irreducible(K, n):
-    """First monic irreducible of degree n in the indexed enumeration.
+    """A monic irreducible of degree n over K, found by seeded trial.
 
-    Candidate k has the base-q digits of k as its low coefficients, so the
-    search order is u^n, u^n + 1, u^n + 2, ..., u^n + u, ...  The result is
-    deterministic for a given (field, degree) pair and cached.
+    Candidates u^n + (random lower coefficients) come from a generator
+    seeded by q and n alone, so the result is deterministic for a given
+    (field, degree) pair.  About one candidate in n is irreducible, so the
+    expected number of tries is about n, whatever q is.  Results are kept
+    in a bounded cache; each call returns a fresh list.
     """
-    key = (K.key, n)
-    hit = _irreducible_cache.get(key)
-    if hit is not None:
-        return list(hit)
-    q = K.q
-    for k in range(q ** n):
-        digits = []
-        kk = k
-        for _ in range(n):
-            kk, d = divmod(kk, q)
-            digits.append(K.elem(d))
-        f = digits + [K.one]
-        if is_irreducible(K, f):
-            _irreducible_cache[key] = tuple(f)
-            return f
-    raise ValueError(f"no irreducible of degree {n} found (impossible)")
+    if n < 1:
+        raise ValueError(f"degree must be at least 1, got {n}")
+    return list(_seeded_irreducible(K, n))
 
 
 def frobenius_orbit(L, a, q):

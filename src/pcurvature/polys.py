@@ -214,8 +214,9 @@ def pow_mod(K, f, e, m, reducer=None):
     while e:
         if e & 1:
             result = red.rem(mul(K, result, base))
-        base = red.rem(mul(K, base, base))
         e >>= 1
+        if e:
+            base = red.rem(mul(K, base, base))
     return result
 
 
@@ -225,8 +226,9 @@ def poly_pow(K, f, e):
     while e:
         if e & 1:
             result = mul(K, result, base)
-        base = mul(K, base, base)
         e >>= 1
+        if e:
+            base = mul(K, base, base)
     return result
 
 

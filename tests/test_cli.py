@@ -147,6 +147,18 @@ def test_main_exit_codes(tmp_path, capsys):
     code, _, err = _run(["--system", str(path)], capsys)
     assert code == 3
     assert json.loads(err)["error"] == "precondition"
+    for key, value in (("p", "5"), ("p", True), ("p", 5.0), ("ext", "2"),
+                       ("ext", True), ("ext", None), ("f_A", 1),
+                       ("A_tilde", "x"), ("A_tilde", [[1]])):
+        doc = {"p": 5, "ext": 1, "f_A": "1", "A_tilde": [["x"]], key: value}
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(["--system", str(path)], capsys)
+        assert code == 2, (key, value)
+        assert json.loads(err)["error"] == "bad-system-file", (key, value)
+    path.write_text(json.dumps([5, 1]))
+    code, _, err = _run(["--system", str(path)], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "bad-system-file"
 
 
 @pytest.mark.parametrize("text, position", [("x^1000000000", 1),
@@ -194,6 +206,27 @@ def test_system_file_flow(tmp_path, capsys):
     code2, _, err = _run(["--p", "7", "--system", str(path)], capsys)
     assert code2 == 2
     assert "contradicts" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("flags", [[], ["--p", "5"], ["--ext", "2"]])
+def test_system_file_is_parsed_once(flags, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"p": 5, "ext": 2, "f_A": "x^2 + 1",
+                                "A_tilde": [["x", "1"], ["0", "x^2"]]}))
+    calls = []
+    parse = cli._system_from_doc
+
+    def counted(doc, p, ext):
+        calls.append((p, ext))
+        return parse(doc, p, ext)
+
+    monkeypatch.setattr(cli, "_system_from_doc", counted)
+    code, out, _ = _run(["--system", str(path), "--algo", "naive"] + flags,
+                        capsys)
+    assert code == 0
+    assert calls == [(5, 2)]
+    doc = json.loads(out)
+    assert (doc["input"]["p"], doc["input"]["ext"]) == (5, 2)
 
 
 def test_system_file_missing_keys(tmp_path, capsys):

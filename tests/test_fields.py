@@ -1,9 +1,14 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pcurvature import fields
+import pcurvature
+from pcurvature import fields, polys
 from pcurvature.errors import FieldMismatch, NonPrime, NotAGenerator
 
 F13 = fields.PrimeField(13)
@@ -170,3 +175,83 @@ def test_embedding_identity_and_constant():
     assert emb2(F5.one) == L.one
     with pytest.raises(FieldMismatch):
         fields.embedding(F13, L)
+
+
+def _mobius(n):
+    out = 1
+    for t in fields._prime_factors(n):
+        if (n // t) % t == 0:
+            return 0
+        out = -out
+    return out
+
+
+def _gauss_count(q, n):
+    """Monic irreducibles of degree n over F_q."""
+    return sum(_mobius(d) * q ** (n // d)
+               for d in range(1, n + 1) if n % d == 0) // n
+
+
+@pytest.mark.parametrize("K, top", [(fields.PrimeField(2), 10),
+                                    (fields.PrimeField(3), 6), (F5, 4),
+                                    (F9, 3)], ids=["F2", "F3", "F5", "F9"])
+def test_is_irreducible_matches_gauss_count(K, top):
+    # F_2 reaches degrees 8 and 10, where Rabin's gcd at n/t (4 and 5) is
+    # not already one of the degree <= 3 screens
+    elems = list(K.elements())
+    for n in range(1, top + 1):
+        count = sum(
+            fields.is_irreducible(K, list(low) + [K.one])
+            for low in itertools.product(elems, repeat=n))
+        assert count == _gauss_count(K.q, n), n
+
+
+def _find_in_fresh_interpreter(code):
+    src = os.path.dirname(os.path.dirname(pcurvature.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60)
+    return out.stdout
+
+
+def test_find_irreducible_is_reproducible():
+    code = ("from pcurvature import fields\n"
+            "for p, n in ((263, 25), (5, 4), (3, 1)):\n"
+            "    print(fields.find_irreducible(fields.PrimeField(p), n))\n"
+            "L = fields.ExtensionField(fields.PrimeField(3), [2, 2, 1])\n"
+            "print(fields.find_irreducible(L, 3))\n")
+    first = _find_in_fresh_interpreter(code)
+    assert first == _find_in_fresh_interpreter(code)
+    here = fields.find_irreducible(fields.PrimeField(263), 25)
+    fields._seeded_irreducible.cache_clear()
+    again = fields.find_irreducible(fields.PrimeField(263), 25)
+    assert again == here
+    assert first.splitlines()[0] == str(here)
+
+
+@pytest.mark.parametrize("p", [263, 1019, 10007, 40009])
+def test_find_irreducible_tries_about_n_candidates(p, monkeypatch):
+    # the enumeration this replaced made 268 calls at p = 263 and 1062 at
+    # p = 1019, since no binomial of degree 25 is irreducible there
+    n = 25
+    calls = []
+    test = fields.is_irreducible
+
+    def counted(K, f):
+        calls.append(f)
+        return test(K, f)
+
+    monkeypatch.setattr(fields, "is_irreducible", counted)
+    fields._seeded_irreducible.cache_clear()
+    f = fields.find_irreducible(fields.PrimeField(p), n)
+    assert len(f) == n + 1 and f[-1] == 1
+    assert 1 <= len(calls) <= 8 * n
+    assert calls[-1] == f
+
+
+@pytest.mark.parametrize("modulus", [
+    fields.find_irreducible(F5, 1), [2, 1], fields.find_irreducible(F5, 2),
+    fields.find_irreducible(F5, 3), fields.find_irreducible(F5, 4)])
+def test_gen_is_a_root_of_the_modulus(modulus):
+    L = fields.ExtensionField(F5, modulus)
+    assert polys.eval_at(L, [L.embed(c) for c in modulus], L.gen) == L.zero

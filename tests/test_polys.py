@@ -220,3 +220,58 @@ def test_power_basis_cache_is_bounded():
     for _ in range(3):
         interp.lift_from_extension_value(ell, points[-1], points[-1], 1)
     assert solver.cache_info().hits == hits + 3
+
+
+def test_irreducible_cache_is_bounded():
+    search = fields._seeded_irreducible
+    size = search.cache_info().maxsize
+    primes = [n for n in range(2, 1000) if fields.is_prime(n)][:size + 10]
+    search.cache_clear()
+    for p in primes:
+        f = fields.find_irreducible(fields.PrimeField(p), 2)
+        assert fields.is_irreducible(fields.PrimeField(p), f)
+    assert search.cache_info().currsize <= size
+    K = fields.PrimeField(primes[-1])
+    hits = search.cache_info().hits
+    first = fields.find_irreducible(K, 2)
+    first.append(K.one)  # callers get a fresh list every time
+    assert fields.find_irreducible(K, 2) == first[:-1]
+    assert search.cache_info().hits == hits + 2
+
+
+class _LoggedField(fields.PrimeField):
+    """F_p that records the length of every polymul product."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.product_lengths = []
+
+    def polymul(self, f, g):
+        self.product_lengths.append(len(f) + len(g) - 1)
+        return super().polymul(f, g)
+
+
+def _power_of_x_plus_2(K, name, e):
+    """(x + 2)^e by one of the three square-and-multiply loops."""
+    # a reducible modulus is fine here: powers only multiply, and degree 48
+    # stays above every power computed, so nothing is ever reduced
+    m = [K.one] + [K.zero] * 47 + [K.one]
+    base = [K.from_int(2), K.one]
+    if name == "poly_pow":
+        return polys.poly_pow(K, base, e)
+    if name == "pow_mod":
+        return polys.pow_mod(K, base, e, m)
+    L = fields.ExtensionField(K, m)
+    return polys.trim(K, list(L.pow(L._pad(base), e)))
+
+
+@pytest.mark.parametrize("name", ["poly_pow", "pow_mod", "ExtensionField.pow"])
+def test_square_and_multiply_stops_at_top_bit(name):
+    K = _LoggedField(3)
+    expect = [K.one]
+    for e in range(41):
+        K.product_lengths.clear()
+        assert _power_of_x_plus_2(K, name, e) == expect, e
+        # the longest product is the result itself, never a square beyond
+        assert max(K.product_lengths, default=0) <= len(expect), e
+        expect = polys.mul_schoolbook(K, expect, [K.from_int(2), K.one])
