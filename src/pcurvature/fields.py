@@ -142,8 +142,12 @@ class PrimeField:
 class ExtensionField:
     """base[u]/(modulus) with elements as width-`degree` tuples.
 
-    The modulus must be monic and irreducible over the base; callers build
-    one with find_irreducible.  The base may itself be an extension.
+    The modulus must be monic.  An irreducible one (callers build one with
+    find_irreducible) gives a field.  A squarefree one gives the product
+    ring of the fields base[u]/(m_i), one per irreducible factor m_i:
+    every ring operation works as it does in a field, but `inv` raises
+    ZeroDivisionError on a zero divisor, which need not be zero.  The base
+    may itself be an extension.
     """
 
     NEWTON_CUTOFF = 24
@@ -162,6 +166,9 @@ class ExtensionField:
         self.one = self._pad([base.one])
         self.key = ("ext", base.key, tuple(modulus))
         self._srev_inv = None
+        # u^degree = -(lower part of the modulus), for reducing on plain ints
+        self._tail = ([-c for c in modulus[:-1]]
+                      if isinstance(base, PrimeField) else None)
 
     def _pad(self, coeffs):
         n = self.degree
@@ -203,12 +210,27 @@ class ExtensionField:
         if len(c) <= self.degree:
             return self._pad(c)
         if len(self.modulus) < self.NEWTON_CUTOFF:
+            if self._tail is not None:
+                return self._reduce_ints(c)
             return self._pad(polys.rem(base, c, self.modulus))
         if self._srev_inv is None:
             self._srev_inv = polys.series_inv(
                 base, self.modulus[::-1], self.degree)
         return self._pad(polys.rem_monic_precomp(
             base, c, self.modulus, self._srev_inv))
+
+    def _reduce_ints(self, c):
+        """Schoolbook remainder over F_p on unreduced ints: the modulus is
+        monic, so each step needs only the top coefficient mod p."""
+        p, n, tail = self.base.p, self.degree, self._tail
+        r = list(c)
+        for i in range(len(r) - 1, n - 1, -1):
+            top = r[i] % p
+            if top:
+                off = i - n
+                for j, t in enumerate(tail):
+                    r[off + j] += top * t
+        return tuple(x % p for x in r[:n])
 
     def mul(self, a, b):
         return self.reduce_product(self.mul_unreduced(a, b))

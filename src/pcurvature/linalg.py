@@ -122,6 +122,8 @@ def matrix_factorial(K, B, count):
     vals = [[tree.evaluate(e) if tree else [polys.eval_at(K, e, a)
                                             for a in pts]
              for e in row] for row in baby]
+    # only the values feed the giant steps; free the product and the tree
+    del baby, tree
     for j in range(g):
         step = [[vals[i][k][j] for k in range(n)] for i in range(n)]
         acc = matmul(K, step, acc)

@@ -1,18 +1,24 @@
-"""Invariant factors of the p-curvature at one point, in O~(sqrt(p)).
+"""Invariant factors of the p-curvature at given points, in O~(sqrt(p)).
 
 Re-centered at a point a, the fundamental solution of the equation is a
 Hurwitz series whose coefficient vectors Z_n obey Z_{n+1} = B(n) Z_n for a
 matrix B with polynomial entries of small degree.  Running the recurrence
 p steps collapses to the matrix factorial B(p-1)...B(0), which baby-step /
-giant-step evaluates in O~(sqrt(p)) field operations; Y^{(p)}(0) sits in the
+giant-step evaluates in O~(sqrt(p)) ring operations; Y^{(p)}(0) sits in the
 bottom-right corner and is similar to -A_p(a).
+
+The factorial needs only ring operations once B is built, so several
+points a_1, ..., a_k share one: it runs at the generator z of
+F_q[z]/(m), with m the product of the distinct minimal polynomials of the
+a_i over F_q.  That ring is a product of fields, one per minimal
+polynomial, and sending z to a_i maps the corner onto the one at a_i.
 """
 
 from dataclasses import dataclass
 
 from . import fields, linalg, polys
 from .diffop import DiffSystem, theta_rewrite
-from .errors import CharTooSmall, PoleAtPoint
+from .errors import CharTooSmall, LeadingCoeffVanishes, PoleAtPoint
 
 
 @dataclass(frozen=True)
@@ -118,23 +124,73 @@ def build_B_operator(op, ell, a):
     return RecMatrix(ell=ell, entries=_tidy(ell, rows), corner=r)
 
 
-def invariant_factors_at(inp, ell, a, p=None):
-    """Invariant factors of A_p(a) for a system or operator, over ell.
+def _check_pole(inp, ell, a):
+    """Raise the error a one-point call would raise if a is a pole.
+
+    In the product ring a pole is a zero divisor rather than zero, so it
+    must be caught in ell, before the ring is built.
+    """
+    emb = fields.embedding(inp.K, ell)
+    if isinstance(inp, DiffSystem):
+        if polys.eval_at(ell, [emb(c) for c in inp.f_A], a) == ell.zero:
+            raise PoleAtPoint("f_A vanishes at the expansion point")
+    elif polys.eval_at(ell, [emb(c) for c in inp.leading], a) == ell.zero:
+        raise LeadingCoeffVanishes("a_r vanishes at the expansion point")
+
+
+def _product_ring(K, ell, points):
+    """F_q[z]/(m) for m the product of the distinct minimal polynomials of
+    the points over K; m is squarefree, so repeated and conjugate points
+    share a factor."""
+    mods = {}
+    for a in dict.fromkeys(points):
+        if ell.key == K.key:
+            mods[(K.neg(a), K.one)] = None
+        else:
+            mods[tuple(fields.minimal_polynomial(ell, a, K.q))] = None
+    m = [K.one]
+    for mp in mods:
+        m = polys.mul(K, m, list(mp))
+    return fields.ExtensionField(K, m)
+
+
+def invariant_factors_at(inp, ell, points, p=None):
+    """Invariant factors of A_p(a) at every point a of ell, one list each.
 
     One matrix factorial of p terms gives Y^{(p)}(0) in the bottom-right
     corner; A_p(a) is similar to its negation, so the Smith form of the
-    negated corner is exactly the local similarity class.
+    negated corner is exactly the local similarity class.  A single point
+    is handled over ell itself.  Several points share one factorial over
+    the product ring of their minimal polynomials; each entry of its
+    corner is a polynomial in z, evaluated at a_i before the Smith form
+    over ell.
     """
     if p is None:
         p = ell.char
     elif p != ell.char:
         raise ValueError(f"p = {p} differs from the characteristic {ell.char}")
-    if isinstance(inp, DiffSystem):
-        rec = build_B_system(inp, ell, a)
+    points = list(points)
+    if not points:
+        raise ValueError("need at least one point")
+    if len(points) == 1:
+        ring, at = ell, points[0]
     else:
-        rec = build_B_operator(inp, ell, a)
-    M = linalg.matrix_factorial(ell, rec.entries, p)
+        for a in points:
+            _check_pole(inp, ell, a)
+        ring = _product_ring(inp.K, ell, points)
+        at = ring.gen
+    if isinstance(inp, DiffSystem):
+        rec = build_B_system(inp, ring, at)
+    else:
+        rec = build_B_operator(inp, ring, at)
+    M = linalg.matrix_factorial(ring, rec.entries, p)
     n, r = rec.size, rec.corner
-    corner = [[ell.neg(M[i][j]) for j in range(n - r, n)]
+    corner = [[ring.neg(M[i][j]) for j in range(n - r, n)]
               for i in range(n - r, n)]
-    return linalg.invariant_factors_of(ell, corner)
+    if ring is ell:
+        return [linalg.invariant_factors_of(ell, corner)]
+    emb = fields.embedding(inp.K, ell)
+    return [linalg.invariant_factors_of(
+        ell, [[polys.eval_at(ell, [emb(c) for c in e], a) for e in row]
+              for row in corner])
+        for a in points]

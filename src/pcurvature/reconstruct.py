@@ -137,17 +137,21 @@ def effective_params(inp, params):
     return replace(params, D=D, F=F)
 
 
-def _scaled_local_factors(inp, ell, a, p):
-    """Local invariant factors at a, rescaled to match the global object.
+def _scaled_local_factors(inp, ell, points, p):
+    """Local invariant factors at each point, rescaled to match the global
+    object; one matrix factorial serves the whole batch.
 
     The library's bivariate factors belong to f_A^p A_p; the local ones
     belong to A_p(a), so each picks up powers of c = f_A(a)^p.
     """
     emb = fields.embedding(inp.K, ell)
-    lead = polys.eval_at(ell, [emb(c) for c in _leading(inp)], a)
-    c = ell.pow(lead, p)
-    local = local_eval.invariant_factors_at(inp, ell, a, p)
-    return [bivar.scale_similarity(ell, g, c) for g in local]
+    lead = [emb(c) for c in _leading(inp)]
+    local = local_eval.invariant_factors_at(inp, ell, points, p)
+    out = []
+    for a, fs in zip(points, local):
+        c = ell.pow(polys.eval_at(ell, lead, a), p)
+        out.append([bivar.scale_similarity(ell, g, c) for g in fs])
+    return out
 
 
 def reconstruct_deterministic(inp, p, params=None):
@@ -165,7 +169,7 @@ def reconstruct_deterministic(inp, p, params=None):
     n = max(params.D, params.F, 1) + 1
     ell = fields.ExtensionField(K, fields.find_irreducible(K, n))
     a = ell.gen
-    scaled = _scaled_local_factors(inp, ell, a, p)
+    scaled = _scaled_local_factors(inp, ell, [a], p)[0]
     ap = ell.pow(a, p)
     return [[interp.lift_from_extension_value(ell, ap, v, params.D)
              for v in g] for g in scaled]
@@ -182,11 +186,14 @@ def _sample_degree_s(ell, q, s, rng):
 def reconstruct_montecarlo(inp, p, params):
     """Bivariate invariant factors from K random points of degree s.
 
-    Good points attain the coordinatewise-minimal vector of local factor
-    degrees, and any point attaining it specializes correctly at every
-    level; k_sel pairwise non-conjugate such points determine each
-    coefficient by Chinese remaindering over the minimal polynomials of
-    the a_i^p.  Fails (SelectionFailed) or errs with probability <= epsilon.
+    All K points are drawn first, a pole being redrawn within a cap on the
+    attempts; one matrix factorial over the product ring of their minimal
+    polynomials then gives the local factors at all of them.  Good points
+    attain the coordinatewise-minimal vector of local factor degrees, and
+    any point attaining it specializes correctly at every level; k_sel
+    pairwise non-conjugate such points determine each coefficient by
+    Chinese remaindering over the minimal polynomials of the a_i^p.  Fails
+    (SelectionFailed) or errs with probability <= epsilon.
     """
     params = effective_params(inp, params)
     K = inp.K
@@ -195,16 +202,17 @@ def reconstruct_montecarlo(inp, p, params):
     rng = random.Random(params.seed)
     ell = fields.ExtensionField(K, fields.find_irreducible(K, s))
     lead = [fields.embedding(K, ell)(c) for c in _leading(inp)]
-    samples = []
+    points = []
     attempts = 0
-    while len(samples) < params.K:
+    while len(points) < params.K:
         if attempts >= 4 * params.K + 8:
             raise SelectionFailed("sampling kept hitting poles")
         attempts += 1
         a = _sample_degree_s(ell, q, s, rng)
         if polys.eval_at(ell, lead, a) == ell.zero:
             continue
-        samples.append((a, _scaled_local_factors(inp, ell, a, p)))
+        points.append(a)
+    samples = list(zip(points, _scaled_local_factors(inp, ell, points, p)))
 
     degs = [tuple(bivar.deg_T(g) for g in fs) for _, fs in samples]
     target = tuple(min(col) for col in zip(*degs))
@@ -252,7 +260,7 @@ def verify_divisibility_lemma(inp, p, ell, a):
     """
     sysform = inp if isinstance(inp, DiffSystem) else companion_of_operator(inp)
     glob = naive_invariant_factors(sysform, p)
-    scaled = _scaled_local_factors(inp, ell, a, p)
+    scaled = _scaled_local_factors(inp, ell, [a], p)[0]
     emb = fields.embedding(inp.K, ell)
     ap = ell.pow(a, p)
     spec = [bivar.evaluate_at_X(inp.K, ell, g, ap, emb) for g in glob]

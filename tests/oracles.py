@@ -2,8 +2,11 @@
 
 Everything here favors obviousness over speed: schoolbook products,
 cofactor expansion, one-factor-at-a-time matrix products.  None of it
-shares code with the library paths under test.
+shares code with the library paths under test, except the operation
+counter, which wraps the library's prime field.
 """
+
+from pcurvature.fields import PrimeField
 
 
 def int_polymul(f, g, p):
@@ -121,3 +124,28 @@ def _det_polys(R, M):
         term = R.mul(M[0][j], _det_polys(R, minor))
         acc = R.add(acc, R.neg(term) if j % 2 else term)
     return acc
+
+
+class CountingPrimeField(PrimeField):
+    """F_p that counts its calls of mul, dot and polymul in `ops`.
+
+    The count is a measure of the work of a computation that, unlike a
+    clock, repeats exactly from run to run.  Only the counters are added;
+    the arithmetic is the library's own.
+    """
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.ops = 0
+
+    def mul(self, a, b):
+        self.ops += 1
+        return super().mul(a, b)
+
+    def dot(self, xs, ys):
+        self.ops += 1
+        return super().dot(xs, ys)
+
+    def polymul(self, f, g):
+        self.ops += 1
+        return super().polymul(f, g)

@@ -93,7 +93,7 @@ def test_c02_local_factors_match_specialized_curvature(corpus, capsys):
                 K, fields.find_irreducible(K, k))
             emb = fields.embedding(K, ell)
             a = _point_avoiding_poles(sysform, ell, rng)
-            got = local_eval.invariant_factors_at(inp, ell, a, p)
+            [got] = local_eval.invariant_factors_at(inp, ell, [a], p)
             ref = linalg.invariant_factors_of(
                 ell, [[R.evaluate(e, a, ell, emb) for e in row] for row in Ap])
             pairs += 1
@@ -211,11 +211,11 @@ def _scaling_probe(p):
                                  (K.zero, K.one),
                                  (K.one, K.zero, K.one)))
     a = K.from_int(2)
-    local_eval.invariant_factors_at(op, K, a, p)  # warm up
+    local_eval.invariant_factors_at(op, K, [a], p)  # warm up
     times = []
     for _ in range(5):
         t0 = time.perf_counter()
-        local_eval.invariant_factors_at(op, K, a, p)
+        local_eval.invariant_factors_at(op, K, [a], p)
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 

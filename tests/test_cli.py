@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import sys
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pcurvature import cli, diffop, fields
 from pcurvature.errors import OperatorSyntaxError, ZeroOperator
@@ -288,3 +292,57 @@ def test_check_mismatch_maps_to_exit_5(monkeypatch, capsys):
     assert code == 5
     assert json.loads(out)["check"] == {"match": False}
     assert json.loads(err)["error"] == "check-mismatch"
+
+
+# Operator text from a small grammar: sums of terms c(x)*Dx^k with c built
+# from integers and powers of x, plus a few fragments that are not valid.
+_COEFF = st.recursive(
+    st.one_of(st.integers(-3, 12).map(str), st.just("x"),
+              st.integers(0, 2).map(lambda e: f"x^{e}")),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*"]), inner)
+        .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        inner.map(lambda c: f"-{c}")),
+    max_leaves=2)
+_TERM = st.one_of(
+    _COEFF,
+    st.integers(1, 3).map(lambda k: f"Dx^{k}"),
+    st.tuples(_COEFF, st.integers(0, 2)).map(lambda t: f"{t[0]}*Dx^{t[1]}"))
+_JUNK = st.sampled_from(["", "Dx*x", "x^", "(x", "Dx Dx", "2**x", "y",
+                         "Dx^-1", "x^x", "0*Dx"])
+_OPERATOR = st.one_of(
+    st.lists(_TERM, min_size=1, max_size=3).map(" + ".join),
+    st.lists(_TERM, min_size=1, max_size=3).map(" + ".join),
+    st.lists(st.one_of(_TERM, _JUNK), min_size=1, max_size=3).map(" + ".join))
+_EPSILON = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "1", "-0.5", "2.5", "x"]),
+    st.floats(0.01, 0.99).map(repr), st.floats(0.01, 0.99).map(repr))
+# Primes are drawn more often, so that most runs get past make_field.  Over
+# F_(p^2) a single run can take 15 to 30 s (the naive oracle at p = 59, the
+# det driver's irreducible search at p = 5), so extension degrees above 1
+# come with p <= 4 only.
+_PRIME = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                          47, 53, 59])
+_FIELD = st.one_of(
+    st.tuples(_PRIME, st.just(1)),
+    st.tuples(_PRIME, st.just(1)),
+    st.tuples(st.integers(-5, 60), st.integers(-1, 1)),
+    st.tuples(st.sampled_from([2, 3, 4]), st.integers(2, 3)))
+
+
+@given(text=_OPERATOR, field=_FIELD,
+       algo=st.sampled_from(["det", "mc", "naive"]), epsilon=_EPSILON,
+       seed=st.integers(0, 3))
+def test_main_fuzz_exits_with_a_documented_code(text, field, algo, epsilon,
+                                                seed):
+    p, ext = field
+    # the = form passes text that starts with "-" as a value, not a flag
+    argv = [f"--op={text}", f"--p={p}", f"--ext={ext}", f"--algo={algo}",
+            f"--epsilon={epsilon}", f"--seed={seed}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse refuses the flag values
+            code = e.code
+    assert code in (0, 2, 3, 4, 5), (argv, err.getvalue())

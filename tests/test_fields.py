@@ -255,3 +255,42 @@ def test_find_irreducible_tries_about_n_candidates(p, monkeypatch):
 def test_gen_is_a_root_of_the_modulus(modulus):
     L = fields.ExtensionField(F5, modulus)
     assert polys.eval_at(L, [L.embed(c) for c in modulus], L.gen) == L.zero
+
+
+def test_squarefree_modulus_gives_the_product_ring():
+    # F_13[u]/((u - 1)(u - 2)(u^2 + 2)) is F_13 x F_13 x F_169: reducing
+    # modulo each factor is a ring map, and inv refuses zero divisors
+    K = F13
+    factors = [[K.neg(K.one), K.one], [K.from_int(-2), K.one],
+               [K.from_int(2), K.zero, K.one]]
+    m = [K.one]
+    for f in factors:
+        m = polys.mul(K, m, f)
+    R = fields.ExtensionField(K, m)
+    rng = random.Random(3)
+    for _ in range(50):
+        a, b = R.random_elem(rng), R.random_elem(rng)
+        for f in factors:
+            def red(x):
+                return polys.rem(K, polys.trim(K, list(x)), f)
+            assert red(R.mul(a, b)) == polys.rem(
+                K, polys.mul(K, red(a), red(b)), f)
+            assert red(R.add(a, b)) == polys.add(K, red(a), red(b))
+        if all(polys.rem(K, polys.trim(K, list(a)), f) for f in factors):
+            assert R.mul(a, R.inv(a)) == R.one
+    with pytest.raises(ZeroDivisionError):
+        R.inv(R.sub(R.gen, R.one))
+    with pytest.raises(ZeroDivisionError):
+        R.inv(R.add(R.mul(R.gen, R.gen), R.from_int(2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 22])
+def test_reduction_on_ints_matches_polynomial_remainder(n):
+    rng = random.Random(n)
+    K = fields.PrimeField(2003)
+    m = [K.random_elem(rng) for _ in range(n)] + [K.one]
+    R = fields.ExtensionField(K, m)
+    for _ in range(20):
+        c = polys.trim(K, [K.random_elem(rng) for _ in range(2 * n - 1)])
+        want = polys.rem(K, c, m)
+        assert R.reduce_product(c) == tuple(want + [K.zero] * (n - len(want)))

@@ -1,6 +1,7 @@
 import pytest
 
-from pcurvature import bivar, diffop, fields, polys, reconstruct
+from pcurvature import (bivar, cli, diffop, fields, linalg, local_eval, polys,
+                        reconstruct)
 from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange, PoleAtPoint,
                                SelectionFailed)
 from pcurvature.reconstruct import ReconParams
@@ -127,6 +128,68 @@ def test_montecarlo_matches_naive_on_seeds():
         params = reconstruct.select_params(OP22, epsilon=0.2, seed=seed)
         got = reconstruct.reconstruct_montecarlo(OP22, 11, params)
         assert _fmt(F11, got) == OP22_FACTORS
+
+
+F103 = fields.PrimeField(103)
+L103 = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", F103)
+L103_FACTORS = ["1", "T^2 + 4*X^2 + 4"]
+
+# Sample points (coefficient tuples over F_11) that OP22 draws at epsilon
+# 0.2 for seeds 0-2, in draw order, from before the points were batched.
+OP22_POINTS = {
+    0: [(7, 5, 6), (3, 1, 7), (5, 7, 0), (2, 4, 4)],
+    1: [(0, 3, 2), (10, 6, 9), (8, 0, 1), (5, 3, 4)],
+    2: [(5, 10, 0), (0, 6, 1), (8, 4, 1), (2, 1, 6)],
+}
+
+
+def _montecarlo_runs(monkeypatch, inp, p, epsilon, seeds):
+    """Formatted output, evaluated points and factorial count per seed."""
+    calls = {"factorial": 0, "points": []}
+    factorial = linalg.matrix_factorial
+    evaluate = local_eval.invariant_factors_at
+
+    def counting_factorial(*args):
+        calls["factorial"] += 1
+        return factorial(*args)
+
+    def recording_evaluate(inp, ell, points, p=None):
+        calls["points"].extend(points)
+        return evaluate(inp, ell, points, p)
+
+    monkeypatch.setattr(linalg, "matrix_factorial", counting_factorial)
+    monkeypatch.setattr(local_eval, "invariant_factors_at",
+                        recording_evaluate)
+    out = {}
+    for seed in seeds:
+        calls["factorial"] = 0
+        calls["points"] = []
+        params = reconstruct.select_params(inp, epsilon=epsilon, seed=seed)
+        got = _fmt(inp.K, reconstruct.reconstruct_montecarlo(inp, p, params))
+        out[seed] = (got, calls["points"], calls["factorial"])
+    return out
+
+
+def test_montecarlo_pinned_seed_for_seed(monkeypatch):
+    runs = _montecarlo_runs(monkeypatch, OP22, 11, 0.2, range(50))
+    for seed, (got, points, _) in runs.items():
+        assert got == OP22_FACTORS, seed
+        if seed in OP22_POINTS:
+            assert points == OP22_POINTS[seed], seed
+    for inp in (L103, diffop.companion_of_operator(L103)):
+        runs = _montecarlo_runs(monkeypatch, inp, 103, 0.1, range(1, 11))
+        for seed, (got, _, _) in runs.items():
+            assert got == L103_FACTORS, seed
+
+
+def test_montecarlo_makes_one_factorial_per_solve(monkeypatch):
+    for inp, p, epsilon in ((OP22, 11, 0.2), (L103, 103, 0.1)):
+        K = reconstruct.effective_params(
+            inp, reconstruct.select_params(inp, epsilon=epsilon)).K
+        runs = _montecarlo_runs(monkeypatch, inp, p, epsilon, range(5))
+        for seed, (_, points, factorials) in runs.items():
+            assert factorials == 1, seed
+            assert len(points) == K, seed
 
 
 def test_montecarlo_pole_exhaustion_fails_cleanly():
