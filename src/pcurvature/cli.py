@@ -378,6 +378,20 @@ def _emit_error(code, exc):
     print(json.dumps(doc), file=sys.stderr)
 
 
+def _glue_operator_text(argv):
+    """argv with each `--op TEXT` written as `--op=TEXT`.
+
+    argparse reads a word that starts with "-" as an option, so operator
+    text such as "-x*Dx+1" after a separate `--op` would be refused.
+    """
+    out = []
+    words = iter(argv)
+    for w in words:
+        text = next(words, None) if w == "--op" else None
+        out.append(w if text is None else f"--op={text}")
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="pcurv",
@@ -397,7 +411,8 @@ def main(argv=None):
                     help="also run the naive oracle and compare")
     ap.add_argument("--profile", action="store_true",
                     help="emit the rank profile of the nilpotent part")
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_glue_operator_text(
+        sys.argv[1:] if argv is None else argv))
 
     if args.op is not None and args.p is None:
         ap.error("--p is required with --op")

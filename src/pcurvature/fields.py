@@ -10,10 +10,17 @@ coefficients are packed into one big integer per operand (Kronecker
 substitution) so the convolution happens inside CPython's long
 multiplication, and extensions delay the modular reduction so a dot product
 of k element pairs costs k packed convolutions but a single reduction.
+Over an extension of F_p the same holds for matrices of polynomials in t:
+each entry packs both variables into one integer, each row-by-column inner
+product of k terms is k integer products summed, and each output
+coefficient is reduced once.  That reduction is itself one integer sum of
+the packed rows u^(n+j) mod S.
 """
 
+import array
 import functools
 import random
+import sys
 
 from . import polys
 from .errors import FieldMismatch, NonPrime
@@ -139,6 +146,55 @@ class PrimeField:
         return f"GF({self.p})"
 
 
+def _slot_bytes(p, n, terms):
+    """Bytes per slot that hold a sum of n * terms products of two residues
+    below p: a u-coefficient of a product of two elements of F_p[u]/(S),
+    deg S = n, summed over `terms` products.  Widths up to 8 are rounded
+    up to a machine integer, which packs and unpacks as an array."""
+    nbytes = (((p - 1) * (p - 1) * n * terms).bit_length() + 7) // 8
+    return next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
+
+
+# array type codes by item size; the slots are little-endian
+_TYPECODES = {array.array(c).itemsize: c for c in "BHIQ"}
+_SWAP = sys.byteorder != "little"
+
+
+def _pack(blocks, slot, width):
+    """One integer from lists of ints in [0, 256**slot): list i fills the
+    slots from i*width on, least significant first, and the rest of its
+    `width` slots are zero."""
+    code = _TYPECODES.get(slot)
+    if code is None:
+        parts = []
+        for xs in blocks:
+            parts.extend(x.to_bytes(slot, "little") for x in xs)
+            parts.append(bytes(slot * (width - len(xs))))
+        return int.from_bytes(b"".join(parts), "little")
+    zeros = [0] * width
+    flat = []
+    for xs in blocks:
+        flat.extend(xs)
+        flat.extend(zeros[len(xs):])
+    a = array.array(code, flat)
+    if _SWAP:
+        a.byteswap()
+    return int.from_bytes(a, "little")
+
+
+def _unpack(x, slot, count):
+    """The first `count` slots of a packed integer, as ints."""
+    buf = x.to_bytes(slot * count, "little")
+    code = _TYPECODES.get(slot)
+    if code is None:
+        return [int.from_bytes(buf[k:k + slot], "little")
+                for k in range(0, slot * count, slot)]
+    a = array.array(code, buf)
+    if _SWAP:
+        a.byteswap()
+    return a.tolist()
+
+
 class ExtensionField:
     """base[u]/(modulus) with elements as width-`degree` tuples.
 
@@ -166,9 +222,10 @@ class ExtensionField:
         self.one = self._pad([base.one])
         self.key = ("ext", base.key, tuple(modulus))
         self._srev_inv = None
-        # u^degree = -(lower part of the modulus), for reducing on plain ints
-        self._tail = ([-c for c in modulus[:-1]]
-                      if isinstance(base, PrimeField) else None)
+        # products over a prime base pack into integers (matpoly_mul)
+        self.packed = isinstance(base, PrimeField)
+        if self.packed:
+            self._init_reduction_rows()
 
     def _pad(self, coeffs):
         n = self.degree
@@ -205,13 +262,17 @@ class ExtensionField:
         return self.base.polymul(fa, fb)
 
     def reduce_product(self, c):
-        """Reduce a convolution (degree < 2*degree - 1) back to a tuple."""
+        """Reduce a convolution (degree < 2*degree - 1) back to a tuple.
+
+        Over a prime base the coefficients may be any ints, reduced mod p
+        or not.
+        """
+        if self.packed:
+            return self._reduce_ints(c)
         base = self.base
         if len(c) <= self.degree:
             return self._pad(c)
         if len(self.modulus) < self.NEWTON_CUTOFF:
-            if self._tail is not None:
-                return self._reduce_ints(c)
             return self._pad(polys.rem(base, c, self.modulus))
         if self._srev_inv is None:
             self._srev_inv = polys.series_inv(
@@ -219,21 +280,38 @@ class ExtensionField:
         return self._pad(polys.rem_monic_precomp(
             base, c, self.modulus, self._srev_inv))
 
+    def _init_reduction_rows(self):
+        """Pack row j = u^(degree + j) mod S for j < degree - 1, so that a
+        remainder is one integer sum of rows weighted by high coefficients."""
+        p, n, tail = self.base.p, self.degree, self.modulus[:-1]
+        self._row_slot = _slot_bytes(p, n, 1)
+        rows = []
+        r = [0] * (n - 1) + [1]
+        for _ in range(n - 1):
+            top = r[-1]
+            r = [(a - top * m) % p for a, m in zip([0] + r[:-1], tail)]
+            rows.append(_pack([r], self._row_slot, n))
+        self._rows = rows
+
     def _reduce_ints(self, c):
-        """Schoolbook remainder over F_p on unreduced ints: the modulus is
-        monic, so each step needs only the top coefficient mod p."""
-        p, n, tail = self.base.p, self.degree, self._tail
-        r = list(c)
-        for i in range(len(r) - 1, n - 1, -1):
-            top = r[i] % p
-            if top:
-                off = i - n
-                for j, t in enumerate(tail):
-                    r[off + j] += top * t
-        return tuple(x % p for x in r[:n])
+        """Remainder modulo S over F_p of a list of ints: coefficient
+        degree + j, reduced mod p, weights packed row j."""
+        p, n = self.base.p, self.degree
+        acc = 0
+        for h, row in zip(c[n:], self._rows):
+            acc += h % p * row
+        r = _unpack(acc, self._row_slot, n)
+        for k, x in enumerate(c[:n]):
+            r[k] += x
+        return tuple([x % p for x in r])
 
     def mul(self, a, b):
-        return self.reduce_product(self.mul_unreduced(a, b))
+        c = self.mul_unreduced(a, b)
+        if len(c) <= self.degree:
+            # no reduction by S needed (a product by a constant, say), and
+            # the base field has reduced the coefficients already
+            return self._pad(c)
+        return self.reduce_product(c)
 
     def dot(self, xs, ys):
         base = self.base
@@ -290,14 +368,11 @@ class ExtensionField:
     def format_elem(self, a, var="u"):
         return polys.format_poly(self.base, self._strip(a), var=var)
 
-    PACKED_CUTOFF = 8
-
     def polymul(self, f, g):
         """Product in ℓ[t] with one reduction by S per output coefficient."""
+        if self.packed:
+            return self.matpoly_mul([[f]], [[g]])[0][0]
         base = self.base
-        if (isinstance(base, PrimeField)
-                and min(len(f), len(g)) >= self.PACKED_CUTOFF):
-            return self._polymul_packed(f, g)
         stripped = [self._strip(b) for b in g]
         accs = [[] for _ in range(len(f) + len(g) - 1)]
         for i, a in enumerate(f):
@@ -308,43 +383,44 @@ class ExtensionField:
                 if fb:
                     accs[i + j] = polys.add(base, accs[i + j],
                                             base.polymul(fa, fb))
-        return [self.reduce_product(c) for c in accs]
+        # over a product ring the top coefficient can vanish
+        return polys.trim(self, [self.reduce_product(c) for c in accs])
 
-    def _polymul_packed(self, f, g):
-        """Pack both variables into one integer product.
+    def matpoly_mul(self, A, B):
+        """Product of matrices whose entries are polynomials in t over self.
 
-        Each t-coefficient gets a block of W = 2*degree - 1 slots so the
-        u-convolutions inside a block cannot spill into the next one, and
-        the slot width bounds the fully accumulated cross terms.
+        Needs a prime base (`packed`).  Each entry is packed once into one
+        integer (see `_pack`); an output entry is the plain integer sum of
+        its row-by-column products, unpacked once, with one reduction by
+        the modulus per t-coefficient.
         """
-        p = self.base.p
-        n = self.degree
-        W = 2 * n - 1
-        bound = (p - 1) * (p - 1) * n * min(len(f), len(g))
-        slot = (bound.bit_length() + 7) // 8
-        block = slot * W
-
-        def pack(h):
-            buf = bytearray(block * len(h))
-            for i, c in enumerate(h):
-                off = block * i
-                for k, a in enumerate(c):
-                    if a:
-                        buf[off + slot * k:off + slot * (k + 1)] = \
-                            a.to_bytes(slot, "little")
-            return int.from_bytes(bytes(buf), "little")
-
-        n_out = len(f) + len(g) - 1
-        pb = (pack(f) * pack(g)).to_bytes(block * (n_out + 1), "little")
+        if not self.packed:
+            raise TypeError(f"matpoly_mul needs a prime base, not {self.base}")
+        W = 2 * self.degree - 1
+        la = max((len(e) for row in A for e in row), default=0)
+        lb = max((len(e) for row in B for e in row), default=0)
+        # each t-coefficient takes a block of W slots, so the u-convolutions
+        # inside a block cannot spill into the next one; a slot must hold a
+        # coefficient even when the other side is all zero
+        slot = _slot_bytes(self.base.p, self.degree,
+                           max(min(la, lb), 1) * len(B))
+        PA = [[(_pack(e, slot, W), len(e)) for e in row] for row in A]
+        cols = list(zip(*[[(_pack(e, slot, W), len(e)) for e in row]
+                          for row in B]))
         out = []
-        for i in range(n_out):
-            off = block * i
-            conv = [
-                int.from_bytes(pb[off + slot * k:off + slot * (k + 1)],
-                               "little") % p
-                for k in range(W)
-            ]
-            out.append(self.reduce_product(polys.trim(self.base, conv)))
+        for row in PA:
+            orow = []
+            for col in cols:
+                acc = length = 0
+                for (a, na), (b, nb) in zip(row, col):
+                    if a and b:
+                        acc += a * b
+                        length = max(length, na + nb - 1)
+                conv = _unpack(acc, slot, W * length)
+                orow.append(polys.trim(self, [
+                    self.reduce_product(conv[i:i + W])
+                    for i in range(0, W * length, W)]))
+            out.append(orow)
         return out
 
     def __eq__(self, other):

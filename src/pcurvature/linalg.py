@@ -9,6 +9,11 @@ values B(count-1)...B(1)B(0) of a polynomial matrix, form the length-s
 sliding product P(u) = B(u+s-1)...B(u) once with s ~ sqrt(count), evaluate
 it at u = 0, s, 2s, ... by fast multipoint evaluation, and chain the
 evaluated matrices together, leaving fewer than s leftover factors.
+
+Products go through the field where it has a fast path: matmul and matvec
+through K.dot, and matpoly_mul through K.matpoly_mul when K is `packed`
+(an extension of F_p, which sums each row-by-column inner product of
+polynomials as integers and reduces each output coefficient once).
 """
 
 import math
@@ -67,9 +72,16 @@ def mat_map(f, A):
 
 
 def matpoly_mul(K, A, B):
-    """Product of matrices whose entries are polynomials over K."""
+    """Product of matrices whose entries are polynomials over K.
+
+    A `packed` field (an extension of F_p) computes it in one pass of
+    integer products; any other field takes one polynomial product per
+    pair of entries.
+    """
     if len(B) != len(A[0]):
         raise DimensionMismatch("polynomial matrix sizes do not match")
+    if getattr(K, "packed", False):
+        return K.matpoly_mul(A, B)
     cols = list(zip(*B))
     out = []
     for row in A:

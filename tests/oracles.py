@@ -45,6 +45,32 @@ def matmul_schoolbook(K, A, B):
     return out
 
 
+def matpoly_mul_schoolbook(K, A, B):
+    """Product of polynomial matrices, one coefficient product at a time.
+
+    Every product of two entries is the schoolbook convolution with K.mul
+    and K.add, so over an extension each coefficient product is reduced on
+    its own and the packed kernel of linalg.matpoly_mul never runs.
+    """
+    out = []
+    for row in A:
+        orow = []
+        for col in zip(*B):
+            acc = []
+            for a, b in zip(row, col):
+                need = len(a) + len(b) - 1 - len(acc)
+                if a and b and need > 0:
+                    acc += [K.zero] * need
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        acc[i + j] = K.add(acc[i + j], K.mul(x, y))
+            while acc and acc[-1] == K.zero:
+                acc.pop()
+            orow.append(acc)
+        out.append(orow)
+    return out
+
+
 def matrix_factorial_sequential(K, B, count, eval_at):
     """B(count-1) ... B(1) B(0), one evaluation and product at a time."""
     n = len(B)

@@ -96,6 +96,18 @@ def test_main_det_pin(capsys):
     assert "threads" not in doc["params"]
 
 
+@pytest.mark.parametrize("text", ["-x*Dx+1", "-3*Dx"])
+def test_operator_text_may_start_with_minus(text, capsys):
+    # the word after --op is operator text, even when it starts with "-"
+    code, out, _ = _run(["--p", "5", "--op", text, "--check"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["input"]["payload"] == text
+    assert doc["check"] == {"match": True}
+    _, glued, _ = _run(["--p", "5", f"--op={text}"], capsys)
+    assert json.loads(glued)["factors"] == doc["factors"]
+
+
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--bench", "101"],
                                   ["--bench-runs", "3"]])
 def test_removed_flags_are_unknown(flag, capsys):
@@ -332,13 +344,15 @@ _FIELD = st.one_of(
 
 @given(text=_OPERATOR, field=_FIELD,
        algo=st.sampled_from(["det", "mc", "naive"]), epsilon=_EPSILON,
-       seed=st.integers(0, 3))
+       seed=st.integers(0, 3), glued=st.booleans())
 def test_main_fuzz_exits_with_a_documented_code(text, field, algo, epsilon,
-                                                seed):
+                                                seed, glued):
     p, ext = field
-    # the = form passes text that starts with "-" as a value, not a flag
-    argv = [f"--op={text}", f"--p={p}", f"--ext={ext}", f"--algo={algo}",
-            f"--epsilon={epsilon}", f"--seed={seed}"]
+    # the operator text comes as one word "--op=TEXT" or as two words; the
+    # other values use the = form, so that "-1" or "-inf" is not a flag
+    op = [f"--op={text}"] if glued else ["--op", text]
+    argv = op + [f"--p={p}", f"--ext={ext}", f"--algo={algo}",
+                 f"--epsilon={epsilon}", f"--seed={seed}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

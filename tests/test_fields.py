@@ -280,17 +280,30 @@ def test_squarefree_modulus_gives_the_product_ring():
             assert R.mul(a, R.inv(a)) == R.one
     with pytest.raises(ZeroDivisionError):
         R.inv(R.sub(R.gen, R.one))
+    # a product of zero divisors is 0, so polynomial products stay trimmed
+    a, b = R.sub(R.gen, R.one), R.sub(R.gen, R.from_int(2))
+    c = R.add(R.mul(R.gen, R.gen), R.from_int(2))
+    assert polys.mul(R, [a], [R.mul(b, c)]) == []
+    assert polys.mul(R, [R.one, a], [R.one, R.mul(b, c)]) == [
+        R.one, R.add(a, R.mul(b, c))]
+    assert polys.mul(R, [a] * 5, [R.one] * 4 + [R.mul(b, c)]) == polys.mul(
+        R, [a] * 5, [R.one] * 4)
     with pytest.raises(ZeroDivisionError):
         R.inv(R.add(R.mul(R.gen, R.gen), R.from_int(2)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 12, 22])
+@pytest.mark.parametrize("n", [1, 2, 5, 12, 22, 25, 73])
 def test_reduction_on_ints_matches_polynomial_remainder(n):
     rng = random.Random(n)
     K = fields.PrimeField(2003)
     m = [K.random_elem(rng) for _ in range(n)] + [K.one]
     R = fields.ExtensionField(K, m)
     for _ in range(20):
-        c = polys.trim(K, [K.random_elem(rng) for _ in range(2 * n - 1)])
-        want = polys.rem(K, c, m)
-        assert R.reduce_product(c) == tuple(want + [K.zero] * (n - len(want)))
+        # a full-length input reaches the top row, u^(2n-2) mod S
+        for length in (2 * n - 1, rng.randint(0, 2 * n - 1)):
+            c = polys.trim(K, [K.random_elem(rng) for _ in range(length)])
+            want = tuple(polys.rem(K, c, m) + [K.zero] * n)[:n]
+            assert R.reduce_product(c) == want
+            # any ints that are congruent mod p reduce alike
+            assert R.reduce_product([x + 2003 * rng.randrange(-9, 10**9)
+                                     for x in c]) == want

@@ -5,8 +5,8 @@ from hypothesis import given, strategies as st
 
 from pcurvature import fields, linalg, polys
 from pcurvature.errors import NotSquare
-from oracles import (matmul_schoolbook, matrix_factorial_sequential,
-                     rank_profile)
+from oracles import (matmul_schoolbook, matpoly_mul_schoolbook,
+                     matrix_factorial_sequential, rank_profile)
 
 F5 = fields.PrimeField(5)
 F101 = fields.PrimeField(101)
@@ -91,6 +91,96 @@ def test_matrix_factorial_matches_sequential(count, rng):
     got = linalg.matrix_factorial(F101, B, count)
     want = matrix_factorial_sequential(F101, B, count, polys.eval_at)
     assert got == want
+
+
+def _polymat(L, rng, rows, cols, longest):
+    """A rows x cols matrix of polynomials over L of random lengths up to
+    `longest`, about one entry in five zero."""
+    def entry():
+        if rng.random() < 0.2:
+            return []
+        return polys.trim(L, [L.random_elem(rng)
+                              for _ in range(rng.randint(1, longest))])
+    return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+
+def _extension_of(K, degree):
+    return fields.ExtensionField(K, fields.find_irreducible(K, degree))
+
+
+def _extension(p, degree):
+    return _extension_of(fields.PrimeField(p), degree)
+
+
+def _product_ring():
+    # F_13[u]/((u - 1)(u - 2)(u^2 + 2)), squarefree, as the Monte Carlo
+    # driver builds from the minimal polynomials of its sample points
+    K = fields.PrimeField(13)
+    m = [K.one]
+    for f in ([12, 1], [11, 1], [2, 0, 1]):
+        m = polys.mul(K, m, f)
+    return fields.ExtensionField(K, m)
+
+
+_RINGS = {
+    "F_101^1": lambda: _extension(101, 1),
+    "F_101^3": lambda: _extension(101, 3),
+    "F_263^25": lambda: _extension(263, 25),
+    "product ring over F_13": _product_ring,
+    # neither of these is packed: they keep the per-entry loop
+    "F_101": lambda: F101,
+    "F_81 over F_9": lambda: _extension_of(_extension(3, 2), 2),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+@pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (3, 1, 2), (6, 6, 6)])
+def test_matpoly_mul_matches_schoolbook(ring, shape, rng):
+    L = _RINGS[ring]()
+    rows, inner, cols = shape
+    for longest in (1, 3, 9):
+        A = _polymat(L, rng, rows, inner, longest)
+        B = _polymat(L, rng, inner, cols, rng.randint(1, 9))
+        assert linalg.matpoly_mul(L, A, B) == matpoly_mul_schoolbook(L, A, B)
+
+
+def test_matpoly_mul_worst_case_fills_every_slot():
+    # every coefficient p - 1: each slot holds the full sum of its products,
+    # and at this size dropping the inner dimension from the slot width
+    # makes the slot one byte short
+    p = 1000000007
+    L = _extension(p, 3)
+    top = L.base.from_int(-1)
+    full = [tuple([top] * 3)] * 4
+    A = [[full] * 4 for _ in range(2)]
+    B = [[full] * 3 for _ in range(4)]
+    assert linalg.matpoly_mul(L, A, B) == matpoly_mul_schoolbook(L, A, B)
+
+
+def test_matpoly_mul_kernel_needs_a_prime_base():
+    L = _RINGS["F_81 over F_9"]()
+    with pytest.raises(TypeError):
+        L.matpoly_mul([[[L.one]]], [[[L.one]]])
+
+
+def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
+    L = _extension(263, 25)
+    A = [[[L.random_elem(rng) for _ in range(5)] for _ in range(6)]
+         for _ in range(4)]
+    B = [[[L.random_elem(rng) for _ in range(5)] for _ in range(3)]
+         for _ in range(6)]
+    calls = []
+    reduce_product = fields.ExtensionField.reduce_product
+
+    def counting(self, c):
+        calls.append(len(c))
+        return reduce_product(self, c)
+    monkeypatch.setattr(fields.ExtensionField, "reduce_product", counting)
+    out = linalg.matpoly_mul(L, A, B)
+    length = max(len(e) for row in out for e in row)
+    assert length == 9
+    # one product at a time would reduce 4 * 3 * 6 * 9 times
+    assert 0 < len(calls) <= 4 * 3 * length
 
 
 def test_matrix_factorial_requires_square():
