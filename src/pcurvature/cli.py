@@ -1,4 +1,4 @@
-"""Command line driver: parse inputs, pick an algorithm, emit JSON or CSV.
+"""Command line driver: parse inputs, pick an algorithm, emit JSON.
 
 The operator grammar is sums of terms c(x)*Dx^k.  Coefficient arithmetic
 (+, -, *, ^, parentheses, integers, x) is ordinary and commutative; the
@@ -398,8 +398,9 @@ def main(argv=None):
         description="Invariant factors of the p-curvature of a linear "
                     "differential operator or system over F_q(x).")
     ap.add_argument("--p", type=int, help="prime characteristic")
-    ap.add_argument("--ext", type=int, default=1,
-                    help="extension degree a, for q = p^a (default 1)")
+    ap.add_argument("--ext", type=int, default=None,
+                    help="extension degree a, for q = p^a (default 1, or "
+                         "the system file's)")
     src = ap.add_mutually_exclusive_group(required=True)
     src.add_argument("--op", help="operator text, e.g. 'x*Dx^2 + Dx + 1'")
     src.add_argument("--system", help="path to a system JSON file")
@@ -421,8 +422,8 @@ def main(argv=None):
     epsilon = args.epsilon if args.epsilon is not None else 0.1
 
     ext = args.ext
-    if args.system is not None and ext == 1:
-        ext = None  # the default: the system file decides
+    if ext is None and args.op is not None:
+        ext = 1
     spec = InputSpec(p=args.p, ext=ext, kind=kind, payload=payload)
     flags = RunFlags(algo=args.algo, epsilon=epsilon, seed=args.seed,
                      check=args.check, profile=args.profile)

@@ -14,7 +14,8 @@ Over an extension of F_p the same holds for matrices of polynomials in t:
 each entry packs both variables into one integer, each row-by-column inner
 product of k terms is k integer products summed, and each output
 coefficient is reduced once.  That reduction is itself one integer sum of
-the packed rows u^(n+j) mod S.
+the packed rows u^(n+j) mod S.  A division by a polynomial in t over F_p
+(coords_rem) packs the same way and never reduces mod S at all.
 """
 
 import array
@@ -146,12 +147,10 @@ class PrimeField:
         return f"GF({self.p})"
 
 
-def _slot_bytes(p, n, terms):
-    """Bytes per slot that hold a sum of n * terms products of two residues
-    below p: a u-coefficient of a product of two elements of F_p[u]/(S),
-    deg S = n, summed over `terms` products.  Widths up to 8 are rounded
-    up to a machine integer, which packs and unpacks as an array."""
-    nbytes = (((p - 1) * (p - 1) * n * terms).bit_length() + 7) // 8
+def _slot_bytes(bound):
+    """Bytes per slot that hold any int in [0, bound].  Widths up to 8 are
+    rounded up to a machine integer, which packs and unpacks as an array."""
+    nbytes = (bound.bit_length() + 7) // 8
     return next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
 
 
@@ -284,7 +283,8 @@ class ExtensionField:
         """Pack row j = u^(degree + j) mod S for j < degree - 1, so that a
         remainder is one integer sum of rows weighted by high coefficients."""
         p, n, tail = self.base.p, self.degree, self.modulus[:-1]
-        self._row_slot = _slot_bytes(p, n, 1)
+        # a u-coefficient of a product in F_p[u]/(S): n products of residues
+        self._row_slot = _slot_bytes((p - 1) ** 2 * n)
         rows = []
         r = [0] * (n - 1) + [1]
         for _ in range(n - 1):
@@ -402,8 +402,8 @@ class ExtensionField:
         # each t-coefficient takes a block of W slots, so the u-convolutions
         # inside a block cannot spill into the next one; a slot must hold a
         # coefficient even when the other side is all zero
-        slot = _slot_bytes(self.base.p, self.degree,
-                           max(min(la, lb), 1) * len(B))
+        slot = _slot_bytes((self.base.p - 1) ** 2 * self.degree
+                           * max(min(la, lb), 1) * len(B))
         PA = [[(_pack(e, slot, W), len(e)) for e in row] for row in A]
         cols = list(zip(*[[(_pack(e, slot, W), len(e)) for e in row]
                           for row in B]))
@@ -422,6 +422,36 @@ class ExtensionField:
                     for i in range(0, W * length, W)]))
             out.append(orow)
         return out
+
+    def coords_rem(self, g, m, m_rev_inv):
+        """Remainder of a polynomial in t over self by a monic m over F_p.
+
+        Needs a prime base.  g and the result are flat lists of
+        u-coordinates: slots i*n to i*n + n - 1 hold coefficient i, with
+        n = degree.  m_rev_inv is the inverse of the reversal of m, as
+        polys.series_inv gives it, to at least the length of the quotient.
+        As m has F_p coefficients, the division acts on each u-coordinate
+        alone: g is packed block by block into one integer, the quotient
+        is two integer products (Barrett), the remainder one more, and
+        the slots are reduced mod p once, at the end.
+        """
+        p, n, d = self.base.p, self.degree, len(m) - 1
+        k = len(g) // n - d
+        if k <= 0:
+            return g
+        # a quotient slot sums k products of residues; a slot of the
+        # remainder adds to a residue at most min(k, d) quotient slots,
+        # each times a residue
+        slot = _slot_bytes(k * min(k, d) * (p - 1) ** 3 + p - 1)
+        bits = 8 * slot * n
+        G = _pack([g], slot, len(g))
+        mu = m_rev_inv[k - 1::-1]
+        mu = _pack([[c] for c in [0] * (k - len(mu)) + mu], slot, n)
+        Q = ((G >> d * bits) * mu) >> (k - 1) * bits
+        neg_m = _pack([[p - c if c else 0] for c in m[:d]], slot, n)
+        low = (1 << d * bits) - 1
+        r = _unpack((G & low) + (Q * neg_m & low), slot, d * n)
+        return [x % p for x in r]
 
     def __eq__(self, other):
         return isinstance(other, ExtensionField) and other.key == self.key

@@ -10,10 +10,15 @@ sliding product P(u) = B(u+s-1)...B(u) once with s ~ sqrt(count), evaluate
 it at u = 0, s, 2s, ... by fast multipoint evaluation, and chain the
 evaluated matrices together, leaving fewer than s leftover factors.
 
-Products go through the field where it has a fast path: matmul and matvec
-through K.dot, and matpoly_mul through K.matpoly_mul when K is `packed`
-(an extension of F_p, which sums each row-by-column inner product of
-polynomials as integers and reduces each output coefficient once).
+Products go through the field where it has a fast path: matvec through
+K.dot, and matmul and matpoly_mul through K.matpoly_mul when K is `packed`
+(an extension F_p[u]/S, which sums each row-by-column inner product of
+polynomials as integers and reduces each output coefficient once), else
+matmul through K.dot.  So over a packed K the baby steps and the giant
+steps both run in packed integers.  The evaluation points lie in F_p, so
+the subproduct tree of the multipoint evaluation has F_p coefficients,
+and each of its remainders works on all u-coordinates at once in packed
+integers, with no reduction mod S (polys.SubproductTree).
 """
 
 import math
@@ -38,6 +43,12 @@ def matmul(K, A, B):
     if len(B) != len(A[0]):
         raise DimensionMismatch(
             f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
+    if getattr(K, "packed", False):
+        # constant polynomials through the packed kernel, called on K so
+        # that the matpoly_mul of this module counts only polynomial products
+        C = K.matpoly_mul([[[a] for a in row] for row in A],
+                          [[[b] for b in row] for row in B])
+        return [[e[0] if e else K.zero for e in row] for row in C]
     cols = list(zip(*B))
     if hasattr(K, "dot"):
         return [[K.dot(row, col) for col in cols] for row in A]
@@ -130,7 +141,8 @@ def matrix_factorial(K, B, count):
     baby = _shifted_product(K, B, 0, s)
     g = count // s
     pts = [K.from_int(j * s) for j in range(g)]
-    tree = polys.SubproductTree(K, pts) if g >= 8 else None
+    packed = getattr(K, "packed", False)
+    tree = polys.SubproductTree(K, pts) if g >= 8 or packed else None
     vals = [[tree.evaluate(e) if tree else [polys.eval_at(K, e, a)
                                             for a in pts]
              for e in row] for row in baby]

@@ -299,6 +299,12 @@ class SubproductTree:
 
     Nodes store their modulus and, above a size cutoff, the inverse of its
     reversal for fast repeated remaindering.
+
+    Over a `packed` K (F_p[u]/S, see fields.ExtensionField) with every
+    point in F_p, the tree is built over F_p.  A polynomial then goes down
+    it as the flat list of its u-coordinates.  Each node's remainder is
+    K.coords_rem, with the node's inverse whatever its size; it works in
+    packed integers and never reduces mod S.
     """
 
     NEWTON_CUTOFF = 24
@@ -306,24 +312,36 @@ class SubproductTree:
     def __init__(self, K, points):
         self.K = K
         self.points = list(points)
-        leaves = [[K.neg(a), K.one] for a in self.points]
-        if not leaves:
+        if not self.points:
             raise ValueError("need at least one evaluation point")
-        levels = [leaves]
+        self.packed = getattr(K, "packed", False) and not any(
+            any(a[1:]) for a in self.points)
+        R, self._pts = ((K.base, [a[0] for a in self.points]) if self.packed
+                        else (K, self.points))
+        levels = [[[R.neg(a), R.one] for a in self._pts]]
         while len(levels[-1]) > 1:
             prev = levels[-1]
             nxt = []
             for i in range(0, len(prev) - 1, 2):
-                nxt.append(mul(K, prev[i], prev[i + 1]))
+                nxt.append(mul(R, prev[i], prev[i + 1]))
             if len(prev) % 2:
                 nxt.append(prev[-1])
             levels.append(nxt)
+        self.R = R
         self.levels = levels
         self._inv_cache = {}
 
     @property
     def root(self):
         return self.levels[-1][0]
+
+    def _rev_inv(self, m, key, prec):
+        """inv(rev(m)) to at least precision prec, kept per node."""
+        cached = self._inv_cache.get(key)
+        if cached is None or cached[1] < prec:
+            cached = (series_inv(self.R, m[::-1], prec), prec)
+            self._inv_cache[key] = cached
+        return cached[0]
 
     def _rem(self, f, m, key):
         K = self.K
@@ -332,11 +350,16 @@ class SubproductTree:
             return list(f)
         if len(m) - 1 <= 1 or len(m) < self.NEWTON_CUTOFF:
             return rem(K, f, m)
-        cached = self._inv_cache.get(key)
-        if cached is None or cached[1] < excess:
-            cached = (series_inv(K, m[::-1], excess), excess)
-            self._inv_cache[key] = cached
-        return rem_monic_precomp(K, f, m, cached[0])
+        return rem_monic_precomp(K, f, m, self._rev_inv(m, key, excess))
+
+    def _leaf_packed(self, g, a):
+        """The value at a of g, a flat coordinate list, by Horner: f_0 +
+        a*f_1 below a pair, any length only when the tree is one leaf."""
+        n, p = self.K.degree, self.R.p
+        acc = g[-n:]
+        for i in range(len(g) - 2 * n, -1, -n):
+            acc = [(a * x + y) % p for x, y in zip(acc, g[i:i + n])]
+        return tuple(acc)
 
     def evaluate(self, f):
         """Values of f at every point, via a remainder cascade.
@@ -346,13 +369,26 @@ class SubproductTree:
         2*idx) and, when present, (level - 1, 2*idx + 1).
         """
         K = self.K
-        vals = [None] * len(self.points)
+        vals = [K.zero] * len(self.points)
+        if not f:
+            return vals
+        if self.packed:
+            f = [x for c in f for x in c]
 
         def descend(level, idx, g):
-            g = self._rem(g, self.levels[level][idx], (level, idx))
-            if level == 0:
-                vals[idx] = g[0] if g else K.zero
-                return
+            m = self.levels[level][idx]
+            if self.packed:
+                if level == 0:
+                    vals[idx] = self._leaf_packed(g, self._pts[idx])
+                    return
+                k = len(g) // K.degree - len(m) + 1
+                if k > 0:
+                    g = K.coords_rem(g, m, self._rev_inv(m, (level, idx), k))
+            else:
+                g = self._rem(g, m, (level, idx))
+                if level == 0:
+                    vals[idx] = g[0] if g else K.zero
+                    return
             lo = 2 * idx
             descend(level - 1, lo, g)
             if lo + 1 < len(self.levels[level - 1]):

@@ -175,6 +175,13 @@ def test_main_exit_codes(tmp_path, capsys):
     code, _, err = _run(["--system", str(path)], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "bad-system-file"
+    # an explicit --ext 1 is a flag like any other, not "no flag"
+    path.write_text(json.dumps({"p": 5, "ext": 2, "f_A": "1",
+                                "A_tilde": [["x"]]}))
+    for ext in ("1", "3"):
+        code, _, err = _run(["--system", str(path), "--ext", ext], capsys)
+        assert code == 2, ext
+        assert json.loads(err)["error"] == "bad-input", ext
 
 
 @pytest.mark.parametrize("text, position", [("x^1000000000", 1),
