@@ -84,9 +84,6 @@ class DiffSystem:
                 d = max(d, len(e) - 1)
         return d
 
-    def tilde_matrix(self):
-        return [[list(e) for e in row] for row in self.A_tilde]
-
     def rational_matrix(self, R):
         """Entries of A = A_tilde / f_A in the given RatFuncField."""
         den = R.from_poly(list(self.f_A))

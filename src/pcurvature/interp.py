@@ -18,10 +18,12 @@ BASIS_CACHE_SIZE = 64
 def power_basis_solver(ell, a_power):
     """Change of basis from powers of a_power to the defining basis of ell.
 
-    Cached per (field, element): the reconstruction drivers call this once
-    per coefficient of every invariant factor with the same a_power.  The
-    Monte Carlo driver cycles through its k_sel points per coefficient, so
-    the cache holds a few runs' worth of points and no more.
+    Cached per (field, element): both reconstruction drivers lift every
+    coefficient at each of their k_sel selected points, those whose prefix
+    sums of local factor degrees equal the elementwise minimum (the
+    divisibility lemma makes them specialize correctly).  They cycle
+    through those points per coefficient, so the cache holds a few runs'
+    worth of points and no more.
     """
     n = ell.degree
     pw = []

@@ -138,18 +138,19 @@ def _check_pole(inp, ell, a):
         raise LeadingCoeffVanishes("a_r vanishes at the expansion point")
 
 
-def _product_ring(K, ell, points):
-    """F_q[z]/(m) for m the product of the distinct minimal polynomials of
-    the points over K; m is squarefree, so repeated and conjugate points
-    share a factor."""
-    mods = {}
-    for a in dict.fromkeys(points):
-        if ell.key == K.key:
-            mods[(K.neg(a), K.one)] = None
-        else:
-            mods[tuple(fields.minimal_polynomial(ell, a, K.q))] = None
+def _minimal_polynomials(K, ell, points):
+    """Minimal polynomial over K of each distinct point, keyed by point."""
+    if ell.key == K.key:
+        return {a: (K.neg(a), K.one) for a in points}
+    return {a: tuple(fields.minimal_polynomial(ell, a, K.q))
+            for a in dict.fromkeys(points)}
+
+
+def _product_ring(K, mins):
+    """F_q[z]/(m) for m the product of the distinct minimal polynomials;
+    m is squarefree, so repeated and conjugate points share a factor."""
     m = [K.one]
-    for mp in mods:
+    for mp in dict.fromkeys(mins.values()):
         m = polys.mul(K, m, list(mp))
     return fields.ExtensionField(K, m)
 
@@ -162,8 +163,9 @@ def invariant_factors_at(inp, ell, points, p=None):
     negated corner is exactly the local similarity class.  A single point
     is handled over ell itself.  Several points share one factorial over
     the product ring of their minimal polynomials; each entry of its
-    corner is a polynomial in z, evaluated at a_i before the Smith form
-    over ell.
+    corner is a polynomial in z, reduced over F_q modulo the minimal
+    polynomial of a_i and then evaluated at a_i before the Smith form over
+    ell.
     """
     if p is None:
         p = ell.char
@@ -177,7 +179,8 @@ def invariant_factors_at(inp, ell, points, p=None):
     else:
         for a in points:
             _check_pole(inp, ell, a)
-        ring = _product_ring(inp.K, ell, points)
+        mins = _minimal_polynomials(inp.K, ell, points)
+        ring = _product_ring(inp.K, mins)
         at = ring.gen
     if isinstance(inp, DiffSystem):
         rec = build_B_system(inp, ring, at)
@@ -190,7 +193,11 @@ def invariant_factors_at(inp, ell, points, p=None):
     if ring is ell:
         return [linalg.invariant_factors_of(ell, corner)]
     emb = fields.embedding(inp.K, ell)
+
+    def value(e, a):
+        r = polys.rem(inp.K, list(e), mins[a])
+        return polys.eval_at(ell, [emb(c) for c in r], a)
+
     return [linalg.invariant_factors_of(
-        ell, [[polys.eval_at(ell, [emb(c) for c in e], a) for e in row]
-              for row in corner])
+        ell, [[value(e, a) for e in row] for row in corner])
         for a in points]

@@ -3,12 +3,17 @@
 Write the invariant factors of f_A(x)^p A_p(x) in the variable X = x^p:
 their coefficients are polynomials of X-degree at most D, and the points a
 at which they fail to specialize to the local factors at a have degree-sum
-at most F.  A single point of degree F + 1 therefore pins them down
-deterministically; alternatively, several random points of degree s are
-filtered by their local degree statistics and glued by Chinese
-remaindering, at a failure probability below a prescribed epsilon.
+at most F.  At a non-pole point the product of the first j specialized
+factors divides that of the first j local ones (the divisibility lemma),
+so the prefix sums of the local T-degrees are at least the global ones,
+with equality at good points; equal sums force equal factors.  Points
+attaining the elementwise minimal prefix sums thus specialize correctly
+and glue by Chinese remaindering.  The drivers differ only in their
+points: all small classes up to total degree F + D + 1 (deterministic),
+or random points of degree s (Monte Carlo, failure below epsilon).
 """
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 
@@ -154,25 +159,89 @@ def _scaled_local_factors(inp, ell, points, p):
     return out
 
 
-def reconstruct_deterministic(inp, p, params=None):
-    """Bivariate invariant factors via one point of degree max(D, F) + 1.
+def _non_pole(inp, ell):
+    """Predicate on points of ell: the leading coefficient does not vanish."""
+    lead = [fields.embedding(inp.K, ell)(c) for c in _leading(inp)]
+    return lambda a: polys.eval_at(ell, lead, a) != ell.zero
 
-    The degree-sum of bad points is at most F, so any point of degree
-    above F is good; degree above D makes the power-basis lift of each
-    coefficient unique, and above deg f_A rules out poles.  No
-    probabilistic failure.
+
+def _reconstruct(inp, p, ell, s, points, k_sel, D):
+    """Bivariate invariant factors from non-pole points of degree s in ell.
+
+    One matrix factorial gives the local factors at every point; the first
+    k_sel pairwise non-conjugate points with minimal prefix sums determine
+    each coefficient by CRT over the minimal polynomials of the a_i^p.
+    """
+    K = inp.K
+    q = K.q
+    samples = list(zip(points, _scaled_local_factors(inp, ell, points, p)))
+    sums = [tuple(itertools.accumulate(bivar.deg_T(g) for g in fs))
+            for _, fs in samples]
+    target = tuple(map(min, zip(*sums)))
+    chosen = []
+    for (a, fs), ps in zip(samples, sums):
+        if ps != target:
+            continue
+        if any(fields.are_conjugate(ell, a, b, q) for b, _ in chosen):
+            continue
+        chosen.append((a, fs))
+        if len(chosen) == k_sel:
+            break
+    if len(chosen) < k_sel:
+        raise SelectionFailed(
+            f"found {len(chosen)} of {k_sel} non-conjugate points "
+            "with minimal prefix sums of local degrees")
+
+    points = [(ell.pow(a, p), fs) for a, fs in chosen]
+    moduli = [fields.minimal_polynomial(ell, ap, q) for ap, _ in points]
+    out = []
+    for j, g in enumerate(chosen[0][1]):
+        factor = []
+        for k in range(bivar.deg_T(g) + 1):
+            residues = [
+                (mod, interp.lift_from_extension_value(ell, ap, fs[j][k],
+                                                       s - 1))
+                for mod, (ap, fs) in zip(moduli, points)]
+            c = polys.trim(K, polys.interpolate_crt(K, residues, D))
+            if polys.deg(c) > D:
+                raise SelectionFailed(
+                    "interpolated coefficient exceeds the degree bound")
+            factor.append(c)
+        out.append(factor)
+    return out
+
+
+def reconstruct_deterministic(inp, p, params=None):
+    """Bivariate invariant factors from every small point, in order.
+
+    Bad points have degree-sum at most F, so non-conjugate non-pole points
+    of total degree F + D + 1 hold good ones of total degree D + 1.  Those
+    attain the minimal prefix sums of local degrees, which no point can
+    undercut (divisibility lemma), so only good points are kept and their
+    CRT is unique.  One point per Frobenius orbit of size k, for the
+    smallest k whose classes reach the budget.  No probabilistic failure.
     """
     if params is None:
         params = select_params(inp)
     params = effective_params(inp, params)
     K = inp.K
-    n = max(params.D, params.F, 1) + 1
-    ell = fields.ExtensionField(K, fields.find_irreducible(K, n))
-    a = ell.gen
-    scaled = _scaled_local_factors(inp, ell, [a], p)[0]
-    ap = ell.pow(a, p)
-    return [[interp.lift_from_extension_value(ell, ap, v, params.D)
-             for v in g] for g in scaled]
+    budget = params.F + params.D + 1
+    k = 1
+    while True:
+        ell = fields.ExtensionField(K, fields.find_irreducible(K, k))
+        ok = _non_pole(inp, ell)
+        points, seen = [], set()
+        for a in ell.elements():
+            if a in seen:
+                continue
+            orbit = fields.frobenius_orbit(ell, a, K.q)
+            seen.update(orbit)
+            if len(orbit) == k and ok(a):
+                points.append(a)
+                if k * len(points) >= budget:
+                    return _reconstruct(inp, p, ell, k, points,
+                                        -(-(params.D + 1) // k), params.D)
+        k += 1
 
 
 def _sample_degree_s(ell, q, s, rng):
@@ -187,68 +256,27 @@ def reconstruct_montecarlo(inp, p, params):
     """Bivariate invariant factors from K random points of degree s.
 
     All K points are drawn first, a pole being redrawn within a cap on the
-    attempts; one matrix factorial over the product ring of their minimal
-    polynomials then gives the local factors at all of them.  Good points
-    attain the coordinatewise-minimal vector of local factor degrees, and
-    any point attaining it specializes correctly at every level; k_sel
-    pairwise non-conjugate such points determine each coefficient by
-    Chinese remaindering over the minimal polynomials of the a_i^p.  Fails
-    (SelectionFailed) or errs with probability <= epsilon.
+    attempts.  Good samples attain the minimal prefix sums of local
+    degrees, which no sample can undercut (divisibility lemma), so bad
+    ones are skipped; k_sel pairwise non-conjugate good ones glue by CRT.
+    Fails (SelectionFailed) or errs with probability <= epsilon.
     """
     params = effective_params(inp, params)
     K = inp.K
-    q = K.q
-    s, D = params.s, params.D
+    s = params.s
     rng = random.Random(params.seed)
     ell = fields.ExtensionField(K, fields.find_irreducible(K, s))
-    lead = [fields.embedding(K, ell)(c) for c in _leading(inp)]
+    ok = _non_pole(inp, ell)
     points = []
     attempts = 0
     while len(points) < params.K:
         if attempts >= 4 * params.K + 8:
             raise SelectionFailed("sampling kept hitting poles")
         attempts += 1
-        a = _sample_degree_s(ell, q, s, rng)
-        if polys.eval_at(ell, lead, a) == ell.zero:
-            continue
-        points.append(a)
-    samples = list(zip(points, _scaled_local_factors(inp, ell, points, p)))
-
-    degs = [tuple(bivar.deg_T(g) for g in fs) for _, fs in samples]
-    target = tuple(min(col) for col in zip(*degs))
-    chosen = []
-    for (a, fs), dv in zip(samples, degs):
-        if dv != target:
-            continue
-        if any(fields.are_conjugate(ell, a, b, q) for b, _ in chosen):
-            continue
-        chosen.append((a, fs))
-        if len(chosen) == params.k_sel:
-            break
-    if len(chosen) < params.k_sel:
-        raise SelectionFailed(
-            f"found {len(chosen)} of {params.k_sel} non-conjugate points "
-            "with minimal local degrees")
-
-    points = [(ell.pow(a, p), fs) for a, fs in chosen]
-    moduli = [fields.minimal_polynomial(ell, ap, q) for ap, _ in points]
-    n = len(chosen[0][1])
-    out = []
-    for j in range(n):
-        m = bivar.deg_T(chosen[0][1][j])
-        factor = []
-        for k in range(m + 1):
-            residues = [
-                (mod, interp.lift_from_extension_value(ell, ap, fs[j][k],
-                                                       s - 1))
-                for mod, (ap, fs) in zip(moduli, points)]
-            c = polys.trim(K, polys.interpolate_crt(K, residues, D))
-            if polys.deg(c) > D:
-                raise SelectionFailed(
-                    "interpolated coefficient exceeds the degree bound")
-            factor.append(c)
-        out.append(factor)
-    return out
+        a = _sample_degree_s(ell, K.q, s, rng)
+        if ok(a):
+            points.append(a)
+    return _reconstruct(inp, p, ell, s, points, params.k_sel, params.D)
 
 
 def verify_divisibility_lemma(inp, p, ell, a):

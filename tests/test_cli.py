@@ -337,16 +337,18 @@ _EPSILON = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "1", "-0.5", "2.5", "x"]),
     st.floats(0.01, 0.99).map(repr), st.floats(0.01, 0.99).map(repr))
 # Primes are drawn more often, so that most runs get past make_field.  Over
-# F_(p^2) a single run can take 15 to 30 s (the naive oracle at p = 59, the
-# det driver's irreducible search at p = 5), so extension degrees above 1
-# come with p <= 4 only.
+# F_(p^2) with p <= 7 a run takes a few seconds at most (det on an order-3
+# operator over F_49: about 1 s, 2.6 s with coefficients of degree 4); the
+# naive oracle over F_(59^2) is still slow, so extension degrees above 1
+# come with p <= 7 only.
 _PRIME = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                           47, 53, 59])
 _FIELD = st.one_of(
     st.tuples(_PRIME, st.just(1)),
     st.tuples(_PRIME, st.just(1)),
     st.tuples(st.integers(-5, 60), st.integers(-1, 1)),
-    st.tuples(st.sampled_from([2, 3, 4]), st.integers(2, 3)))
+    st.tuples(st.sampled_from([2, 3, 4]), st.integers(2, 3)),
+    st.tuples(st.sampled_from([5, 7]), st.just(2)))
 
 
 @given(text=_OPERATOR, field=_FIELD,

@@ -249,3 +249,67 @@ def test_verify_divisibility_lemma_rejects_poles():
     sysv = diffop.DiffSystem(F5, (F5.zero, F5.one), (((F5.one,),),))
     with pytest.raises(PoleAtPoint):
         reconstruct.verify_divisibility_lemma(sysv, 5, F5, F5.zero)
+
+
+def _diag_system(K, top, bottom):
+    return diffop.DiffSystem(
+        K, (K.one,), ((tuple(K.from_int(c) for c in top), ()),
+                      ((), tuple(K.from_int(c) for c in bottom))))
+
+
+def test_montecarlo_selects_by_prefix_sums_past_a_bad_sample():
+    # diag(x^2 - x, 0) at p = 1009 draws K = 12 samples of degree 1 and
+    # needs k_sel = 5.  At seed 6 one sample (0 or 1) is bad: it moves
+    # degree into the first factor, so no sample attains the coordinatewise
+    # minimum of the degree vectors, while 11 good samples remain.  The
+    # pin is the naive oracle's output.
+    F1009 = fields.PrimeField(1009)
+    sysv = _diag_system(F1009, (0, -1, 1), ())
+    params = reconstruct.select_params(sysv, epsilon=0.1, seed=6)
+    got = _fmt(F1009, reconstruct.reconstruct_montecarlo(sysv, 1009, params))
+    assert got == ["1", "T^2 + (X^2 + 1008*X)*T"]
+
+
+# (p, top, bottom, bad point) of diag(top, bottom): the global factors have
+# T-degrees (0, 2), but at the bad point, one of the det driver's
+# candidates, the local ones have (1, 1).
+BAD_CANDIDATES = [
+    (17, (0, 6), (), 0),
+    (17, (8, 12), (), 5),
+    (23, (2, 22), (10, 13), 6),
+    (29, (0, 25, 2), (1,), 26),
+]
+
+
+@pytest.mark.parametrize("p, top, bottom, bad", BAD_CANDIDATES)
+def test_deterministic_skips_bad_candidates(p, top, bottom, bad):
+    K = fields.PrimeField(p)
+    sysv = _diag_system(K, top, bottom)
+    local = reconstruct._scaled_local_factors(sysv, K, [bad], p)[0]
+    assert [bivar.deg_T(g) for g in local] == [1, 1]
+    want = diffop.naive_invariant_factors(sysv, p)
+    assert [bivar.deg_T(g) for g in want] == [0, 2]
+    assert reconstruct.reconstruct_deterministic(sysv, p) == want
+
+
+def test_deterministic_builds_no_large_extension(monkeypatch):
+    F263, F1019 = fields.PrimeField(263), fields.PrimeField(1019)
+    F25 = cli.make_field(5, 2)
+    det_op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", F1019)
+    m1 = F263.from_int(-1)
+    det_sys = diffop.DiffSystem(F263, (1, 0, 1),
+                                (((), (1, 0, 1)), ((m1,), (0, m1))))
+    order3 = cli.parse_operator("Dx^3 + -(4 + x^2)*Dx^1 + -(3+x^2)", F25)
+    seen = []
+    find = fields.find_irreducible
+
+    def recording(K, n):
+        seen.append(n)
+        return find(K, n)
+
+    monkeypatch.setattr(fields, "find_irreducible", recording)
+    for inp, p, most in ((det_op, 1019, 1), (det_sys, 263, 1),
+                         (order3, 5, 2)):
+        seen.clear()
+        reconstruct.reconstruct_deterministic(inp, p)
+        assert seen and max(seen) <= most, (p, seen)
