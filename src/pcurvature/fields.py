@@ -16,10 +16,20 @@ product of k terms is k integer products summed, and each output
 coefficient is reduced once.  That reduction is itself one integer sum of
 the packed rows u^(n+j) mod S.  A division by a polynomial in t over F_p
 (coords_rem) packs the same way and never reduces mod S at all.
+
+A SplitRing is F_p[z]/S for S a product of distinct linear factors z - a_i,
+kept in value form: an element is the tuple of its values at the a_i, so
+the ring is F_p^n and nothing is ever reduced mod S.  A product of matrices
+of polynomials in t is one Kronecker product over F_p per coordinate and
+pair of entries, on integers n times shorter than the packed kernel's
+(which also needs 2n - 1 slots per t-coefficient), and constant matrices
+multiply pointwise.
 """
 
 import array
 import functools
+import itertools
+import operator
 import random
 import sys
 
@@ -159,17 +169,17 @@ _TYPECODES = {array.array(c).itemsize: c for c in "BHIQ"}
 _SWAP = sys.byteorder != "little"
 
 
-def _pack(blocks, slot, width):
-    """One integer from lists of ints in [0, 256**slot): list i fills the
-    slots from i*width on, least significant first, and the rest of its
-    `width` slots are zero."""
+def _pack_bytes(blocks, slot, width):
+    """Lists of ints in [0, 256**slot) as little-endian bytes: list i fills
+    the slots from i*width on, least significant first, and the rest of
+    its `width` slots are zero."""
     code = _TYPECODES.get(slot)
     if code is None:
         parts = []
         for xs in blocks:
             parts.extend(x.to_bytes(slot, "little") for x in xs)
             parts.append(bytes(slot * (width - len(xs))))
-        return int.from_bytes(b"".join(parts), "little")
+        return b"".join(parts)
     zeros = [0] * width
     flat = []
     for xs in blocks:
@@ -178,20 +188,29 @@ def _pack(blocks, slot, width):
     a = array.array(code, flat)
     if _SWAP:
         a.byteswap()
-    return int.from_bytes(a, "little")
+    return a.tobytes()
 
 
-def _unpack(x, slot, count):
-    """The first `count` slots of a packed integer, as ints."""
-    buf = x.to_bytes(slot * count, "little")
+def _pack(blocks, slot, width):
+    """One integer from lists of ints, laid out as _pack_bytes does."""
+    return int.from_bytes(_pack_bytes(blocks, slot, width), "little")
+
+
+def _unpack_bytes(buf, slot):
+    """Every slot of little-endian bytes, as ints."""
     code = _TYPECODES.get(slot)
     if code is None:
         return [int.from_bytes(buf[k:k + slot], "little")
-                for k in range(0, slot * count, slot)]
+                for k in range(0, len(buf), slot)]
     a = array.array(code, buf)
     if _SWAP:
         a.byteswap()
     return a.tolist()
+
+
+def _unpack(x, slot, count):
+    """The first `count` slots of a packed integer, as ints."""
+    return _unpack_bytes(x.to_bytes(slot * count, "little"), slot)
 
 
 class ExtensionField:
@@ -345,9 +364,13 @@ class ExtensionField:
         """Lift a base-field element into the extension."""
         return self._pad([c])
 
+    def is_constant(self, a):
+        """Whether a lies in the base field, as the image of embed."""
+        return all(x == self.base.zero for x in a[1:])
+
     def project(self, a):
         """Inverse of embed; raises if a is not a base-field constant."""
-        if any(x != self.base.zero for x in a[1:]):
+        if not self.is_constant(a):
             raise ValueError("element does not lie in the base field")
         return a[0]
 
@@ -461,6 +484,171 @@ class ExtensionField:
 
     def __repr__(self):
         return f"GF({self.q})"
+
+
+class SplitRing:
+    """F_p[z]/((z - a_1)...(z - a_n)) for distinct a_i in F_p, in value form.
+
+    An element is the tuple of its values at a_1, ..., a_n, so the ring is
+    F_p^n and every operation acts on each coordinate alone: add, mul and
+    inv pointwise (inv raises ZeroDivisionError on a zero divisor), dot
+    one sum per coordinate, and a product of polynomial matrices in t one
+    Kronecker product over F_p per coordinate and pair of entries.  No
+    product is ever reduced by the modulus, and integers stay as short as
+    one coordinate's polynomial.  z itself is `gen`, the tuple of roots.
+    """
+
+    packed = True
+
+    def __init__(self, base, roots):
+        if not isinstance(base, PrimeField):
+            raise TypeError(f"a split ring needs a prime base, not {base}")
+        roots = tuple(base.from_int(a) for a in roots)
+        if not roots or len(set(roots)) != len(roots):
+            raise ValueError("need at least one root, all distinct")
+        self.base = base
+        self.p = base.p
+        self.char = base.char
+        self.degree = len(roots)
+        self.gen = roots
+        self.zero = (0,) * self.degree
+        self.one = (1,) * self.degree
+        self.key = ("split", base.key, roots)
+
+    def add(self, a, b):
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
+
+    def sub(self, a, b):
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
+
+    def neg(self, a):
+        p = self.p
+        return tuple([-x % p for x in a])
+
+    def mul(self, a, b):
+        p = self.p
+        return tuple([x * y % p for x, y in zip(a, b)])
+
+    def dot(self, xs, ys):
+        terms = [map(operator.mul, a, b) for a, b in zip(xs, ys)]
+        if not terms:
+            return self.zero
+        p = self.p
+        return tuple([sum(c) % p for c in zip(*terms)])
+
+    def inv(self, a):
+        if not all(a):
+            raise ZeroDivisionError("element is a zero divisor")
+        p = self.p
+        return tuple([pow(x, -1, p) for x in a])
+
+    def pow(self, a, e):
+        if e < 0:
+            a, e = self.inv(a), -e
+        p = self.p
+        return tuple([pow(x, e, p) for x in a])
+
+    def from_int(self, n):
+        return self.embed(n % self.p)
+
+    def embed(self, c):
+        """A base-field element as a constant of the ring."""
+        return (c,) * self.degree
+
+    def is_constant(self, a):
+        """Whether a lies in the base field, as the image of embed."""
+        return a.count(a[0]) == len(a)
+
+    def project(self, a):
+        """Inverse of embed; raises if a is not a base-field constant."""
+        if not self.is_constant(a):
+            raise ValueError("element does not lie in the base field")
+        return a[0]
+
+    def random_elem(self, rng):
+        return tuple([rng.randrange(self.p) for _ in range(self.degree)])
+
+    def polymul(self, f, g):
+        return self.matpoly_mul([[f]], [[g]])[0][0]
+
+    def matpoly_mul(self, A, B):
+        """Product of matrices whose entries are polynomials in t over self.
+
+        Each entry is packed in one array pass into n integers, one per
+        coordinate.  An output entry sums, per coordinate, the integer
+        products of its row-by-column pairs, and all its coordinates are
+        unpacked in one pass.  Constant matrices, such as the giant steps,
+        multiply pointwise through dot.
+        """
+        la = max((len(e) for row in A for e in row), default=0)
+        lb = max((len(e) for row in B for e in row), default=0)
+        if la <= 1 and lb <= 1:
+            return self._matmul_constants(A, B)
+        n, p = self.degree, self.p
+        # a slot sums, over the inner dimension, up to min(la, lb)
+        # products of residues
+        slot = _slot_bytes((p - 1) ** 2 * max(min(la, lb), 1) * len(B))
+        PA = [[self._split(e, slot) for e in row] for row in A]
+        cols = list(zip(*[[self._split(e, slot) for e in row]
+                          for row in B]))
+        out = []
+        for row in PA:
+            orow = []
+            for col in cols:
+                accs, length = [0] * n, 0
+                for a, b in zip(row, col):
+                    if a and b:
+                        accs = list(map(operator.add, accs,
+                                        map(operator.mul, a[0], b[0])))
+                        length = max(length, a[1] + b[1] - 1)
+                if not length:
+                    orow.append([])
+                    continue
+                width = slot * length
+                vals = _unpack_bytes(b"".join(
+                    x.to_bytes(width, "little") for x in accs), slot)
+                vals = [x % p for x in vals]
+                orow.append(polys.trim(self, list(zip(*[
+                    vals[i:i + length]
+                    for i in range(0, n * length, length)]))))
+            out.append(orow)
+        return out
+
+    def _split(self, e, slot):
+        """A polynomial in t as its n coordinate polynomials over F_p, each
+        packed into one integer, with its length; None when it is zero."""
+        if not e:
+            return None
+        width = slot * len(e)
+        flat = list(itertools.chain.from_iterable(zip(*e)))
+        buf = _pack_bytes([flat], slot, len(flat))
+        return ([int.from_bytes(buf[k:k + width], "little")
+                 for k in range(0, len(buf), width)], len(e))
+
+    def _matmul_constants(self, A, B):
+        zero = self.zero
+        cols = list(zip(*[[e[0] if e else zero for e in row] for row in B]))
+        out = []
+        for row in A:
+            consts = [e[0] if e else zero for e in row]
+            out.append([[c] if c != zero else []
+                        for c in (self.dot(consts, col) for col in cols)])
+        return out
+
+    # dividing by a polynomial over F_p acts on each coordinate alone, in
+    # value form as in the monomial basis
+    coords_rem = ExtensionField.coords_rem
+
+    def __eq__(self, other):
+        return isinstance(other, SplitRing) and other.key == self.key
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __repr__(self):
+        return f"GF({self.p})^{self.degree}"
 
 
 def _prime_factors(n):

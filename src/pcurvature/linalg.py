@@ -11,14 +11,16 @@ it at u = 0, s, 2s, ... by fast multipoint evaluation, and chain the
 evaluated matrices together, leaving fewer than s leftover factors.
 
 Products go through the field where it has a fast path: matvec through
-K.dot, and matmul and matpoly_mul through K.matpoly_mul when K is `packed`
-(an extension F_p[u]/S, which sums each row-by-column inner product of
-polynomials as integers and reduces each output coefficient once), else
-matmul through K.dot.  So over a packed K the baby steps and the giant
-steps both run in packed integers.  The evaluation points lie in F_p, so
-the subproduct tree of the multipoint evaluation has F_p coefficients,
-and each of its remainders works on all u-coordinates at once in packed
-integers, with no reduction mod S (polys.SubproductTree).
+K.dot, and matmul and matpoly_mul through K.matpoly_mul when K is `packed`,
+else matmul through K.dot.  A packed K is an extension F_p[u]/S, which sums
+each row-by-column inner product of polynomials as integers and reduces
+each output coefficient once, or a split ring F_p^n (fields.SplitRing),
+which runs one Kronecker product per coordinate and multiplies constant
+matrices pointwise.  So over a packed K the baby steps and the giant steps
+both run in packed integers or pointwise.  The evaluation points lie in
+F_p, so the subproduct tree of the multipoint evaluation has F_p
+coefficients, and each of its remainders works on all coordinates at once
+in packed integers, with no reduction mod S (polys.SubproductTree).
 """
 
 import math

@@ -12,6 +12,10 @@ points a_1, ..., a_k share one: it runs at the generator z of
 F_q[z]/(m), with m the product of the distinct minimal polynomials of the
 a_i over F_q.  That ring is a product of fields, one per minimal
 polynomial, and sending z to a_i maps the corner onto the one at a_i.
+When q = p and every a_i lies in F_p (det's points whenever F_p has
+enough of them, and mc's when s = 1), the ring is F_p^n and runs in value
+form (fields.SplitRing): its products are n small Kronecker products, not
+one packed product reduced mod m, and the corner at a_i is coordinate i.
 """
 
 from dataclasses import dataclass
@@ -147,12 +151,23 @@ def _minimal_polynomials(K, ell, points):
 
 
 def _product_ring(K, mins):
-    """F_q[z]/(m) for m the product of the distinct minimal polynomials;
-    m is squarefree, so repeated and conjugate points share a factor."""
+    """The ring of the batch and, per minimal polynomial, its coordinate.
+
+    When K is F_p and every minimal polynomial is z - a, the ring is split:
+    a SplitRing keeps each element as its values at the roots, coordinate
+    i the value at the root of the i-th distinct minimal polynomial.
+    Otherwise it is F_q[z]/(m) for m the product of the distinct minimal
+    polynomials, with no coordinates; m is squarefree, so repeated and
+    conjugate points share a factor.
+    """
+    distinct = list(dict.fromkeys(mins.values()))
+    if isinstance(K, fields.PrimeField) and all(len(m) == 2 for m in distinct):
+        ring = fields.SplitRing(K, [K.neg(m[0]) for m in distinct])
+        return ring, {m: i for i, m in enumerate(distinct)}
     m = [K.one]
-    for mp in dict.fromkeys(mins.values()):
+    for mp in distinct:
         m = polys.mul(K, m, list(mp))
-    return fields.ExtensionField(K, m)
+    return fields.ExtensionField(K, m), None
 
 
 def invariant_factors_at(inp, ell, points, p=None):
@@ -162,10 +177,11 @@ def invariant_factors_at(inp, ell, points, p=None):
     corner; A_p(a) is similar to its negation, so the Smith form of the
     negated corner is exactly the local similarity class.  A single point
     is handled over ell itself.  Several points share one factorial over
-    the product ring of their minimal polynomials; each entry of its
-    corner is a polynomial in z, reduced over F_q modulo the minimal
-    polynomial of a_i and then evaluated at a_i before the Smith form over
-    ell.
+    the product ring of their minimal polynomials.  When they all lie in
+    F_p, that ring is split and kept in value form, so the corner at a_i
+    is read off coordinate i.  Otherwise each entry of its corner is a
+    polynomial in z, reduced over F_q modulo the minimal polynomial of a_i
+    and then evaluated at a_i before the Smith form over ell.
     """
     if p is None:
         p = ell.char
@@ -180,7 +196,7 @@ def invariant_factors_at(inp, ell, points, p=None):
         for a in points:
             _check_pole(inp, ell, a)
         mins = _minimal_polynomials(inp.K, ell, points)
-        ring = _product_ring(inp.K, mins)
+        ring, coord = _product_ring(inp.K, mins)
         at = ring.gen
     if isinstance(inp, DiffSystem):
         rec = build_B_system(inp, ring, at)
@@ -195,6 +211,8 @@ def invariant_factors_at(inp, ell, points, p=None):
     emb = fields.embedding(inp.K, ell)
 
     def value(e, a):
+        if coord is not None:
+            return emb(e[coord[mins[a]]])
         r = polys.rem(inp.K, list(e), mins[a])
         return polys.eval_at(ell, [emb(c) for c in r], a)
 

@@ -300,11 +300,13 @@ class SubproductTree:
     Nodes store their modulus and, above a size cutoff, the inverse of its
     reversal for fast repeated remaindering.
 
-    Over a `packed` K (F_p[u]/S, see fields.ExtensionField) with every
-    point in F_p, the tree is built over F_p.  A polynomial then goes down
-    it as the flat list of its u-coordinates.  Each node's remainder is
-    K.coords_rem, with the node's inverse whatever its size; it works in
-    packed integers and never reduces mod S.
+    Over a `packed` K (F_p[u]/S in the monomial basis, see
+    fields.ExtensionField, or F_p^n in value form, fields.SplitRing) with
+    every point an F_p constant, as K.is_constant tells, the tree is built
+    over F_p.  A polynomial then goes down it as the flat list of its
+    coordinates.  Each node's remainder is K.coords_rem, with the node's
+    inverse whatever its size; it acts on each coordinate alone, in packed
+    integers, and never reduces mod S.
     """
 
     NEWTON_CUTOFF = 24
@@ -314,10 +316,10 @@ class SubproductTree:
         self.points = list(points)
         if not self.points:
             raise ValueError("need at least one evaluation point")
-        self.packed = getattr(K, "packed", False) and not any(
-            any(a[1:]) for a in self.points)
-        R, self._pts = ((K.base, [a[0] for a in self.points]) if self.packed
-                        else (K, self.points))
+        self.packed = getattr(K, "packed", False) and all(
+            map(K.is_constant, self.points))
+        R, self._pts = ((K.base, [K.project(a) for a in self.points])
+                        if self.packed else (K, self.points))
         levels = [[[R.neg(a), R.one] for a in self._pts]]
         while len(levels[-1]) > 1:
             prev = levels[-1]

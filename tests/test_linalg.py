@@ -124,11 +124,18 @@ def _product_ring():
     return fields.ExtensionField(K, m)
 
 
+def _split_ring():
+    # F_101[z]/((z - 0)(z - 3)(z - 17)(z - 55)(z - 100)) in value form, as
+    # a batch of points of F_101 gets it
+    return fields.SplitRing(F101, [0, 3, 17, 55, 100])
+
+
 _RINGS = {
     "F_101^1": lambda: _extension(101, 1),
     "F_101^3": lambda: _extension(101, 3),
     "F_263^25": lambda: _extension(263, 25),
     "product ring over F_13": _product_ring,
+    "split ring over F_101": _split_ring,
     # neither of these is packed: they keep the per-entry loop
     "F_101": lambda: F101,
     "F_81 over F_9": lambda: _extension_of(_extension(3, 2), 2),
@@ -146,23 +153,38 @@ def test_matpoly_mul_matches_schoolbook(ring, shape, rng):
         assert linalg.matpoly_mul(L, A, B) == matpoly_mul_schoolbook(L, A, B)
 
 
-def test_matpoly_mul_worst_case_fills_every_slot():
+def test_matpoly_mul_worst_case_fills_every_slot(monkeypatch):
     # every coefficient p - 1: each slot holds the full sum of its products,
-    # and at this size dropping the inner dimension from the slot width
-    # makes the slot one byte short
+    # which is wider than a machine word, and at this size dropping the
+    # inner dimension from the slot width makes the slot one byte short
     p = 1000000007
-    L = _extension(p, 3)
-    top = L.base.from_int(-1)
-    full = [tuple([top] * 3)] * 4
-    A = [[full] * 4 for _ in range(2)]
-    B = [[full] * 3 for _ in range(4)]
-    assert linalg.matpoly_mul(L, A, B) == matpoly_mul_schoolbook(L, A, B)
+    K = fields.PrimeField(p)
+    top = K.from_int(-1)
+    slots = []
+    unpack_bytes = fields._unpack_bytes
+
+    def recording(buf, slot):
+        slots.append(slot)
+        return unpack_bytes(buf, slot)
+    monkeypatch.setattr(fields, "_unpack_bytes", recording)
+    # the split kernel's slots have no factor for the ring degree, so its
+    # entries are longer
+    for L, length in ((_extension(p, 3), 4),
+                      (fields.SplitRing(K, [1, 2, p - 1]), 8)):
+        full = [tuple([top] * 3)] * length
+        A = [[full] * 4 for _ in range(2)]
+        B = [[full] * 3 for _ in range(4)]
+        slots.clear()
+        assert linalg.matpoly_mul(L, A, B) == matpoly_mul_schoolbook(L, A, B)
+        assert max(slots) > 8
 
 
 def test_matpoly_mul_kernel_needs_a_prime_base():
     L = _RINGS["F_81 over F_9"]()
     with pytest.raises(TypeError):
         L.matpoly_mul([[[L.one]]], [[[L.one]]])
+    with pytest.raises(TypeError):
+        fields.SplitRing(L.base, [L.base.one])
 
 
 def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
@@ -185,11 +207,13 @@ def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
     assert 0 < len(calls) <= 4 * 3 * length
 
 
-_PACKED = ["F_101^1", "F_101^3", "F_263^25", "product ring over F_13"]
+_PACKED = ["F_101^1", "F_101^3", "F_263^25", "product ring over F_13",
+           "split ring over F_101"]
 
 _MULTIPOINT_RINGS = {f"F_{p}^{n}": functools.partial(_extension, p, n)
                      for p in (101, 263) for n in (1, 12, 25)}
 _MULTIPOINT_RINGS["product ring over F_13"] = _product_ring
+_MULTIPOINT_RINGS["split ring over F_101"] = _split_ring
 
 
 @pytest.mark.parametrize("ring", sorted(_MULTIPOINT_RINGS))

@@ -196,16 +196,40 @@ def test_batch_over_an_extension_base(rng):
 
 def test_pole_inside_a_batch_raises_the_one_point_error():
     # a_r = x(x - 1) vanishes at 0 and 1; f_A likewise for the system
-    ell = fields.ExtensionField(F7, fields.find_irreducible(F7, 2))
+    F49 = fields.ExtensionField(F7, fields.find_irreducible(F7, 2))
     lead = (F7.zero, F7.from_int(-1), F7.one)
     L = diffop.DiffOperator(F7, ((F7.one,), lead))
     sysv = diffop.DiffSystem(F7, lead, (((F7.one,),),))
-    pts = [ell.gen, ell.one, ell.from_int(3)]
-    for inp, err in ((L, LeadingCoeffVanishes), (sysv, PoleAtPoint)):
-        with pytest.raises(err):
-            local_eval.invariant_factors_at(inp, ell, [ell.one])
-        with pytest.raises(err):
-            local_eval.invariant_factors_at(inp, ell, pts)
+    # a point of degree 2 in the batch, then a batch of F_7 (split)
+    for ell, pts in ((F49, [F49.gen, F49.one, F49.from_int(3)]),
+                     (F7, [F7.from_int(2), F7.one, F7.from_int(3)])):
+        for inp, err in ((L, LeadingCoeffVanishes), (sysv, PoleAtPoint)):
+            with pytest.raises(err):
+                local_eval.invariant_factors_at(inp, ell, [ell.one])
+            with pytest.raises(err):
+                local_eval.invariant_factors_at(inp, ell, pts)
+
+
+def test_split_batch_is_never_reduced_mod_the_modulus(monkeypatch, rng):
+    # points of F_89, some repeated, run in value form: no product is
+    # reduced by (z - a_1)...(z - a_n); the products of ell itself may be
+    K = fields.PrimeField(89)
+    inputs = (random_operator(K, rng, 2, 2), random_system(K, rng, 1, 2))
+    reduce_product = fields.ExtensionField.reduce_product
+    for ell in (K, fields.ExtensionField(K, fields.find_irreducible(K, 1))):
+        batches = [_nonpoles(inp, ell, rng, 1, 3) for inp in inputs]
+        batches = [pts + pts[::2] for pts in batches]
+        single = [[local_eval.invariant_factors_at(inp, ell, [x])[0]
+                   for x in pts] for inp, pts in zip(inputs, batches)]
+
+        def only_in_ell(self, c):
+            assert self == ell, "reduced a product of the batch ring"
+            return reduce_product(self, c)
+        monkeypatch.setattr(fields.ExtensionField, "reduce_product",
+                            only_in_ell)
+        for inp, pts, want in zip(inputs, batches, single):
+            assert local_eval.invariant_factors_at(inp, ell, pts) == want
+        monkeypatch.undo()
 
 
 def test_empty_batch_is_refused():
@@ -227,4 +251,36 @@ def test_operation_count_grows_like_sqrt_p():
     # quadrupling p doubles sqrt(p); a linear algorithm would give 4x
     small, large = _op_count(10007), _op_count(40009)
     assert _op_count(10007) == small
+    assert large <= 2.5 * small, (small, large)
+
+
+def _split_batch_count(p, monkeypatch):
+    """Values the split ring's kernels unpack or produce for one batch of
+    eight points of F_p on the c07 operator."""
+    K = fields.PrimeField(p)
+    op = diffop.DiffOperator(K, ((K.one,), (K.zero, K.one),
+                                 (K.one, K.zero, K.one)))
+    count = [0]
+    unpack_bytes, dot = fields._unpack_bytes, fields.SplitRing.dot
+
+    def unpacking(buf, slot):
+        count[0] += len(buf) // slot
+        return unpack_bytes(buf, slot)
+
+    def producing(self, xs, ys):
+        count[0] += self.degree
+        return dot(self, xs, ys)
+    monkeypatch.setattr(fields, "_unpack_bytes", unpacking)
+    monkeypatch.setattr(fields.SplitRing, "dot", producing)
+    local_eval.invariant_factors_at(
+        op, K, [K.from_int(a) for a in range(2, 10)], p)
+    monkeypatch.undo()
+    return count[0]
+
+
+def test_split_batch_count_grows_like_sqrt_p(monkeypatch):
+    # baby steps, multipoint evaluation and giant steps of the batched
+    # factorial, counted in values; a linear algorithm would give 4x
+    small = _split_batch_count(10007, monkeypatch)
+    large = _split_batch_count(40009, monkeypatch)
     assert large <= 2.5 * small, (small, large)
