@@ -15,7 +15,11 @@ each entry packs both variables into one integer, each row-by-column inner
 product of k terms is k integer products summed, and each output
 coefficient is reduced once.  That reduction is itself one integer sum of
 the packed rows u^(n+j) mod S.  A division by a polynomial in t over F_p
-(coords_rem) packs the same way and never reduces mod S at all.
+(coords_rem) packs the same way and never reduces mod S at all, and so
+does a Taylor shift in t by an F_p constant (coords_shift): for a
+polynomial of length L <= p it is one convolution with F_p constants, a
+single integer product of each u-coordinate's scaled coefficients with
+the packed c^m/m!.
 
 A SplitRing is F_p[z]/S for S a product of distinct linear factors z - a_i,
 kept in value form: an element is the tuple of its values at the a_i, so
@@ -23,7 +27,8 @@ the ring is F_p^n and nothing is ever reduced mod S.  A product of matrices
 of polynomials in t is one Kronecker product over F_p per coordinate and
 pair of entries, on integers n times shorter than the packed kernel's
 (which also needs 2n - 1 slots per t-coefficient), and constant matrices
-multiply pointwise.
+multiply pointwise.  coords_rem and coords_shift act on each coordinate
+alone, so the split ring shares them with ExtensionField.
 """
 
 import array
@@ -476,6 +481,35 @@ class ExtensionField:
         r = _unpack((G & low) + (Q * neg_m & low), slot, d * n)
         return [x % p for x in r]
 
+    def coords_shift(self, g, c):
+        """Taylor shift f(t + c) by c in F_p of a polynomial in t over self.
+
+        Needs a prime base.  g and the result are flat lists of
+        u-coordinates, laid out as in coords_rem, of a polynomial of length
+        L <= p, so that the factorials below L are units.  Coefficient j
+        of the shift is (1/j!) sum_i f_i i! c^(i-j)/(i-j)!, a convolution
+        with F_p constants that acts on each u-coordinate alone.  So each
+        coordinate's f_i i! fill a block of 2L - 1 slots of one integer,
+        the c^m/m! fill L slots of another in reverse order, and
+        coefficient j of every coordinate is slot L - 1 + j of its block
+        in their product, reduced mod p once.
+        """
+        p, n = self.base.p, self.degree
+        L = len(g) // n
+        fact, inv_fact = polys.factorials_mod(p, L)
+        powers, x = [], 1
+        for m in range(L):
+            powers.append(x * inv_fact[m] % p)
+            x = x * c % p
+        # a slot sums at most L products of residues
+        slot, W = _slot_bytes(L * (p - 1) ** 2), 2 * L - 1
+        G = _pack([[x * f % p for x, f in zip(g[k::n], fact)]
+                   for k in range(n)], slot, W)
+        vals = _unpack(G * _pack([powers[::-1]], slot, L), slot, n * W)
+        cols = [[x * f % p for x, f in zip(vals[k + L - 1:k + W], inv_fact)]
+                for k in range(0, n * W, W)]
+        return list(itertools.chain.from_iterable(zip(*cols)))
+
     def __eq__(self, other):
         return isinstance(other, ExtensionField) and other.key == self.key
 
@@ -637,9 +671,10 @@ class SplitRing:
                         for c in (self.dot(consts, col) for col in cols)])
         return out
 
-    # dividing by a polynomial over F_p acts on each coordinate alone, in
-    # value form as in the monomial basis
+    # dividing by a polynomial over F_p, or shifting by an F_p constant,
+    # acts on each coordinate alone, in value form as in the monomial basis
     coords_rem = ExtensionField.coords_rem
+    coords_shift = ExtensionField.coords_shift
 
     def __eq__(self, other):
         return isinstance(other, SplitRing) and other.key == self.key

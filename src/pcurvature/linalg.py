@@ -4,11 +4,19 @@ A matrix is a list of rows, each a list of field elements; a polynomial
 matrix has coefficient lists as entries.  Nothing here assumes the field is
 finite, so the Smith form also runs over K(x) for the baseline computation.
 
-matrix_factorial is the square-root trick: to multiply count consecutive
-values B(count-1)...B(1)B(0) of a polynomial matrix, form the length-s
-sliding product P(u) = B(u+s-1)...B(u) once with s ~ sqrt(count), evaluate
-it at u = 0, s, 2s, ... by fast multipoint evaluation, and chain the
-evaluated matrices together, leaving fewer than s leftover factors.
+matrix_factorial is the square-root trick of Bostan, Gaudry and Schost:
+to multiply count consecutive values B(count-1)...B(1)B(0) of a polynomial
+matrix, form the baby-step product P_s(u) = B(u+s-1)...B(u) once with s
+near sqrt(count), evaluate it at u = 0, s, 2s, ... by fast multipoint
+evaluation, and chain the evaluated matrices (the giant steps) together,
+then the count mod s leftover factors one at a time.  P_s comes from
+doubling along the bits of s, P_2k(u) = P_k(u+k) P_k(u) and
+P_(k+1)(u) = B(u+k) P_k(u): at most 2 log2(s) products, each after a Taylor
+shift of its left factor by an integer (polys.taylor_shift).  s is chosen
+near sqrt(count) so that the giant steps plus leftover factors are
+fewest.  A right factor of r columns (local_eval passes the r corner
+columns of the identity) makes each giant step and leftover factor an
+N x N by N x r product.
 
 Products go through the field where it has a fast path: matvec through
 K.dot, and matmul and matpoly_mul through K.matpoly_mul when K is `packed`,
@@ -113,34 +121,55 @@ def matpoly_eval(K, B, a):
     return [[polys.eval_at(K, e, a) for e in row] for row in B]
 
 
-def _shifted_product(K, B, lo, hi):
-    """B(u+hi-1) ... B(u+lo), higher shifts multiplying from the left."""
-    if hi - lo == 1:
-        a = K.from_int(lo)
-        return [[polys.taylor_shift(K, e, a) for e in row] for row in B]
-    mid = (lo + hi) // 2
-    return matpoly_mul(K, _shifted_product(K, B, mid, hi),
-                       _shifted_product(K, B, lo, mid))
+def baby_step_length(count):
+    """The s of matrix_factorial for count >= 16: in [0.8, 1.25] times
+    sqrt(count), the smallest s with the fewest giant steps and leftover
+    factors, count // s + count % s."""
+    root = math.sqrt(count)
+    return min(range(max(int(0.8 * root), 1), int(1.25 * root) + 2),
+               key=lambda s: count // s + count % s)
 
 
-def matrix_factorial(K, B, count):
-    """B(count-1) ... B(1) B(0) for a square polynomial matrix B(u).
+def _shifted(K, M, k):
+    """M(u + k) for a polynomial matrix M and an integer k."""
+    a = K.from_int(k)
+    return [[polys.taylor_shift(K, e, a) for e in row] for row in M]
 
-    The evaluation points 0, 1, ..., count-1 must be distinct in K, which
-    over characteristic p means count <= p.
+
+def _baby_steps(K, B, s):
+    """P_s(u) = B(u+s-1) ... B(u+1) B(u), doubling along the bits of s:
+    P_2k(u) = P_k(u+k) P_k(u) and P_(k+1)(u) = B(u+k) P_k(u)."""
+    P, k = B, 1
+    for bit in bin(s)[3:]:
+        P = matpoly_mul(K, _shifted(K, P, k), P)
+        k *= 2
+        if bit == "1":
+            P = matpoly_mul(K, _shifted(K, B, k), P)
+            k += 1
+    return P
+
+
+def matrix_factorial(K, B, count, right=None):
+    """B(count-1) ... B(1) B(0) right for a square polynomial matrix B(u).
+
+    right is an N x r matrix and defaults to the identity; the giant steps
+    and leftover factors then multiply N x N by N x r.  count may exceed
+    the characteristic: the evaluation points then repeat, and the baby
+    steps shift entries longer than p, which polys.taylor_shift handles.
     """
     n = len(B)
     if any(len(row) != n for row in B):
         raise NotSquare("matrix factorial needs a square matrix")
-    acc = identity(K, n)
-    if count <= 0:
-        return acc
-    s = math.isqrt(count - 1) + 1
+    acc = identity(K, n) if right is None else [list(row) for row in right]
+    if len(acc) != n:
+        raise DimensionMismatch(
+            f"cannot multiply {n}x{n} by {len(acc)} rows")
     if count < 16:
         for i in range(count):
             acc = matmul(K, matpoly_eval(K, B, K.from_int(i)), acc)
         return acc
-    baby = _shifted_product(K, B, 0, s)
+    s = baby_step_length(count)
+    baby = _baby_steps(K, B, s)
     g = count // s
     pts = [K.from_int(j * s) for j in range(g)]
     packed = getattr(K, "packed", False)

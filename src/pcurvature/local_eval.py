@@ -16,6 +16,10 @@ When q = p and every a_i lies in F_p (det's points whenever F_p has
 enough of them, and mc's when s = 1), the ring is F_p^n and runs in value
 form (fields.SplitRing): its products are n small Kronecker products, not
 one packed product reduced mod m, and the corner at a_i is coordinate i.
+
+Only the r corner columns of the factorial are ever read, so it runs on
+the last r columns of the identity: each giant step and leftover factor
+multiplies N x N by N x r, not N x N by N x N.
 """
 
 from dataclasses import dataclass
@@ -173,15 +177,16 @@ def _product_ring(K, mins):
 def invariant_factors_at(inp, ell, points, p=None):
     """Invariant factors of A_p(a) at every point a of ell, one list each.
 
-    One matrix factorial of p terms gives Y^{(p)}(0) in the bottom-right
-    corner; A_p(a) is similar to its negation, so the Smith form of the
-    negated corner is exactly the local similarity class.  A single point
-    is handled over ell itself.  Several points share one factorial over
-    the product ring of their minimal polynomials.  When they all lie in
-    F_p, that ring is split and kept in value form, so the corner at a_i
-    is read off coordinate i.  Otherwise each entry of its corner is a
-    polynomial in z, reduced over F_q modulo the minimal polynomial of a_i
-    and then evaluated at a_i before the Smith form over ell.
+    One matrix factorial of p terms, on the last r columns of the
+    identity, gives Y^{(p)}(0) in the bottom-right corner; A_p(a) is
+    similar to its negation, so the Smith form of the negated corner is
+    exactly the local similarity class.  A single point is handled over
+    ell itself.  Several points share one factorial over the product ring
+    of their minimal polynomials.  When they all lie in F_p, that ring is
+    split and kept in value form, so the corner at a_i is read off
+    coordinate i.  Otherwise each entry of its corner is a polynomial in
+    z, reduced over F_q modulo the minimal polynomial of a_i and then
+    evaluated at a_i before the Smith form over ell.
     """
     if p is None:
         p = ell.char
@@ -202,10 +207,10 @@ def invariant_factors_at(inp, ell, points, p=None):
         rec = build_B_system(inp, ring, at)
     else:
         rec = build_B_operator(inp, ring, at)
-    M = linalg.matrix_factorial(ring, rec.entries, p)
     n, r = rec.size, rec.corner
-    corner = [[ring.neg(M[i][j]) for j in range(n - r, n)]
-              for i in range(n - r, n)]
+    right = [row[n - r:] for row in linalg.identity(ring, n)]
+    M = linalg.matrix_factorial(ring, rec.entries, p, right)
+    corner = [[ring.neg(e) for e in row] for row in M[n - r:]]
     if ring is ell:
         return [linalg.invariant_factors_of(ell, corner)]
     emb = fields.embedding(inp.K, ell)

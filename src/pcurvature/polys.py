@@ -7,8 +7,12 @@ elements are in canonical form, so `==` on elements is exact equality.
 
 Multiplication dispatches to K.polymul, which lets each field supply a
 representation-specific fast path (Kronecker packing over a prime field,
-delayed modular reduction in extensions).  Everything else here is generic.
+delayed modular reduction in extensions), and a Taylor shift by an F_p
+constant on a packed ring dispatches likewise to K.coords_shift.
+Everything else here is generic.
 """
+
+import itertools
 
 from .errors import InsufficientModuli, ModuliNotCoprime, NotMonic
 
@@ -233,9 +237,54 @@ def poly_pow(K, f, e):
 
 
 def taylor_shift(K, f, a):
-    """Coefficients of f(x + a), split/recombine on halves."""
-    if a == K.zero or not f:
+    """Coefficients of f(x + a).
+
+    When f is no longer than the characteristic, the factorials below its
+    length are units, and the shift is one convolution of the f_i i! with
+    the a^m/m! (see _shift_by_convolution).  On a packed ring, with a an
+    F_p constant, K.coords_shift runs it in packed integers.  Longer f, or
+    a packed ring and any other a, split and recombine on halves.
+    """
+    if a == K.zero or len(f) <= 1:
         return list(f)
+    if len(f) > K.char:
+        return _shift_by_halves(K, f, a)
+    if not getattr(K, "packed", False):
+        return _shift_by_convolution(K, f, a)
+    if not K.is_constant(a):
+        return _shift_by_halves(K, f, a)
+    g = K.coords_shift(list(itertools.chain.from_iterable(f)), K.project(a))
+    return trim(K, list(zip(*[iter(g)] * K.degree)))
+
+
+def factorials_mod(p, n):
+    """i! and 1/i! modulo the prime p for i < n <= p."""
+    fact = [1] * n
+    for i in range(1, n):
+        fact[i] = fact[i - 1] * i % p
+    inv = [1] * n
+    inv[-1] = pow(fact[-1], -1, p)
+    for i in range(n - 1, 1, -1):
+        inv[i - 1] = inv[i] * i % p
+    return fact, inv
+
+
+def _shift_by_convolution(K, f, a):
+    """f(x + a) for len(f) <= char: coefficient j is (1/j!) times
+    coefficient n - 1 + j of (sum f_i i! x^i) (sum a^m/m! x^(n-1-m))."""
+    n = len(f)
+    fact, inv = factorials_mod(K.char, n)
+    scaled = [K.mul(K.from_int(c), x) for c, x in zip(fact, f)]
+    powers, x = [], K.one
+    for c in inv:
+        powers.append(K.mul(K.from_int(c), x))
+        x = K.mul(x, a)
+    conv = mul(K, scaled, powers[::-1])[n - 1:]
+    return trim(K, [K.mul(K.from_int(c), x) for c, x in zip(inv, conv)])
+
+
+def _shift_by_halves(K, f, a):
+    """f(x + a) for any length, split/recombine on halves."""
     n = len(f)
     if n <= 8:
         out = []
@@ -251,8 +300,8 @@ def taylor_shift(K, f, a):
             out = shifted
         return trim(K, out)
     m = n // 2
-    lo = taylor_shift(K, trim(K, f[:m]), a)
-    hi = taylor_shift(K, f[m:], a)
+    lo = _shift_by_halves(K, trim(K, f[:m]), a)
+    hi = _shift_by_halves(K, f[m:], a)
     return add(K, lo, mul(K, hi, poly_pow(K, [a, K.one], m)))
 
 

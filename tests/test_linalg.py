@@ -296,6 +296,76 @@ def test_matrix_factorial_over_packed_rings_matches_sequential(
     assert got == matrix_factorial_sequential(L, B, count, polys.eval_at)
 
 
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 100])
+def test_matrix_factorial_times_right_columns(ring, count, rng):
+    # the giant steps and leftover factors multiply N x N by N x r
+    L = _RINGS[ring]()
+    B = [[polys.trim(L, [L.random_elem(rng) for _ in range(3)])
+          for _ in range(3)] for _ in range(3)]
+    right = [[L.random_elem(rng) for _ in range(2)] for _ in range(3)]
+    full = matrix_factorial_sequential(L, B, count, polys.eval_at)
+    got = linalg.matrix_factorial(L, B, count, right)
+    assert got == matmul_schoolbook(L, full, right)
+
+
+_LONG_ENTRY_RINGS = {
+    "split ring over F_17": lambda: fields.SplitRing(
+        fields.PrimeField(17), [0, 5, 16]),
+    "F_17^3": lambda: _extension(17, 3),
+    "F_9": lambda: _extension(3, 2),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_LONG_ENTRY_RINGS))
+def test_matrix_factorial_of_entries_longer_than_p(ring, rng):
+    # at count 17, s = 4: the doubling shifts entries of length 19 > 17,
+    # where the factorials of the convolution are not all units
+    L = _LONG_ENTRY_RINGS[ring]()
+    for _ in range(5):
+        B = [[[L.random_elem(rng) for _ in range(9)] + [L.one]
+              for _ in range(2)] for _ in range(2)]
+        got = linalg.matrix_factorial(L, B, 17)
+        assert got == matrix_factorial_sequential(L, B, 17, polys.eval_at)
+
+
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+def test_taylor_shift_matches_halves(ring, rng):
+    # packed rings shift by an F_p constant in packed integers, other
+    # rings by one convolution through polys.mul; longer entries, and
+    # other shifts on packed rings, take the halves algorithm
+    L = _RINGS[ring]()
+    for length in (2, 5, 9, 14, 40):
+        f = [L.random_elem(rng) for _ in range(length - 1)] + [L.one]
+        for a in (L.from_int(rng.randrange(1, L.char)), L.random_elem(rng)):
+            want = polys._shift_by_halves(L, f, a)
+            assert polys.taylor_shift(L, f, a) == want
+
+
+def test_packed_taylor_shift_worst_case_is_wider_than_a_machine_word(
+        monkeypatch):
+    # every coefficient p - 1: a slot sums 20 products of residues, more
+    # than 8 bytes, and without the length in the slot width it overflows
+    p = 1000000007
+    K = fields.PrimeField(p)
+    slots = []
+    unpack = fields._unpack
+
+    def recording(x, slot, count):
+        slots.append(slot)
+        return unpack(x, slot, count)
+    for L in (_extension(p, 3), fields.SplitRing(K, [1, 2, p - 1])):
+        f = [tuple([p - 1] * 3)] * 20
+        for c in (1, 12345, p - 1):
+            a = L.from_int(c)
+            want = polys._shift_by_halves(L, f, a)
+            slots.clear()
+            monkeypatch.setattr(fields, "_unpack", recording)
+            assert polys.taylor_shift(L, f, a) == want
+            monkeypatch.undo()
+            assert slots and max(slots) > 8
+
+
 @pytest.mark.parametrize("ring", _PACKED)
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (6, 6, 6)])
 def test_matmul_over_packed_rings_matches_schoolbook(ring, shape, rng):

@@ -237,11 +237,16 @@ def test_empty_batch_is_refused():
         local_eval.invariant_factors_at(_op(F5, (1,), (1,)), F5, [])
 
 
+def _c07_operator(K):
+    """(x^2 + 1) Dx^2 + x Dx + 1, the operator of acceptance criterion 7."""
+    return diffop.DiffOperator(K, ((K.one,), (K.zero, K.one),
+                                   (K.one, K.zero, K.one)))
+
+
 def _op_count(p):
     """Field operations of one local evaluation of the c07 operator."""
     K = CountingPrimeField(p)
-    op = diffop.DiffOperator(K, ((K.one,), (K.zero, K.one),
-                                 (K.one, K.zero, K.one)))
+    op = _c07_operator(K)
     K.ops = 0
     local_eval.invariant_factors_at(op, K, [K.from_int(2)], p)
     return K.ops
@@ -254,12 +259,37 @@ def test_operation_count_grows_like_sqrt_p():
     assert large <= 2.5 * small, (small, large)
 
 
+def _factorial_calls(p, name, monkeypatch):
+    """Calls of linalg.<name> in one local evaluation of the c07 operator."""
+    K = fields.PrimeField(p)
+    op = _c07_operator(K)
+    calls = [0]
+    fn = getattr(linalg, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return fn(*args)
+    monkeypatch.setattr(linalg, name, counting)
+    local_eval.invariant_factors_at(op, K, [K.from_int(2)], p)
+    monkeypatch.undo()
+    return calls[0]
+
+
+def test_baby_steps_double_and_leave_few_factors(monkeypatch):
+    # the baby steps double along the bits of s; a balanced product tree
+    # makes s - 1 polynomial-matrix products (100 at p = 10007).  s keeps
+    # count mod s small: s = 32 at p = 1019 leaves 27 factors, s = 39 five
+    s = linalg.baby_step_length(10007)
+    products = _factorial_calls(10007, "matpoly_mul", monkeypatch)
+    assert products <= 2 * (s.bit_length() - 1), (s, products)
+    assert _factorial_calls(1019, "matpoly_eval", monkeypatch) <= 5
+
+
 def _split_batch_count(p, monkeypatch):
     """Values the split ring's kernels unpack or produce for one batch of
     eight points of F_p on the c07 operator."""
     K = fields.PrimeField(p)
-    op = diffop.DiffOperator(K, ((K.one,), (K.zero, K.one),
-                                 (K.one, K.zero, K.one)))
+    op = _c07_operator(K)
     count = [0]
     unpack_bytes, dot = fields._unpack_bytes, fields.SplitRing.dot
 
