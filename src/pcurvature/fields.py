@@ -218,6 +218,18 @@ def _unpack(x, slot, count):
     return _unpack_bytes(x.to_bytes(slot * count, "little"), slot)
 
 
+def _factorials_mod(p, n):
+    """i! and 1/i! modulo the prime p for i < n <= p."""
+    fact = [1] * n
+    for i in range(1, n):
+        fact[i] = fact[i - 1] * i % p
+    inv = [1] * n
+    inv[-1] = pow(fact[-1], -1, p)
+    for i in range(n - 1, 1, -1):
+        inv[i - 1] = inv[i] * i % p
+    return fact, inv
+
+
 class ExtensionField:
     """base[u]/(modulus) with elements as width-`degree` tuples.
 
@@ -496,7 +508,7 @@ class ExtensionField:
         """
         p, n = self.base.p, self.degree
         L = len(g) // n
-        fact, inv_fact = polys.factorials_mod(p, L)
+        fact, inv_fact = _factorials_mod(p, L)
         powers, x = [], 1
         for m in range(L):
             powers.append(x * inv_fact[m] % p)

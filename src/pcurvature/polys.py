@@ -239,48 +239,17 @@ def poly_pow(K, f, e):
 def taylor_shift(K, f, a):
     """Coefficients of f(x + a).
 
-    When f is no longer than the characteristic, the factorials below its
-    length are units, and the shift is one convolution of the f_i i! with
-    the a^m/m! (see _shift_by_convolution).  On a packed ring, with a an
-    F_p constant, K.coords_shift runs it in packed integers.  Longer f, or
-    a packed ring and any other a, split and recombine on halves.
+    On a packed ring, with a an F_p constant and f no longer than the
+    characteristic, K.coords_shift does it in packed integers.  Every other
+    shift splits and recombines on halves.
     """
     if a == K.zero or len(f) <= 1:
         return list(f)
-    if len(f) > K.char:
-        return _shift_by_halves(K, f, a)
-    if not getattr(K, "packed", False):
-        return _shift_by_convolution(K, f, a)
-    if not K.is_constant(a):
+    if (len(f) > K.char or not getattr(K, "packed", False)
+            or not K.is_constant(a)):
         return _shift_by_halves(K, f, a)
     g = K.coords_shift(list(itertools.chain.from_iterable(f)), K.project(a))
     return trim(K, list(zip(*[iter(g)] * K.degree)))
-
-
-def factorials_mod(p, n):
-    """i! and 1/i! modulo the prime p for i < n <= p."""
-    fact = [1] * n
-    for i in range(1, n):
-        fact[i] = fact[i - 1] * i % p
-    inv = [1] * n
-    inv[-1] = pow(fact[-1], -1, p)
-    for i in range(n - 1, 1, -1):
-        inv[i - 1] = inv[i] * i % p
-    return fact, inv
-
-
-def _shift_by_convolution(K, f, a):
-    """f(x + a) for len(f) <= char: coefficient j is (1/j!) times
-    coefficient n - 1 + j of (sum f_i i! x^i) (sum a^m/m! x^(n-1-m))."""
-    n = len(f)
-    fact, inv = factorials_mod(K.char, n)
-    scaled = [K.mul(K.from_int(c), x) for c, x in zip(fact, f)]
-    powers, x = [], K.one
-    for c in inv:
-        powers.append(K.mul(K.from_int(c), x))
-        x = K.mul(x, a)
-    conv = mul(K, scaled, powers[::-1])[n - 1:]
-    return trim(K, [K.mul(K.from_int(c), x) for c, x in zip(inv, conv)])
 
 
 def _shift_by_halves(K, f, a):

@@ -331,9 +331,8 @@ def test_matrix_factorial_of_entries_longer_than_p(ring, rng):
 
 @pytest.mark.parametrize("ring", sorted(_RINGS))
 def test_taylor_shift_matches_halves(ring, rng):
-    # packed rings shift by an F_p constant in packed integers, other
-    # rings by one convolution through polys.mul; longer entries, and
-    # other shifts on packed rings, take the halves algorithm
+    # packed rings shift by an F_p constant in packed integers; every
+    # other shift takes the halves algorithm
     L = _RINGS[ring]()
     for length in (2, 5, 9, 14, 40):
         f = [L.random_elem(rng) for _ in range(length - 1)] + [L.one]

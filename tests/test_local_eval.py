@@ -276,9 +276,8 @@ def _factorial_calls(p, name, monkeypatch):
 
 
 def test_baby_steps_double_and_leave_few_factors(monkeypatch):
-    # the baby steps double along the bits of s; a balanced product tree
-    # makes s - 1 polynomial-matrix products (100 at p = 10007).  s keeps
-    # count mod s small: s = 32 at p = 1019 leaves 27 factors, s = 39 five
+    # at most two polynomial-matrix products per bit of s, and few
+    # leftover factors at p = 1019
     s = linalg.baby_step_length(10007)
     products = _factorial_calls(10007, "matpoly_mul", monkeypatch)
     assert products <= 2 * (s.bit_length() - 1), (s, products)
