@@ -14,12 +14,12 @@ Over an extension of F_p the same holds for matrices of polynomials in t:
 each entry packs both variables into one integer, each row-by-column inner
 product of k terms is k integer products summed, and each output
 coefficient is reduced once.  That reduction is itself one integer sum of
-the packed rows u^(n+j) mod S.  A division by a polynomial in t over F_p
-(coords_rem) packs the same way and never reduces mod S at all, and so
-does a Taylor shift in t by an F_p constant (coords_shift): for a
-polynomial of length L <= p it is one convolution with F_p constants, a
-single integer product of each u-coordinate's scaled coefficients with
-the packed c^m/m!.
+the packed rows u^(n+j) mod S.  A Taylor shift in t by an F_p constant
+(coords_shift) never reduces mod S: for a polynomial of length L <= p it
+is one convolution with F_p constants, a single integer product of each
+u-coordinate's scaled coefficients with the packed c^m/m!.  Nor does the
+multipoint evaluation at F_p points (rows_rem, rows_at), which acts on
+rows of F_p coefficients, one per u-coordinate and polynomial.
 
 A SplitRing is F_p[z]/S for S a product of distinct linear factors z - a_i,
 kept in value form: an element is the tuple of its values at the a_i, so
@@ -27,8 +27,8 @@ the ring is F_p^n and nothing is ever reduced mod S.  A product of matrices
 of polynomials in t is one Kronecker product over F_p per coordinate and
 pair of entries, on integers n times shorter than the packed kernel's
 (which also needs 2n - 1 slots per t-coefficient), and constant matrices
-multiply pointwise.  coords_rem and coords_shift act on each coordinate
-alone, so the split ring shares them with ExtensionField.
+multiply pointwise.  coords_shift, rows_rem and rows_at act on each
+coordinate alone, so the split ring shares them with ExtensionField.
 """
 
 import array
@@ -185,11 +185,13 @@ def _pack_bytes(blocks, slot, width):
             parts.extend(x.to_bytes(slot, "little") for x in xs)
             parts.append(bytes(slot * (width - len(xs))))
         return b"".join(parts)
-    zeros = [0] * width
-    flat = []
-    for xs in blocks:
-        flat.extend(xs)
-        flat.extend(zeros[len(xs):])
+    if len(blocks) == 1 and len(blocks[0]) == width:
+        flat = blocks[0]
+    else:
+        zeros, flat = [0] * width, []
+        for xs in blocks:
+            flat.extend(xs)
+            flat.extend(zeros[len(xs):])
     a = array.array(code, flat)
     if _SWAP:
         a.byteswap()
@@ -202,7 +204,9 @@ def _pack(blocks, slot, width):
 
 
 def _unpack_bytes(buf, slot):
-    """Every slot of little-endian bytes, as ints."""
+    """Every slot of little-endian bytes, as a sequence of ints: an array
+    of machine integers when they fit one, so that slicing it creates no
+    int objects, else a list."""
     code = _TYPECODES.get(slot)
     if code is None:
         return [int.from_bytes(buf[k:k + slot], "little")
@@ -210,11 +214,12 @@ def _unpack_bytes(buf, slot):
     a = array.array(code, buf)
     if _SWAP:
         a.byteswap()
-    return a.tolist()
+    return a
 
 
 def _unpack(x, slot, count):
-    """The first `count` slots of a packed integer, as ints."""
+    """The first `count` slots of a packed integer, as _unpack_bytes
+    gives them."""
     return _unpack_bytes(x.to_bytes(slot * count, "little"), slot)
 
 
@@ -336,7 +341,7 @@ class ExtensionField:
         acc = 0
         for h, row in zip(c[n:], self._rows):
             acc += h % p * row
-        r = _unpack(acc, self._row_slot, n)
+        r = list(_unpack(acc, self._row_slot, n))
         for k, x in enumerate(c[:n]):
             r[k] += x
         return tuple([x % p for x in r])
@@ -463,41 +468,67 @@ class ExtensionField:
             out.append(orow)
         return out
 
-    def coords_rem(self, g, m, m_rev_inv):
-        """Remainder of a polynomial in t over self by a monic m over F_p.
-
-        Needs a prime base.  g and the result are flat lists of
-        u-coordinates: slots i*n to i*n + n - 1 hold coefficient i, with
-        n = degree.  m_rev_inv is the inverse of the reversal of m, as
-        polys.series_inv gives it, to at least the length of the quotient.
-        As m has F_p coefficients, the division acts on each u-coordinate
-        alone: g is packed block by block into one integer, the quotient
-        is two integer products (Barrett), the remainder one more, and
-        the slots are reduced mod p once, at the end.
-        """
-        p, n, d = self.base.p, self.degree, len(m) - 1
-        k = len(g) // n - d
+    def rows_rem(self, cols, m, m_rev_inv):
+        """Remainders by a monic m over F_p of polynomials (rows) over F_p,
+        given and returned column by column: column i holds coefficient i
+        of every row.  m_rev_inv inverts the reversal of m to at least the
+        quotient length k.  Each row's k high coefficients fill 2k - 1
+        slots of one integer; one product with the reversed inverse gives
+        every quotient (Barrett), and its first min(k, deg m) slots times
+        -m give the remainders."""
+        p, d = self.base.p, len(m) - 1
+        k = len(cols) - d
         if k <= 0:
-            return g
+            return cols
+        count, top = len(cols[0]), min(k, d)
         # a quotient slot sums k products of residues; a slot of the
         # remainder adds to a residue at most min(k, d) quotient slots,
         # each times a residue
-        slot = _slot_bytes(k * min(k, d) * (p - 1) ** 3 + p - 1)
-        bits = 8 * slot * n
-        G = _pack([g], slot, len(g))
+        slot = _slot_bytes(k * top * (p - 1) ** 3 + p - 1)
+        W, V = 2 * k - 1, top + d - 1
+        hi = [0] * (count * W)
+        for j, col in enumerate(cols[d:]):
+            hi[j::W] = col
         mu = m_rev_inv[k - 1::-1]
-        mu = _pack([[c] for c in [0] * (k - len(mu)) + mu], slot, n)
-        Q = ((G >> d * bits) * mu) >> (k - 1) * bits
-        neg_m = _pack([[p - c if c else 0] for c in m[:d]], slot, n)
-        low = (1 << d * bits) - 1
-        r = _unpack((G & low) + (Q * neg_m & low), slot, d * n)
-        return [x % p for x in r]
+        prod = _unpack(_pack([hi], slot, count * W)
+                       * _pack([[0] * (k - len(mu)) + mu], slot, k),
+                       slot, count * W)
+        del hi  # each buffer is freed once used, for a lower peak memory
+        quo = [0] * (count * V)
+        for i in range(top):
+            quo[i::V] = prod[k - 1 + i::W]
+        del prod
+        neg_m = [p - c if c else 0 for c in m[:d]]
+        low = _unpack(_pack([quo], slot, count * V) * _pack([neg_m], slot, d),
+                      slot, count * V)
+        del quo
+        return [[(x + y) % p for x, y in zip(low[j::V], col)]
+                for j, col in enumerate(cols[:d])]
+
+    def rows_at(self, cols, points):
+        """Values at each of points in F_p of polynomials over self whose
+        coordinates are the rows of rows_rem, degree rows each: one list
+        per point.  Column i fills an integer C_i, and the row values at a
+        are the slots of sum_i (a^i mod p) C_i."""
+        p, count = self.base.p, len(cols[0])
+        # a slot sums len(cols) products of residues
+        slot = _slot_bytes(len(cols) * (p - 1) ** 2)
+        C = [_pack([col], slot, count) for col in cols]
+        out = []
+        for a in points:
+            acc, x = C[0], 1
+            for c in C[1:]:
+                x = x * a % p
+                acc += x * c
+            vals = iter([v % p for v in _unpack(acc, slot, count)])
+            out.append(list(zip(*[vals] * self.degree)))
+        return out
 
     def coords_shift(self, g, c):
         """Taylor shift f(t + c) by c in F_p of a polynomial in t over self.
 
         Needs a prime base.  g and the result are flat lists of
-        u-coordinates, laid out as in coords_rem, of a polynomial of length
+        u-coordinates, coefficient by coefficient, of a polynomial of length
         L <= p, so that the factorials below L are units.  Coefficient j
         of the shift is (1/j!) sum_i f_i i! c^(i-j)/(i-j)!, a convolution
         with F_p constants that acts on each u-coordinate alone.  So each
@@ -683,10 +714,11 @@ class SplitRing:
                         for c in (self.dot(consts, col) for col in cols)])
         return out
 
-    # dividing by a polynomial over F_p, or shifting by an F_p constant,
-    # acts on each coordinate alone, in value form as in the monomial basis
-    coords_rem = ExtensionField.coords_rem
+    # shifting by an F_p constant acts on each coordinate alone, in value
+    # form as in the monomial basis; the multipoint kernels act on F_p rows
     coords_shift = ExtensionField.coords_shift
+    rows_rem = ExtensionField.rows_rem
+    rows_at = ExtensionField.rows_at
 
     def __eq__(self, other):
         return isinstance(other, SplitRing) and other.key == self.key

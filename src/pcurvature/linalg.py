@@ -27,8 +27,10 @@ which runs one Kronecker product per coordinate and multiplies constant
 matrices pointwise.  So over a packed K the baby steps and the giant steps
 both run in packed integers or pointwise.  The evaluation points lie in
 F_p, so the subproduct tree of the multipoint evaluation has F_p
-coefficients, and each of its remainders works on all coordinates at once
-in packed integers, with no reduction mod S (polys.SubproductTree).
+coefficients, and all N^2 entries of the baby-step product go down it in
+one SubproductTree.evaluate call: each node's remainder, and the direct
+evaluation below BASE_CASE points, works on every coordinate of every
+entry at once in packed integers, with no reduction mod S.
 """
 
 import math
@@ -172,15 +174,15 @@ def matrix_factorial(K, B, count, right=None):
     baby = _baby_steps(K, B, s)
     g = count // s
     pts = [K.from_int(j * s) for j in range(g)]
-    packed = getattr(K, "packed", False)
-    tree = polys.SubproductTree(K, pts) if g >= 8 or packed else None
-    vals = [[tree.evaluate(e) if tree else [polys.eval_at(K, e, a)
-                                            for a in pts]
-             for e in row] for row in baby]
-    # only the values feed the giant steps; free the product and the tree
-    del baby, tree
+    entries = [e for row in baby for e in row]
+    if g >= 8 or getattr(K, "packed", False):
+        vals = polys.SubproductTree(K, pts).evaluate(entries)
+    else:
+        vals = [[polys.eval_at(K, e, a) for a in pts] for e in entries]
+    # only the values feed the giant steps; free the product
+    del baby, entries
     for j in range(g):
-        step = [[vals[i][k][j] for k in range(n)] for i in range(n)]
+        step = [[vals[i * n + k][j] for k in range(n)] for i in range(n)]
         acc = matmul(K, step, acc)
     for i in range(g * s, count):
         acc = matmul(K, matpoly_eval(K, B, K.from_int(i)), acc)

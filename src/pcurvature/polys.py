@@ -7,8 +7,9 @@ elements are in canonical form, so `==` on elements is exact equality.
 
 Multiplication dispatches to K.polymul, which lets each field supply a
 representation-specific fast path (Kronecker packing over a prime field,
-delayed modular reduction in extensions), and a Taylor shift by an F_p
-constant on a packed ring dispatches likewise to K.coords_shift.
+delayed modular reduction in extensions).  On a packed ring, a Taylor
+shift by an F_p constant dispatches likewise to K.coords_shift, and a
+multipoint evaluation at F_p points to K.rows_rem and K.rows_at.
 Everything else here is generic.
 """
 
@@ -321,13 +322,16 @@ class SubproductTree:
     Over a `packed` K (F_p[u]/S in the monomial basis, see
     fields.ExtensionField, or F_p^n in value form, fields.SplitRing) with
     every point an F_p constant, as K.is_constant tells, the tree is built
-    over F_p.  A polynomial then goes down it as the flat list of its
-    coordinates.  Each node's remainder is K.coords_rem, with the node's
-    inverse whatever its size; it acts on each coordinate alone, in packed
-    integers, and never reduces mod S.
+    over F_p, and the n coordinates of every polynomial of one evaluate
+    call go down it together, as polynomials (rows) over F_p, kept column
+    by column.  Each node above BASE_CASE points divides all rows at once
+    (K.rows_rem, linear in the number of rows); the first node of at most
+    BASE_CASE points evaluates the rows it receives at its points directly
+    (K.rows_at).  Nothing is reduced mod S.
     """
 
     NEWTON_CUTOFF = 24
+    BASE_CASE = 32
 
     def __init__(self, K, points):
         self.K = K
@@ -351,10 +355,6 @@ class SubproductTree:
         self.levels = levels
         self._inv_cache = {}
 
-    @property
-    def root(self):
-        return self.levels[-1][0]
-
     def _rev_inv(self, m, key, prec):
         """inv(rev(m)) to at least precision prec, kept per node."""
         cached = self._inv_cache.get(key)
@@ -372,43 +372,29 @@ class SubproductTree:
             return rem(K, f, m)
         return rem_monic_precomp(K, f, m, self._rev_inv(m, key, excess))
 
-    def _leaf_packed(self, g, a):
-        """The value at a of g, a flat coordinate list, by Horner: f_0 +
-        a*f_1 below a pair, any length only when the tree is one leaf."""
-        n, p = self.K.degree, self.R.p
-        acc = g[-n:]
-        for i in range(len(g) - 2 * n, -1, -n):
-            acc = [(a * x + y) % p for x, y in zip(acc, g[i:i + n])]
-        return tuple(acc)
+    def evaluate(self, fs):
+        """Values of each polynomial of fs at every point, one list each.
 
-    def evaluate(self, f):
-        """Values of f at every point, via a remainder cascade.
-
-        An odd node at any level is carried upward unchanged, which keeps
-        the invariant that node (level, idx) covers children (level - 1,
-        2*idx) and, when present, (level - 1, 2*idx + 1).
+        An odd node at any level is carried upward unchanged, so node
+        (level, idx) covers children (level - 1, 2*idx) and, when present,
+        (level - 1, 2*idx + 1): the points from idx * 2**level on, at most
+        2**level of them.
         """
+        if self.packed:
+            return self._evaluate_rows(fs)
+        return [self._evaluate_one(f) for f in fs]
+
+    def _evaluate_one(self, f):
         K = self.K
         vals = [K.zero] * len(self.points)
         if not f:
             return vals
-        if self.packed:
-            f = [x for c in f for x in c]
 
         def descend(level, idx, g):
-            m = self.levels[level][idx]
-            if self.packed:
-                if level == 0:
-                    vals[idx] = self._leaf_packed(g, self._pts[idx])
-                    return
-                k = len(g) // K.degree - len(m) + 1
-                if k > 0:
-                    g = K.coords_rem(g, m, self._rev_inv(m, (level, idx), k))
-            else:
-                g = self._rem(g, m, (level, idx))
-                if level == 0:
-                    vals[idx] = g[0] if g else K.zero
-                    return
+            g = self._rem(g, self.levels[level][idx], (level, idx))
+            if level == 0:
+                vals[idx] = g[0] if g else K.zero
+                return
             lo = 2 * idx
             descend(level - 1, lo, g)
             if lo + 1 < len(self.levels[level - 1]):
@@ -416,6 +402,35 @@ class SubproductTree:
 
         descend(len(self.levels) - 1, 0, f)
         return vals
+
+    def _evaluate_rows(self, fs):
+        """evaluate over a packed K: row n*e + c is coordinate c of fs[e],
+        and column i holds coefficient i of every row."""
+        K, total = self.K, len(self.points)
+        cols = [list(itertools.chain.from_iterable(c))
+                for c in itertools.zip_longest(*fs, fillvalue=K.zero)]
+        if not cols:
+            return [[K.zero] * total for _ in fs]
+        at = [None] * total
+
+        def descend(level, idx, cols):
+            first = idx << level
+            size = min(1 << level, total - first)
+            if size <= self.BASE_CASE:
+                at[first:first + size] = K.rows_at(
+                    cols, self._pts[first:first + size])
+                return
+            m = self.levels[level][idx]
+            if len(cols) >= len(m):
+                cols = K.rows_rem(cols, m, self._rev_inv(
+                    m, (level, idx), len(cols) - len(m) + 1))
+            lo = 2 * idx
+            descend(level - 1, lo, cols)
+            if lo + 1 < len(self.levels[level - 1]):
+                descend(level - 1, lo + 1, cols)
+
+        descend(len(self.levels) - 1, 0, cols)
+        return [list(vals) for vals in zip(*at)]
 
 
 def format_poly(K, f, var="x"):

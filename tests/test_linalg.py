@@ -220,79 +220,119 @@ _MULTIPOINT_RINGS["split ring over F_101"] = _split_ring
 def test_packed_multipoint_matches_pointwise(ring, rng):
     L = _MULTIPOINT_RINGS[ring]()
     p = L.base.p
-    # odd counts carry nodes up the tree; over F_13, 31 points repeat
-    for count in (1, 2, 7, 8, 9, 31):
+    # odd counts carry nodes up the tree; over F_13, 31 points repeat;
+    # from 33 points on, nodes above the base case divide before the
+    # direct evaluation below it
+    for count in (1, 2, 7, 8, 9, 31, 33, 64, 100, 257):
         pts = [L.from_int(rng.randrange(p)) for _ in range(count)]
         tree = polys.SubproductTree(L, pts)
         assert tree.packed
         # long (first, so that later entries reuse node inverses of more
         # precision than they need), zero, constant, zero coefficients
-        # inside, and short (fewer coefficients than points) entries
+        # inside, and short (fewer coefficients than points) entries,
+        # alone and all in one call
         zero_inside = [L.random_elem(rng), L.zero, L.zero, L.one]
-        for f in ([L.random_elem(rng) for _ in range(2 * count + 3)],
-                  [], [L.random_elem(rng)], zero_inside,
-                  [L.random_elem(rng) for _ in range(max(count - 1, 1))]):
-            f = polys.trim(L, f)
-            assert tree.evaluate(f) == [polys.eval_at(L, f, a) for a in pts]
+        fs = [polys.trim(L, f) for f in (
+            [L.random_elem(rng) for _ in range(2 * count + 3)],
+            [], [L.random_elem(rng)], zero_inside,
+            [L.random_elem(rng) for _ in range(max(count - 1, 1))])]
+        want = [[polys.eval_at(L, f, a) for a in pts] for f in fs]
+        assert tree.evaluate(fs) == want
+        for f, w in zip(fs, want):
+            assert tree.evaluate([f]) == [w]
 
 
 def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
         monkeypatch, rng):
-    # every coefficient p - 1: the slots hold more than 8 bytes, and at
-    # this size leaving the quotient length out of the slot width (the
-    # factor k * min(k, d)) makes them too narrow
+    # every coefficient p - 1, at 64 points: the root divides and its
+    # children evaluate its length-64 remainder directly.  The slots of
+    # both hold more than 8 bytes, and at this size leaving the quotient
+    # length (the factor k * min(k, d)) out of the remainder's slot width,
+    # or the row length out of the direct step's, makes them too narrow
     p = 1000000007
     L = _extension(p, 3)
-    f = [tuple([p - 1] * 3)] * 64
-    pts = [L.from_int(rng.randrange(p)) for _ in range(31)]
-    slots = []
+    f = [tuple([p - 1] * 3)] * 128
+    pts = [L.from_int(rng.randrange(p)) for _ in range(64)]
+    slots = {}
     unpack = fields._unpack
 
-    def recording(x, slot, count):
-        slots.append(slot)
-        return unpack(x, slot, count)
-    monkeypatch.setattr(fields, "_unpack", recording)
-    got = polys.SubproductTree(L, pts).evaluate(f)
-    assert max(slots) > 8
-    assert got == [polys.eval_at(L, f, a) for a in pts]
+    def kernel(name):
+        method = getattr(fields.ExtensionField, name)
+
+        def recording(self, *args):
+            def unpacking(x, slot, count):
+                slots.setdefault(name, []).append(slot)
+                return unpack(x, slot, count)
+            monkeypatch.setattr(fields, "_unpack", unpacking)
+            try:
+                return method(self, *args)
+            finally:
+                monkeypatch.setattr(fields, "_unpack", unpack)
+        monkeypatch.setattr(fields.ExtensionField, name, recording)
+    kernel("rows_rem")
+    kernel("rows_at")
+    got = polys.SubproductTree(L, pts).evaluate([f])
+    assert min(max(slots["rows_rem"]), max(slots["rows_at"])) > 8
+    assert got == [[polys.eval_at(L, f, a) for a in pts]]
 
 
 def _packed_multipoint_cost(count, monkeypatch):
-    """Base-field operations plus slots unpacked by one packed evaluation
-    of a polynomial of length 2*count at count points."""
+    """Base-field operations, slots unpacked and the direct step's
+    multiply-adds (a row's length per row and point) of one packed
+    evaluation of a polynomial of length 2*count at count points."""
     K = CountingPrimeField(10007)
     L = fields.ExtensionField(K, fields.find_irreducible(K, 4))
     rng = random.Random(count)
     f = [L.random_elem(rng) for _ in range(2 * count)]
-    slots = [0]
-    unpack = fields._unpack
+    cost = [0]
+    unpack, rows_at = fields._unpack, fields.ExtensionField.rows_at
 
     def counting(x, slot, n):
-        slots[0] += n
+        cost[0] += n
         return unpack(x, slot, n)
+
+    def direct(self, cols, points):
+        cost[0] += len(cols) * len(cols[0]) * len(points)
+        return rows_at(self, cols, points)
     monkeypatch.setattr(fields, "_unpack", counting)
+    monkeypatch.setattr(fields.ExtensionField, "rows_at", direct)
     K.ops = 0
     polys.SubproductTree(L, [L.from_int(37 * j) for j in range(count)]
-                         ).evaluate(f)
-    return K.ops + slots[0]
+                         ).evaluate([f])
+    monkeypatch.undo()
+    return K.ops + cost[0]
 
 
 def test_packed_multipoint_cost_grows_quasi_linearly(monkeypatch):
-    # 4x the points and degree: a quadratic method gives 16x; the tree
-    # measured 785 -> 4205, 5.36x (a log factor over linear)
+    # 4x the points and degree: a quadratic method gives 16x, and so does
+    # evaluating every point directly; the tree measured 4.55x and 4.49x
+    # (a log factor over linear)
     small = _packed_multipoint_cost(32, monkeypatch)
-    large = _packed_multipoint_cost(128, monkeypatch)
-    assert large <= 6 * small, (small, large)
+    middle = _packed_multipoint_cost(128, monkeypatch)
+    large = _packed_multipoint_cost(512, monkeypatch)
+    assert middle <= 6 * small, (small, middle)
+    assert large <= 6 * middle, (middle, large)
 
 
 @pytest.mark.parametrize("ring", _PACKED)
 @pytest.mark.parametrize("count", [15, 16, 64, 100])
 def test_matrix_factorial_over_packed_rings_matches_sequential(
-        ring, count, rng):
+        ring, count, rng, monkeypatch):
+    # every entry of the baby-step product goes down one tree together:
+    # one evaluate call per factorial, not one per entry
     L = _RINGS[ring]()
     B = [[polys.trim(L, [L.random_elem(rng) for _ in range(3)])
           for _ in range(2)] for _ in range(2)]
+    calls = []
+    evaluate = polys.SubproductTree.evaluate
+
+    def counting(self, fs):
+        calls.append(len(fs))
+        return evaluate(self, fs)
+    monkeypatch.setattr(polys.SubproductTree, "evaluate", counting)
     got = linalg.matrix_factorial(L, B, count)
+    monkeypatch.undo()
+    assert calls == ([4] if count >= 16 else [])
     assert got == matrix_factorial_sequential(L, B, count, polys.eval_at)
 
 

@@ -285,12 +285,15 @@ def test_baby_steps_double_and_leave_few_factors(monkeypatch):
 
 
 def _split_batch_count(p, monkeypatch):
-    """Values the split ring's kernels unpack or produce for one batch of
-    eight points of F_p on the c07 operator."""
+    """Values the split ring's kernels unpack or produce, plus the
+    multiply-adds of the multipoint evaluation's direct step (a row's
+    length per row and point), for one batch of eight points of F_p on
+    the c07 operator."""
     K = fields.PrimeField(p)
     op = _c07_operator(K)
     count = [0]
     unpack_bytes, dot = fields._unpack_bytes, fields.SplitRing.dot
+    rows_at = fields.SplitRing.rows_at
 
     def unpacking(buf, slot):
         count[0] += len(buf) // slot
@@ -299,8 +302,13 @@ def _split_batch_count(p, monkeypatch):
     def producing(self, xs, ys):
         count[0] += self.degree
         return dot(self, xs, ys)
+
+    def direct(self, cols, points):
+        count[0] += len(cols) * len(cols[0]) * len(points)
+        return rows_at(self, cols, points)
     monkeypatch.setattr(fields, "_unpack_bytes", unpacking)
     monkeypatch.setattr(fields.SplitRing, "dot", producing)
+    monkeypatch.setattr(fields.SplitRing, "rows_at", direct)
     local_eval.invariant_factors_at(
         op, K, [K.from_int(a) for a in range(2, 10)], p)
     monkeypatch.undo()
