@@ -347,10 +347,18 @@ class ExtensionField:
         return tuple([x % p for x in r])
 
     def mul(self, a, b):
+        # a product by an embedded base constant (or zero) scales the
+        # coordinates of the other factor
+        zero_tail = self.zero[1:]
+        if b[1:] == zero_tail:
+            a, b = b, a
+        if a[1:] == zero_tail:
+            mul, c = self.base.mul, a[0]
+            return tuple([mul(c, x) for x in b])
         c = self.mul_unreduced(a, b)
         if len(c) <= self.degree:
-            # no reduction by S needed (a product by a constant, say), and
-            # the base field has reduced the coefficients already
+            # no reduction by S needed, and the base field has reduced the
+            # coefficients already
             return self._pad(c)
         return self.reduce_product(c)
 
@@ -825,6 +833,9 @@ def find_irreducible(K, n):
 
 def frobenius_orbit(L, a, q):
     """Distinct conjugates of a under x -> x^q, in orbit order."""
+    if L.q == q:
+        # x -> x^q fixes every element of a field of order q
+        return [a]
     orbit = [a]
     b = L.pow(a, q)
     while b != a:
@@ -834,13 +845,20 @@ def frobenius_orbit(L, a, q):
 
 
 def minimal_polynomial(L, a, q):
-    """Monic minimal polynomial over F_q of an element a of the extension L.
+    """Monic minimal polynomial over F_q of an element a of L.
 
-    L.base must be the F_q in question; the orbit product has coefficients
-    fixed by x -> x^q, so they project back into the base field.
+    L is either F_q itself, where the answer is z - a, or an extension
+    whose base is F_q: the orbit product has coefficients fixed by
+    x -> x^q, so they project back into the base field.
     """
-    if L.base.q != q:
-        raise FieldMismatch("minimal_polynomial expects q = order of L.base")
+    base = getattr(L, "base", None)
+    over_q = base is not None and base.q == q
+    if L.q == q and not over_q:
+        # F_q itself (an extension of degree 1 also has order q)
+        return [L.neg(a), L.one]
+    if not over_q:
+        raise FieldMismatch(
+            "minimal_polynomial expects L = F_q or an extension of F_q")
     f = [L.one]
     for b in frobenius_orbit(L, a, q):
         f = polys.mul(L, f, [L.neg(b), L.one])

@@ -3,12 +3,14 @@
 An element a_power that generates ell = F_q[u]/S gives a second basis
 1, a_power, ..., a_power^(deg S - 1); writing a value in that basis reads
 off the unique polynomial of degree < deg S taking that value at a_power.
+When ell is F_q itself (points of degree 1), that polynomial is the value,
+as a constant.
 """
 
 import functools
 
 from . import polys
-from .errors import NoSolutionWithinBound, NotAGenerator
+from .errors import FieldMismatch, NoSolutionWithinBound, NotAGenerator
 from .linalg import LinearSolver
 
 BASIS_CACHE_SIZE = 64
@@ -38,14 +40,19 @@ def power_basis_solver(ell, a_power):
     return solver
 
 
-def lift_from_extension_value(ell, a_power, v, bound):
-    """The unique c over the base field with deg c <= bound, c(a_power) = v.
+def lift_from_extension_value(K, ell, a_power, v, bound):
+    """The unique c over K with deg c <= bound and c(a_power) = v.
 
+    ell is K itself, where c is the constant v, or an extension of K.
     Existence within the bound is a property of the caller's parameters,
     not of this routine; a violation is reported rather than truncated.
     """
-    solver = power_basis_solver(ell, a_power)
-    c = polys.trim(ell.base, solver.solve(list(v)))
+    if ell.key == K.key:
+        c = polys.trim(K, [v])
+    elif getattr(ell, "base", None) == K:
+        c = polys.trim(K, power_basis_solver(ell, a_power).solve(list(v)))
+    else:
+        raise FieldMismatch(f"{ell} is neither {K} nor an extension of it")
     if polys.deg(c) > bound:
         raise NoSolutionWithinBound(
             f"lift has degree {polys.deg(c)}, allowed at most {bound}")

@@ -16,6 +16,8 @@ When q = p and every a_i lies in F_p (det's points whenever F_p has
 enough of them, and mc's when s = 1), the ring is F_p^n and runs in value
 form (fields.SplitRing): its products are n small Kronecker products, not
 one packed product reduced mod m, and the corner at a_i is coordinate i.
+Such points come in as elements of F_p itself (ell = F_p), so their pole
+checks, minimal polynomials and Smith forms are F_p arithmetic.
 
 Only the r corner columns of the factorial are ever read, so it runs on
 the last r columns of the identity: each giant step and leftover factor
@@ -146,14 +148,6 @@ def _check_pole(inp, ell, a):
         raise LeadingCoeffVanishes("a_r vanishes at the expansion point")
 
 
-def _minimal_polynomials(K, ell, points):
-    """Minimal polynomial over K of each distinct point, keyed by point."""
-    if ell.key == K.key:
-        return {a: (K.neg(a), K.one) for a in points}
-    return {a: tuple(fields.minimal_polynomial(ell, a, K.q))
-            for a in dict.fromkeys(points)}
-
-
 def _product_ring(K, mins):
     """The ring of the batch and, per minimal polynomial, its coordinate.
 
@@ -177,16 +171,18 @@ def _product_ring(K, mins):
 def invariant_factors_at(inp, ell, points, p=None):
     """Invariant factors of A_p(a) at every point a of ell, one list each.
 
-    One matrix factorial of p terms, on the last r columns of the
-    identity, gives Y^{(p)}(0) in the bottom-right corner; A_p(a) is
-    similar to its negation, so the Smith form of the negated corner is
-    exactly the local similarity class.  A single point is handled over
-    ell itself.  Several points share one factorial over the product ring
-    of their minimal polynomials.  When they all lie in F_p, that ring is
-    split and kept in value form, so the corner at a_i is read off
-    coordinate i.  Otherwise each entry of its corner is a polynomial in
-    z, reduced over F_q modulo the minimal polynomial of a_i and then
-    evaluated at a_i before the Smith form over ell.
+    ell is the input's field K itself for points of degree 1, else an
+    extension of K.  One matrix factorial of p terms, on the last r
+    columns of the identity, gives Y^{(p)}(0) in the bottom-right corner;
+    A_p(a) is similar to its negation, so the Smith form of the negated
+    corner is exactly the local similarity class.  A single point is
+    handled over ell itself.  Several points share one factorial over the
+    product ring of their minimal polynomials (z - a for a point of K).
+    When they all lie in F_p, that ring is split and kept in value form,
+    so the corner at a_i is read off coordinate i.  Otherwise each entry
+    of its corner is a polynomial in z, reduced over F_q modulo the
+    minimal polynomial of a_i and then evaluated at a_i before the Smith
+    form over ell.
     """
     if p is None:
         p = ell.char
@@ -200,7 +196,9 @@ def invariant_factors_at(inp, ell, points, p=None):
     else:
         for a in points:
             _check_pole(inp, ell, a)
-        mins = _minimal_polynomials(inp.K, ell, points)
+        # minimal polynomial over K of each distinct point
+        mins = {a: tuple(fields.minimal_polynomial(ell, a, inp.K.q))
+                for a in dict.fromkeys(points)}
         ring, coord = _product_ring(inp.K, mins)
         at = ring.gen
     if isinstance(inp, DiffSystem):

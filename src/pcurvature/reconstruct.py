@@ -10,7 +10,9 @@ with equality at good points; equal sums force equal factors.  Points
 attaining the elementwise minimal prefix sums thus specialize correctly
 and glue by Chinese remaindering.  The drivers differ only in their
 points: all small classes up to total degree F + D + 1 (deterministic),
-or random points of degree s (Monte Carlo, failure below epsilon).
+or random points of degree s (Monte Carlo, failure below epsilon).  Points
+of degree 1 are elements of F_q itself, so at degree 1 every step, from the
+pole checks to the lifts, runs over F_q and no extension field is built.
 """
 
 import itertools
@@ -142,6 +144,14 @@ def effective_params(inp, params):
     return replace(params, D=D, F=F)
 
 
+def _point_field(K, k):
+    """The field of the points of degree k over K: K itself when k = 1,
+    else K[u]/(f) for a seeded irreducible f of degree k."""
+    # called at k = 1 too (one cached test): perfbench reads the degree here
+    f = fields.find_irreducible(K, k)
+    return K if k == 1 else fields.ExtensionField(K, f)
+
+
 def _scaled_local_factors(inp, ell, points, p):
     """Local invariant factors at each point, rescaled to match the global
     object; one matrix factorial serves the whole batch.
@@ -160,17 +170,20 @@ def _scaled_local_factors(inp, ell, points, p):
 
 
 def _non_pole(inp, ell):
-    """Predicate on points of ell: the leading coefficient does not vanish."""
+    """Predicate on points of ell (K itself or an extension of it): the
+    leading coefficient does not vanish."""
     lead = [fields.embedding(inp.K, ell)(c) for c in _leading(inp)]
     return lambda a: polys.eval_at(ell, lead, a) != ell.zero
 
 
 def _reconstruct(inp, p, ell, s, points, k_sel, D):
-    """Bivariate invariant factors from non-pole points of degree s in ell.
+    """Bivariate invariant factors from non-pole points of degree s.
 
-    One matrix factorial gives the local factors at every point; the first
-    k_sel pairwise non-conjugate points with minimal prefix sums determine
-    each coefficient by CRT over the minimal polynomials of the a_i^p.
+    The points lie in ell, which is K itself when s = 1 and the extension
+    of K of degree s otherwise.  One matrix factorial gives the local
+    factors at every point; the first k_sel pairwise non-conjugate points
+    with minimal prefix sums determine each coefficient by CRT over the
+    minimal polynomials of the a_i^p (z - a_i^p when s = 1).
     """
     K = inp.K
     q = K.q
@@ -199,8 +212,8 @@ def _reconstruct(inp, p, ell, s, points, k_sel, D):
         factor = []
         for k in range(bivar.deg_T(g) + 1):
             residues = [
-                (mod, interp.lift_from_extension_value(ell, ap, fs[j][k],
-                                                       s - 1))
+                (mod, interp.lift_from_extension_value(
+                    K, ell, ap, fs[j][k], s - 1))
                 for mod, (ap, fs) in zip(moduli, points)]
             c = polys.trim(K, polys.interpolate_crt(K, residues, D))
             if polys.deg(c) > D:
@@ -228,7 +241,7 @@ def reconstruct_deterministic(inp, p, params=None):
     budget = params.F + params.D + 1
     k = 1
     while True:
-        ell = fields.ExtensionField(K, fields.find_irreducible(K, k))
+        ell = _point_field(K, k)
         ok = _non_pole(inp, ell)
         points, seen = [], set()
         for a in ell.elements():
@@ -265,7 +278,7 @@ def reconstruct_montecarlo(inp, p, params):
     K = inp.K
     s = params.s
     rng = random.Random(params.seed)
-    ell = fields.ExtensionField(K, fields.find_irreducible(K, s))
+    ell = _point_field(K, s)
     ok = _non_pole(inp, ell)
     points = []
     attempts = 0

@@ -167,6 +167,68 @@ def test_are_conjugate_matches_orbit_membership():
             assert fields.are_conjugate(L, a, b, 3) == (tuple(b) in orbit)
 
 
+F25 = fields.ExtensionField(F5, fields.find_irreducible(F5, 2))
+
+
+@pytest.mark.parametrize("K", [fields.PrimeField(101), F25],
+                         ids=["F_101", "F_25"])
+def test_degree_one_forms_match_a_degree_one_extension(K):
+    # over K itself (points of degree 1) the minimal polynomial is z - a
+    # and the orbit is [a], as over the extension of K of degree 1
+    E = fields.ExtensionField(K, fields.find_irreducible(K, 1))
+    rng = random.Random(7)
+    elems = [K.zero, K.one] + [K.random_elem(rng) for _ in range(12)]
+    for a in elems:
+        assert fields.frobenius_orbit(K, a, K.q) == [a]
+        m = fields.minimal_polynomial(K, a, K.q)
+        assert m == fields.minimal_polynomial(E, E.embed(a), K.q)
+        assert m == [K.neg(a), K.one]
+        for b in elems:
+            conj = fields.are_conjugate(K, a, b, K.q)
+            assert conj == fields.are_conjugate(E, E.embed(a), E.embed(b),
+                                                K.q)
+            assert conj == (a == b)
+    with pytest.raises(FieldMismatch):
+        fields.minimal_polynomial(K, K.one, K.char ** 3)
+
+
+def _general_product(L, a, b):
+    """a * b as a convolution reduced by the modulus, with no shortcut."""
+    return L.reduce_product(L.mul_unreduced(a, b))
+
+
+def _product_ring_13():
+    m = [F13.one]
+    for f in ([12, 1], [11, 1], [2, 0, 1]):
+        m = polys.mul(F13, m, f)
+    return fields.ExtensionField(F13, m)
+
+
+_CONSTANT_RINGS = {
+    "F_101^25": lambda: fields.ExtensionField(
+        fields.PrimeField(101),
+        fields.find_irreducible(fields.PrimeField(101), 25)),
+    "product ring over F_13": _product_ring_13,
+    "F_9 over F_3": lambda: F9,
+    "F_81 over F_9": lambda: fields.ExtensionField(
+        F9, fields.find_irreducible(F9, 2)),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_CONSTANT_RINGS))
+def test_mul_by_base_constant_matches_general_product(ring):
+    L = _CONSTANT_RINGS[ring]()
+    rng = random.Random(11)
+    consts = [L.zero, L.one] + [L.embed(L.base.random_elem(rng))
+                                for _ in range(6)]
+    for _ in range(20):
+        b = L.random_elem(rng)
+        for c in consts + [b]:
+            want = _general_product(L, c, b)
+            assert L.mul(c, b) == want
+            assert L.mul(b, c) == want
+
+
 def test_embedding_identity_and_constant():
     emb = fields.embedding(F5, F5)
     assert emb(F5.from_int(3)) == F5.from_int(3)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcurvature import fields, interp, polys
-from pcurvature.errors import (InsufficientModuli, ModuliNotCoprime,
-                               NoSolutionWithinBound, NotAGenerator)
+from pcurvature.errors import (FieldMismatch, InsufficientModuli,
+                               ModuliNotCoprime, NoSolutionWithinBound,
+                               NotAGenerator)
 from oracles import int_polyadd, int_polymul
 
 F13 = fields.PrimeField(13)
@@ -185,7 +186,7 @@ def test_power_basis_lift_round_trip(rng):
     for _ in range(10):
         c = polys.trim(F3, [F3.from_int(rng.randrange(3)) for _ in range(4)])
         v = polys.eval_at(ell, [ell.embed(x) for x in c], ap)
-        got = interp.lift_from_extension_value(ell, ap, v, 3)
+        got = interp.lift_from_extension_value(F3, ell, ap, v, 3)
         assert got == c
 
 
@@ -195,7 +196,31 @@ def test_power_basis_lift_respects_bound():
     c = [F3.zero, F3.zero, F3.zero, F3.one]
     v = polys.eval_at(ell, [ell.embed(x) for x in c], a)
     with pytest.raises(NoSolutionWithinBound):
-        interp.lift_from_extension_value(ell, a, v, 2)
+        interp.lift_from_extension_value(F3, ell, a, v, 2)
+
+
+@pytest.mark.parametrize("K", [
+    fields.PrimeField(101),
+    fields.ExtensionField(fields.PrimeField(5),
+                          fields.find_irreducible(fields.PrimeField(5), 2)),
+], ids=["F_101", "F_25"])
+def test_lift_over_the_base_field_itself(K):
+    # at points of degree 1 the lift is over K itself: the value, as a
+    # constant, as through the extension of K of degree 1
+    E = fields.ExtensionField(K, fields.find_irreducible(K, 1))
+    rng = random.Random(4)
+    for _ in range(10):
+        a, v = K.random_elem(rng), K.random_elem(rng)
+        got = interp.lift_from_extension_value(K, K, a, v, 0)
+        assert got == polys.trim(K, [v])
+        assert got == interp.lift_from_extension_value(
+            K, E, E.embed(a), E.embed(v), 0)
+    for L, a, v in ((K, K.one, K.one), (E, E.one, E.one)):
+        with pytest.raises(NoSolutionWithinBound):
+            interp.lift_from_extension_value(K, L, a, v, -1)
+    with pytest.raises(FieldMismatch):
+        interp.lift_from_extension_value(fields.PrimeField(7), E, E.one,
+                                         E.one, 0)
 
 
 def test_power_basis_rejects_non_generator():
@@ -213,12 +238,13 @@ def test_power_basis_cache_is_bounded():
               for b in range(1, 13) for a in range(13)][:size + 10]
     solver.cache_clear()
     for ap in points:
-        assert interp.lift_from_extension_value(ell, ap, ap, 1) == [
+        assert interp.lift_from_extension_value(F13, ell, ap, ap, 1) == [
             F13.zero, F13.one]
     assert solver.cache_info().currsize <= size
     hits = solver.cache_info().hits
     for _ in range(3):
-        interp.lift_from_extension_value(ell, points[-1], points[-1], 1)
+        interp.lift_from_extension_value(F13, ell, points[-1], points[-1],
+                                         1)
     assert solver.cache_info().hits == hits + 3
 
 

@@ -294,22 +294,52 @@ def test_deterministic_skips_bad_candidates(p, top, bottom, bad):
 
 def test_deterministic_builds_no_large_extension(monkeypatch):
     F263, F1019 = fields.PrimeField(263), fields.PrimeField(1019)
+    F2003 = fields.PrimeField(2003)
     F25 = cli.make_field(5, 2)
     det_op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", F1019)
+    mc_op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", F2003)
     m1 = F263.from_int(-1)
     det_sys = diffop.DiffSystem(F263, (1, 0, 1),
                                 (((), (1, 0, 1)), ((m1,), (0, m1))))
     order3 = cli.parse_operator("Dx^3 + -(4 + x^2)*Dx^1 + -(3+x^2)", F25)
-    seen = []
+    seen, built, muls = [], [], [0]
     find = fields.find_irreducible
+    init, mul = fields.ExtensionField.__init__, fields.ExtensionField.mul
 
     def recording(K, n):
         seen.append(n)
         return find(K, n)
 
+    def recording_init(self, base, modulus):
+        init(self, base, modulus)
+        built.append(self)
+
+    def counting_mul(self, a, b):
+        muls[0] += 1
+        return mul(self, a, b)
+
     monkeypatch.setattr(fields, "find_irreducible", recording)
-    for inp, p, most in ((det_op, 1019, 1), (det_sys, 263, 1),
-                         (order3, 5, 2)):
+    monkeypatch.setattr(fields.ExtensionField, "__init__", recording_init)
+    monkeypatch.setattr(fields.ExtensionField, "mul", counting_mul)
+
+    def solve(inp, p, mode):
         seen.clear()
-        reconstruct.reconstruct_deterministic(inp, p)
-        assert seen and max(seen) <= most, (p, seen)
+        built.clear()
+        muls[0] = 0
+        if mode == "det":
+            reconstruct.reconstruct_deterministic(inp, p)
+        else:
+            params = reconstruct.select_params(inp, epsilon=0.1, seed=1)
+            reconstruct.reconstruct_montecarlo(inp, p, params)
+
+    # points of F_p run over F_p itself: no extension, not even of degree 1
+    for inp, p, mode in ((det_op, 1019, "det"), (det_sys, 263, "det"),
+                           (mc_op, 2003, "mc")):
+        solve(inp, p, mode)
+        assert seen == [1], (p, seen)
+        assert (len(built), muls[0]) == (0, 0), (p, mode)
+    solve(order3, 5, "det")
+    assert seen and max(seen) <= 2, seen
+    # the batch's product ring F_25[z]/(m) is built too, but m is reducible
+    extensions = [L for L in built if fields.is_irreducible(L.base, L.modulus)]
+    assert extensions and max(L.degree for L in extensions) <= 2
