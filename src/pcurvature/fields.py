@@ -140,17 +140,10 @@ class PrimeField:
 
     def _polymul_kronecker(self, f, g):
         p = self.p
-        bound = (p - 1) * (p - 1) * min(len(f), len(g))
-        slot = (bound.bit_length() + 7) // 8
-        fb = b"".join(c.to_bytes(slot, "little") for c in f)
-        gb = b"".join(c.to_bytes(slot, "little") for c in g)
-        n_out = len(f) + len(g) - 1
-        prod = int.from_bytes(fb, "little") * int.from_bytes(gb, "little")
-        pb = prod.to_bytes(slot * (n_out + 1), "little")
-        return [
-            int.from_bytes(pb[i * slot:(i + 1) * slot], "little") % p
-            for i in range(n_out)
-        ]
+        # a slot sums min(len f, len g) products of residues
+        slot = _slot_bytes((p - 1) ** 2 * min(len(f), len(g)))
+        prod = _pack([f], slot, len(f)) * _pack([g], slot, len(g))
+        return [c % p for c in _unpack(prod, slot, len(f) + len(g) - 1)]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -246,8 +239,6 @@ class ExtensionField:
     may itself be an extension.
     """
 
-    NEWTON_CUTOFF = 24
-
     def __init__(self, base, modulus):
         modulus = polys.trim(base, modulus)
         if len(modulus) < 2:
@@ -261,11 +252,12 @@ class ExtensionField:
         self.zero = (base.zero,) * self.degree
         self.one = self._pad([base.one])
         self.key = ("ext", base.key, tuple(modulus))
-        self._srev_inv = None
         # products over a prime base pack into integers (matpoly_mul)
         self.packed = isinstance(base, PrimeField)
         if self.packed:
             self._init_reduction_rows()
+        else:
+            self._reducer = polys.MonicModReducer(base, modulus)
 
     def _pad(self, coeffs):
         n = self.degree
@@ -305,20 +297,11 @@ class ExtensionField:
         """Reduce a convolution (degree < 2*degree - 1) back to a tuple.
 
         Over a prime base the coefficients may be any ints, reduced mod p
-        or not.
+        or not; over any other base the modulus's MonicModReducer divides.
         """
         if self.packed:
             return self._reduce_ints(c)
-        base = self.base
-        if len(c) <= self.degree:
-            return self._pad(c)
-        if len(self.modulus) < self.NEWTON_CUTOFF:
-            return self._pad(polys.rem(base, c, self.modulus))
-        if self._srev_inv is None:
-            self._srev_inv = polys.series_inv(
-                base, self.modulus[::-1], self.degree)
-        return self._pad(polys.rem_monic_precomp(
-            base, c, self.modulus, self._srev_inv))
+        return self._pad(self._reducer.rem(c))
 
     def _init_reduction_rows(self):
         """Pack row j = u^(degree + j) mod S for j < degree - 1, so that a

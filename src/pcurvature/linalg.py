@@ -18,19 +18,20 @@ fewest.  A right factor of r columns (local_eval passes the r corner
 columns of the identity) makes each giant step and leftover factor an
 N x N by N x r product.
 
-Products go through the field where it has a fast path: matvec through
-K.dot, and matmul and matpoly_mul through K.matpoly_mul when K is `packed`,
-else matmul through K.dot.  A packed K is an extension F_p[u]/S, which sums
-each row-by-column inner product of polynomials as integers and reduces
-each output coefficient once, or a split ring F_p^n (fields.SplitRing),
-which runs one Kronecker product per coordinate and multiplies constant
-matrices pointwise.  So over a packed K the baby steps and the giant steps
-both run in packed integers or pointwise.  The evaluation points lie in
-F_p, so the subproduct tree of the multipoint evaluation has F_p
-coefficients, and all N^2 entries of the baby-step product go down it in
-one SubproductTree.evaluate call: each node's remainder, and the direct
-evaluation below BASE_CASE points, works on every coordinate of every
-entry at once in packed integers, with no reduction mod S.
+Every inner product of field elements is one K.dot, which every field
+object has: matvec always, and matmul unless K is `packed`.  Over a packed
+K, matmul and matpoly_mul go through K.matpoly_mul.  A packed K is an
+extension F_p[u]/S, which sums each row-by-column inner product of
+polynomials as integers and reduces each output coefficient once, or a
+split ring F_p^n (fields.SplitRing), which runs one Kronecker product per
+coordinate and multiplies constant matrices pointwise.  So over a packed K
+the baby steps and the giant steps both run in packed integers or
+pointwise.  On any field, all N^2 entries of the baby-step product go
+down one subproduct tree in one SubproductTree.evaluate call.  Over a
+packed K the evaluation points lie in F_p, so the tree has F_p
+coefficients: each node's remainder, and the direct evaluation below
+BASE_CASE points, works on every coordinate of every entry at once in
+packed integers, with no reduction mod S.
 """
 
 import math
@@ -62,32 +63,13 @@ def matmul(K, A, B):
                           [[[b] for b in row] for row in B])
         return [[e[0] if e else K.zero for e in row] for row in C]
     cols = list(zip(*B))
-    if hasattr(K, "dot"):
-        return [[K.dot(row, col) for col in cols] for row in A]
-    out = []
-    for row in A:
-        orow = []
-        for col in cols:
-            acc = K.zero
-            for a, b in zip(row, col):
-                acc = K.add(acc, K.mul(a, b))
-            orow.append(acc)
-        out.append(orow)
-    return out
+    return [[K.dot(row, col) for col in cols] for row in A]
 
 
 def matvec(K, A, v):
     if len(v) != len(A[0]):
         raise DimensionMismatch("matrix and vector sizes do not match")
-    if hasattr(K, "dot"):
-        return [K.dot(row, v) for row in A]
-    out = []
-    for row in A:
-        acc = K.zero
-        for a, b in zip(row, v):
-            acc = K.add(acc, K.mul(a, b))
-        out.append(acc)
-    return out
+    return [K.dot(row, v) for row in A]
 
 
 def mat_map(f, A):
@@ -174,13 +156,10 @@ def matrix_factorial(K, B, count, right=None):
     baby = _baby_steps(K, B, s)
     g = count // s
     pts = [K.from_int(j * s) for j in range(g)]
-    entries = [e for row in baby for e in row]
-    if g >= 8 or getattr(K, "packed", False):
-        vals = polys.SubproductTree(K, pts).evaluate(entries)
-    else:
-        vals = [[polys.eval_at(K, e, a) for a in pts] for e in entries]
+    vals = polys.SubproductTree(K, pts).evaluate(
+        [e for row in baby for e in row])
     # only the values feed the giant steps; free the product
-    del baby, entries
+    del baby
     for j in range(g):
         step = [[vals[i * n + k][j] for k in range(n)] for i in range(n)]
         acc = matmul(K, step, acc)

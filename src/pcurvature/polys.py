@@ -11,6 +11,11 @@ delayed modular reduction in extensions).  On a packed ring, a Taylor
 shift by an F_p constant dispatches likewise to K.coords_shift, and a
 multipoint evaluation at F_p points to K.rows_rem and K.rows_at.
 Everything else here is generic.
+
+Every division by a fixed monic modulus goes through MonicModReducer,
+which keeps the Newton inverse of the reversed modulus: powers modulo m,
+the reduction of an extension over a non-prime base, and each node of the
+subproduct tree, whose inverse also feeds K.rows_rem.
 """
 
 import itertools
@@ -184,11 +189,16 @@ def eval_at(K, f, a):
 
 
 class MonicModReducer:
-    """Repeated remaindering by one fixed modulus, Newton inverse cached.
+    """Remainders by one fixed monic modulus m, the package's one division
+    by a fixed modulus.
 
-    The cached inverse has precision deg m, enough for any input of degree
-    below 2*deg m (products of two reduced operands); longer inputs fall
-    back to plain division.
+    From deg m = NEWTON_CUTOFF on, a remainder comes from the quotient by
+    the reversal trick (rem_monic_precomp), which needs the inverse of the
+    reversal of m to the quotient's length.  The reducer keeps that inverse
+    and grows it on demand to the longest quotient asked for (`inverse`).
+    rem asks for at least deg m, which serves every product of two reduced
+    operands, so a run of such products costs one Newton iteration.  Below
+    the cutoff, schoolbook division is faster.
     """
 
     NEWTON_CUTOFF = 24
@@ -197,18 +207,23 @@ class MonicModReducer:
         self.K = K
         self.m = monic(K, m)
         self.dm = len(self.m) - 1
-        self._inv = None
+        self._inv, self._prec = [], 0
+
+    def inverse(self, prec):
+        """inv(rev(m)) modulo x^prec, or to the higher precision kept."""
+        if prec > self._prec:
+            self._inv = series_inv(self.K, self.m[::-1], prec)
+            self._prec = prec
+        return self._inv
 
     def rem(self, f):
         K, m = self.K, self.m
-        excess = len(f) - len(m) + 1
+        excess = len(f) - self.dm
         if excess <= 0:
             return list(f)
-        if self.dm < self.NEWTON_CUTOFF or excess > self.dm:
+        if self.dm < self.NEWTON_CUTOFF:
             return rem(K, f, m)
-        if self._inv is None:
-            self._inv = series_inv(K, m[::-1], self.dm)
-        return rem_monic_precomp(K, f, m, self._inv)
+        return rem_monic_precomp(K, f, m, self.inverse(max(excess, self.dm)))
 
 
 def pow_mod(K, f, e, m, reducer=None):
@@ -316,8 +331,9 @@ def rem_monic_precomp(K, f, m, m_rev_inv):
 class SubproductTree:
     """Balanced product tree over the moduli (x - a_i), for batch evaluation.
 
-    Nodes store their modulus and, above a size cutoff, the inverse of its
-    reversal for fast repeated remaindering.
+    Every node is a MonicModReducer for the product of its points, so a
+    polynomial goes down the tree by node.rem, and each node keeps the
+    inverse of its reversal at the precision its longest quotient needs.
 
     Over a `packed` K (F_p[u]/S in the monomial basis, see
     fields.ExtensionField, or F_p^n in value form, fields.SplitRing) with
@@ -325,12 +341,12 @@ class SubproductTree:
     over F_p, and the n coordinates of every polynomial of one evaluate
     call go down it together, as polynomials (rows) over F_p, kept column
     by column.  Each node above BASE_CASE points divides all rows at once
-    (K.rows_rem, linear in the number of rows); the first node of at most
-    BASE_CASE points evaluates the rows it receives at its points directly
-    (K.rows_at).  Nothing is reduced mod S.
+    (K.rows_rem, with node.inverse(k) for quotients of length k, linear in
+    the number of rows); the first node of at most BASE_CASE points
+    evaluates the rows it receives at its points directly (K.rows_at).
+    Nothing is reduced mod S.
     """
 
-    NEWTON_CUTOFF = 24
     BASE_CASE = 32
 
     def __init__(self, K, points):
@@ -351,26 +367,8 @@ class SubproductTree:
             if len(prev) % 2:
                 nxt.append(prev[-1])
             levels.append(nxt)
-        self.R = R
-        self.levels = levels
-        self._inv_cache = {}
-
-    def _rev_inv(self, m, key, prec):
-        """inv(rev(m)) to at least precision prec, kept per node."""
-        cached = self._inv_cache.get(key)
-        if cached is None or cached[1] < prec:
-            cached = (series_inv(self.R, m[::-1], prec), prec)
-            self._inv_cache[key] = cached
-        return cached[0]
-
-    def _rem(self, f, m, key):
-        K = self.K
-        excess = len(f) - len(m) + 1
-        if excess <= 0:
-            return list(f)
-        if len(m) - 1 <= 1 or len(m) < self.NEWTON_CUTOFF:
-            return rem(K, f, m)
-        return rem_monic_precomp(K, f, m, self._rev_inv(m, key, excess))
+        self.levels = [[MonicModReducer(R, m) for m in level]
+                       for level in levels]
 
     def evaluate(self, fs):
         """Values of each polynomial of fs at every point, one list each.
@@ -391,7 +389,7 @@ class SubproductTree:
             return vals
 
         def descend(level, idx, g):
-            g = self._rem(g, self.levels[level][idx], (level, idx))
+            g = self.levels[level][idx].rem(g)
             if level == 0:
                 vals[idx] = g[0] if g else K.zero
                 return
@@ -420,10 +418,9 @@ class SubproductTree:
                 at[first:first + size] = K.rows_at(
                     cols, self._pts[first:first + size])
                 return
-            m = self.levels[level][idx]
-            if len(cols) >= len(m):
-                cols = K.rows_rem(cols, m, self._rev_inv(
-                    m, (level, idx), len(cols) - len(m) + 1))
+            node = self.levels[level][idx]
+            cols = K.rows_rem(cols, node.m,
+                              node.inverse(len(cols) - node.dm))
             lo = 2 * idx
             descend(level - 1, lo, cols)
             if lo + 1 < len(self.levels[level - 1]):

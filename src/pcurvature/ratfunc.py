@@ -104,6 +104,12 @@ class RatFuncField:
     def div(self, r, t):
         return self.mul(r, self.inv(t))
 
+    def dot(self, xs, ys):
+        acc = self.zero
+        for a, b in zip(xs, ys):
+            acc = self.add(acc, self.mul(a, b))
+        return acc
+
     def derivative(self, r):
         a, b = list(r[0]), list(r[1])
         K = self.coeff

@@ -369,3 +369,50 @@ def test_reduction_on_ints_matches_polynomial_remainder(n):
             # any ints that are congruent mod p reduce alike
             assert R.reduce_product([x + 2003 * rng.randrange(-9, 10**9)
                                      for x in c]) == want
+
+
+def test_non_packed_newton_reduction_matches_polynomial_remainder():
+    # over F_9 a modulus of degree 25 is past the Newton cutoff, so mul,
+    # dot and polymul reduce through the inverse of its reversal; any monic
+    # modulus gives a ring, so it need not be irreducible
+    rng = random.Random(25)
+    m = [F9.random_elem(rng) for _ in range(25)] + [F9.one]
+    assert len(m) - 1 >= polys.MonicModReducer.NEWTON_CUTOFF
+    R = fields.ExtensionField(F9, m)
+    assert not R.packed
+
+    def product(a, b):
+        return polys.mul_schoolbook(F9, polys.trim(F9, list(a)),
+                                    polys.trim(F9, list(b)))
+
+    def reduced(c):
+        return tuple(polys.rem(F9, c, m) + [F9.zero] * 25)[:25]
+
+    for _ in range(3):
+        a, b = R.random_elem(rng), R.random_elem(rng)
+        assert R.mul(a, b) == reduced(product(a, b))
+        xs = [R.random_elem(rng) for _ in range(4)]
+        ys = [R.random_elem(rng) for _ in range(4)]
+        acc = []
+        for x, y in zip(xs, ys):
+            acc = polys.add(F9, acc, product(x, y))
+        assert R.dot(xs, ys) == reduced(acc)
+        f = [R.random_elem(rng) for _ in range(3)]
+        g = [R.random_elem(rng) for _ in range(4)]
+        want = [[] for _ in range(len(f) + len(g) - 1)]
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                want[i + j] = polys.add(F9, want[i + j], product(x, y))
+        assert R.polymul(f, g) == polys.trim(R, [reduced(c) for c in want])
+
+
+@pytest.mark.parametrize("p", [2, 1019, 10**9 + 7])
+def test_kronecker_product_matches_schoolbook(p):
+    # slots of 1, 4 and more than 8 bytes; all p - 1 is the widest sum
+    K = fields.PrimeField(p)
+    rng = random.Random(p)
+    for la, lb in ((16, 16), (16, 41), (130, 17), (300, 300)):
+        for f, g in (([rng.randrange(p) for _ in range(la - 1)] + [1],
+                      [rng.randrange(p) for _ in range(lb - 1)] + [p - 1]),
+                     ([p - 1] * la, [p - 1] * lb)):
+            assert K.polymul(f, g) == polys.mul_schoolbook(K, f, g)

@@ -63,3 +63,26 @@ def test_import_graph_runs_one_way():
     engine_on_nilprofile = sorted(
         m for m in ENGINE if "nilprofile" in _reachable(graph, m))
     assert engine_on_nilprofile == []
+
+
+def test_fixed_modulus_division_lives_in_one_class():
+    # NEWTON_CUTOFF is set once, and only MonicModReducer calls the Newton
+    # primitives, so every division by a fixed modulus shares one cutoff
+    # and one kind of inverse cache
+    newton = {"series_inv", "rem_monic_precomp"}
+    cutoffs, callers = [], set()
+    for path in sorted(PKG.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = ".".join([path.stem] + (
+                [top.name] if hasattr(top, "name") else []))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    if getattr(f, "id", getattr(f, "attr", None)) in newton:
+                        callers.add(owner)
+                elif (isinstance(getattr(node, "ctx", None), ast.Store)
+                      and "NEWTON_CUTOFF" in (getattr(node, "id", None),
+                                              getattr(node, "attr", None))):
+                    cutoffs.append(owner)
+    assert cutoffs == ["polys.MonicModReducer"]
+    assert callers == {"polys.MonicModReducer"}

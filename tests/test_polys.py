@@ -135,6 +135,24 @@ def test_series_inverse(f, n):
     assert all(c == F13.zero for c in prod[1:n])
 
 
+@pytest.mark.parametrize("dm", [23, 24])
+def test_reducer_grows_its_inverse_for_long_inputs(dm):
+    # schoolbook below the Newton cutoff (deg m = 23), Newton from it on
+    # (24).  A short input first caches a lower precision; inputs longer
+    # than 2 deg m then need more, and a later shorter one reuses it
+    K = fields.PrimeField(1019)
+    rng = random.Random(dm)
+    m = [K.random_elem(rng) for _ in range(dm)] + [K.one]
+    red = polys.MonicModReducer(K, m)
+    for length in (dm + 3, 2 * dm + 1, 5 * dm, 3 * dm):
+        f = [K.random_elem(rng) for _ in range(length - 1)] + [K.one]
+        assert red.rem(f) == polys.rem(K, f, m)
+    for prec in (5, 2 * dm, 3):
+        inv = red.inverse(prec)
+        assert polys.mul(K, m[::-1], inv)[:prec] == [K.one] + [K.zero] * (
+            prec - 1)
+
+
 def test_multipoint_eval_matches_pointwise(rng):
     pts = [F13.from_int(i) for i in range(13)]
     for _ in range(5):
