@@ -159,7 +159,11 @@ def _slot_bytes(bound):
     """Bytes per slot that hold any int in [0, bound].  Widths up to 8 are
     rounded up to a machine integer, which packs and unpacks as an array."""
     nbytes = (bound.bit_length() + 7) // 8
-    return next((w for w in (1, 2, 4, 8) if w >= nbytes), nbytes)
+    return _WORD_BYTES[nbytes] if nbytes <= 8 else nbytes
+
+
+# the machine-integer width that holds a given number of bytes
+_WORD_BYTES = (1, 1, 2, 4, 4, 8, 8, 8, 8)
 
 
 # array type codes by item size; the slots are little-endian
@@ -465,17 +469,17 @@ class ExtensionField:
         of every row.  m_rev_inv inverts the reversal of m to at least the
         quotient length k.  Each row's k high coefficients fill 2k - 1
         slots of one integer; one product with the reversed inverse gives
-        every quotient (Barrett), and its first min(k, deg m) slots times
-        -m give the remainders."""
+        every quotient (Barrett), and its first min(k, deg m) slots,
+        reduced mod p, times -m give the remainders."""
         p, d = self.base.p, len(m) - 1
         k = len(cols) - d
         if k <= 0:
             return cols
         count, top = len(cols[0]), min(k, d)
         # a quotient slot sums k products of residues; a slot of the
-        # remainder adds to a residue at most min(k, d) quotient slots,
-        # each times a residue
-        slot = _slot_bytes(k * top * (p - 1) ** 3 + p - 1)
+        # remainder adds to a residue at most min(k, d) products of a
+        # reduced quotient slot and a residue
+        slot = _slot_bytes(k * (p - 1) ** 2)
         W, V = 2 * k - 1, top + d - 1
         hi = [0] * (count * W)
         for j, col in enumerate(cols[d:]):
@@ -487,8 +491,9 @@ class ExtensionField:
         del hi  # each buffer is freed once used, for a lower peak memory
         quo = [0] * (count * V)
         for i in range(top):
-            quo[i::V] = prod[k - 1 + i::W]
+            quo[i::V] = [x % p for x in prod[k - 1 + i::W]]
         del prod
+        slot = _slot_bytes(top * (p - 1) ** 2 + p - 1)
         neg_m = [p - c if c else 0 for c in m[:d]]
         low = _unpack(_pack([quo], slot, count * V) * _pack([neg_m], slot, d),
                       slot, count * V)

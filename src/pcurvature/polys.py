@@ -344,7 +344,9 @@ class SubproductTree:
     (K.rows_rem, with node.inverse(k) for quotients of length k, linear in
     the number of rows); the first node of at most BASE_CASE points
     evaluates the rows it receives at its points directly (K.rows_at).
-    Nothing is reduced mod S.
+    Nothing is reduced mod S, and no node of at most BASE_CASE points is
+    ever divided by: their products are built only to form the larger
+    nodes, and none is built when the root has at most BASE_CASE points.
     """
 
     BASE_CASE = 32
@@ -358,6 +360,11 @@ class SubproductTree:
             map(K.is_constant, self.points))
         R, self._pts = ((K.base, [K.project(a) for a in self.points])
                         if self.packed else (K, self.points))
+        # levels[l][i] is node (l, i), or None where the packed descent
+        # evaluates directly
+        if self.packed and len(self._pts) <= self.BASE_CASE:
+            self.levels = []
+            return
         levels = [[[R.neg(a), R.one] for a in self._pts]]
         while len(levels[-1]) > 1:
             prev = levels[-1]
@@ -367,8 +374,9 @@ class SubproductTree:
             if len(prev) % 2:
                 nxt.append(prev[-1])
             levels.append(nxt)
-        self.levels = [[MonicModReducer(R, m) for m in level]
-                       for level in levels]
+        small = self.BASE_CASE if self.packed else 0
+        self.levels = [[MonicModReducer(R, m) if len(m) - 1 > small else None
+                        for m in level] for level in levels]
 
     def evaluate(self, fs):
         """Values of each polynomial of fs at every point, one list each.
@@ -423,10 +431,10 @@ class SubproductTree:
                               node.inverse(len(cols) - node.dm))
             lo = 2 * idx
             descend(level - 1, lo, cols)
-            if lo + 1 < len(self.levels[level - 1]):
+            if (lo + 1) << (level - 1) < total:
                 descend(level - 1, lo + 1, cols)
 
-        descend(len(self.levels) - 1, 0, cols)
+        descend((total - 1).bit_length(), 0, cols)
         return [list(vals) for vals in zip(*at)]
 
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pcurvature import fields, linalg, polys
+from pcurvature import diffop, fields, linalg, local_eval, polys
 from pcurvature.errors import NotSquare
 from oracles import (CountingPrimeField, matmul_schoolbook,
                      matpoly_mul_schoolbook, matrix_factorial_sequential,
@@ -247,8 +247,8 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
     # every coefficient p - 1, at 64 points: the root divides and its
     # children evaluate its length-64 remainder directly.  The slots of
     # both hold more than 8 bytes, and at this size leaving the quotient
-    # length (the factor k * min(k, d)) out of the remainder's slot width,
-    # or the row length out of the direct step's, makes them too narrow
+    # length k out of the quotient's slot width, or the row length out of
+    # the direct step's, makes them too narrow
     p = 1000000007
     L = _extension(p, 3)
     f = [tuple([p - 1] * 3)] * 128
@@ -358,15 +358,85 @@ _LONG_ENTRY_RINGS = {
 
 
 @pytest.mark.parametrize("ring", sorted(_LONG_ENTRY_RINGS))
-def test_matrix_factorial_of_entries_longer_than_p(ring, rng):
-    # at count 17, s = 4: the doubling shifts entries of length 19 > 17,
+def test_matrix_factorial_of_entries_longer_than_p(ring, rng, monkeypatch):
+    # at count 100, s = 4: the doubling shifts entries of length 19 > 17,
     # where the factorials of the convolution are not all units
     L = _LONG_ENTRY_RINGS[ring]()
+    lengths = []
+    taylor_shift = polys.taylor_shift
+
+    def recording(K, f, a):
+        lengths.append(len(f))
+        return taylor_shift(K, f, a)
+    monkeypatch.setattr(polys, "taylor_shift", recording)
     for _ in range(5):
         B = [[[L.random_elem(rng) for _ in range(9)] + [L.one]
               for _ in range(2)] for _ in range(2)]
-        got = linalg.matrix_factorial(L, B, 17)
-        assert got == matrix_factorial_sequential(L, B, 17, polys.eval_at)
+        got = linalg.matrix_factorial(L, B, 100)
+        assert got == matrix_factorial_sequential(L, B, 100, polys.eval_at)
+    assert max(lengths) > L.char
+
+
+def _bench_batch(system, p):
+    """Ring, recurrence matrix and corner of a det batch of 29 points of
+    F_p, as local_eval builds them for the workload operator
+    (x^2 + 1) Dx^2 + x Dx + 1 or for its companion system."""
+    K = fields.PrimeField(p)
+    ring = fields.SplitRing(K, range(1, 30))
+    x2p1 = (K.one, K.zero, K.one)
+    if system:
+        inp = diffop.DiffSystem(K, x2p1, (((), x2p1),
+                                          ((K.neg(K.one),), (K.zero,
+                                                             K.neg(K.one)))))
+        rec = local_eval.build_B_system(inp, ring, ring.gen)
+    else:
+        inp = diffop.DiffOperator(K, ((K.one,), (K.zero, K.one), x2p1))
+        rec = local_eval.build_B_operator(inp, ring, ring.gen)
+    return ring, rec.entries, rec.corner
+
+
+def test_baby_step_length_prices_the_doubling():
+    # det-sys's shape (N = 6, d = 2, r = 2, count = 263): once the
+    # doubling's products are priced, s falls below the 20 of the window
+    # around sqrt(count), which weighed only giant steps and leftovers
+    ring, B, r = _bench_batch(True, 263)
+    assert (len(B), len(ring.gen), r) == (6, 29, 2)
+    assert max(len(e) for row in B for e in row) == 3
+    s = linalg.baby_step_length(ring, B, 263, r)
+    assert s < 16, s
+    # a pure function of the shape: the same s again, and from equal inputs
+    assert linalg.baby_step_length(ring, B, 263, r) == s
+    assert linalg.baby_step_length(*_bench_batch(True, 263)[:2], 263, r) == s
+    # det-op's shape: the leftover factors take at most 5 evaluations
+    ring, B, r = _bench_batch(False, 1019)
+    s = linalg.baby_step_length(ring, B, 1019, r)
+    assert len(linalg._leftover_parts(s, 1019 % s)) <= 5, s
+
+
+@pytest.mark.parametrize("ring", sorted(_RINGS))
+@pytest.mark.parametrize("s, count", [(13, 100), (6, 23), (1, 16)])
+def test_matrix_factorial_leftovers_as_chain_prefixes(ring, s, count, rng,
+                                                      monkeypatch):
+    # at a forced s the leftover factors go as evaluations of P_6 and P_3,
+    # of P_3 and twice B, and not at all
+    L = _RINGS[ring]()
+    B = [[polys.trim(L, [L.random_elem(rng) for _ in range(3)])
+          for _ in range(2)] for _ in range(2)]
+    monkeypatch.setattr(linalg, "baby_step_length", lambda *args: s)
+    got = linalg.matrix_factorial(L, B, count)
+    assert got == matrix_factorial_sequential(L, B, count, polys.eval_at)
+
+
+@pytest.mark.parametrize("s", [1, 2, 5, 16, 37, 64, 100])
+def test_leftover_parts_are_chain_prefixes(s):
+    # every t < s splits into prefixes s >> j of the doubling chain, at
+    # most two of each
+    prefixes = {s >> j for j in range(1, s.bit_length())}
+    for t in range(s):
+        parts = linalg._leftover_parts(s, t)
+        assert sum(parts) == t
+        assert set(parts) <= prefixes
+        assert all(parts.count(k) <= 2 for k in parts)
 
 
 @pytest.mark.parametrize("ring", sorted(_RINGS))

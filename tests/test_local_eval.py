@@ -277,8 +277,11 @@ def _factorial_calls(p, name, monkeypatch):
 
 def test_baby_steps_double_and_leave_few_factors(monkeypatch):
     # at most two polynomial-matrix products per bit of s, and few
-    # leftover factors at p = 1019
-    s = linalg.baby_step_length(10007)
+    # leftover evaluations at p = 1019; s is chosen as matrix_factorial
+    # chooses it, for the recurrence matrix and corner of this evaluation
+    K = fields.PrimeField(10007)
+    rec = local_eval.build_B_operator(_c07_operator(K), K, K.from_int(2))
+    s = linalg.baby_step_length(K, rec.entries, 10007, rec.corner)
     products = _factorial_calls(10007, "matpoly_mul", monkeypatch)
     assert products <= 2 * (s.bit_length() - 1), (s, products)
     assert _factorial_calls(1019, "matpoly_eval", monkeypatch) <= 5

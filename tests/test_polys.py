@@ -163,6 +163,30 @@ def test_multipoint_eval_matches_pointwise(rng):
         assert got == [want]
 
 
+@pytest.mark.parametrize("count, divisors", [(31, 0), (32, 0), (33, 1),
+                                             (100, 3)])
+def test_packed_tree_builds_only_the_nodes_it_divides_by(count, divisors,
+                                                         monkeypatch):
+    # over a packed ring the descent evaluates every node of at most
+    # BASE_CASE points directly: with no larger node nothing is built,
+    # else one reducer for each larger node (100 = 64 + 36 points)
+    built = []
+    reducer = polys.MonicModReducer
+
+    def recording(K, m):
+        built.append(len(m) - 1)
+        return reducer(K, m)
+    monkeypatch.setattr(polys, "MonicModReducer", recording)
+    K = fields.PrimeField(1019)
+    ring = fields.SplitRing(K, range(1, 4))
+    pts = [ring.from_int(3 * j) for j in range(count)]
+    tree = polys.SubproductTree(ring, pts)
+    assert len(built) == divisors
+    assert all(size > tree.BASE_CASE for size in built)
+    f = [ring.from_int(j * j + 1) for j in range(2 * count)]
+    assert tree.evaluate([f]) == [[polys.eval_at(ring, f, a) for a in pts]]
+
+
 def test_format_poly_pins():
     assert polys.format_poly(F13, []) == "0"
     assert polys.format_poly(F13, [F13.from_int(1)]) == "1"
