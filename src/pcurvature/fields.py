@@ -10,25 +10,53 @@ coefficients are packed into one big integer per operand (Kronecker
 substitution) so the convolution happens inside CPython's long
 multiplication, and extensions delay the modular reduction so a dot product
 of k element pairs costs k packed convolutions but a single reduction.
-Over an extension of F_p the same holds for matrices of polynomials in t:
-each entry packs both variables into one integer, each row-by-column inner
-product of k terms is k integer products summed, and each output
-coefficient is reduced once.  That reduction is itself one integer sum of
-the packed rows u^(n+j) mod S.  A Taylor shift in t by an F_p constant
-(coords_shift) never reduces mod S: for a polynomial of length L <= p it
-is one convolution with F_p constants, a single integer product of each
-u-coordinate's scaled coefficients with the packed c^m/m!.  Nor does the
-multipoint evaluation at F_p points (rows_rem, rows_at), which acts on
-rows of F_p coefficients, one per u-coordinate and polynomial.
+
+Both packed rings, an ExtensionField over F_p and a SplitRing, keep a
+matrix of polynomials in t in row form (MatrixRows): one row over F_p per
+coordinate of each nonzero entry, kept column by column in arrays of
+machine integers.  Their kernels read and write that form without
+crossing into tuples.  matpoly_mul packs its factors straight from the
+columns: over F_p[u]/S each entry packs both variables into one integer,
+each row-by-column inner product of k terms is k integer products summed,
+and each output coefficient is reduced once, by one integer sum of the
+packed rows u^(n+j) mod S.  shift_rows shifts the whole matrix in t by an
+F_p constant with no reduction mod S: shifted column j is one sum of the
+packed columns times F_p constants, for entries no longer than p.  Nor
+does the multipoint evaluation at F_p points (rows_rem, rows_at) reduce
+mod S.
 
 A SplitRing is F_p[z]/S for S a product of distinct linear factors z - a_i,
 kept in value form: an element is the tuple of its values at the a_i, so
 the ring is F_p^n and nothing is ever reduced mod S.  A product of matrices
 of polynomials in t is one Kronecker product over F_p per coordinate and
-pair of entries, on integers n times shorter than the packed kernel's
-(which also needs 2n - 1 slots per t-coefficient), and constant matrices
-multiply pointwise.  coords_shift, rows_rem and rows_at act on each
-coordinate alone, so the split ring shares them with ExtensionField.
+pair of nonzero entries, on integers n times shorter than the packed
+kernel's (which also needs 2n - 1 slots per t-coefficient), and constant
+matrices multiply pointwise.  The row form, shift_rows, rows_rem and
+rows_at act on each coordinate alone, so the split ring shares them with
+ExtensionField.
+
+Slot widths.  Every packed product sizes its slots for the largest sum a
+slot can hold.  A slot of up to 8 bytes packs and unpacks in one array
+pass; a wider one unpacks slot by slot in Python.  For entries of length
+L (la and lb for two factors), N x N matrices, a ring of degree n, and
+quotients of length k by an m over F_p, the bounds and the bits they
+reached on the det and mc batches of the workload operator, its companion
+system and sym2 (N = 4, 6 and 9), at the planner's s, are:
+
+    kernel                       bound                    2^10 2^16 2^18 2^20
+    shift_rows                   L (p-1)^2                  24   39   44   49
+    SplitRing.matpoly_mul        min(la, lb) N (p-1)^2      27   42   47   51
+    ExtensionField.matpoly_mul   n min(la, lb) N (p-1)^2    log2 n bits more
+    rows_rem, first product      k (p-1)^2                   -   39   44   50
+    rows_rem, second product     min(k, deg m) (p-1)^2 + p-1 -  39   44   50
+    rows_at                      L (p-1)^2                  26   40   45   50
+    ExtensionField.matmul        n N (p-1)^2               2 log2 p + log2 nN
+
+(rows_rem shows the larger of its two products.)  The first six grow by
+about 2.5 bits per doubling of p, as L and k grow like sqrt p, so they
+stay within 8 bytes up to about p = 2^25 (2^26 for shift_rows, 2^23 for
+ExtensionField.matpoly_mul at n = 18).  ExtensionField.matmul does up to
+p = 2^28 at nN = 162.
 """
 
 import array
@@ -39,7 +67,7 @@ import random
 import sys
 
 from . import polys
-from .errors import FieldMismatch, NonPrime
+from .errors import DimensionMismatch, FieldMismatch, NonPrime
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -220,6 +248,74 @@ def _unpack(x, slot, count):
     return _unpack_bytes(x.to_bytes(slot * count, "little"), slot)
 
 
+def _column(values, p):
+    """A column of residues mod p: an array of machine integers when p - 1
+    fits one, else a list."""
+    code = _TYPECODES.get(_slot_bytes(p - 1))
+    return array.array(code, values) if code else list(values)
+
+
+def _column_bytes(col, p):
+    """A column's residues as little-endian bytes, and the bytes each."""
+    if isinstance(col, list):
+        item = _slot_bytes(p - 1)
+        return b"".join([x.to_bytes(item, "little") for x in col]), item
+    if _SWAP:
+        col = array.array(col.typecode, col)
+        col.byteswap()
+    return col.tobytes(), col.itemsize
+
+
+def _pack_cols(cols, slot, width, p, n=1, block=1):
+    """Little-endian bytes of rows over F_p given column by column (see
+    MatrixRows): row r = n*e + c of column i fills slot
+    e*width + i*block + c, and every other slot is zero.  With n = block
+    = 1, row r takes the slots from r*width on, as _pack lays out one
+    block per row.  Residues move byte by byte, so no int is created and
+    a slot of any width packs in one pass per byte."""
+    out = bytearray(slot * width * (len(cols[0]) // n if cols else 0))
+    step = slot * width
+    for i, col in enumerate(cols):
+        buf, item = _column_bytes(col, p)
+        for c in range(n):
+            at = (i * block + c) * slot
+            for b in range(item):
+                out[at + b::step] = buf[c * item + b::n * item]
+    return out
+
+
+def _split_ints(buf, width):
+    """The integers of consecutive little-endian blocks of width bytes."""
+    return [int.from_bytes(buf[k:k + width], "little")
+            for k in range(0, len(buf), width or 1)]
+
+
+class MatrixRows:
+    """A matrix of polynomials in t over a packed ring, as rows over F_p
+    kept column by column: the layout of every baby-step kernel.
+
+    Only nonzero entries have rows.  entries[k] is the position
+    i * shape[1] + j of the k-th of them, and its coordinate c is row
+    n*k + c, for n the ring's degree; cols[i] holds coefficient i of
+    every row (built by _column), so there are as many columns as the
+    longest entry has coefficients, and lengths[k] bounds the length of
+    entry k.  A ring's rows_of and matrix_of convert from and to nested
+    lists of polynomials.
+    """
+
+    __slots__ = ("shape", "entries", "lengths", "cols")
+
+    def __init__(self, shape, entries, lengths, cols):
+        self.shape = shape
+        self.entries = entries
+        self.lengths = lengths
+        self.cols = cols
+
+    def __len__(self):
+        """The number of nonzero entries."""
+        return len(self.entries)
+
+
 def _factorials_mod(p, n):
     """i! and 1/i! modulo the prime p for i < n <= p."""
     fact = [1] * n
@@ -230,6 +326,49 @@ def _factorials_mod(p, n):
     for i in range(n - 1, 1, -1):
         inv[i - 1] = inv[i] * i % p
     return fact, inv
+
+
+def _inner_terms(A, B):
+    """Bound on the products of residues that one coefficient of an entry
+    of the product of MatrixRows A and B sums, per ring coordinate."""
+    la, lb = max(A.lengths, default=0), max(B.lengths, default=0)
+    return max(min(la, lb), 1) * A.shape[1]
+
+
+def _entry_products(A, B, left, right, n):
+    """The nonzero entries of the product of MatrixRows A and B.
+
+    left[n*k + c] is an integer for coordinate c of entry k of A, and
+    right likewise for B.  Returns the shape, positions and length bounds
+    of the product's entries, and per entry an iterator over its n sums of
+    products left * right, one per coordinate, which computes them as it
+    goes.  Pairs with a zero factor are never formed."""
+    (rows, inner), (inner_b, width) = A.shape, B.shape
+    if inner != inner_b:
+        raise DimensionMismatch("polynomial matrix sizes do not match")
+    arows = [[] for _ in range(rows)]
+    for k, (e, length) in enumerate(zip(A.entries, A.lengths)):
+        arows[e // inner].append((e % inner, left[n * k:n * k + n], length))
+    bcols = [{} for _ in range(width)]
+    for k, (e, length) in enumerate(zip(B.entries, B.lengths)):
+        bcols[e % width][e // width] = (right[n * k:n * k + n], length)
+    entries, lengths, accs = [], [], []
+    for i, arow in enumerate(arows):
+        for j, bcol in enumerate(bcols):
+            acc, length = None, 0
+            for m, a, na in arow:
+                hit = bcol.get(m)
+                if hit is not None:
+                    b, nb = hit
+                    prods = map(operator.mul, a, b)
+                    acc = prods if acc is None else map(operator.add, acc,
+                                                        prods)
+                    length = max(length, na + nb - 1)
+            if acc is not None:
+                entries.append(i * width + j)
+                lengths.append(length)
+                accs.append(acc)
+    return (rows, width), entries, lengths, accs
 
 
 class ExtensionField:
@@ -411,7 +550,8 @@ class ExtensionField:
     def polymul(self, f, g):
         """Product in ℓ[t] with one reduction by S per output coefficient."""
         if self.packed:
-            return self.matpoly_mul([[f]], [[g]])[0][0]
+            return self.matrix_of(self.matpoly_mul(self.rows_of([[f]]),
+                                                   self.rows_of([[g]])))[0][0]
         base = self.base
         stripped = [self._strip(b) for b in g]
         accs = [[] for _ in range(len(f) + len(g) - 1)]
@@ -426,52 +566,120 @@ class ExtensionField:
         # over a product ring the top coefficient can vanish
         return polys.trim(self, [self.reduce_product(c) for c in accs])
 
+    def rows_of(self, M):
+        """M, a nested list of polynomials over a packed self, as
+        MatrixRows."""
+        entries, lengths, polys_ = [], [], []
+        width = len(M[0]) if M else 0
+        for i, row in enumerate(M):
+            for j, e in enumerate(row):
+                if e:
+                    entries.append(i * width + j)
+                    lengths.append(len(e))
+                    polys_.append(e)
+        zero, p = self.zero, self.char
+        cols = [_column(itertools.chain.from_iterable(
+            e[i] if i < len(e) else zero for e in polys_), p)
+            for i in range(max(lengths, default=0))]
+        return MatrixRows((len(M), width), entries, lengths, cols)
+
+    def matrix_of(self, R):
+        """The nested list of polynomials that MatrixRows R holds."""
+        n, (rows, width) = self.degree, R.shape
+        out = [[[] for _ in range(width)] for _ in range(rows)]
+        for k, (e, length) in enumerate(zip(R.entries, R.lengths)):
+            out[e // width][e % width] = polys.trim(self, [
+                tuple(col[k * n:k * n + n]) for col in R.cols[:length]])
+        return out
+
+    def shift_rows(self, R, c):
+        """R(t + c) for c in F_p, of MatrixRows R whose entries are no
+        longer than p, so that the factorials below their length are
+        units.
+
+        Coefficient j of the shift is sum_(i >= j) C(i, j) c^(i - j)
+        times coefficient i, the same F_p combination of columns for
+        every row.  Each column packs into one integer, and shifted
+        column j is one sum of those integers times F_p constants,
+        reduced mod p once per value.
+        """
+        p, L = self.char, len(R.cols)
+        if L <= 1 or not c:
+            return R
+        fact, inv_fact = _factorials_mod(p, L)
+        powers, x = [], 1
+        for m in range(L):
+            powers.append(x * inv_fact[m] % p)
+            x = x * c % p
+        # a slot sums at most L products of residues
+        slot, count = _slot_bytes(L * (p - 1) ** 2), len(R.cols[0])
+        C = [int.from_bytes(_pack_cols([col], slot, 1, p), "little")
+             for col in R.cols]
+        # C(i, j) c^(i - j) = i! (1/j!) (c^(i - j) / (i - j)!)
+        vals = _unpack_bytes(b"".join([sum(map(operator.mul, [
+            x * inv_fact[j] % p for x in map(operator.mul, fact[j:], powers)],
+            C[j:])).to_bytes(slot * count, "little") for j in range(L)]),
+            slot)
+        vals = [x % p for x in vals]
+        return MatrixRows(R.shape, R.entries, R.lengths, [
+            _column(vals[j:j + count], p) for j in range(0, L * count, count)])
+
     def matpoly_mul(self, A, B):
-        """Product of matrices whose entries are polynomials in t over self.
+        """Product of MatrixRows A and B over self.
 
         Needs a prime base (`packed`).  Each entry is packed once into one
-        integer (see `_pack`); an output entry is the plain integer sum of
-        its row-by-column products, unpacked once, with one reduction by
-        the modulus per t-coefficient.
+        integer, t-coefficient i in a block of 2 degree - 1 slots, so the
+        u-convolutions inside a block cannot spill into the next one; an
+        output entry is the plain integer sum of its row-by-column
+        products, unpacked once, with one reduction by the modulus per
+        t-coefficient.
         """
         if not self.packed:
             raise TypeError(f"matpoly_mul needs a prime base, not {self.base}")
-        W = 2 * self.degree - 1
-        la = max((len(e) for row in A for e in row), default=0)
-        lb = max((len(e) for row in B for e in row), default=0)
-        # each t-coefficient takes a block of W slots, so the u-convolutions
-        # inside a block cannot spill into the next one; a slot must hold a
-        # coefficient even when the other side is all zero
-        slot = _slot_bytes((self.base.p - 1) ** 2 * self.degree
-                           * max(min(la, lb), 1) * len(B))
-        PA = [[(_pack(e, slot, W), len(e)) for e in row] for row in A]
-        cols = list(zip(*[[(_pack(e, slot, W), len(e)) for e in row]
-                          for row in B]))
-        out = []
-        for row in PA:
-            orow = []
-            for col in cols:
-                acc = length = 0
-                for (a, na), (b, nb) in zip(row, col):
-                    if a and b:
-                        acc += a * b
-                        length = max(length, na + nb - 1)
-                conv = _unpack(acc, slot, W * length)
-                orow.append(polys.trim(self, [
-                    self.reduce_product(conv[i:i + W])
-                    for i in range(0, W * length, W)]))
-            out.append(orow)
-        return out
+        n, W, p = self.degree, 2 * self.degree - 1, self.base.p
+        # a slot must hold a coefficient even when the other side is zero
+        slot = _slot_bytes((p - 1) ** 2 * n * _inner_terms(A, B))
+
+        def entry_ints(R):
+            width = W * len(R.cols)
+            return _split_ints(_pack_cols(R.cols, slot, width, p, n, W),
+                               slot * width)
+        shape, entries, lengths, accs = _entry_products(
+            A, B, entry_ints(A), entry_ints(B), 1)
+        outs = []
+        for acc, length in zip(accs, lengths):
+            conv = _unpack(next(acc), slot, W * length)
+            outs.append([self.reduce_product(conv[i:i + W])
+                         for i in range(0, W * length, W)])
+        zero = self.zero
+        return MatrixRows(shape, entries, lengths, [
+            _column(itertools.chain.from_iterable(
+                out[i] if i < len(out) else zero for out in outs), p)
+            for i in range(max(lengths, default=0))])
+
+    def matmul(self, A, B):
+        """Product of matrices over a packed self: each entry packs into
+        one integer, and an output entry is the integer sum of its
+        row-by-column products, unpacked and reduced by the modulus once."""
+        n, p = self.degree, self.base.p
+        # a slot sums, over the inner dimension, n products of residues
+        slot = _slot_bytes((p - 1) ** 2 * n * len(B))
+        PA = [[_pack([e], slot, n) for e in row] for row in A]
+        cols = list(zip(*[[_pack([e], slot, n) for e in row] for row in B]))
+        return [[self.reduce_product(_unpack(sum(map(operator.mul, row, col)),
+                                             slot, 2 * n - 1))
+                 for col in cols] for row in PA]
 
     def rows_rem(self, cols, m, m_rev_inv):
         """Remainders by a monic m over F_p of polynomials (rows) over F_p,
-        given and returned column by column: column i holds coefficient i
-        of every row.  m_rev_inv inverts the reversal of m to at least the
-        quotient length k.  Each row's k high coefficients fill 2k - 1
-        slots of one integer; one product with the reversed inverse gives
-        every quotient (Barrett), and its first min(k, deg m) slots,
-        reduced mod p, times -m give the remainders."""
-        p, d = self.base.p, len(m) - 1
+        given and returned column by column (see MatrixRows): column i
+        holds coefficient i of every row.  m_rev_inv inverts the reversal
+        of m to at least the quotient length k.  Each row's k high
+        coefficients fill 2k - 1 slots of one integer; one product with
+        the reversed inverse gives every quotient (Barrett), and its first
+        min(k, deg m) slots, reduced mod p, times -m give the
+        remainders."""
+        p, d = self.char, len(m) - 1
         k = len(cols) - d
         if k <= 0:
             return cols
@@ -481,24 +689,20 @@ class ExtensionField:
         # reduced quotient slot and a residue
         slot = _slot_bytes(k * (p - 1) ** 2)
         W, V = 2 * k - 1, top + d - 1
-        hi = [0] * (count * W)
-        for j, col in enumerate(cols[d:]):
-            hi[j::W] = col
         mu = m_rev_inv[k - 1::-1]
-        prod = _unpack(_pack([hi], slot, count * W)
-                       * _pack([[0] * (k - len(mu)) + mu], slot, k),
+        # each buffer is freed once used, for a lower peak memory
+        prod = int.from_bytes(_pack_cols(cols[d:], slot, W, p), "little")
+        prod = _unpack(prod * _pack([[0] * (k - len(mu)) + mu], slot, k),
                        slot, count * W)
-        del hi  # each buffer is freed once used, for a lower peak memory
-        quo = [0] * (count * V)
-        for i in range(top):
-            quo[i::V] = [x % p for x in prod[k - 1 + i::W]]
+        quo = [_column([x % p for x in prod[k - 1 + i::W]], p)
+               for i in range(top)]
         del prod
         slot = _slot_bytes(top * (p - 1) ** 2 + p - 1)
         neg_m = [p - c if c else 0 for c in m[:d]]
-        low = _unpack(_pack([quo], slot, count * V) * _pack([neg_m], slot, d),
-                      slot, count * V)
+        low = int.from_bytes(_pack_cols(quo, slot, V, p), "little")
         del quo
-        return [[(x + y) % p for x, y in zip(low[j::V], col)]
+        low = _unpack(low * _pack([neg_m], slot, d), slot, count * V)
+        return [_column([(x + y) % p for x, y in zip(low[j::V], col)], p)
                 for j, col in enumerate(cols[:d])]
 
     def rows_at(self, cols, points):
@@ -506,10 +710,11 @@ class ExtensionField:
         coordinates are the rows of rows_rem, degree rows each: one list
         per point.  Column i fills an integer C_i, and the row values at a
         are the slots of sum_i (a^i mod p) C_i."""
-        p, count = self.base.p, len(cols[0])
+        p, count = self.char, len(cols[0])
         # a slot sums len(cols) products of residues
         slot = _slot_bytes(len(cols) * (p - 1) ** 2)
-        C = [_pack([col], slot, count) for col in cols]
+        C = [int.from_bytes(_pack_cols([col], slot, 1, p), "little")
+             for col in cols]
         out = []
         for a in points:
             acc, x = C[0], 1
@@ -519,35 +724,6 @@ class ExtensionField:
             vals = iter([v % p for v in _unpack(acc, slot, count)])
             out.append(list(zip(*[vals] * self.degree)))
         return out
-
-    def coords_shift(self, g, c):
-        """Taylor shift f(t + c) by c in F_p of a polynomial in t over self.
-
-        Needs a prime base.  g and the result are flat lists of
-        u-coordinates, coefficient by coefficient, of a polynomial of length
-        L <= p, so that the factorials below L are units.  Coefficient j
-        of the shift is (1/j!) sum_i f_i i! c^(i-j)/(i-j)!, a convolution
-        with F_p constants that acts on each u-coordinate alone.  So each
-        coordinate's f_i i! fill a block of 2L - 1 slots of one integer,
-        the c^m/m! fill L slots of another in reverse order, and
-        coefficient j of every coordinate is slot L - 1 + j of its block
-        in their product, reduced mod p once.
-        """
-        p, n = self.base.p, self.degree
-        L = len(g) // n
-        fact, inv_fact = _factorials_mod(p, L)
-        powers, x = [], 1
-        for m in range(L):
-            powers.append(x * inv_fact[m] % p)
-            x = x * c % p
-        # a slot sums at most L products of residues
-        slot, W = _slot_bytes(L * (p - 1) ** 2), 2 * L - 1
-        G = _pack([[x * f % p for x, f in zip(g[k::n], fact)]
-                   for k in range(n)], slot, W)
-        vals = _unpack(G * _pack([powers[::-1]], slot, L), slot, n * W)
-        cols = [[x * f % p for x, f in zip(vals[k + L - 1:k + W], inv_fact)]
-                for k in range(0, n * W, W)]
-        return list(itertools.chain.from_iterable(zip(*cols)))
 
     def __eq__(self, other):
         return isinstance(other, ExtensionField) and other.key == self.key
@@ -605,11 +781,16 @@ class SplitRing:
         return tuple([x * y % p for x, y in zip(a, b)])
 
     def dot(self, xs, ys):
-        terms = [map(operator.mul, a, b) for a, b in zip(xs, ys)]
-        if not terms:
+        """One chain of pointwise products and sums over the coordinates,
+        reduced mod p once."""
+        acc = None
+        for a, b in zip(xs, ys):
+            prods = map(operator.mul, a, b)
+            acc = prods if acc is None else map(operator.add, acc, prods)
+        if acc is None:
             return self.zero
         p = self.p
-        return tuple([sum(c) % p for c in zip(*terms)])
+        return tuple([x % p for x in acc])
 
     def inv(self, a):
         if not all(a):
@@ -643,76 +824,53 @@ class SplitRing:
     def random_elem(self, rng):
         return tuple([rng.randrange(self.p) for _ in range(self.degree)])
 
-    def polymul(self, f, g):
-        return self.matpoly_mul([[f]], [[g]])[0][0]
-
     def matpoly_mul(self, A, B):
-        """Product of matrices whose entries are polynomials in t over self.
+        """Product of MatrixRows A and B over self.
 
-        Each entry is packed in one array pass into n integers, one per
-        coordinate.  An output entry sums, per coordinate, the integer
-        products of its row-by-column pairs, and all its coordinates are
-        unpacked in one pass.  Constant matrices, such as the giant steps,
-        multiply pointwise through dot.
+        Each row (a coordinate of an entry) packs into one integer, all
+        rows in one pass.  An output entry sums, per coordinate, the
+        integer products of its row-by-column pairs, and the rows of every
+        output entry are unpacked in one pass, reduced mod p and cut into
+        columns.
         """
-        la = max((len(e) for row in A for e in row), default=0)
-        lb = max((len(e) for row in B for e in row), default=0)
-        if la <= 1 and lb <= 1:
-            return self._matmul_constants(A, B)
         n, p = self.degree, self.p
         # a slot sums, over the inner dimension, up to min(la, lb)
         # products of residues
-        slot = _slot_bytes((p - 1) ** 2 * max(min(la, lb), 1) * len(B))
-        PA = [[self._split(e, slot) for e in row] for row in A]
-        cols = list(zip(*[[self._split(e, slot) for e in row]
-                          for row in B]))
-        out = []
-        for row in PA:
-            orow = []
-            for col in cols:
-                accs, length = [0] * n, 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        accs = list(map(operator.add, accs,
-                                        map(operator.mul, a[0], b[0])))
-                        length = max(length, a[1] + b[1] - 1)
-                if not length:
-                    orow.append([])
-                    continue
-                width = slot * length
-                vals = _unpack_bytes(b"".join(
-                    x.to_bytes(width, "little") for x in accs), slot)
-                vals = [x % p for x in vals]
-                orow.append(polys.trim(self, list(zip(*[
-                    vals[i:i + length]
-                    for i in range(0, n * length, length)]))))
-            out.append(orow)
-        return out
+        slot = _slot_bytes((p - 1) ** 2 * _inner_terms(A, B))
 
-    def _split(self, e, slot):
-        """A polynomial in t as its n coordinate polynomials over F_p, each
-        packed into one integer, with its length; None when it is zero."""
-        if not e:
-            return None
-        width = slot * len(e)
-        flat = list(itertools.chain.from_iterable(zip(*e)))
-        buf = _pack_bytes([flat], slot, len(flat))
-        return ([int.from_bytes(buf[k:k + width], "little")
-                 for k in range(0, len(buf), width)], len(e))
+        def row_ints(R):
+            return _split_ints(_pack_cols(R.cols, slot, len(R.cols), p),
+                               slot * len(R.cols))
+        shape, entries, lengths, accs = _entry_products(
+            A, B, row_ints(A), row_ints(B), n)
+        top = max(lengths, default=0)
+        vals = _unpack_bytes(b"".join([
+            x.to_bytes(slot * top, "little") for acc in accs for x in acc]),
+            slot)
+        vals = [x % p for x in vals]
+        return MatrixRows(shape, entries, lengths, [
+            _column(vals[i::top], p) for i in range(top)])
 
-    def _matmul_constants(self, A, B):
+    def matmul(self, A, B):
+        """Product of matrices over self: one dot per output entry, with
+        no term for a zero entry of A."""
         zero = self.zero
-        cols = list(zip(*[[e[0] if e else zero for e in row] for row in B]))
+        cols = list(zip(*B))
         out = []
         for row in A:
-            consts = [e[0] if e else zero for e in row]
-            out.append([[c] if c != zero else []
-                        for c in (self.dot(consts, col) for col in cols)])
+            terms = [k for k, a in enumerate(row) if a != zero]
+            left = [row[k] for k in terms]
+            out.append([self.dot(left, [col[k] for k in terms])
+                        for col in cols])
         return out
 
     # shifting by an F_p constant acts on each coordinate alone, in value
-    # form as in the monomial basis; the multipoint kernels act on F_p rows
-    coords_shift = ExtensionField.coords_shift
+    # form as in the monomial basis, and so do the row conversions and the
+    # multipoint kernels; a product of two polynomials is a 1 x 1 matpoly_mul
+    polymul = ExtensionField.polymul
+    rows_of = ExtensionField.rows_of
+    matrix_of = ExtensionField.matrix_of
+    shift_rows = ExtensionField.shift_rows
     rows_rem = ExtensionField.rows_rem
     rows_at = ExtensionField.rows_at
 

@@ -12,10 +12,10 @@ the evaluated matrices (the giant steps) together, then the count mod s
 leftover factors.  P_s comes from doubling along the bits of s,
 P_2k(u) = P_k(u+k) P_k(u) and P_(k+1)(u) = B(u+k) P_k(u): at most
 2 log2(s) products, each after a Taylor shift of its left factor by an
-integer (polys.taylor_shift).  The leftover factors go in runs of k, one
-evaluation of a P_k of that chain each (_leftover_parts).  A right factor
-of r columns (local_eval passes the r corner columns of the identity)
-makes each giant step and leftover run an N x N by N x r product.
+integer.  The leftover factors go in runs of k, one evaluation of a P_k
+of that chain each (_leftover_parts).  A right factor of r columns
+(local_eval passes the r corner columns of the identity) makes each giant
+step and leftover run an N x N by N x r product.
 
 The analysis balances s against count/s with quasi-linear products,
 which puts s near sqrt(count).  Here the baby steps multiply integers of
@@ -25,22 +25,26 @@ baby_step_length picks the s of least estimated cost (_FactorialCost),
 which prices each layer as the code runs it, in fitted units.
 
 Every inner product of field elements is one K.dot, which every field
-object has: matvec always, and matmul unless K is `packed`.  Over a packed
-K, matmul and matpoly_mul go through K.matpoly_mul.  A packed K is an
-extension F_p[u]/S, which sums each row-by-column inner product of
-polynomials as integers and reduces each output coefficient once, or a
-split ring F_p^n (fields.SplitRing), which runs one Kronecker product per
-coordinate and multiplies constant matrices pointwise.  So over a packed K
-the baby steps and the giant steps both run in packed integers or
-pointwise.  On any field, all N^2 entries of the baby-step product go
-down one subproduct tree in one SubproductTree.evaluate call.  Over a
-packed K the evaluation points lie in F_p, so the tree has F_p
-coefficients: each node's remainder, and the direct evaluation below
-BASE_CASE points, works on every coordinate of every entry at once in
-packed integers, with no reduction mod S.
+object has: matvec always, and matmul unless K is `packed`.  A packed K
+is an extension F_p[u]/S or a split ring F_p^n (fields.SplitRing), and
+has its own kernels: K.matmul for constant matrices (the giant steps),
+and K.matpoly_mul for polynomial matrices, which it takes and returns in
+row form (fields.MatrixRows): one row over F_p per coordinate of each
+nonzero entry, kept column by column.  Over a packed K the baby steps stay
+in row form from B to P_s.  Each shift is one K.shift_rows of the whole
+matrix while its entries are no longer than p, the product packs its
+factors straight from the columns, and P_s goes down one subproduct tree
+in one SubproductTree.evaluate call as it is.  The evaluation points lie
+in F_p, so the tree has F_p coefficients: each node's remainder, and the
+direct evaluation below BASE_CASE points, works on every row at once in
+packed integers, with no reduction mod S.  Over any other field the baby
+steps are nested lists, with one polys.taylor_shift per entry and one
+polynomial product per pair of entries.
 """
 
+import functools
 import math
+import operator
 
 from . import fields, polys
 from .errors import DimensionMismatch, NotSquare
@@ -63,11 +67,7 @@ def matmul(K, A, B):
         raise DimensionMismatch(
             f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
     if getattr(K, "packed", False):
-        # constant polynomials through the packed kernel, called on K so
-        # that the matpoly_mul of this module counts only polynomial products
-        C = K.matpoly_mul([[[a] for a in row] for row in A],
-                          [[[b] for b in row] for row in B])
-        return [[e[0] if e else K.zero for e in row] for row in C]
+        return K.matmul(A, B)
     cols = list(zip(*B))
     return [[K.dot(row, col) for col in cols] for row in A]
 
@@ -85,14 +85,14 @@ def mat_map(f, A):
 def matpoly_mul(K, A, B):
     """Product of matrices whose entries are polynomials over K.
 
-    A `packed` field (an extension of F_p) computes it in one pass of
-    integer products; any other field takes one polynomial product per
-    pair of entries.
+    Over a `packed` K the factors and the product are fields.MatrixRows,
+    multiplied in one pass of integer products; over any other field they
+    are nested lists, with one polynomial product per pair of entries.
     """
-    if len(B) != len(A[0]):
-        raise DimensionMismatch("polynomial matrix sizes do not match")
     if getattr(K, "packed", False):
         return K.matpoly_mul(A, B)
+    if len(B) != len(A[0]):
+        raise DimensionMismatch("polynomial matrix sizes do not match")
     cols = list(zip(*B))
     out = []
     for row in A:
@@ -113,20 +113,26 @@ def matpoly_eval(K, B, a):
 
 def baby_step_length(K, B, count, r):
     """The s that matrix_factorial(K, B, count, right) uses, for count >= 16
-    and right of r columns: the s in [1, 2 sqrt(count) + 1] of least
-    estimated cost (_FactorialCost), the smallest one on a tie.
+    and right of r columns: the s in [sqrt(count) / 2, 2 sqrt(count) + 1]
+    of least estimated cost (_FactorialCost), the smallest one on a tie.
+
+    The window keeps s = Theta(sqrt(count)), which the O~(sqrt p) bound
+    needs: for a fixed s the multipoint evaluation's direct step grows like
+    count / s.  Below the window the estimate can still fall a little at
+    mid-size p (packed direct evaluation is cheap per value), but the work
+    then grows linearly, which the value-count gates of the tests catch.
 
     It depends on the factorial's shape alone: N = len(B), r, count, the
-    longest entry of B and the degree growth of its products
-    (_degree_growth), the ring's degree and characteristic, and whether it
-    is packed.  Candidates whose baby steps or giant steps alone already
-    cost more than the best estimate are never fully priced, and the
-    search stops once the doublings alone do, which grow with s."""
-    cost = _FactorialCost(K, B, r)
+    longest entry of B, its zero pattern and the degree growth of its
+    products (_degree_growth), the ring's degree and characteristic, and
+    whether it is packed.  Candidates whose baby steps or giant steps alone
+    already cost more than the best estimate are never fully priced, and
+    the search stops once the doublings alone do, which grow with s."""
+    cost = _FactorialCost(K, B, r, count)
     best_s = math.isqrt(count)
     best = cost.total(best_s, count)
-    for s in range(1, 2 * best_s + 2):
-        giant = count // s * cost.step
+    for s in range(max(best_s // 2, 1), 2 * best_s + 2):
+        giant = count // s * cost.step(s)
         if giant >= best:
             continue
         doublings, baby = cost.baby(s)
@@ -186,6 +192,37 @@ def _leftover_parts(s, t):
     return parts
 
 
+class _Pattern:
+    """Which entries of P_k = B(u+k-1) ... B(u) can be nonzero: the boolean
+    powers of the pattern of B, as rows of bit masks, which repeat with
+    some period from some power on.  For every k <= limit, nonzero[k] is
+    the number of nonzero entries of P_k, and squares[k] and odds[k] the
+    nonzero pairs of entries that P_k(u+k) P_k(u) and B(u+k) P_k(u)
+    multiply: per index m, the nonzero entries in column m of the left
+    factor times those in row m of the right one."""
+
+    def __init__(self, B, limit):
+        N = len(B)
+        Z = tuple(sum(1 << j for j, e in enumerate(row) if e) for row in B)
+        powers, seen, X = [], {}, Z
+        while X not in seen:
+            seen[X] = len(powers)
+            rows = [bin(x).count("1") for x in X]
+            cols = [sum(x >> m & 1 for x in X) for m in range(N)]
+            powers.append((sum(rows), rows, cols))
+            X = tuple(functools.reduce(operator.or_, (
+                Z[m] for m in range(N) if x >> m & 1), 0) for x in X)
+        start, period = seen[X], len(powers) - seen[X]
+        first = powers[0][2]
+        stats = [(nz, sum(map(operator.mul, cols, rows)),
+                  sum(map(operator.mul, first, rows)))
+                 for nz, rows, cols in powers]
+        # power k is powers[k - 1] until the first repeat
+        self.nonzero, self.squares, self.odds = zip((N, N, N), *[
+            stats[i if i < len(stats) else start + (i - start) % period]
+            for i in range(limit)])
+
+
 class _FactorialCost:
     """Estimated cost of matrix_factorial(K, B, count, right) at baby-step
     length s, in microseconds of CPU time on the bench's host (2-core
@@ -194,49 +231,58 @@ class _FactorialCost:
     The estimate follows the code layer by layer.  P_k has entries of
     length at most growth * (k - 1) + d + 1, for d the degree of B.
       - Baby steps: each doubling P_k -> P_2k along the bits of s, and
-        each odd bit's B(u+k) P_k, as its own product.
-      - Multipoint: SubproductTree.evaluate on N^2 entries of length
-        L(s) at g = count // s points, level by level as it descends.
+        each odd bit's B(u+k) P_k, as its own shift and product.
+      - Multipoint: SubproductTree.evaluate on the entries of P_s, of
+        length L(s), at g = count // s points, level by level as it
+        descends.
       - Giant steps: g products of N x N by N x r.
-      - Leftover factors: one evaluation of P_k and one giant step per
-        part k of _leftover_parts(s, count mod s).
-    Over a packed ring every layer is priced per ring coordinate, in the
-    big-integer products of the Kronecker kernels (_product_bytes, at the
-    slot widths the kernels choose) and the Python work per slot they
-    pack, unpack or reduce.  Over any other ring the shifts by halves
+      - Leftover factors: one evaluation of P_k and one product per part
+        k of _leftover_parts(s, count mod s).
+    Over a packed ring the kernels skip zero entries, so every layer is
+    priced on the nonzero entries of P_k and the nonzero pairs a product
+    multiplies (_Pattern, counted once from B), per ring coordinate: in
+    the big-integer products of the Kronecker kernels (_product_bytes, at
+    the slot widths the kernels choose), the Python work per row, value
+    and column they pack, unpack or reduce, and the Python work per pair
+    and per output entry.  Over any other ring the shifts by halves
     (L log L per entry) stand for the doublings, N^3 (d + 1) L for an
     odd step, g log g per entry for the generic tree, and (L - g) log g
     more when the root divides, and N^2 r for a giant step.
 
     The prices were fitted by nonnegative least squares on relative error
     (the rows of one layer of one factorial weighted by one over the
-    square root of their number) to medians of 3-15 interleaved timed
-    runs.  Packed: the doublings and odd steps at k = 1, 2, 4, ...,
-    2^(bits - 1), and the four layers at 7-18 forced values of s, of the
-    split batches of det on the workload operator
-    (29 points, p = 1019, 16411 and 65539; layers also at 4099), of mc on
-    it (12 points, p = 2003 and 16411), of det on its companion system
-    (29 points, p = 263 and 1019) and of det on sym2, the symmetric
-    square of the Gauss system (79 points, p = 1009).  Not packed: the
-    four layers of one point of the workload operator over F_p at
-    p = 1019, 10007 and 40009, at 13-21 values of s each.
+    square root of their number) to medians of 3-5 timed runs, each scaled
+    by a fixed loop timed beside it, which cancels the host's drift.
+    Split rings: the doublings and odd steps along the chain, and the four
+    layers, at 3-9 forced values of s each, of det's batches on the
+    workload operator (29 points, p = 1019, 4099, 16411 and 65539), mc's
+    on it (12 points, p = 2003 and 16411), det's on its companion system
+    (29 points, p = 263 and 1019), det's on sym2, the symmetric square of
+    the Gauss system (79 points, p = 1009), batches of 8 points on the
+    operator at p = 10007, 40009 and 262147, and 2 x 2 and 3 x 3 matrices
+    of degree 9 over three points of F_1009 at count 100 and 400.  Over
+    F_p[u]/S the products and giant steps have prices of their own,
+    fitted likewise on sym2's mc batch (degree 18, p = 1009) and on
+    batches of points of degree 2 on the operator (degree 12 at p = 1009,
+    18 at 4099).  Not packed: the four layers of one point of the
+    workload operator over F_p at p = 1019, 10007 and 40009, at 13-21
+    values of s each.
     """
 
-    def __init__(self, K, B, r):
+    def __init__(self, K, B, r, count):
         N = len(B)
-        self.N, self.d = N, max(max(len(e) for row in B for e in row) - 1, 0)
+        self.N, self.r = N, r
+        self.d = max(max(len(e) for row in B for e in row) - 1, 0)
         self.growth = _degree_growth(B)
         self.packed = getattr(K, "packed", False)
-        self.n = n = K.degree if self.packed else 1
+        self.split = isinstance(K, fields.SplitRing)
+        self.n = K.degree if self.packed else 1
         self.p = K.char
         self.q = (self.p - 1) ** 2
         self.base = polys.SubproductTree.BASE_CASE
+        # baby_step_length prices s up to 2 sqrt(count) + 1
+        self.pattern = _Pattern(B, 2 * math.isqrt(count) + 2)
         self._baby = [(0.0, 0.0), (0.0, 0.0)]
-        if self.packed:
-            self.step = 0.5683 * N * r * n
-            self.odd_slot = fields._slot_bytes(self.q * (self.d + 1) * N)
-        else:
-            self.step = 0.5872 * N * N * r
 
     def length(self, k):
         """Bound on the length of the entries of P_k."""
@@ -258,52 +304,83 @@ class _FactorialCost:
 
     def total(self, s, count):
         g, t = divmod(count, s)
-        parts = _leftover_parts(s, t)
-        # one giant step and one evaluation of P_k per part k
-        return (self.baby(s)[1] + self.multipoint(g, self.length(s))
-                + (g + len(parts)) * self.step + self.evaluations(
-                    self.growth * (t - len(parts))
-                    + (self.d + 1) * len(parts)))
+        return (self.baby(s)[1] + self.multipoint(g, s) + g * self.step(s)
+                + sum(map(self.leftover, _leftover_parts(s, t))))
+
+    def _shift(self, entries, L):
+        """shift_rows of that many nonzero entries of length L."""
+        ws = fields._slot_bytes(math.ceil(self.q * L))
+        return (self.n * entries * L * (0.07172 + 0.001409 * ws * (L + 1) / 2)
+                + L * (0.03623 * (L + 1) / 2 + 4.026))
+
+    def _product(self, pairs, la, lb, ea, eb, out):
+        """matpoly_mul of factors with ea and eb nonzero entries of lengths
+        la and lb, multiplying that many pairs into out nonzero entries.
+        Over F_p[u]/S each pair is one product of whole entries, in blocks
+        of 2n - 1 slots per t-coefficient."""
+        n, lo = self.n, la + lb - 1
+        w = fields._slot_bytes(math.ceil(
+            self.q * min(la, lb) * self.N * (1 if self.split else n)))
+        if not self.split:
+            W = 2 * n - 1
+            return (pairs * 4.199e-05 * _product_bytes(la * W * w, lb * W * w)
+                    + 0.6066 * n * (ea * la + eb * lb))
+        return (n * (pairs * (0.09835 + 6.482e-05 * _product_bytes(
+            la * w, lb * w)) + 0.4712 * (ea + eb)
+            + 0.03586 * (ea * la + eb * lb + out * lo))
+            + 8.513 * out + 4.026 * lo)
 
     def doubling(self, k):
-        """P_2k(u) = P_k(u+k) P_k(u): N^2 Taylor shifts and N^3 products."""
-        N, n, L = self.N, self.n, self.length(k)
+        """P_2k(u) = P_k(u+k) P_k(u): a shift and a product."""
+        N, L = self.N, self.length(k)
         if not self.packed:
             return 0.8577 * N * N * L * math.log2(max(L, 2))
-        w = fields._slot_bytes(math.ceil(self.q * L * N))
-        ws = fields._slot_bytes(math.ceil(self.q * L))
-        return (N ** 3 * n * (0.166 + 2.822e-05 * _product_bytes(L * w,
-                                                                  L * w))
-                + N * N * (0.4104 * n * L + 2.822e-05 * _product_bytes(
-                    L * ws, n * (2 * L - 1) * ws)))
+        nz = self.pattern.nonzero[k]
+        return self._shift(nz, L) + self._product(
+            self.pattern.squares[k], L, L, nz, nz, self.pattern.nonzero[2 * k])
 
     def odd(self, k):
         """P_(k+1)(u) = B(u+k) P_k(u)."""
-        N, n, L, d = self.N, self.n, self.length(k), self.d
+        N, L, d = self.N, self.length(k), self.d
         if not self.packed:
             return 0.02763 * N ** 3 * (d + 1) * L
-        w = self.odd_slot
-        return (N ** 3 * n * (0.166 + 2.822e-05 * _product_bytes(
-            (d + 1) * w, L * w)) + 0.1131 * N * N * n * L)
+        nz = self.pattern.nonzero[1]
+        return self._shift(nz, d + 1) + self._product(
+            self.pattern.odds[k], d + 1, L, nz,
+            self.pattern.nonzero[k], self.pattern.nonzero[k + 1])
 
-    def evaluations(self, length):
-        """Horner evaluations of N^2 entries, of lengths summing to length,
-        at one point each."""
-        return (0.08121 * self.n if self.packed else 0.1515) * (
-            self.N ** 2 * length)
+    def step(self, k):
+        """One product of P_k at a point, N x N, by N x r."""
+        N, r = self.N, self.r
+        if not self.packed:
+            return 0.5872 * N * N * r
+        if not self.split:
+            return (0.1401 * N * r + 0.2418 * (N + r) * N) * self.n
+        nz = self.pattern.nonzero[k]
+        return r * (self.n * (0.07626 * nz + 0.004069 * N) + 1.926 * N)
 
-    def multipoint(self, g, L):
-        """SubproductTree.evaluate of N^2 entries of length L at g points."""
-        N2 = self.N * self.N
+    def leftover(self, k):
+        """One leftover run of k factors: P_k evaluated at a point, then
+        multiplied in.  Over a packed ring that product measured at 1.11
+        times a giant step's price."""
+        L = self.length(k)
+        if not self.packed:
+            return self.step(k) + 0.1515 * self.N ** 2 * L
+        return (1.112 * self.step(k) + 18.58 + L * (
+            0.02164 * self.n * self.pattern.nonzero[k] + 1.765))
+
+    def multipoint(self, g, s):
+        """SubproductTree.evaluate of the entries of P_s at g points."""
+        L = self.length(s)
         if not self.packed:
             lg = math.log2(max(g, 2))
-            return N2 * (g * (1.268 * lg + 1.984)
-                         + 0.4504 * max(L - g, 0) * lg)
+            return self.N ** 2 * (g * (1.268 * lg + 1.984)
+                                  + 0.4504 * max(L - g, 0) * lg)
         # the g / size nodes of each level above the base case divide the
         # rows they receive when these are longer than their degree, and
         # hand down remainders as long as it; the base nodes evaluate
-        rows, q = N2 * self.n, self.q
-        price, size = 0.01272 * rows * L, g
+        rows, q = self.pattern.nonzero[s] * self.n, self.q
+        price, size = 0.01874 * rows * L, g
         while size > self.base:
             k = math.ceil(L - size)
             if k > 0:
@@ -311,28 +388,37 @@ class _FactorialCost:
                 w1 = fields._slot_bytes(k * q)
                 w2 = fields._slot_bytes(top * q + self.p - 1)
                 price += g / size * (
-                    0.01272 * rows * (2 * k + top + size)
-                    + 2.822e-05 * (
+                    0.01874 * rows * (2 * k + top + size)
+                    + 7.014e-05 * (
                         _product_bytes(rows * (2 * k - 1) * w1, k * w1)
                         + _product_bytes(rows * (top + size - 1) * w2,
                                          size * w2)))
                 L = size
             size /= 2
         w = fields._slot_bytes(math.ceil(L * q))
-        return price + g * rows * (0.01272 * (L / size + 1)
-                                   + 0.00146 * L * w)
+        return price + g * (rows * (0.01874 * (L / size + 1)
+                                    + 0.0008387 * L * w) + 13.88)
 
 
 def _shifted(K, M, k):
-    """M(u + k) for a polynomial matrix M and an integer k."""
+    """M(u + k) for a polynomial matrix M in the baby steps' form and an
+    integer k: over a packed K one shift_rows of the whole matrix while
+    its entries are no longer than p, else one polys.taylor_shift per
+    entry."""
+    packed = getattr(K, "packed", False)
+    if packed and len(M.cols) <= K.char:
+        return K.shift_rows(M, k % K.char)
     a = K.from_int(k)
-    return [[polys.taylor_shift(K, e, a) for e in row] for row in M]
+    shifted = [[polys.taylor_shift(K, e, a) for e in row]
+               for row in (K.matrix_of(M) if packed else M)]
+    return K.rows_of(shifted) if packed else shifted
 
 
 def _baby_steps(K, B, s, keep=()):
     """P_s(u) = B(u+s-1) ... B(u+1) B(u), doubling along the bits of s:
     P_2k(u) = P_k(u+k) P_k(u) and P_(k+1)(u) = B(u+k) P_k(u).  Also
-    returns {k: P_k} for each k in keep, a prefix s >> j of the chain."""
+    returns {k: P_k} for each k in keep, a prefix s >> j of the chain.
+    B and the products are in matpoly_mul's form for K."""
     P, k = B, 1
     kept = {1: B} if 1 in keep else {}
     for bit in bin(s)[3:]:
@@ -353,6 +439,8 @@ def matrix_factorial(K, B, count, right=None):
     and leftover factors then multiply N x N by N x r.  count may exceed
     the characteristic: the evaluation points then repeat, and the baby
     steps shift entries longer than p, which polys.taylor_shift handles.
+    Over a packed K the baby steps run on MatrixRows, which the tree
+    evaluates as they are and the leftover runs evaluate by K.rows_at.
     """
     n = len(B)
     if any(len(row) != n for row in B):
@@ -368,10 +456,15 @@ def matrix_factorial(K, B, count, right=None):
     s = baby_step_length(K, B, count, len(acc[0]))
     g = count // s
     parts = _leftover_parts(s, count - g * s)
-    baby, kept = _baby_steps(K, B, s, set(parts))
-    pts = [K.from_int(j * s) for j in range(g)]
-    vals = polys.SubproductTree(K, pts).evaluate(
-        [e for row in baby for e in row])
+    packed = getattr(K, "packed", False)
+    baby, kept = _baby_steps(K, K.rows_of(B) if packed else B, s, set(parts))
+    tree = polys.SubproductTree(K, [K.from_int(j * s) for j in range(g)])
+    if packed:
+        vals = [[K.zero] * g] * (n * n)
+        for e, v in zip(baby.entries, tree.evaluate(baby)):
+            vals[e] = v
+    else:
+        vals = tree.evaluate([e for row in baby for e in row])
     # only the values feed the giant steps; free the product
     del baby
     for j in range(g):
@@ -380,9 +473,21 @@ def matrix_factorial(K, B, count, right=None):
     i = g * s
     for k in parts:
         # P_k(i) = B(i+k-1) ... B(i)
-        acc = matmul(K, matpoly_eval(K, kept[k], K.from_int(i)), acc)
+        acc = matmul(K, _evaluated(K, kept[k], i), acc)
         i += k
     return acc
+
+
+def _evaluated(K, P, i):
+    """The baby-step matrix P at the integer i, as a matrix over K."""
+    if not getattr(K, "packed", False):
+        return matpoly_eval(K, P, K.from_int(i))
+    rows, width = P.shape
+    out = [K.zero] * (rows * width)
+    if P.cols:
+        for e, v in zip(P.entries, K.rows_at(P.cols, [i % K.char])[0]):
+            out[e] = v
+    return [out[r * width:(r + 1) * width] for r in range(rows)]
 
 
 class LinearSolver:

@@ -7,18 +7,16 @@ elements are in canonical form, so `==` on elements is exact equality.
 
 Multiplication dispatches to K.polymul, which lets each field supply a
 representation-specific fast path (Kronecker packing over a prime field,
-delayed modular reduction in extensions).  On a packed ring, a Taylor
-shift by an F_p constant dispatches likewise to K.coords_shift, and a
-multipoint evaluation at F_p points to K.rows_rem and K.rows_at.
-Everything else here is generic.
+delayed modular reduction in extensions).  On a packed ring, a
+multipoint evaluation at F_p points dispatches likewise to K.rows_rem and
+K.rows_at.  Everything else here is generic; a whole matrix over a packed
+ring shifts in one kernel of its own (fields.ExtensionField.shift_rows).
 
 Every division by a fixed monic modulus goes through MonicModReducer,
 which keeps the Newton inverse of the reversed modulus: powers modulo m,
 the reduction of an extension over a non-prime base, and each node of the
 subproduct tree, whose inverse also feeds K.rows_rem.
 """
-
-import itertools
 
 from .errors import InsufficientModuli, ModuliNotCoprime, NotMonic
 
@@ -253,19 +251,10 @@ def poly_pow(K, f, e):
 
 
 def taylor_shift(K, f, a):
-    """Coefficients of f(x + a).
-
-    On a packed ring, with a an F_p constant and f no longer than the
-    characteristic, K.coords_shift does it in packed integers.  Every other
-    shift splits and recombines on halves.
-    """
+    """Coefficients of f(x + a), split and recombined on halves."""
     if a == K.zero or len(f) <= 1:
         return list(f)
-    if (len(f) > K.char or not getattr(K, "packed", False)
-            or not K.is_constant(a)):
-        return _shift_by_halves(K, f, a)
-    g = K.coords_shift(list(itertools.chain.from_iterable(f)), K.project(a))
-    return trim(K, list(zip(*[iter(g)] * K.degree)))
+    return _shift_by_halves(K, f, a)
 
 
 def _shift_by_halves(K, f, a):
@@ -340,9 +329,10 @@ class SubproductTree:
     every point an F_p constant, as K.is_constant tells, the tree is built
     over F_p, and the n coordinates of every polynomial of one evaluate
     call go down it together, as polynomials (rows) over F_p, kept column
-    by column.  Each node above BASE_CASE points divides all rows at once
-    (K.rows_rem, with node.inverse(k) for quotients of length k, linear in
-    the number of rows); the first node of at most BASE_CASE points
+    by column (fields.MatrixRows, which evaluate also takes as it is).
+    Each node above BASE_CASE points divides all rows at once (K.rows_rem,
+    with node.inverse(k) for quotients of length k, linear in the number
+    of rows); the first node of at most BASE_CASE points
     evaluates the rows it receives at its points directly (K.rows_at).
     Nothing is reduced mod S, and no node of at most BASE_CASE points is
     ever divided by: their products are built only to form the larger
@@ -381,14 +371,24 @@ class SubproductTree:
     def evaluate(self, fs):
         """Values of each polynomial of fs at every point, one list each.
 
+        Over a packed K, fs may also be a fields.MatrixRows; the result
+        then has one list per entry it holds, in the order of its entries.
         An odd node at any level is carried upward unchanged, so node
         (level, idx) covers children (level - 1, 2*idx) and, when present,
         (level - 1, 2*idx + 1): the points from idx * 2**level on, at most
         2**level of them.
         """
-        if self.packed:
-            return self._evaluate_rows(fs)
-        return [self._evaluate_one(f) for f in fs]
+        if not self.packed:
+            return [self._evaluate_one(f) for f in fs]
+        if not isinstance(fs, (list, tuple)):
+            return self._evaluate_rows(fs.cols)
+        # a list goes down as the one row of a matrix
+        K = self.K
+        rows = K.rows_of([list(fs)])
+        out = [[K.zero] * len(self.points) for _ in fs]
+        for e, vals in zip(rows.entries, self._evaluate_rows(rows.cols)):
+            out[e] = vals
+        return out
 
     def _evaluate_one(self, f):
         K = self.K
@@ -409,14 +409,13 @@ class SubproductTree:
         descend(len(self.levels) - 1, 0, f)
         return vals
 
-    def _evaluate_rows(self, fs):
-        """evaluate over a packed K: row n*e + c is coordinate c of fs[e],
-        and column i holds coefficient i of every row."""
+    def _evaluate_rows(self, cols):
+        """evaluate over a packed K of the polynomials whose coordinates
+        are rows over F_p, given column by column (fields.MatrixRows):
+        one list per polynomial, its coordinates consecutive rows."""
         K, total = self.K, len(self.points)
-        cols = [list(itertools.chain.from_iterable(c))
-                for c in itertools.zip_longest(*fs, fillvalue=K.zero)]
         if not cols:
-            return [[K.zero] * total for _ in fs]
+            return []
         at = [None] * total
 
         def descend(level, idx, cols):

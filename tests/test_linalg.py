@@ -1,4 +1,5 @@
 import functools
+import operator
 import random
 
 import pytest
@@ -142,6 +143,14 @@ _RINGS = {
 }
 
 
+def _matpoly_mul(L, A, B):
+    """linalg.matpoly_mul of nested lists; a packed ring's product takes
+    and returns its row form."""
+    if getattr(L, "packed", False):
+        return L.matrix_of(linalg.matpoly_mul(L, L.rows_of(A), L.rows_of(B)))
+    return linalg.matpoly_mul(L, A, B)
+
+
 @pytest.mark.parametrize("ring", sorted(_RINGS))
 @pytest.mark.parametrize("shape", [(1, 1, 1), (2, 3, 4), (3, 1, 2), (6, 6, 6)])
 def test_matpoly_mul_matches_schoolbook(ring, shape, rng):
@@ -150,7 +159,7 @@ def test_matpoly_mul_matches_schoolbook(ring, shape, rng):
     for longest in (1, 3, 9):
         A = _polymat(L, rng, rows, inner, longest)
         B = _polymat(L, rng, inner, cols, rng.randint(1, 9))
-        assert linalg.matpoly_mul(L, A, B) == matpoly_mul_schoolbook(L, A, B)
+        assert _matpoly_mul(L, A, B) == matpoly_mul_schoolbook(L, A, B)
 
 
 def test_matpoly_mul_worst_case_fills_every_slot(monkeypatch):
@@ -175,7 +184,7 @@ def test_matpoly_mul_worst_case_fills_every_slot(monkeypatch):
         A = [[full] * 4 for _ in range(2)]
         B = [[full] * 3 for _ in range(4)]
         slots.clear()
-        assert linalg.matpoly_mul(L, A, B) == matpoly_mul_schoolbook(L, A, B)
+        assert _matpoly_mul(L, A, B) == matpoly_mul_schoolbook(L, A, B)
         assert max(slots) > 8
 
 
@@ -200,7 +209,7 @@ def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
         calls.append(len(c))
         return reduce_product(self, c)
     monkeypatch.setattr(fields.ExtensionField, "reduce_product", counting)
-    out = linalg.matpoly_mul(L, A, B)
+    out = _matpoly_mul(L, A, B)
     length = max(len(e) for row in out for e in row)
     assert length == 9
     # one product at a time would reduce 4 * 3 * 6 * 9 times
@@ -216,6 +225,18 @@ _MULTIPOINT_RINGS["product ring over F_13"] = _product_ring
 _MULTIPOINT_RINGS["split ring over F_101"] = _split_ring
 
 
+def _horner_coords(L, f, a):
+    """f(a) for a in F_p, which acts on each u-coordinate alone: one
+    Horner evaluation over F_p per coordinate."""
+    p, out = L.char, []
+    for k in range(L.degree):
+        acc = 0
+        for c in reversed(f):
+            acc = (acc * a + c[k]) % p
+        out.append(acc)
+    return tuple(out)
+
+
 @pytest.mark.parametrize("ring", sorted(_MULTIPOINT_RINGS))
 def test_packed_multipoint_matches_pointwise(ring, rng):
     L = _MULTIPOINT_RINGS[ring]()
@@ -224,7 +245,8 @@ def test_packed_multipoint_matches_pointwise(ring, rng):
     # from 33 points on, nodes above the base case divide before the
     # direct evaluation below it
     for count in (1, 2, 7, 8, 9, 31, 33, 64, 100, 257):
-        pts = [L.from_int(rng.randrange(p)) for _ in range(count)]
+        xs = [rng.randrange(p) for _ in range(count)]
+        pts = [L.from_int(x) for x in xs]
         tree = polys.SubproductTree(L, pts)
         assert tree.packed
         # long (first, so that later entries reuse node inverses of more
@@ -236,7 +258,7 @@ def test_packed_multipoint_matches_pointwise(ring, rng):
             [L.random_elem(rng) for _ in range(2 * count + 3)],
             [], [L.random_elem(rng)], zero_inside,
             [L.random_elem(rng) for _ in range(max(count - 1, 1))])]
-        want = [[polys.eval_at(L, f, a) for a in pts] for f in fs]
+        want = [[_horner_coords(L, f, a) for a in xs] for f in fs]
         assert tree.evaluate(fs) == want
         for f, w in zip(fs, want):
             assert tree.evaluate([f]) == [w]
@@ -274,6 +296,40 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
     got = polys.SubproductTree(L, pts).evaluate([f])
     assert min(max(slots["rows_rem"]), max(slots["rows_at"])) > 8
     assert got == [[polys.eval_at(L, f, a) for a in pts]]
+
+
+def test_rows_rem_second_product_is_wider_than_a_machine_word(
+        monkeypatch, rng):
+    # rows Q m + R over F_p, with every coefficient of Q equal to p - 1
+    # and m monic with its lower coefficients 1: the reduced quotient
+    # slots and -m both hold p - 1, so a slot of the second product sums
+    # min(k, d) = 24 products of (p - 1)^2, more than 8 bytes, and
+    # leaving min(k, d) out of its width makes it too narrow
+    p = 1000000007
+    K = fields.PrimeField(p)
+    L = fields.SplitRing(K, [1, 2, 3])
+    d = k = 24
+    m = [1] * (d + 1)
+    Qm = polys.mul(K, [p - 1] * k, m)
+    rows = [polys.add(K, Qm, [rng.randrange(p) for _ in range(d)])
+            for _ in range(5)]
+    assert {len(row) for row in rows} == {d + k}
+    cols = [fields._column([row[i] for row in rows], p)
+            for i in range(d + k)]
+    slots = []
+    unpack = fields._unpack
+
+    def recording(x, slot, count):
+        slots.append(slot)
+        return unpack(x, slot, count)
+    inverse = polys.MonicModReducer(K, m).inverse(k)
+    monkeypatch.setattr(fields, "_unpack", recording)
+    got = L.rows_rem(cols, m, inverse)
+    monkeypatch.undo()
+    assert len(slots) == 2 and min(slots) > 8
+    assert [polys.trim(K, [col[r] for col in got])
+            for r in range(len(rows))] == [polys.rem(K, row, m)
+                                           for row in rows]
 
 
 def _packed_multipoint_cost(count, monkeypatch):
@@ -413,6 +469,25 @@ def test_baby_step_length_prices_the_doubling():
     assert len(linalg._leftover_parts(s, 1019 % s)) <= 5, s
 
 
+@pytest.mark.parametrize("system, p", [(True, 263), (False, 1019)])
+def test_baby_step_length_counts_the_entries_that_run(system, p):
+    # the planner's zero pattern is the one the kernels keep: the nonzero
+    # entries of P_k, and the pairs of the doubling that forms P_2k
+    ring, B, r = _bench_batch(system, p)
+    pattern = linalg._Pattern(B, 40)
+    N = len(B)
+    for k in range(1, 21):
+        P = linalg._baby_steps(ring, ring.rows_of(B), k)[0]
+        assert len(P) == pattern.nonzero[k], k
+        rows, cols = [0] * N, [0] * N
+        for e in P.entries:
+            rows[e // N] += 1
+            cols[e % N] += 1
+        assert sum(map(operator.mul, cols, rows)) == pattern.squares[k], k
+    # the operator's matrix keeps two zero columns, the system's one
+    assert pattern.nonzero[20] == (30 if system else 8)
+
+
 @pytest.mark.parametrize("ring", sorted(_RINGS))
 @pytest.mark.parametrize("s, count", [(13, 100), (6, 23), (1, 16)])
 def test_matrix_factorial_leftovers_as_chain_prefixes(ring, s, count, rng,
@@ -441,14 +516,24 @@ def test_leftover_parts_are_chain_prefixes(s):
 
 @pytest.mark.parametrize("ring", sorted(_RINGS))
 def test_taylor_shift_matches_halves(ring, rng):
-    # packed rings shift by an F_p constant in packed integers; every
+    # packed rings shift a whole matrix by an F_p constant in one kernel
+    # (shift_rows), as long as its entries are no longer than p; every
     # other shift takes the halves algorithm
     L = _RINGS[ring]()
+    packed = getattr(L, "packed", False)
     for length in (2, 5, 9, 14, 40):
         f = [L.random_elem(rng) for _ in range(length - 1)] + [L.one]
+        # a zero entry and entries of unequal length
+        M = [[f, [], polys.trim(L, f[:length // 2])],
+             [[L.one], f[1:], f]]
         for a in (L.from_int(rng.randrange(1, L.char)), L.random_elem(rng)):
             want = polys._shift_by_halves(L, f, a)
             assert polys.taylor_shift(L, f, a) == want
+            if packed and L.is_constant(a) and length <= L.char:
+                got = L.shift_rows(L.rows_of(M), L.project(a))
+                assert L.matrix_of(got) == [
+                    [polys._shift_by_halves(L, e, a) for e in row]
+                    for row in M]
 
 
 def test_packed_taylor_shift_worst_case_is_wider_than_a_machine_word(
@@ -458,21 +543,60 @@ def test_packed_taylor_shift_worst_case_is_wider_than_a_machine_word(
     p = 1000000007
     K = fields.PrimeField(p)
     slots = []
-    unpack = fields._unpack
+    unpack_bytes = fields._unpack_bytes
 
-    def recording(x, slot, count):
+    def recording(buf, slot):
         slots.append(slot)
-        return unpack(x, slot, count)
+        return unpack_bytes(buf, slot)
     for L in (_extension(p, 3), fields.SplitRing(K, [1, 2, p - 1])):
         f = [tuple([p - 1] * 3)] * 20
+        # a zero entry and a shorter one beside the full ones
+        M = [[f, []], [f[:7], f]]
         for c in (1, 12345, p - 1):
             a = L.from_int(c)
-            want = polys._shift_by_halves(L, f, a)
+            want = [[polys._shift_by_halves(L, e, a) for e in row]
+                    for row in M]
+            rows = L.rows_of(M)
             slots.clear()
-            monkeypatch.setattr(fields, "_unpack", recording)
-            assert polys.taylor_shift(L, f, a) == want
+            monkeypatch.setattr(fields, "_unpack_bytes", recording)
+            got = L.shift_rows(rows, c)
             monkeypatch.undo()
+            assert L.matrix_of(got) == want
             assert slots and max(slots) > 8
+
+
+def test_baby_steps_shift_each_matrix_once(monkeypatch):
+    # det-sys's batch: one whole-matrix shift per doubling and per odd
+    # step, and no shift of a single entry
+    ring, B, r = _bench_batch(True, 263)
+    s = linalg.baby_step_length(ring, B, 263, r)
+    calls, singles = [], []
+    shift_rows = fields.SplitRing.shift_rows
+    taylor_shift = polys.taylor_shift
+
+    def counting(self, R, c):
+        calls.append(len(R))
+        return shift_rows(self, R, c)
+
+    def single(K, f, a):
+        singles.append(len(f))
+        return taylor_shift(K, f, a)
+    monkeypatch.setattr(fields.SplitRing, "shift_rows", counting)
+    monkeypatch.setattr(polys, "taylor_shift", single)
+    n = len(B)
+    right = [row[n - r:] for row in linalg.identity(ring, n)]
+    linalg.matrix_factorial(ring, B, 263, right)
+    assert len(calls) == s.bit_length() - 1 + bin(s).count("1") - 1, s
+    assert singles == []
+    # the per-entry kernels are gone, and a packed ring's polys.taylor_shift
+    # by a constant takes the halves algorithm
+    assert not hasattr(fields.ExtensionField, "coords_shift")
+    assert not hasattr(fields.SplitRing, "_split")
+    halves = []
+    monkeypatch.setattr(polys, "_shift_by_halves",
+                        lambda K, f, a: halves.append(len(f)) or f)
+    taylor_shift(ring, [ring.one] * 3, ring.from_int(5))
+    assert halves == [3]
 
 
 @pytest.mark.parametrize("ring", _PACKED)
