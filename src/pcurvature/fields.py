@@ -798,12 +798,6 @@ class SplitRing:
         p = self.p
         return tuple([pow(x, -1, p) for x in a])
 
-    def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        p = self.p
-        return tuple([pow(x, e, p) for x in a])
-
     def from_int(self, n):
         return self.embed(n % self.p)
 

@@ -18,11 +18,13 @@ of that chain each (_leftover_parts).  A right factor of r columns
 step and leftover run an N x N by N x r product.
 
 The analysis balances s against count/s with quasi-linear products,
-which puts s near sqrt(count).  Here the baby steps multiply integers of
-a few dozen digits, which CPython multiplies by schoolbook, so the last
-doubling costs about N^3 n (s d)^2 and the balance lies lower.
-baby_step_length picks the s of least estimated cost (_FactorialCost),
-which prices each layer as the code runs it, in fitted units.
+which puts s near sqrt(count), and baby_step_length takes s = isqrt(count)
+over any ring that is not packed.  Over a packed ring the baby steps
+multiply integers of a few dozen digits, which CPython multiplies by
+schoolbook, so the last doubling costs about N^3 n (s d)^2 and the
+balance lies lower: there it picks the s of least estimated cost
+(_FactorialCost), which prices each layer as the code runs it, in fitted
+units.
 
 Every inner product of field elements is one K.dot, which every field
 object has: matvec always, and matmul unless K is `packed`.  A packed K
@@ -39,7 +41,9 @@ in F_p, so the tree has F_p coefficients: each node's remainder, and the
 direct evaluation below BASE_CASE points, works on every row at once in
 packed integers, with no reduction mod S.  Over any other field the baby
 steps are nested lists, with one polys.taylor_shift per entry and one
-polynomial product per pair of entries.
+polynomial product per pair of entries, and the entries of P_s go down
+the same tree as a list: one node.rem per entry at each node that
+divides, one Horner evaluation per entry and point below it.
 """
 
 import functools
@@ -113,8 +117,9 @@ def matpoly_eval(K, B, a):
 
 def baby_step_length(K, B, count, r):
     """The s that matrix_factorial(K, B, count, right) uses, for count >= 16
-    and right of r columns: the s in [sqrt(count) / 2, 2 sqrt(count) + 1]
-    of least estimated cost (_FactorialCost), the smallest one on a tie.
+    and right of r columns: isqrt(count) unless K is packed, else the s in
+    [sqrt(count) / 2, 2 sqrt(count) + 1] of least estimated cost
+    (_FactorialCost), the smallest one on a tie.
 
     The window keeps s = Theta(sqrt(count)), which the O~(sqrt p) bound
     needs: for a fixed s the multipoint evaluation's direct step grows like
@@ -124,12 +129,14 @@ def baby_step_length(K, B, count, r):
 
     It depends on the factorial's shape alone: N = len(B), r, count, the
     longest entry of B, its zero pattern and the degree growth of its
-    products (_degree_growth), the ring's degree and characteristic, and
-    whether it is packed.  Candidates whose baby steps or giant steps alone
-    already cost more than the best estimate are never fully priced, and
-    the search stops once the doublings alone do, which grow with s."""
-    cost = _FactorialCost(K, B, r, count)
+    products (_degree_growth), and the ring's degree and characteristic.
+    Candidates whose baby steps or giant steps alone already cost more
+    than the best estimate are never fully priced, and the search stops
+    once the doublings alone do, which grow with s."""
     best_s = math.isqrt(count)
+    if not getattr(K, "packed", False):
+        return best_s
+    cost = _FactorialCost(K, B, r, count)
     best = cost.total(best_s, count)
     for s in range(max(best_s // 2, 1), 2 * best_s + 2):
         giant = count // s * cost.step(s)
@@ -224,9 +231,9 @@ class _Pattern:
 
 
 class _FactorialCost:
-    """Estimated cost of matrix_factorial(K, B, count, right) at baby-step
-    length s, in microseconds of CPU time on the bench's host (2-core
-    x86-64, CPython 3.11).
+    """Estimated cost of matrix_factorial(K, B, count, right) over a packed
+    K at baby-step length s, in microseconds of CPU time on the bench's
+    host (2-core x86-64, CPython 3.11).
 
     The estimate follows the code layer by layer.  P_k has entries of
     length at most growth * (k - 1) + d + 1, for d the degree of B.
@@ -238,16 +245,13 @@ class _FactorialCost:
       - Giant steps: g products of N x N by N x r.
       - Leftover factors: one evaluation of P_k and one product per part
         k of _leftover_parts(s, count mod s).
-    Over a packed ring the kernels skip zero entries, so every layer is
-    priced on the nonzero entries of P_k and the nonzero pairs a product
-    multiplies (_Pattern, counted once from B), per ring coordinate: in
-    the big-integer products of the Kronecker kernels (_product_bytes, at
-    the slot widths the kernels choose), the Python work per row, value
-    and column they pack, unpack or reduce, and the Python work per pair
-    and per output entry.  Over any other ring the shifts by halves
-    (L log L per entry) stand for the doublings, N^3 (d + 1) L for an
-    odd step, g log g per entry for the generic tree, and (L - g) log g
-    more when the root divides, and N^2 r for a giant step.
+    The kernels skip zero entries, so every layer is priced on the
+    nonzero entries of P_k and the nonzero pairs a product multiplies
+    (_Pattern, counted once from B), per ring coordinate: in the
+    big-integer products of the Kronecker kernels (_product_bytes, at the
+    slot widths the kernels choose), the Python work per row, value and
+    column they pack, unpack or reduce, and the Python work per pair and
+    per output entry.
 
     The prices were fitted by nonnegative least squares on relative error
     (the rows of one layer of one factorial weighted by one over the
@@ -264,9 +268,7 @@ class _FactorialCost:
     F_p[u]/S the products and giant steps have prices of their own,
     fitted likewise on sym2's mc batch (degree 18, p = 1009) and on
     batches of points of degree 2 on the operator (degree 12 at p = 1009,
-    18 at 4099).  Not packed: the four layers of one point of the
-    workload operator over F_p at p = 1019, 10007 and 40009, at 13-21
-    values of s each.
+    18 at 4099).
     """
 
     def __init__(self, K, B, r, count):
@@ -274,9 +276,8 @@ class _FactorialCost:
         self.N, self.r = N, r
         self.d = max(max(len(e) for row in B for e in row) - 1, 0)
         self.growth = _degree_growth(B)
-        self.packed = getattr(K, "packed", False)
         self.split = isinstance(K, fields.SplitRing)
-        self.n = K.degree if self.packed else 1
+        self.n = K.degree
         self.p = K.char
         self.q = (self.p - 1) ** 2
         self.base = polys.SubproductTree.BASE_CASE
@@ -332,19 +333,13 @@ class _FactorialCost:
 
     def doubling(self, k):
         """P_2k(u) = P_k(u+k) P_k(u): a shift and a product."""
-        N, L = self.N, self.length(k)
-        if not self.packed:
-            return 0.8577 * N * N * L * math.log2(max(L, 2))
-        nz = self.pattern.nonzero[k]
+        L, nz = self.length(k), self.pattern.nonzero[k]
         return self._shift(nz, L) + self._product(
             self.pattern.squares[k], L, L, nz, nz, self.pattern.nonzero[2 * k])
 
     def odd(self, k):
         """P_(k+1)(u) = B(u+k) P_k(u)."""
-        N, L, d = self.N, self.length(k), self.d
-        if not self.packed:
-            return 0.02763 * N ** 3 * (d + 1) * L
-        nz = self.pattern.nonzero[1]
+        L, d, nz = self.length(k), self.d, self.pattern.nonzero[1]
         return self._shift(nz, d + 1) + self._product(
             self.pattern.odds[k], d + 1, L, nz,
             self.pattern.nonzero[k], self.pattern.nonzero[k + 1])
@@ -352,8 +347,6 @@ class _FactorialCost:
     def step(self, k):
         """One product of P_k at a point, N x N, by N x r."""
         N, r = self.N, self.r
-        if not self.packed:
-            return 0.5872 * N * N * r
         if not self.split:
             return (0.1401 * N * r + 0.2418 * (N + r) * N) * self.n
         nz = self.pattern.nonzero[k]
@@ -361,21 +354,15 @@ class _FactorialCost:
 
     def leftover(self, k):
         """One leftover run of k factors: P_k evaluated at a point, then
-        multiplied in.  Over a packed ring that product measured at 1.11
-        times a giant step's price."""
+        multiplied in.  That product measured at 1.11 times a giant step's
+        price."""
         L = self.length(k)
-        if not self.packed:
-            return self.step(k) + 0.1515 * self.N ** 2 * L
         return (1.112 * self.step(k) + 18.58 + L * (
             0.02164 * self.n * self.pattern.nonzero[k] + 1.765))
 
     def multipoint(self, g, s):
         """SubproductTree.evaluate of the entries of P_s at g points."""
         L = self.length(s)
-        if not self.packed:
-            lg = math.log2(max(g, 2))
-            return self.N ** 2 * (g * (1.268 * lg + 1.984)
-                                  + 0.4504 * max(L - g, 0) * lg)
         # the g / size nodes of each level above the base case divide the
         # rows they receive when these are longer than their degree, and
         # hand down remainders as long as it; the base nodes evaluate

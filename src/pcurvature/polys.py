@@ -15,7 +15,7 @@ ring shifts in one kernel of its own (fields.ExtensionField.shift_rows).
 Every division by a fixed monic modulus goes through MonicModReducer,
 which keeps the Newton inverse of the reversed modulus: powers modulo m,
 the reduction of an extension over a non-prime base, and each node of the
-subproduct tree, whose inverse also feeds K.rows_rem.
+subproduct tree that divides, whose inverse also feeds K.rows_rem.
 """
 
 from .errors import InsufficientModuli, ModuliNotCoprime, NotMonic
@@ -320,23 +320,27 @@ def rem_monic_precomp(K, f, m, m_rev_inv):
 class SubproductTree:
     """Balanced product tree over the moduli (x - a_i), for batch evaluation.
 
-    Every node is a MonicModReducer for the product of its points, so a
-    polynomial goes down the tree by node.rem, and each node keeps the
-    inverse of its reversal at the precision its longest quotient needs.
+    A polynomial goes down the tree from the root: each node above
+    BASE_CASE points is a MonicModReducer for the product of its points
+    and hands its children the remainder by it, and the first node of at
+    most BASE_CASE points evaluates what it receives at its points
+    directly.  The smaller nodes are built only to form the larger ones,
+    and none is built when the root has at most BASE_CASE points.  Each
+    reducer keeps the inverse of its reversal at the precision its
+    longest quotient needs.
 
+    Over a K that is not packed, evaluate takes a list of polynomials:
+    a division is one node.rem per polynomial, and the direct step one
+    Horner evaluation (eval_at) per point and polynomial.
     Over a `packed` K (F_p[u]/S in the monomial basis, see
     fields.ExtensionField, or F_p^n in value form, fields.SplitRing) with
     every point an F_p constant, as K.is_constant tells, the tree is built
-    over F_p, and the n coordinates of every polynomial of one evaluate
-    call go down it together, as polynomials (rows) over F_p, kept column
-    by column (fields.MatrixRows, which evaluate also takes as it is).
-    Each node above BASE_CASE points divides all rows at once (K.rows_rem,
-    with node.inverse(k) for quotients of length k, linear in the number
-    of rows); the first node of at most BASE_CASE points
-    evaluates the rows it receives at its points directly (K.rows_at).
-    Nothing is reduced mod S, and no node of at most BASE_CASE points is
-    ever divided by: their products are built only to form the larger
-    nodes, and none is built when the root has at most BASE_CASE points.
+    over F_p, and evaluate takes fields.MatrixRows: the n coordinates of
+    all its entries go down the tree together, as rows over F_p kept
+    column by column.  A node divides all rows at once (K.rows_rem, with
+    node.inverse(k) for quotients of length k, linear in the number of
+    rows), and the direct step evaluates them all at once (K.rows_at).
+    Nothing is reduced mod S.
     """
 
     BASE_CASE = 32
@@ -350,9 +354,9 @@ class SubproductTree:
             map(K.is_constant, self.points))
         R, self._pts = ((K.base, [K.project(a) for a in self.points])
                         if self.packed else (K, self.points))
-        # levels[l][i] is node (l, i), or None where the packed descent
+        # levels[l][i] is node (l, i), or None where the descent
         # evaluates directly
-        if self.packed and len(self._pts) <= self.BASE_CASE:
+        if len(self._pts) <= self.BASE_CASE:
             self.levels = []
             return
         levels = [[[R.neg(a), R.one] for a in self._pts]]
@@ -364,77 +368,61 @@ class SubproductTree:
             if len(prev) % 2:
                 nxt.append(prev[-1])
             levels.append(nxt)
-        small = self.BASE_CASE if self.packed else 0
-        self.levels = [[MonicModReducer(R, m) if len(m) - 1 > small else None
+        self.levels = [[MonicModReducer(R, m)
+                        if len(m) - 1 > self.BASE_CASE else None
                         for m in level] for level in levels]
 
     def evaluate(self, fs):
-        """Values of each polynomial of fs at every point, one list each.
+        """Values at every point of each polynomial fs holds, one list each.
 
-        Over a packed K, fs may also be a fields.MatrixRows; the result
-        then has one list per entry it holds, in the order of its entries.
+        fs is a list of polynomials, or over a packed K a
+        fields.MatrixRows, whose result has one list per entry it holds,
+        in the order of its entries.
+        """
+        K = self.K
+        if self.packed:
+            if not fs.cols:
+                return []
+            at = self._descend(
+                fs.cols, lambda cols, node: K.rows_rem(
+                    cols, node.m, node.inverse(len(cols) - node.dm)),
+                K.rows_at)
+        else:
+            at = self._descend(
+                fs, lambda fs, node: [node.rem(f) for f in fs],
+                lambda fs, pts: [[eval_at(K, f, a) for f in fs]
+                                 for a in pts])
+        return [list(vals) for vals in zip(*at)]
+
+    def _descend(self, state, divide, direct):
+        """The lists direct returns, one per point, in the order of the
+        points.  state goes down from the root: each node above BASE_CASE
+        points hands its children divide(state, node), and the first node
+        of at most BASE_CASE points gives direct(state, its points).
+
         An odd node at any level is carried upward unchanged, so node
         (level, idx) covers children (level - 1, 2*idx) and, when present,
         (level - 1, 2*idx + 1): the points from idx * 2**level on, at most
         2**level of them.
         """
-        if not self.packed:
-            return [self._evaluate_one(f) for f in fs]
-        if not isinstance(fs, (list, tuple)):
-            return self._evaluate_rows(fs.cols)
-        # a list goes down as the one row of a matrix
-        K = self.K
-        rows = K.rows_of([list(fs)])
-        out = [[K.zero] * len(self.points) for _ in fs]
-        for e, vals in zip(rows.entries, self._evaluate_rows(rows.cols)):
-            out[e] = vals
-        return out
-
-    def _evaluate_one(self, f):
-        K = self.K
-        vals = [K.zero] * len(self.points)
-        if not f:
-            return vals
-
-        def descend(level, idx, g):
-            g = self.levels[level][idx].rem(g)
-            if level == 0:
-                vals[idx] = g[0] if g else K.zero
-                return
-            lo = 2 * idx
-            descend(level - 1, lo, g)
-            if lo + 1 < len(self.levels[level - 1]):
-                descend(level - 1, lo + 1, g)
-
-        descend(len(self.levels) - 1, 0, f)
-        return vals
-
-    def _evaluate_rows(self, cols):
-        """evaluate over a packed K of the polynomials whose coordinates
-        are rows over F_p, given column by column (fields.MatrixRows):
-        one list per polynomial, its coordinates consecutive rows."""
-        K, total = self.K, len(self.points)
-        if not cols:
-            return []
+        total = len(self._pts)
         at = [None] * total
 
-        def descend(level, idx, cols):
+        def descend(level, idx, state):
             first = idx << level
             size = min(1 << level, total - first)
             if size <= self.BASE_CASE:
-                at[first:first + size] = K.rows_at(
-                    cols, self._pts[first:first + size])
+                at[first:first + size] = direct(
+                    state, self._pts[first:first + size])
                 return
-            node = self.levels[level][idx]
-            cols = K.rows_rem(cols, node.m,
-                              node.inverse(len(cols) - node.dm))
+            state = divide(state, self.levels[level][idx])
             lo = 2 * idx
-            descend(level - 1, lo, cols)
+            descend(level - 1, lo, state)
             if (lo + 1) << (level - 1) < total:
-                descend(level - 1, lo + 1, cols)
+                descend(level - 1, lo + 1, state)
 
-        descend((total - 1).bit_length(), 0, cols)
-        return [list(vals) for vals in zip(*at)]
+        descend((total - 1).bit_length(), 0, state)
+        return at
 
 
 def format_poly(K, f, var="x"):

@@ -10,6 +10,7 @@ from pcurvature.errors import NotSquare
 from oracles import (CountingPrimeField, matmul_schoolbook,
                      matpoly_mul_schoolbook, matrix_factorial_sequential,
                      rank_profile)
+from test_polys import tree_values
 
 F5 = fields.PrimeField(5)
 F101 = fields.PrimeField(101)
@@ -259,9 +260,9 @@ def test_packed_multipoint_matches_pointwise(ring, rng):
             [], [L.random_elem(rng)], zero_inside,
             [L.random_elem(rng) for _ in range(max(count - 1, 1))])]
         want = [[_horner_coords(L, f, a) for a in xs] for f in fs]
-        assert tree.evaluate(fs) == want
+        assert tree_values(tree, fs) == want
         for f, w in zip(fs, want):
-            assert tree.evaluate([f]) == [w]
+            assert tree_values(tree, [f]) == [w]
 
 
 def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
@@ -293,7 +294,7 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
         monkeypatch.setattr(fields.ExtensionField, name, recording)
     kernel("rows_rem")
     kernel("rows_at")
-    got = polys.SubproductTree(L, pts).evaluate([f])
+    got = tree_values(polys.SubproductTree(L, pts), [f])
     assert min(max(slots["rows_rem"]), max(slots["rows_at"])) > 8
     assert got == [[polys.eval_at(L, f, a) for a in pts]]
 
@@ -353,8 +354,8 @@ def _packed_multipoint_cost(count, monkeypatch):
     monkeypatch.setattr(fields, "_unpack", counting)
     monkeypatch.setattr(fields.ExtensionField, "rows_at", direct)
     K.ops = 0
-    polys.SubproductTree(L, [L.from_int(37 * j) for j in range(count)]
-                         ).evaluate([f])
+    tree_values(polys.SubproductTree(
+        L, [L.from_int(37 * j) for j in range(count)]), [f])
     monkeypatch.undo()
     return K.ops + cost[0]
 

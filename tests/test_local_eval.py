@@ -287,6 +287,19 @@ def test_baby_steps_double_and_leave_few_factors(monkeypatch):
     assert _factorial_calls(1019, "matpoly_eval", monkeypatch) <= 5
 
 
+def test_baby_step_length_is_isqrt_count_off_packed_rings():
+    # only packed rings have a price model; elsewhere s is isqrt(count),
+    # for one point of F_p and for a point of a tower over F_9 alike
+    K = fields.PrimeField(10007)
+    rec = local_eval.build_B_operator(_c07_operator(K), K, K.from_int(2))
+    assert linalg.baby_step_length(K, rec.entries, 10007, rec.corner) == 100
+    F9 = fields.ExtensionField(F3, fields.find_irreducible(F3, 2))
+    tower = fields.ExtensionField(F9, fields.find_irreducible(F9, 2))
+    assert not tower.packed
+    rec = local_eval.build_B_operator(_c07_operator(F9), tower, tower.gen)
+    assert linalg.baby_step_length(tower, rec.entries, 400, rec.corner) == 20
+
+
 def _split_batch_count(p, monkeypatch):
     """Values the split ring's kernels unpack or produce, plus the
     multiply-adds of the multipoint evaluation's direct step (a row's

@@ -163,11 +163,33 @@ def test_multipoint_eval_matches_pointwise(rng):
         assert got == [want]
 
 
+def tree_values(tree, fs):
+    """tree.evaluate of the polynomials fs, one list each.  A packed tree
+    takes them as the one row of a MatrixRows, read back by its entries,
+    which leave out (and so give all zeros for) a zero polynomial."""
+    if not tree.packed:
+        return tree.evaluate(fs)
+    L = tree.K
+    rows = L.rows_of([fs])
+    out = [[L.zero] * len(tree.points) for _ in fs]
+    for e, vals in zip(rows.entries, tree.evaluate(rows)):
+        out[e] = vals
+    return out
+
+
+_TREE_RINGS = {
+    "split ring over F_1019": lambda: fields.SplitRing(
+        fields.PrimeField(1019), range(1, 4)),
+    "F_1019": lambda: fields.PrimeField(1019),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(_TREE_RINGS))
 @pytest.mark.parametrize("count, divisors", [(31, 0), (32, 0), (33, 1),
                                              (100, 3)])
-def test_packed_tree_builds_only_the_nodes_it_divides_by(count, divisors,
-                                                         monkeypatch):
-    # over a packed ring the descent evaluates every node of at most
+def test_tree_builds_only_the_nodes_it_divides_by(count, divisors, ring,
+                                                  monkeypatch):
+    # packed or not, the descent evaluates every node of at most
     # BASE_CASE points directly: with no larger node nothing is built,
     # else one reducer for each larger node (100 = 64 + 36 points)
     built = []
@@ -177,14 +199,13 @@ def test_packed_tree_builds_only_the_nodes_it_divides_by(count, divisors,
         built.append(len(m) - 1)
         return reducer(K, m)
     monkeypatch.setattr(polys, "MonicModReducer", recording)
-    K = fields.PrimeField(1019)
-    ring = fields.SplitRing(K, range(1, 4))
-    pts = [ring.from_int(3 * j) for j in range(count)]
-    tree = polys.SubproductTree(ring, pts)
+    L = _TREE_RINGS[ring]()
+    pts = [L.from_int(3 * j) for j in range(count)]
+    tree = polys.SubproductTree(L, pts)
     assert len(built) == divisors
     assert all(size > tree.BASE_CASE for size in built)
-    f = [ring.from_int(j * j + 1) for j in range(2 * count)]
-    assert tree.evaluate([f]) == [[polys.eval_at(ring, f, a) for a in pts]]
+    f = [L.from_int(j * j + 1) for j in range(2 * count)]
+    assert tree_values(tree, [f]) == [[polys.eval_at(L, f, a) for a in pts]]
 
 
 def test_format_poly_pins():
