@@ -5,11 +5,12 @@ companion system in the basis (1, d, ..., d^(r-1)): superdiagonal ones and
 last row -a_0, ..., -a_(r-1), all divided by a_r.  We store the cleared
 form A = A_tilde / f_A with polynomial entries.
 
-naive_p_curvature iterates A_1 = -A, A_(i+1) = A_i' - A*A_i over the
-rational function field, p - 1 steps, with no shortcuts: it is the oracle
-every fast path is measured against.  Its invariant factors are rational a
-priori; clearing denominators by f_A^p makes them polynomials in x^p, and
-that cleared, compressed form is what the library reports everywhere.
+naive_p_curvature iterates A_1 = -A, A_(i+1) = A_i' - A*A_i, p - 1 steps,
+on the numerators over F_q[x] (A_i = A~_i / f_A^i), with no shortcuts: it
+is the oracle every fast path is measured against.  Its invariant factors
+are rational a priori; clearing denominators by f_A^p makes them
+polynomials in x^p, and that cleared, compressed form is what the library
+reports everywhere.
 """
 
 from dataclasses import dataclass
@@ -84,12 +85,6 @@ class DiffSystem:
                 d = max(d, len(e) - 1)
         return d
 
-    def rational_matrix(self, R):
-        """Entries of A = A_tilde / f_A in the given RatFuncField."""
-        den = R.from_poly(list(self.f_A))
-        return [[R.div(R.from_poly(list(e)), den) for e in row]
-                for row in self.A_tilde]
-
 
 def companion_of_operator(L):
     """The system satisfied by (y, y', ..., y^(r-1)) for solutions of L.
@@ -111,21 +106,44 @@ def companion_of_operator(L):
 
 
 def naive_p_curvature(sys, p):
-    """A_p by the defining recurrence, over F_q(x); exact and O(p) slow."""
-    R = RatFuncField(sys.K)
-    A = sys.rational_matrix(R)
-    Ai = linalg.mat_neg(R, A)
-    for _ in range(p - 1):
-        dAi = linalg.mat_map(R.derivative, Ai)
-        Ai = linalg.mat_sub(R, dAi, linalg.matmul(R, A, Ai))
-    return Ai
+    """A_p by the defining recurrence, exact and O(p) slow, over F_q(x).
+
+    With A = A~/f, A_i is A~_i/f^i for the polynomial matrices A~_1 = -A~
+    and A~_(i+1) = f A~_i' - i f' A~_i - A~ A~_i, which the recurrence
+    runs on over F_q[x] with no gcd; A_p = A~_p / f^p goes into F_q(x)
+    once, at the end."""
+    K = sys.K
+    f = list(sys.f_A)
+    df = polys.derivative(K, f)
+    At = [[list(e) for e in row] for row in sys.A_tilde]
+    Ai = [[polys.neg(K, e) for e in row] for row in At]
+    for i in range(1, p):
+        idf = polys.scale(K, K.from_int(i), df)
+        cols = list(zip(*Ai))
+        Ai = [[polys.sub(K, polys.sub(
+            K, polys.mul(K, f, polys.derivative(K, e)), polys.mul(K, idf, e)),
+            _poly_dot(K, row, col)) for e, col in zip(ai_row, cols)]
+            for row, ai_row in zip(At, Ai)]
+    R = RatFuncField(K)
+    fp = R.from_poly(polys.poly_pow(K, f, p))
+    return [[R.div(R.from_poly(e), fp) for e in row] for row in Ai]
+
+
+def _poly_dot(K, xs, ys):
+    """The sum of the products of two lists of polynomials."""
+    acc = []
+    for a, b in zip(xs, ys):
+        acc = polys.add(K, acc, polys.mul(K, a, b))
+    return acc
 
 
 def rational_invariant_factors(sys, p):
-    """Invariant factors of A_p(x) over F_q(x), monic in T."""
+    """Invariant factors of A_p(x) over F_q(x), monic in T: the Smith form
+    of T - A_p itself, not linalg.invariant_factors_of, so that this
+    oracle shares no shortcut with the local evaluations it checks."""
     R = RatFuncField(sys.K)
     Ap = naive_p_curvature(sys, p)
-    return R, linalg.invariant_factors_of(R, Ap)
+    return R, linalg.smith_form(R, linalg.char_matrix(R, Ap))
 
 
 def naive_invariant_factors(sys, p):
@@ -137,10 +155,7 @@ def naive_invariant_factors(sys, p):
     """
     K = sys.K
     R, factors = rational_invariant_factors(sys, p)
-    c = R.from_poly(list(sys.f_A))
-    cp = R.one
-    for _ in range(p):
-        cp = R.mul(cp, c)
+    cp = R.from_poly(polys.poly_pow(K, list(sys.f_A), p))
     out = []
     for f in factors:
         scaled = bivar.scale_similarity(R, f, cp)

@@ -548,10 +548,19 @@ class ExtensionField:
         return polys.format_poly(self.base, self._strip(a), var=var)
 
     def polymul(self, f, g):
-        """Product in ℓ[t] with one reduction by S per output coefficient."""
+        """Product in ℓ[t] with one reduction by S per output coefficient.
+
+        Over a prime base both factors pack into one integer each,
+        t-coefficient i in a block of 2 degree - 1 slots as matpoly_mul
+        packs an entry, so the product is one integer product."""
         if self.packed:
-            return self.matrix_of(self.matpoly_mul(self.rows_of([[f]]),
-                                                   self.rows_of([[g]])))[0][0]
+            n, W, p = self.degree, 2 * self.degree - 1, self.base.p
+            # a slot sums n products of residues per pair of coefficients
+            slot = _slot_bytes((p - 1) ** 2 * n * min(len(f), len(g)))
+            size = W * (len(f) + len(g) - 1)
+            conv = _unpack(_pack(f, slot, W) * _pack(g, slot, W), slot, size)
+            return polys.trim(self, [self.reduce_product(conv[i:i + W])
+                                     for i in range(0, size, W)])
         base = self.base
         stripped = [self._strip(b) for b in g]
         accs = [[] for _ in range(len(f) + len(g) - 1)]
@@ -858,10 +867,29 @@ class SplitRing:
                         for col in cols])
         return out
 
+    def polymul(self, f, g):
+        """Product of polynomials over self, coordinate by coordinate:
+        schoolbook on the tuples below PrimeField.KRONECKER_CUTOFF, with
+        one reduction mod p per value, else one Kronecker product over
+        F_p per coordinate."""
+        p = self.p
+        if min(len(f), len(g)) >= PrimeField.KRONECKER_CUTOFF:
+            mul = self.base._polymul_kronecker
+            out = zip(*[mul(a, b) for a, b in zip(zip(*f), zip(*g))])
+        else:
+            acc = [None] * (len(f) + len(g) - 1)
+            for i, a in enumerate(f):
+                for j, b in enumerate(g):
+                    prods = map(operator.mul, a, b)
+                    acc[i + j] = (prods if acc[i + j] is None
+                                  else map(operator.add, acc[i + j], prods))
+            out = ([x % p for x in c] for c in acc)
+        # over a product ring the top coefficient can vanish
+        return polys.trim(self, [tuple(c) for c in out])
+
     # shifting by an F_p constant acts on each coordinate alone, in value
     # form as in the monomial basis, and so do the row conversions and the
-    # multipoint kernels; a product of two polynomials is a 1 x 1 matpoly_mul
-    polymul = ExtensionField.polymul
+    # multipoint kernels
     rows_of = ExtensionField.rows_of
     matrix_of = ExtensionField.matrix_of
     shift_rows = ExtensionField.shift_rows

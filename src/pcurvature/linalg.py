@@ -58,14 +58,6 @@ def identity(K, n):
     return [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
 
 
-def mat_sub(K, A, B):
-    return [[K.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_neg(K, A):
-    return [[K.neg(a) for a in row] for row in A]
-
-
 def matmul(K, A, B):
     if len(B) != len(A[0]):
         raise DimensionMismatch(
@@ -80,10 +72,6 @@ def matvec(K, A, v):
     if len(v) != len(A[0]):
         raise DimensionMismatch("matrix and vector sizes do not match")
     return [K.dot(row, v) for row in A]
-
-
-def mat_map(f, A):
-    return [[f(e) for e in row] for row in A]
 
 
 def matpoly_mul(K, A, B):
@@ -130,25 +118,21 @@ def baby_step_length(K, B, count, r):
     It depends on the factorial's shape alone: N = len(B), r, count, the
     longest entry of B, its zero pattern and the degree growth of its
     products (_degree_growth), and the ring's degree and characteristic.
-    Candidates whose baby steps or giant steps alone already cost more
-    than the best estimate are never fully priced, and the search stops
-    once the doublings alone do, which grow with s."""
+    The candidates are priced in the order of a lower bound on their cost
+    (_FactorialCost.floor), and the search stops once that bound exceeds
+    the best estimate, so most are never fully priced."""
     best_s = math.isqrt(count)
     if not getattr(K, "packed", False):
         return best_s
     cost = _FactorialCost(K, B, r, count)
-    best = cost.total(best_s, count)
-    for s in range(max(best_s // 2, 1), 2 * best_s + 2):
-        giant = count // s * cost.step(s)
-        if giant >= best:
-            continue
-        doublings, baby = cost.baby(s)
-        if doublings >= best:
+    best = math.inf
+    for bound, s in sorted((cost.floor(s, count), s) for s in range(
+            max(best_s // 2, 1), 2 * best_s + 2)):
+        if bound > best:
             break
-        if baby + giant < best:
-            price = cost.total(s, count)
-            if price < best or price == best and s < best_s:
-                best, best_s = price, s
+        price = cost.total(s, count)
+        if price < best or price == best and s < best_s:
+            best, best_s = price, s
     return best_s
 
 
@@ -211,23 +195,23 @@ class _Pattern:
     def __init__(self, B, limit):
         N = len(B)
         Z = tuple(sum(1 << j for j, e in enumerate(row) if e) for row in B)
-        powers, seen, X = [], {}, Z
+        first = [sum(x >> m & 1 for x in Z) for m in range(N)]
+        # the set bits of each row mask met so far
+        bits, stats, seen, X = {}, [], {}, Z
         while X not in seen:
-            seen[X] = len(powers)
-            rows = [bin(x).count("1") for x in X]
-            cols = [sum(x >> m & 1 for x in X) for m in range(N)]
-            powers.append((sum(rows), rows, cols))
-            X = tuple(functools.reduce(operator.or_, (
-                Z[m] for m in range(N) if x >> m & 1), 0) for x in X)
-        start, period = seen[X], len(powers) - seen[X]
-        first = powers[0][2]
-        stats = [(nz, sum(map(operator.mul, cols, rows)),
-                  sum(map(operator.mul, first, rows)))
-                 for nz, rows, cols in powers]
-        # power k is powers[k - 1] until the first repeat
-        self.nonzero, self.squares, self.odds = zip((N, N, N), *[
-            stats[i if i < len(stats) else start + (i - start) % period]
-            for i in range(limit)])
+            seen[X] = len(stats)
+            rows = [x.bit_count() for x in X]
+            for x in X:
+                if x not in bits:
+                    bits[x] = [m for m in range(N) if x >> m & 1]
+            stats.append((sum(rows), sum(rows[m] for x in X for m in bits[x]),
+                          sum(map(operator.mul, first, rows))))
+            X = tuple(functools.reduce(operator.or_, [Z[m] for m in bits[x]],
+                                       0) for x in X)
+        # power k is stats[k - 1], and from the first repeat on it cycles
+        cycle = stats[seen[X]:]
+        stats += cycle * (limit // len(cycle))
+        self.nonzero, self.squares, self.odds = zip((N, N, N), *stats[:limit])
 
 
 class _FactorialCost:
@@ -283,30 +267,44 @@ class _FactorialCost:
         self.base = polys.SubproductTree.BASE_CASE
         # baby_step_length prices s up to 2 sqrt(count) + 1
         self.pattern = _Pattern(B, 2 * math.isqrt(count) + 2)
-        self._baby = [(0.0, 0.0), (0.0, 0.0)]
+        self._baby = {0: 0.0, 1: 0.0}
+        # every odd step shifts B
+        self._shift_B = self._shift(self.pattern.nonzero[1], self.d + 1)
 
     def length(self, k):
         """Bound on the length of the entries of P_k."""
         return self.growth * (k - 1) + self.d + 1
 
     def baby(self, s):
-        """The doublings of the baby steps of length s, and all of them."""
+        """The baby steps of length s: the doublings along its chain and
+        an odd step at each odd prefix."""
         memo = self._baby
-        while len(memo) <= s:
-            k = len(memo)
-            if k & 1:
-                dbl, total = memo[k - 1]
-                memo.append((dbl, total + self.odd(k - 1)))
-            else:
-                dbl = self.doubling(k >> 1)
-                half = memo[k >> 1]
-                memo.append((half[0] + dbl, half[1] + dbl))
-        return memo[s]
+        price = memo.get(s)
+        if price is None:
+            price = memo[s] = (self.baby(s - 1) + self.odd(s - 1) if s & 1
+                               else self.baby(s >> 1) + self.doubling(s >> 1))
+        return price
 
     def total(self, s, count):
         g, t = divmod(count, s)
-        return (self.baby(s)[1] + self.multipoint(g, s) + g * self.step(s)
+        return (self.baby(s) + self.multipoint(g, s) + g * self.step(s)
                 + sum(map(self.leftover, _leftover_parts(s, t))))
+
+    def floor(self, s, count):
+        """A lower bound on total(s, count) that prices no division of the
+        tree, no leftover run and not the last odd step: the baby steps of
+        length s rounded down to even, the multipoint's pass over P_s and
+        its direct step, and the giant steps."""
+        g = count // s
+        L, size = self.length(s), g
+        rows = self.pattern.nonzero[s] * self.n
+        while size > self.base:
+            size /= 2
+        # once a level divides, every level below it divides, and hands
+        # down rows as long as its nodes' degree
+        direct = min(L, 2 * size) if size < g else L
+        return (self.baby(s & ~1) + (0.01874 * rows * L + self._direct(
+            g, rows, direct, size)) + g * self.step(s))
 
     def _shift(self, entries, L):
         """shift_rows of that many nonzero entries of length L."""
@@ -340,7 +338,7 @@ class _FactorialCost:
     def odd(self, k):
         """P_(k+1)(u) = B(u+k) P_k(u)."""
         L, d, nz = self.length(k), self.d, self.pattern.nonzero[1]
-        return self._shift(nz, d + 1) + self._product(
+        return self._shift_B + self._product(
             self.pattern.odds[k], d + 1, L, nz,
             self.pattern.nonzero[k], self.pattern.nonzero[k + 1])
 
@@ -382,9 +380,14 @@ class _FactorialCost:
                                          size * w2)))
                 L = size
             size /= 2
-        w = fields._slot_bytes(math.ceil(L * q))
-        return price + g * (rows * (0.01874 * (L / size + 1)
-                                    + 0.0008387 * L * w) + 13.88)
+        return price + self._direct(g, rows, L, size)
+
+    def _direct(self, g, rows, L, size):
+        """The direct step of the multipoint: g points, in nodes of size
+        points, on that many rows of length L."""
+        w = fields._slot_bytes(math.ceil(L * self.q))
+        return g * (rows * (0.01874 * (L / size + 1) + 0.0008387 * L * w)
+                    + 13.88)
 
 
 def _shifted(K, M, k):
@@ -628,5 +631,49 @@ def smith_form(K, M):
 
 
 def invariant_factors_of(K, A):
-    """Invariant factors of a square matrix: the Smith form of T*I - A."""
+    """Invariant factors of a square matrix, as smith_form(K, char_matrix(K,
+    A)) gives them.
+
+    When a unit vector e_j is cyclic for A (its Krylov vectors e_j, A e_j,
+    ..., A^(r-1) e_j span K^r), A is similar to the companion matrix of
+    its characteristic polynomial: the factors are r - 1 ones and that
+    polynomial, read off the linear relation of A^r e_j to the others
+    (Giesbrecht 1995).  Otherwise they come from the Smith form of T*I - A.
+    """
+    r = len(A)
+    if any(len(row) != r for row in A):
+        raise NotSquare("characteristic matrix needs a square input")
+    for j in range(r):
+        charpoly = _cyclic_charpoly(K, A, j)
+        if charpoly is not None:
+            return [[K.one] for _ in range(r - 1)] + [charpoly]
     return smith_form(K, char_matrix(K, A))
+
+
+def _cyclic_charpoly(K, A, j):
+    """The characteristic polynomial of the r x r matrix A when e_j is
+    cyclic for A, else None.
+
+    With v_i = A^i e_j, Gauss-Jordan elimination on the columns v_0, ...,
+    v_(r-1) | v_r finds a pivot in every column exactly when e_j is
+    cyclic, and then leaves the c with v_r = sum c_i v_i in the last
+    column: the characteristic polynomial is T^r - sum c_i T^i."""
+    r, zero = len(A), K.zero
+    v = [K.one if i == j else zero for i in range(r)]
+    krylov = [v]
+    for _ in range(r):
+        v = matvec(K, A, v)
+        krylov.append(v)
+    M = [list(row) for row in zip(*krylov)]
+    for k in range(r):
+        piv = next((i for i in range(k, r) if M[i][k] != zero), None)
+        if piv is None:
+            return None
+        M[k], M[piv] = M[piv], M[k]
+        c = K.inv(M[k][k])
+        top = M[k] = [K.mul(c, a) for a in M[k]]
+        for i, row in enumerate(M):
+            c = row[k]
+            if i != k and c != zero:
+                M[i] = [K.sub(a, K.mul(c, b)) for a, b in zip(row, top)]
+    return [K.neg(row[r]) for row in M] + [K.one]

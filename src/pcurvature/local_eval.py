@@ -22,6 +22,12 @@ checks, minimal polynomials and Smith forms are F_p arithmetic.
 Only the r corner columns of the factorial are ever read, so it runs on
 the last r columns of the identity: each giant step and leftover factor
 multiplies N x N by N x r, not N x N by N x N.
+
+The class at each point is the invariant factors of its r x r corner
+(linalg.invariant_factors_of): read off a cyclic vector when one of the
+unit vectors is one, as r - 1 ones and the characteristic polynomial,
+else the Smith form of T - corner.  At the bench's points every corner is
+cyclic.
 """
 
 from dataclasses import dataclass
@@ -174,15 +180,15 @@ def invariant_factors_at(inp, ell, points, p=None):
     ell is the input's field K itself for points of degree 1, else an
     extension of K.  One matrix factorial of p terms, on the last r
     columns of the identity, gives Y^{(p)}(0) in the bottom-right corner;
-    A_p(a) is similar to its negation, so the Smith form of the negated
-    corner is exactly the local similarity class.  A single point is
+    A_p(a) is similar to its negation, so the invariant factors of the
+    negated corner are exactly the local similarity class.  A single point is
     handled over ell itself.  Several points share one factorial over the
     product ring of their minimal polynomials (z - a for a point of K).
     When they all lie in F_p, that ring is split and kept in value form,
     so the corner at a_i is read off coordinate i.  Otherwise each entry
     of its corner is a polynomial in z, reduced over F_q modulo the
-    minimal polynomial of a_i and then evaluated at a_i before the Smith
-    form over ell.
+    minimal polynomial of a_i and then evaluated at a_i before its
+    invariant factors are taken over ell.
     """
     if p is None:
         p = ell.char

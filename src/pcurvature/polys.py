@@ -450,23 +450,52 @@ def interpolate_crt(K, residues, bound):
     moduli; returns the representative modulo their product, which is the
     unique solution of degree <= bound when one exists.  Raises
     InsufficientModuli unless the moduli degrees sum past bound, and
-    ModuliNotCoprime on a shared factor.
+    ModuliNotCoprime on a shared factor.  It is crt_combine on the
+    crt_basis of the moduli; callers with many value lists for the same
+    moduli build the basis once.
     """
-    pairs = [(trim(K, m), rem(K, trim(K, v), trim(K, m))) for m, v in residues]
-    total = sum(len(m) - 1 for m, _ in pairs)
+    residues = list(residues)
+    basis = crt_basis(K, [m for m, _ in residues], bound)
+    return crt_combine(K, basis, [v for _, v in residues])
+
+
+def crt_basis(K, moduli, bound):
+    """What crt_combine needs to glue values modulo pairwise coprime
+    moduli, in mixed radix (Garner): per modulus m_i after the first, the
+    product M_i of the earlier ones and the inverse of M_i modulo m_i.
+    Raises as interpolate_crt does."""
+    moduli = [trim(K, m) for m in moduli]
+    total = sum(len(m) - 1 for m in moduli)
     if total <= bound:
         raise InsufficientModuli(
             f"moduli degrees sum to {total}, need more than bound {bound}")
-    m_acc, c_acc = pairs[0]
-    for m_i, c_i in pairs[1:]:
-        d, u, _ = xgcd(K, m_acc, m_i)
-        if len(d) != 1:
-            raise ModuliNotCoprime(
-                "moduli share the factor " + format_poly(K, d))
-        t = rem(K, mul(K, sub(K, c_i, c_acc), u), m_i)
-        c_acc = add(K, c_acc, mul(K, m_acc, t))
+    m_acc, basis = moduli[0], [(moduli[0], None, None)]
+    for m_i in moduli[1:]:
+        # gcd(M_i mod m_i, m_i) = gcd(M_i, m_i), so Euclid starts at the
+        # degree of m_i, and a nonzero constant (always, for a linear
+        # m_i that shares no root) is its own Bezout chain
+        r = rem(K, m_acc, m_i)
+        if len(r) == 1:
+            u = [K.inv(r[0])]
+        else:
+            d, u, _ = xgcd(K, r, m_i)
+            if len(d) != 1:
+                raise ModuliNotCoprime(
+                    "moduli share the factor " + format_poly(K, d))
+        basis.append((m_i, rem(K, u, m_i), m_acc))
         m_acc = mul(K, m_acc, m_i)
-    return c_acc
+    return basis
+
+
+def crt_combine(K, basis, values):
+    """The representative of degree below the product of the moduli of
+    crt_basis that is congruent to values[i] modulo the i-th of them."""
+    (m_0, _, _), *rest = basis
+    c = rem(K, trim(K, values[0]), m_0)
+    for (m_i, u, m_acc), v in zip(rest, values[1:]):
+        t = rem(K, mul(K, rem(K, sub(K, trim(K, v), c), m_i), u), m_i)
+        c = add(K, c, mul(K, m_acc, t))
+    return c
 
 
 def require_monic(K, f, what="polynomial"):

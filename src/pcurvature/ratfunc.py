@@ -3,9 +3,9 @@
 An element is a pair (num, den) of canonical coefficient lists with den
 monic and gcd(num, den) = 1; zero is ([], [1]).  Keeping the invariant on
 every operation makes == reliable, which the generic polynomial and matrix
-code depends on.  This field backs the quadratic baseline computation of
-the p-curvature and the Smith form over F_q(x)[T], so multiplication
-cross-cancels before multiplying to slow the degree growth down.
+code depends on.  This field holds the baseline p-curvature A_p and backs
+its Smith form over F_q(x)[T], so multiplication cross-cancels before
+multiplying to slow the degree growth down.
 """
 
 from . import polys
@@ -109,13 +109,6 @@ class RatFuncField:
         for a, b in zip(xs, ys):
             acc = self.add(acc, self.mul(a, b))
         return acc
-
-    def derivative(self, r):
-        a, b = list(r[0]), list(r[1])
-        K = self.coeff
-        num = polys.sub(K, polys.mul(K, polys.derivative(K, a), b),
-                        polys.mul(K, a, polys.derivative(K, b)))
-        return self._make(num, polys.mul(K, b, b))
 
     def evaluate(self, r, a, L=None, embed=None):
         """Value at x = a, with a in L (default: the coefficient field).

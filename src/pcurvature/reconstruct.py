@@ -183,7 +183,8 @@ def _reconstruct(inp, p, ell, s, points, k_sel, D):
     of K of degree s otherwise.  One matrix factorial gives the local
     factors at every point; the first k_sel pairwise non-conjugate points
     with minimal prefix sums determine each coefficient by CRT over the
-    minimal polynomials of the a_i^p (z - a_i^p when s = 1).
+    minimal polynomials of the a_i^p (z - a_i^p when s = 1), whose basis
+    (polys.crt_basis) is built once for all coefficients.
     """
     K = inp.K
     q = K.q
@@ -206,16 +207,15 @@ def _reconstruct(inp, p, ell, s, points, k_sel, D):
             "with minimal prefix sums of local degrees")
 
     points = [(ell.pow(a, p), fs) for a, fs in chosen]
-    moduli = [fields.minimal_polynomial(ell, ap, q) for ap, _ in points]
+    basis = polys.crt_basis(
+        K, [fields.minimal_polynomial(ell, ap, q) for ap, _ in points], D)
     out = []
     for j, g in enumerate(chosen[0][1]):
         factor = []
         for k in range(bivar.deg_T(g) + 1):
-            residues = [
-                (mod, interp.lift_from_extension_value(
-                    K, ell, ap, fs[j][k], s - 1))
-                for mod, (ap, fs) in zip(moduli, points)]
-            c = polys.trim(K, polys.interpolate_crt(K, residues, D))
+            values = [interp.lift_from_extension_value(
+                K, ell, ap, fs[j][k], s - 1) for ap, fs in points]
+            c = polys.trim(K, polys.crt_combine(K, basis, values))
             if polys.deg(c) > D:
                 raise SelectionFailed(
                     "interpolated coefficient exceeds the degree bound")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pcurvature import bivar, diffop, fields, polys
+from pcurvature import bivar, diffop, fields, linalg, polys
 from pcurvature.errors import ZeroLeadingCoefficient
 from pcurvature.ratfunc import RatFuncField
 
@@ -79,6 +79,49 @@ def test_naive_p_curvature_of_constant_system():
     Ap = diffop.naive_p_curvature(sysv, 7)
     want = R.neg(R.from_int(2 ** 7))
     assert Ap[0][0] == want
+
+
+def _rational_p_curvature(sysv, p):
+    """A_1 = -A, A_(i+1) = A_i' - A A_i over F_q(x) itself, with a gcd in
+    every operation: the recurrence as defined."""
+    K = sysv.K
+    R = RatFuncField(K)
+
+    def derivative(r):
+        a, b = list(r[0]), list(r[1])
+        num = polys.sub(K, polys.mul(K, polys.derivative(K, a), b),
+                        polys.mul(K, a, polys.derivative(K, b)))
+        return R.div(R.from_poly(num), R.from_poly(polys.mul(K, b, b)))
+    den = R.from_poly(list(sysv.f_A))
+    A = [[R.div(R.from_poly(list(e)), den) for e in row]
+         for row in sysv.A_tilde]
+    Ai = [[R.neg(e) for e in row] for row in A]
+    for _ in range(p - 1):
+        Ai = [[R.sub(derivative(Ai[i][j]), R.dot(A[i], [r[j] for r in Ai]))
+               for j in range(len(A))] for i in range(len(A))]
+    return Ai
+
+
+def test_naive_p_curvature_matches_the_rational_recurrence(rng):
+    # the recurrence on cleared numerators, divided by f_A^p at the end,
+    # gives the same reduced fractions at every step count p
+    F9 = fields.ExtensionField(F3, fields.find_irreducible(F3, 2))
+    for K, p in ((F5, 5), (F7, 7), (F11, 11), (F9, 3)):
+        for d, r in ((1, 1), (2, 2), (1, 3)):
+            sysv = random_system(K, rng, d, r)
+            assert (diffop.naive_p_curvature(sysv, p)
+                    == _rational_p_curvature(sysv, p)), (K, d, r)
+
+
+def test_oracle_shares_no_shortcut_with_the_local_classes(monkeypatch):
+    # the oracle's invariant factors come from the Smith form of T - A_p,
+    # never from the cyclic-vector path of linalg.invariant_factors_of
+    def refused(K, A):
+        raise AssertionError("the oracle called invariant_factors_of")
+    monkeypatch.setattr(linalg, "invariant_factors_of", refused)
+    L = _op(F11, (1, 0, 1), (1,), (1, 1, 1))
+    got = diffop.naive_invariant_factors(diffop.companion_of_operator(L), 11)
+    assert _fmt(F11, got) == ["1", "T^2 + 9*T + X^4 + 10*X^2 + 9*X + 10"]
 
 
 def test_micro_instance_factors():

@@ -416,3 +416,39 @@ def test_kronecker_product_matches_schoolbook(p):
                       [rng.randrange(p) for _ in range(lb - 1)] + [p - 1]),
                      ([p - 1] * la, [p - 1] * lb)):
             assert K.polymul(f, g) == polys.mul_schoolbook(K, f, g)
+
+
+_F1019 = fields.PrimeField(1019)
+_FWIDE = fields.PrimeField(10**9 + 7)
+
+
+@pytest.mark.parametrize("ring", [
+    lambda: fields.SplitRing(_F1019, range(1, 30)),
+    lambda: fields.SplitRing(_FWIDE, [2, 3, 5]),
+    lambda: fields.ExtensionField(
+        _F1019, fields.find_irreducible(_F1019, 3)),
+    lambda: fields.ExtensionField(fields.PrimeField(7), [0, 1, 0, 1]),
+    lambda: fields.ExtensionField(_FWIDE, [1, 0, 1])],
+    ids=["split29", "split-wide", "ext3", "ext-product-ring", "ext-wide"])
+def test_packed_polymul_multiplies_directly(ring, monkeypatch):
+    # a product of two polynomials over a packed ring builds no row form:
+    # short factors, factors past the Kronecker cutoff, and a product
+    # ring whose top coefficient vanishes all match the schoolbook
+    R = ring()
+    for name in ("rows_of", "matrix_of", "matpoly_mul"):
+        monkeypatch.setattr(type(R), name, None)
+    rng = random.Random(7)
+    if isinstance(R, fields.SplitRing):
+        zero_top = tuple([0] + [1] * (R.degree - 1))
+        other_top = tuple([1] + [0] * (R.degree - 1))
+    elif not fields.is_irreducible(R.base, R.modulus):
+        # u and u^2 + 1 multiply to zero modulo u^3 + u
+        zero_top, other_top = R.gen, R.add(R.mul(R.gen, R.gen), R.one)
+    else:
+        zero_top = other_top = R.gen
+    for lf, lg in ((1, 1), (2, 3), (3, 3), (5, 17), (16, 16), (20, 33)):
+        f = [R.random_elem(rng) for _ in range(lf - 1)] + [zero_top]
+        g = [R.random_elem(rng) for _ in range(lg - 1)] + [other_top]
+        for a, b in ((f, g), (polys.trim(R, g[:-1] + [R.one]), f)):
+            want = polys.mul_schoolbook(R, a, b)
+            assert R.polymul(a, b) == want, (lf, lg)

@@ -1,11 +1,13 @@
 import functools
+import math
 import operator
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from pcurvature import diffop, fields, linalg, local_eval, polys
+from pcurvature import (cli, diffop, fields, linalg, local_eval, polys,
+                        reconstruct)
 from pcurvature.errors import NotSquare
 from oracles import (CountingPrimeField, matmul_schoolbook,
                      matpoly_mul_schoolbook, matrix_factorial_sequential,
@@ -489,6 +491,56 @@ def test_baby_step_length_counts_the_entries_that_run(system, p):
     assert pattern.nonzero[20] == (30 if system else 8)
 
 
+def _solved_batches(monkeypatch):
+    """The (ring, B, count, r) of each planner call in the bench's three
+    solves: det on the workload operator at p = 1019 and on its companion
+    system at 263, and mc on the operator at 2003 (seed 1)."""
+    batches = []
+    plan = linalg.baby_step_length
+
+    def recording(K, B, count, r):
+        batches.append((K, B, count, r))
+        return plan(K, B, count, r)
+    monkeypatch.setattr(linalg, "baby_step_length", recording)
+    text = "(x^2+1)*Dx^2 + x*Dx + 1"
+    op = cli.parse_operator(text, fields.PrimeField(1019))
+    reconstruct.reconstruct_deterministic(op, 1019)
+    op = cli.parse_operator(text, fields.PrimeField(263))
+    reconstruct.reconstruct_deterministic(
+        diffop.companion_of_operator(op), 263)
+    op = cli.parse_operator(text, fields.PrimeField(2003))
+    reconstruct.reconstruct_montecarlo(
+        op, 2003, reconstruct.select_params(op, epsilon=0.1, seed=1))
+    monkeypatch.undo()
+    return batches
+
+
+def test_pruned_planner_returns_the_exhaustive_argmin(monkeypatch):
+    # the bench's batches, the batches of the baby_step_length tests above,
+    # and det's batch of the workload operator at p = 65539: the search
+    # that prices candidates in the order of their lower bound picks the
+    # s of least estimated cost over the whole window, the smallest on a
+    # tie, and the s each batch has always taken
+    K = fields.PrimeField(65539)
+    ring = fields.SplitRing(K, range(29))
+    op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", K)
+    big = (ring, local_eval.build_B_operator(op, ring, ring.gen).entries,
+           65539, 2)
+    small = [(ring, B, p, r) for (ring, B, r), p in (
+        (_bench_batch(True, 263), 263), (_bench_batch(False, 1019), 1019))]
+    batches = _solved_batches(monkeypatch) + small + [big]
+    picks = []
+    for ring, B, count, r in batches:
+        cost = linalg._FactorialCost(ring, B, r, count)
+        w = math.isqrt(count)
+        window = range(max(w // 2, 1), 2 * w + 2)
+        want = min(window, key=lambda s: (cost.total(s, count), s))
+        got = linalg.baby_step_length(ring, B, count, r)
+        assert got == want, (count, got, want)
+        picks.append(got)
+    assert picks == [24, 8, 40, 8, 24, 152]
+
+
 @pytest.mark.parametrize("ring", sorted(_RINGS))
 @pytest.mark.parametrize("s, count", [(13, 100), (6, 23), (1, 16)])
 def test_matrix_factorial_leftovers_as_chain_prefixes(ring, s, count, rng,
@@ -651,6 +703,98 @@ def test_invariant_factors_of_companion_matrix(rng):
         C = _companion(F5, f)
         facs = linalg.invariant_factors_of(F5, C)
         assert facs == [[F5.one]] * 3 + [f]
+
+
+F7 = fields.PrimeField(7)
+F49 = fields.ExtensionField(F7, fields.find_irreducible(F7, 2))
+
+
+def _smith_factors(K, A):
+    return linalg.smith_form(K, linalg.char_matrix(K, A))
+
+
+def _counting_smith(monkeypatch):
+    calls = [0]
+    smith = linalg.smith_form
+
+    def counting(*args):
+        calls[0] += 1
+        return smith(*args)
+    monkeypatch.setattr(linalg, "smith_form", counting)
+    return calls
+
+
+@pytest.mark.parametrize("K", [F5, F7, F49], ids=str)
+def test_invariant_factors_by_cyclic_vector_match_smith_form(K, rng):
+    # dense and sparse random matrices of size 0 to 4; sparse ones are
+    # often derogatory and take the Smith form fallback
+    for r in range(5):
+        for density in (1.0, 0.3):
+            for _ in range(40):
+                A = [[K.elem(rng.randrange(K.q)) if rng.random() < density
+                      else K.zero for _ in range(r)] for _ in range(r)]
+                assert (linalg.invariant_factors_of(K, A)
+                        == _smith_factors(K, A)), A
+
+
+def _block_sum(K, *blocks):
+    n = sum(map(len, blocks))
+    out, at = [[K.zero] * n for _ in range(n)], 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            out[at + i][at:at + len(row)] = row
+        at += len(blk)
+    return out
+
+
+def _jordan(K, a, n):
+    return [[a if i == j else K.one if j == i + 1 else K.zero
+             for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("K", [F5, F49], ids=str)
+def test_invariant_factors_of_derogatory_matrices(K, monkeypatch):
+    # no vector is cyclic, so every one of these takes the Smith form
+    a, b = K.from_int(2), K.from_int(3)
+    f = [K.from_int(1), K.from_int(4), K.one]   # a square-free quadratic
+    g = polys.mul(K, f, [K.neg(b), K.one])
+    cases = [
+        _block_sum(K, [[a]], [[a]], [[a]]),                # scalar
+        _block_sum(K, _jordan(K, a, 2), _jordan(K, a, 1)),
+        _block_sum(K, _jordan(K, a, 2), _jordan(K, a, 2)),
+        _block_sum(K, _jordan(K, a, 3), [[a]]),
+        _block_sum(K, _companion(K, f), _companion(K, g)),  # shared factor f
+    ]
+    calls = _counting_smith(monkeypatch)
+    for A in cases:
+        got = linalg.invariant_factors_of(K, A)
+        assert sum(1 for e in got if len(e) > 1) > 1, got
+        assert got == _smith_factors(K, A)
+    # one fallback per matrix, and none for _smith_factors' own calls
+    assert calls[0] == 2 * len(cases)
+    assert linalg.invariant_factors_of(K, _companion(K, g)) == [
+        [K.one], [K.one], g]
+    assert calls[0] == 2 * len(cases)
+
+
+def test_cyclic_vector_may_be_a_later_unit_vector(monkeypatch):
+    # e_1 is an eigenvector of A, so its Krylov vectors span a line; e_2
+    # is cyclic, and the Smith form never runs
+    A = [[F5.one, F5.one], [F5.zero, F5.from_int(2)]]
+    tried = []
+    cyclic = linalg._cyclic_charpoly
+
+    def recording(K, M, j):
+        out = cyclic(K, M, j)
+        tried.append((j, out))
+        return out
+    monkeypatch.setattr(linalg, "_cyclic_charpoly", recording)
+    calls = _counting_smith(monkeypatch)
+    charpoly = polys.mul(F5, [F5.neg(F5.one), F5.one],
+                         [F5.from_int(-2), F5.one])
+    assert linalg.invariant_factors_of(F5, A) == [[F5.one], charpoly]
+    assert tried == [(0, None), (1, charpoly)]
+    assert calls[0] == 0
 
 
 @given(mat3)

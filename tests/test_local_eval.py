@@ -12,14 +12,15 @@ F7 = fields.PrimeField(7)
 
 
 def naive_local_factors(inp, ell, a, p):
-    """Invariant factors of A_p(a), straight from the O(p) recurrence."""
+    """Invariant factors of A_p(a), straight from the O(p) recurrence and
+    the Smith form."""
     sysv = (diffop.companion_of_operator(inp)
             if isinstance(inp, diffop.DiffOperator) else inp)
     R = RatFuncField(sysv.K)
     Ap = diffop.naive_p_curvature(sysv, p)
     emb = fields.embedding(sysv.K, ell)
     M = [[R.evaluate(e, a, ell, emb) for e in row] for row in Ap]
-    return linalg.invariant_factors_of(ell, M)
+    return linalg.smith_form(ell, linalg.char_matrix(ell, M))
 
 
 def _op(K, *coeffs):

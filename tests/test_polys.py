@@ -242,6 +242,67 @@ def test_interpolate_crt_shared_factor():
         polys.interpolate_crt(F13, [(m, []), (m2, [])], 1)
 
 
+def _incremental_crt(K, residues):
+    """Chinese remaindering one modulus at a time, each step with an
+    extended Euclid of the product so far against the next modulus: the
+    reference for crt_basis and crt_combine."""
+    (m_acc, v), *rest = residues
+    c_acc = polys.rem(K, v, m_acc)
+    for m_i, v_i in rest:
+        _, u, _ = polys.xgcd(K, m_acc, m_i)
+        t = polys.rem(K, polys.mul(K, polys.sub(
+            K, polys.rem(K, v_i, m_i), c_acc), u), m_i)
+        c_acc = polys.add(K, c_acc, polys.mul(K, m_acc, t))
+        m_acc = polys.mul(K, m_acc, m_i)
+    return c_acc
+
+
+def _coprime_moduli(K, rng, count):
+    moduli = []
+    while len(moduli) < count:
+        m = [K.from_int(rng.randrange(K.q))
+             for _ in range(rng.randint(1, 3))] + [K.one]
+        if all(len(polys.gcd(K, m, n)) == 1 for n in moduli):
+            moduli.append(m)
+    return moduli
+
+
+def test_crt_basis_and_combine_match_the_incremental_crt(rng):
+    # moduli of degree 1 to 3, values of any length; one basis serves
+    # every list of values, and interpolate_crt is basis plus combine
+    for _ in range(40):
+        moduli = _coprime_moduli(F13, rng, rng.randint(1, 5))
+        bound = sum(len(m) - 1 for m in moduli) - 1
+        basis = polys.crt_basis(F13, moduli, bound)
+        for _ in range(4):
+            values = [_lift(F13, [rng.randrange(13)
+                                  for _ in range(rng.randrange(6))])
+                      for _ in moduli]
+            want = _incremental_crt(F13, list(zip(moduli, values)))
+            assert polys.crt_combine(F13, basis, values) == want
+            assert polys.interpolate_crt(
+                F13, zip(moduli, values), bound) == want
+
+
+def test_crt_basis_raises_as_interpolate_crt_does():
+    x = [F13.zero, F13.one]
+    x1 = [F13.from_int(-1), F13.one]
+    with pytest.raises(InsufficientModuli):
+        polys.crt_basis(F13, [x, x1], 2)
+    # the shared factor is named as the gcd with the product so far: a
+    # linear modulus that repeats, or a factor of a later quadratic
+    for moduli, factor in (([x, x1, x1], "x + 12"),
+                           ([x, x1, polys.mul(F13, x1, x1)], "x + 12"),
+                           ([x1, polys.mul(F13, x, x1)], "x + 12"),
+                           ([x, [F13.one, F13.one, F13.one], x], "x")):
+        with pytest.raises(ModuliNotCoprime) as err:
+            polys.crt_basis(F13, moduli, 1)
+        assert str(err.value) == "moduli share the factor " + factor
+        with pytest.raises(ModuliNotCoprime) as err:
+            polys.interpolate_crt(F13, [(m, []) for m in moduli], 1)
+        assert str(err.value) == "moduli share the factor " + factor
+
+
 def test_power_basis_lift_round_trip(rng):
     ell = fields.ExtensionField(F3, fields.find_irreducible(F3, 4))
     a = ell.gen

@@ -343,3 +343,21 @@ def test_deterministic_builds_no_large_extension(monkeypatch):
     # the batch's product ring F_25[z]/(m) is built too, but m is reducible
     extensions = [L for L in built if fields.is_irreducible(L.base, L.modulus)]
     assert extensions and max(L.degree for L in extensions) <= 2
+
+
+def test_bench_solve_classifies_by_cyclic_vectors_and_one_crt_basis(
+        monkeypatch):
+    # det on the workload operator at p = 1019: each of the 29 corners is
+    # cyclic, so no Smith form runs, and the moduli's CRT basis is built
+    # once for all coefficients of the factors
+    calls = {"smith_form": 0, "crt_basis": 0, "interpolate_crt": 0}
+    for module, name in ((linalg, "smith_form"), (polys, "crt_basis"),
+                         (polys, "interpolate_crt")):
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counting)
+    op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", fields.PrimeField(1019))
+    got = reconstruct.reconstruct_deterministic(op, 1019)
+    assert _fmt(op.K, got) == ["1", "T^2 + 4*X^2 + 4"]
+    assert calls == {"smith_form": 0, "crt_basis": 1, "interpolate_crt": 0}
