@@ -14,13 +14,12 @@ selection failed, 5 oracle cross-check mismatch.
 """
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
-from . import bivar, diffop, fields, nilprofile, polys, reconstruct
+from . import bivar, diffop, fields, polys, reconstruct
 from .errors import (CharTooSmall, EpsilonOutOfRange,
                      ExtensionDegreeOutOfRange, NonPrime, OperatorSyntaxError,
                      SelectionFailed, SystemFileError,
@@ -31,37 +30,25 @@ from .errors import (CharTooSmall, EpsilonOutOfRange,
 MAX_PARSED_DEGREE = 10 ** 5
 
 
-@dataclass(frozen=True)
-class InputSpec:
+class InputSpec(namedtuple("InputSpec", "p ext kind payload")):
     """What to solve.  For a system, p and ext may be None (no flag given)
     until run() reads them from the file."""
-    p: int
-    ext: int
-    kind: str
-    payload: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RunFlags:
-    algo: str = "det"
-    epsilon: float = None
-    seed: int = None
-    check: bool = False
-    profile: bool = False
+class RunFlags(namedtuple("RunFlags", "algo epsilon seed check profile",
+                          defaults=("det", None, None, False, False))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ResultDocument:
-    input: dict
-    algorithm: str
-    params: dict
-    factors: list
-    timings: dict
-    profile: list = None
-    check: dict = None
+class ResultDocument(namedtuple(
+        "ResultDocument",
+        "input algorithm params factors timings profile check",
+        defaults=(None, None))):
+    __slots__ = ()
 
     def to_json(self):
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
+        return json.dumps(self._asdict(), indent=2, sort_keys=True)
 
 
 def _tokenize(text):
@@ -304,7 +291,7 @@ def _parse_input(spec):
     """The input of spec, and spec with p and ext read from a system file."""
     if spec.kind == "system":
         sysv, p, ext = load_system(spec.payload, spec.p, spec.ext)
-        return sysv, dataclasses.replace(spec, p=p, ext=ext)
+        return sysv, spec._replace(p=p, ext=ext)
     K = make_field(spec.p, spec.ext)
     return parse_operator(spec.payload, K), spec
 
@@ -334,7 +321,7 @@ def run(spec, flags):
         eps = flags.epsilon if flags.algo == "mc" else None
         pub = reconstruct.select_params(inp, epsilon=eps, seed=flags.seed)
         eff = reconstruct.effective_params(inp, pub)
-        params = dataclasses.asdict(eff)
+        params = eff._asdict()
         if flags.algo == "mc":
             factors = reconstruct.reconstruct_montecarlo(inp, spec.p, pub)
         else:
@@ -358,10 +345,11 @@ def run(spec, flags):
 
     profile = None
     if flags.profile:
+        from . import nilprofile
         profile = list(nilprofile.profile_from_invariant_factors(factors).ranks)
 
     return ResultDocument(
-        input=dataclasses.asdict(spec),
+        input=spec._asdict(),
         algorithm=flags.algo,
         params=params,
         factors=strings,

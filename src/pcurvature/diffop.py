@@ -10,31 +10,34 @@ on the numerators over F_q[x] (A_i = A~_i / f_A^i), with no shortcuts: it
 is the oracle every fast path is measured against.  Its invariant factors
 are rational a priori; clearing denominators by f_A^p makes them
 polynomials in x^p, and that cleared, compressed form is what the library
-reports everywhere.
+reports everywhere.  The oracle's rational function field (ratfunc) is
+imported on its first call, so the fast paths never load it.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import bivar, linalg, polys
 from .errors import (LeadingCoeffVanishes, NotInXp, ZeroLeadingCoefficient)
-from .ratfunc import RatFuncField
 
 
-@dataclass(frozen=True)
-class DiffOperator:
+class DiffOperator(namedtuple("DiffOperator", "K coeffs")):
     """L = sum of coeffs[i](x) * d^i, with coeffs[r] nonzero."""
 
-    K: object
-    coeffs: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        cc = [polys.trim(self.K, list(c)) for c in self.coeffs]
+    def __new__(cls, K, coeffs):
+        cc = [polys.trim(K, list(c)) for c in coeffs]
         if len(cc) < 2:
             raise ZeroLeadingCoefficient(
                 "operator must have order at least 1")
         if not cc[-1]:
             raise ZeroLeadingCoefficient("leading coefficient a_r is zero")
-        object.__setattr__(self, "coeffs", tuple(tuple(c) for c in cc))
+        return super().__new__(cls, K, tuple(tuple(c) for c in cc))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here, so it passes the same checks
+        return cls(*iterable)
 
     @property
     def order(self):
@@ -53,25 +56,26 @@ class DiffOperator:
         return list(self.coeffs[-1])
 
 
-@dataclass(frozen=True)
-class DiffSystem:
+class DiffSystem(namedtuple("DiffSystem", "K f_A A_tilde")):
     """Y' = (A_tilde / f_A) * Y with polynomial A_tilde and f_A."""
 
-    K: object
-    f_A: tuple
-    A_tilde: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = polys.trim(self.K, list(self.f_A))
+    def __new__(cls, K, f_A, A_tilde):
+        f = polys.trim(K, list(f_A))
         if not f:
             raise ZeroLeadingCoefficient("f_A must be nonzero")
-        r = len(self.A_tilde)
-        if r < 1 or any(len(row) != r for row in self.A_tilde):
+        r = len(A_tilde)
+        if r < 1 or any(len(row) != r for row in A_tilde):
             raise ValueError("A_tilde must be square of size >= 1")
-        tidy = tuple(tuple(tuple(polys.trim(self.K, list(e))) for e in row)
-                     for row in self.A_tilde)
-        object.__setattr__(self, "f_A", tuple(f))
-        object.__setattr__(self, "A_tilde", tidy)
+        tidy = tuple(tuple(tuple(polys.trim(K, list(e))) for e in row)
+                     for row in A_tilde)
+        return super().__new__(cls, K, tuple(f), tidy)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds its copy here, so it passes the same checks
+        return cls(*iterable)
 
     @property
     def size(self):
@@ -112,6 +116,7 @@ def naive_p_curvature(sys, p):
     and A~_(i+1) = f A~_i' - i f' A~_i - A~ A~_i, which the recurrence
     runs on over F_q[x] with no gcd; A_p = A~_p / f^p goes into F_q(x)
     once, at the end."""
+    from .ratfunc import RatFuncField
     K = sys.K
     f = list(sys.f_A)
     df = polys.derivative(K, f)
@@ -141,6 +146,7 @@ def rational_invariant_factors(sys, p):
     """Invariant factors of A_p(x) over F_q(x), monic in T: the Smith form
     of T - A_p itself, not linalg.invariant_factors_of, so that this
     oracle shares no shortcut with the local evaluations it checks."""
+    from .ratfunc import RatFuncField
     R = RatFuncField(sys.K)
     Ap = naive_p_curvature(sys, p)
     return R, linalg.smith_form(R, linalg.char_matrix(R, Ap))

@@ -30,24 +30,21 @@ else the Smith form of T - corner.  At the bench's points every corner is
 cyclic.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import fields, linalg, polys
 from .diffop import DiffSystem, theta_rewrite
 from .errors import CharTooSmall, LeadingCoeffVanishes, PoleAtPoint
 
 
-@dataclass(frozen=True)
-class RecMatrix:
+class RecMatrix(namedtuple("RecMatrix", "ell entries corner")):
     """Square matrix of polynomials in the recurrence index.
 
     corner is the size of the bottom-right block holding the derivatives of
     the fundamental solution; the leading blocks carry shifted copies.
     """
 
-    ell: object
-    entries: tuple
-    corner: int
+    __slots__ = ()
 
     @property
     def size(self):

@@ -17,25 +17,24 @@ pole checks to the lifts, runs over F_q and no extension field is built.
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from . import bivar, fields, interp, local_eval, polys
 from .diffop import DiffSystem, companion_of_operator, naive_invariant_factors
 from .errors import CharTooSmall, EpsilonOutOfRange, SelectionFailed
 
 
-@dataclass(frozen=True)
-class ReconParams:
-    """Degree bounds and Monte Carlo sample plan for one reconstruction."""
+class ReconParams(namedtuple("ReconParams",
+                             "D F mode epsilon s K k_sel seed",
+                             defaults=(None,) * 5)):
+    """Degree bounds and Monte Carlo sample plan for one reconstruction.
 
-    D: int
-    F: int
-    mode: str
-    epsilon: float | None = None
-    s: int | None = None
-    K: int | None = None
-    k_sel: int | None = None
-    seed: int | None = None
+    D and F are ints and mode is "deterministic" or "montecarlo"; epsilon
+    (a float), the sample degree s, the counts K and k_sel and the seed
+    are None unless the plan sets them.
+    """
+
+    __slots__ = ()
 
 
 def _bidegree(inp):
@@ -140,8 +139,8 @@ def effective_params(inp, params):
     D, F = d * r, 6 * d * r * (r - 1)
     if params.mode == "montecarlo":
         s, K, k_sel = _mc_plan(inp.K.q, D, F, params.epsilon)
-        return replace(params, D=D, F=F, s=s, K=K, k_sel=k_sel)
-    return replace(params, D=D, F=F)
+        return params._replace(D=D, F=F, s=s, K=K, k_sel=k_sel)
+    return params._replace(D=D, F=F)
 
 
 def _point_field(K, k):

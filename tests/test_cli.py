@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pcurvature import cli, diffop, fields
 from pcurvature.errors import OperatorSyntaxError, ZeroOperator
+from test_diffop import assert_frozen_record
 
 F3 = fields.PrimeField(3)
 F5 = fields.PrimeField(5)
@@ -212,6 +213,25 @@ def test_result_document_round_trips(capsys):
     assert code == 0
     doc = cli.ResultDocument(**json.loads(out))
     assert doc.to_json() == out.strip()
+    assert_frozen_record(doc, hashable=False)
+    bare = doc._replace(profile=None, check=None)
+    assert cli.ResultDocument(*bare[:5]) == bare
+    assert json.loads(bare.to_json())["check"] is None
+
+
+def test_run_records_are_frozen_named_tuples():
+    flags = cli.RunFlags()
+    assert flags == cli.RunFlags(algo="det", epsilon=None, seed=None,
+                                 check=False, profile=False)
+    assert_frozen_record(flags)
+    spec = cli.InputSpec(p=7, ext=1, kind="operator", payload="Dx + x")
+    assert_frozen_record(spec)
+    p, ext, kind, payload = spec
+    assert spec != spec._replace(p=11)
+    doc = cli.run(spec, flags._replace(algo="mc", epsilon=0.1, seed=1,
+                                       profile=True))
+    assert doc.input == spec._asdict()
+    assert doc.params["mode"] == "montecarlo" and doc.profile is not None
 
 
 def test_system_file_flow(tmp_path, capsys):

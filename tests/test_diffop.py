@@ -41,6 +41,22 @@ def random_operator(K, rng, d, r):
                 K, tuple(tuple(c) for c in cc))
 
 
+def assert_frozen_record(rec, hashable=True):
+    """rec is an immutable named tuple: no field can be assigned, no other
+    attribute added, and a rebuild from its keyword fields is equal to it
+    (with the same hash), so equality and hashing go by the fields."""
+    copy = type(rec)(**rec._asdict())
+    assert copy == rec
+    assert tuple(copy) == tuple(getattr(rec, f) for f in rec._fields)
+    if hashable:
+        assert hash(copy) == hash(rec)
+    for name in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+    with pytest.raises(AttributeError):
+        rec.extra = None
+
+
 def test_operator_validation():
     with pytest.raises(ZeroLeadingCoefficient):
         _op(F5, (1,))  # order 0
@@ -52,12 +68,36 @@ def test_operator_validation():
     assert L.bidegree == (2, 2)
     assert L.leading == [F5.one, F5.zero, F5.from_int(3)]
 
+    assert_frozen_record(L)
+    K, coeffs = L
+    # keyword construction trims trailing zeros, as positional does
+    padded = coeffs[:-1] + (coeffs[-1] + (F5.zero,),)
+    assert diffop.DiffOperator(K=K, coeffs=padded) == L
+    assert L != L._replace(coeffs=coeffs[:-1] + ((F5.one,),))
+    with pytest.raises(ZeroLeadingCoefficient):
+        L._replace(coeffs=coeffs[:-1] + ((F5.zero,),))
+    with pytest.raises(ZeroLeadingCoefficient):
+        L._replace(coeffs=coeffs[-1:])
+
 
 def test_system_validation():
     with pytest.raises(ZeroLeadingCoefficient):
         diffop.DiffSystem(F5, (F5.zero,), (((F5.one,),),))
     with pytest.raises(ValueError):
         diffop.DiffSystem(F5, (F5.one,), (((F5.one,), (F5.one,)),))
+    with pytest.raises(ValueError):
+        diffop.DiffSystem(F5, (F5.one,), ())
+
+    S = diffop.DiffSystem(K=F5, f_A=(F5.one, F5.zero),
+                          A_tilde=(((F5.zero, F5.one, F5.zero),),))
+    assert S.f_A == (F5.one,) and S.A_tilde == (((F5.zero, F5.one),),)
+    assert_frozen_record(S)
+    K, f_A, A_tilde = S
+    assert S != S._replace(f_A=(F5.from_int(2),))
+    with pytest.raises(ZeroLeadingCoefficient):
+        S._replace(f_A=(F5.zero,))
+    with pytest.raises(ValueError):
+        S._replace(A_tilde=A_tilde + A_tilde)
 
 
 def test_companion_of_operator_shape():

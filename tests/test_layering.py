@@ -1,11 +1,15 @@
-"""The package's import graph runs one way.
+"""The package's import graph runs one way, and its import path is short.
 
 Imports are read from the source with ast, so the check sees every
 `from . import x`, `from .x import y` and `import pcurvature.x` without
-running any module.
+running any module.  What importing the package actually loads is checked
+in a fresh interpreter.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pcurvature
@@ -63,6 +67,38 @@ def test_import_graph_runs_one_way():
     engine_on_nilprofile = sorted(
         m for m in ENGINE if "nilprofile" in _reachable(graph, m))
     assert engine_on_nilprofile == []
+
+
+# Loaded by `import pcurvature` and `from pcurvature import cli` at start-up:
+# none of these serves a solve.  dataclasses pulls in inspect, ast, dis and
+# tokenize, and each decorated class execs generated source.
+OFF_IMPORT_PATH = ("dataclasses", "inspect", "pcurvature.nilprofile",
+                   "pcurvature.ratfunc")
+
+_PROBE = """
+import sys
+before = set(sys.modules)
+import pcurvature
+from pcurvature import cli
+added = set(sys.modules) - before
+print(" ".join(sorted(added)))
+print(" ".join(n for n in pcurvature.__all__ if not hasattr(pcurvature, n)))
+print(" ".join(sorted(set(pcurvature.__all__) - set(dir(pcurvature)))))
+"""
+
+
+def test_import_path_loads_only_the_engine_and_parser():
+    # -S: no site hooks, so a module that site happens to load cannot hide
+    # one that the package adds
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", _PROBE], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    added, unresolved, undirected = (line.split()
+                                     for line in out.split("\n")[:3])
+    assert {"pcurvature.cli", "pcurvature.reconstruct"} <= set(added)
+    assert sorted(set(OFF_IMPORT_PATH) & set(added)) == []
+    assert unresolved == []
+    assert undirected == []
 
 
 def test_fixed_modulus_division_lives_in_one_class():

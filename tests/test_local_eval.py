@@ -4,7 +4,8 @@ from pcurvature import diffop, fields, linalg, local_eval, polys
 from pcurvature.errors import CharTooSmall, LeadingCoeffVanishes, PoleAtPoint
 from pcurvature.ratfunc import RatFuncField
 from oracles import CountingPrimeField
-from test_diffop import random_operator, random_system
+from test_diffop import (assert_frozen_record, random_operator,
+                         random_system)
 
 F3 = fields.PrimeField(3)
 F5 = fields.PrimeField(5)
@@ -58,6 +59,9 @@ def test_recurrence_block_shapes(rng):
     rec2 = local_eval.build_B_operator(L, F5, F5.from_int(_nonpole_op(L)))
     assert rec2.size == L.degree + 2
     assert rec2.corner == 2
+    assert_frozen_record(rec2)
+    ell, entries, corner = rec2
+    assert (ell, len(entries), corner) == (F5, rec2.size, 2)
 
 
 def _nonpole(sysv):

@@ -5,7 +5,8 @@ from pcurvature import (bivar, cli, diffop, fields, linalg, local_eval, polys,
 from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange, PoleAtPoint,
                                SelectionFailed)
 from pcurvature.reconstruct import ReconParams
-from test_diffop import random_operator, random_system
+from test_diffop import (assert_frozen_record, random_operator,
+                         random_system)
 
 F3 = fields.PrimeField(3)
 F5 = fields.PrimeField(5)
@@ -41,6 +42,12 @@ def test_select_params_published_pins():
     pb = reconstruct.select_params(big)
     assert (pb.D, pb.F) == (140, 64260)
 
+    # keyword fields, the sample plan defaulting to None
+    assert ps == ReconParams(D=6, F=72, mode="deterministic")
+    assert ps == (6, 72, "deterministic", None, None, None, None, None)
+    assert_frozen_record(ps)
+    assert ps != ps._replace(seed=1)
+
 
 def test_select_params_guards():
     L = _op(F3, (1,), (0,), (0,), (1,))
@@ -57,6 +64,9 @@ def test_montecarlo_plan_pins():
     assert (pub.D, pub.F, pub.s, pub.K, pub.k_sel) == (2, 18, 3, 2, 1)
     eff = reconstruct.effective_params(OP22, pub)
     assert (eff.D, eff.F, eff.s, eff.K, eff.k_sel) == (4, 24, 3, 4, 2)
+    assert type(eff) is ReconParams
+    assert eff == pub._replace(D=4, F=24, K=4, k_sel=2)
+    assert_frozen_record(eff)
 
     L = _op(F3, (0, 2), (1,))  # Dx - x
     plan = reconstruct.select_params(L, epsilon=0.2)
@@ -67,6 +77,8 @@ def test_effective_params_systems_pass_through(rng):
     sysv = random_system(F5, rng, 2, 2)
     ps = reconstruct.select_params(sysv)
     assert reconstruct.effective_params(sysv, ps) == ps
+    mc = reconstruct.select_params(sysv, epsilon=0.2, seed=3)
+    assert reconstruct.effective_params(sysv, mc) == mc
 
 
 def test_effective_params_operator_idempotent():
