@@ -37,7 +37,7 @@ class InputSpec(namedtuple("InputSpec", "p ext kind payload")):
 
 
 class RunFlags(namedtuple("RunFlags", "algo epsilon seed check profile",
-                          defaults=("det", None, None, False, False))):
+                          defaults=("det", 0.1, None, False, False))):
     __slots__ = ()
 
 
@@ -393,8 +393,9 @@ def main(argv=None):
     src.add_argument("--op", help="operator text, e.g. 'x*Dx^2 + Dx + 1'")
     src.add_argument("--system", help="path to a system JSON file")
     ap.add_argument("--algo", choices=["det", "mc", "naive"], default="det")
-    ap.add_argument("--epsilon", type=float, default=None,
-                    help="Monte Carlo error budget (default 0.1)")
+    epsilon = RunFlags._field_defaults["epsilon"]
+    ap.add_argument("--epsilon", type=float, default=epsilon,
+                    help=f"Monte Carlo error budget (default {epsilon})")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--check", action="store_true",
                     help="also run the naive oracle and compare")
@@ -407,13 +408,12 @@ def main(argv=None):
         ap.error("--p is required with --op")
     kind = "operator" if args.op is not None else "system"
     payload = args.op if args.op is not None else args.system
-    epsilon = args.epsilon if args.epsilon is not None else 0.1
 
     ext = args.ext
     if ext is None and args.op is not None:
         ext = 1
     spec = InputSpec(p=args.p, ext=ext, kind=kind, payload=payload)
-    flags = RunFlags(algo=args.algo, epsilon=epsilon, seed=args.seed,
+    flags = RunFlags(algo=args.algo, epsilon=args.epsilon, seed=args.seed,
                      check=args.check, profile=args.profile)
     try:
         doc = run(spec, flags)

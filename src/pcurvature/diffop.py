@@ -17,7 +17,7 @@ imported on its first call, so the fast paths never load it.
 from collections import namedtuple
 
 from . import bivar, linalg, polys
-from .errors import (LeadingCoeffVanishes, NotInXp, ZeroLeadingCoefficient)
+from .errors import NotInXp, ZeroLeadingCoefficient
 
 
 class DiffOperator(namedtuple("DiffOperator", "K coeffs")):
@@ -182,7 +182,8 @@ def theta_rewrite(L, a, ell, embed):
     Uses t^j d^j = theta (theta - 1) ... (theta - j + 1) on each monomial
     of the shifted coefficients, valid in L*d^d because every t-power j is
     at most d and so at most the attached d-power.  Returns polynomials in
-    theta over ell of degree <= d, the last one the constant a_r(a).
+    theta over ell of degree <= d, the last one the constant a_r(a), empty
+    at a pole: the recurrence builder refuses it when it inverts a_r(a).
     """
     K = L.K
     d, r = L.bidegree
@@ -190,9 +191,6 @@ def theta_rewrite(L, a, ell, embed):
     for c in L.coeffs:
         ce = [embed(x) for x in c]
         shifted.append(polys.taylor_shift(ell, ce, a))
-    lead = shifted[-1][0] if shifted[-1] else ell.zero
-    if lead == ell.zero:
-        raise LeadingCoeffVanishes("a_r vanishes at the expansion point")
     falling = [[ell.one]]
     for j in range(1, d + 1):
         falling.append(polys.mul(

@@ -15,22 +15,23 @@ Both packed rings, an ExtensionField over F_p and a SplitRing, keep a
 matrix of polynomials in t in row form (MatrixRows): one row over F_p per
 coordinate of each nonzero entry, kept column by column in arrays of
 machine integers.  Their kernels read and write that form without
-crossing into tuples.  matpoly_mul packs its factors straight from the
-columns: over F_p[u]/S each entry packs both variables into one integer,
-each row-by-column inner product of k terms is k integer products summed,
-and each output coefficient is reduced once, by one integer sum of the
-packed rows u^(n+j) mod S.  shift_rows shifts the whole matrix in t by an
-F_p constant with no reduction mod S: shifted column j is one sum of the
-packed columns times F_p constants, for entries no longer than p.  Nor
-does the multipoint evaluation at F_p points (rows_rem, rows_at) reduce
-mod S.
+crossing into tuples.  One kernel, _matpoly_mul, multiplies matrices in
+both: each coordinate of an entry packs from the columns into one
+integer, a block of 2k - 1 slots per t-coefficient for k rows, each
+row-by-column inner product of m terms is m integer products summed,
+and each output block is reduced once, mod p in a SplitRing (k = 1) and
+over F_p[u]/S (k = n) by one integer sum of the packed rows u^(n+j) mod
+S.  shift_rows shifts the whole matrix in t by an F_p constant with no
+reduction mod S: shifted column j is one sum of the packed columns times
+F_p constants, for entries no longer than p.  Nor does the multipoint
+evaluation at F_p points (rows_rem, rows_at) reduce mod S.
 
 A SplitRing is F_p[z]/S for S a product of distinct linear factors z - a_i,
 kept in value form: an element is the tuple of its values at the a_i, so
 the ring is F_p^n and nothing is ever reduced mod S.  A product of matrices
 of polynomials in t is one Kronecker product over F_p per coordinate and
-pair of nonzero entries, on integers n times shorter than the packed
-kernel's (which also needs 2n - 1 slots per t-coefficient), and constant
+pair of nonzero entries, on integers n times shorter than those of
+F_p[u]/S (whose blocks need 2n - 1 slots per t-coefficient), and constant
 matrices multiply pointwise.  The row form, shift_rows, rows_rem and
 rows_at act on each coordinate alone, so the split ring shares them with
 ExtensionField.
@@ -45,8 +46,8 @@ system and sym2 (N = 4, 6 and 9), at the planner's s, are:
 
     kernel                       bound                    2^10 2^16 2^18 2^20
     shift_rows                   L (p-1)^2                  24   39   44   49
-    SplitRing.matpoly_mul        min(la, lb) N (p-1)^2      27   42   47   51
-    ExtensionField.matpoly_mul   n min(la, lb) N (p-1)^2    log2 n bits more
+    _matpoly_mul, split ring     min(la, lb) N (p-1)^2      27   42   47   51
+    _matpoly_mul, F_p[u]/S       n min(la, lb) N (p-1)^2    log2 n bits more
     rows_rem, first product      k (p-1)^2                   -   39   44   50
     rows_rem, second product     min(k, deg m) (p-1)^2 + p-1 -  39   44   50
     rows_at                      L (p-1)^2                  26   40   45   50
@@ -55,7 +56,7 @@ system and sym2 (N = 4, 6 and 9), at the planner's s, are:
 (rows_rem shows the larger of its two products.)  The first six grow by
 about 2.5 bits per doubling of p, as L and k grow like sqrt p, so they
 stay within 8 bytes up to about p = 2^25 (2^26 for shift_rows, 2^23 for
-ExtensionField.matpoly_mul at n = 18).  ExtensionField.matmul does up to
+_matpoly_mul over F_p[u]/S at n = 18).  ExtensionField.matmul does up to
 p = 2^28 at nN = 162.
 """
 
@@ -311,10 +312,6 @@ class MatrixRows:
         self.lengths = lengths
         self.cols = cols
 
-    def __len__(self):
-        """The number of nonzero entries."""
-        return len(self.entries)
-
 
 def _factorials_mod(p, n):
     """i! and 1/i! modulo the prime p for i < n <= p."""
@@ -369,6 +366,47 @@ def _entry_products(A, B, left, right, n):
                 lengths.append(length)
                 accs.append(acc)
     return (rows, width), entries, lengths, accs
+
+
+def _matpoly_mul(A, B, p, parts, k, reduce=None):
+    """Product of MatrixRows A and B whose entries hold `parts`
+    coordinates of k rows over F_p each: n values of a SplitRing (parts
+    n, k 1), or the n u-coefficients of F_p[u]/S (parts 1, k n).
+
+    A coordinate packs into one integer, a block of 2k - 1 slots per
+    t-coefficient so that no convolution spills into the next block.  All
+    products are unpacked in one pass, and each block is reduced once: mod
+    p when k = 1, else by `reduce` (ExtensionField.reduce_product).
+    """
+    W = 2 * k - 1
+    # a slot sums k products of residues per pair of t-coefficients, and
+    # must hold a coefficient even when the other side is zero
+    slot = _slot_bytes((p - 1) ** 2 * k * _inner_terms(A, B))
+
+    def coord_ints(R):
+        width = W * len(R.cols)
+        return _split_ints(_pack_cols(R.cols, slot, width, p, k, W),
+                           slot * width)
+    shape, entries, lengths, accs = _entry_products(
+        A, B, coord_ints(A), coord_ints(B), parts)
+    top = max(lengths, default=0)
+    size = W * top
+    vals = _unpack_bytes(b"".join([
+        x.to_bytes(slot * size, "little") for acc in accs for x in acc]),
+        slot)
+    if k == 1:
+        vals = [x % p for x in vals]
+        return MatrixRows(shape, entries, lengths, [
+            _column(vals[i::top], p) for i in range(top)])
+    # product q, a coordinate of entry q // parts, is reduced up to the
+    # entry's length and zero after it
+    outs = [[reduce(vals[at:at + W]) for at in range(
+        size * q, size * q + W * lengths[q // parts], W)]
+        for q in range(len(entries) * parts)]
+    return MatrixRows(shape, entries, lengths, [
+        _column(itertools.chain.from_iterable(
+            out[i] if i < len(out) else (0,) * k for out in outs), p)
+        for i in range(top)])
 
 
 class ExtensionField:
@@ -634,37 +672,13 @@ class ExtensionField:
             _column(vals[j:j + count], p) for j in range(0, L * count, count)])
 
     def matpoly_mul(self, A, B):
-        """Product of MatrixRows A and B over self.
-
-        Needs a prime base (`packed`).  Each entry is packed once into one
-        integer, t-coefficient i in a block of 2 degree - 1 slots, so the
-        u-convolutions inside a block cannot spill into the next one; an
-        output entry is the plain integer sum of its row-by-column
-        products, unpacked once, with one reduction by the modulus per
-        t-coefficient.
-        """
+        """Product of MatrixRows A and B over self, which needs a prime
+        base (`packed`): _matpoly_mul with one coordinate of degree rows
+        per entry, each block reduced by the modulus."""
         if not self.packed:
             raise TypeError(f"matpoly_mul needs a prime base, not {self.base}")
-        n, W, p = self.degree, 2 * self.degree - 1, self.base.p
-        # a slot must hold a coefficient even when the other side is zero
-        slot = _slot_bytes((p - 1) ** 2 * n * _inner_terms(A, B))
-
-        def entry_ints(R):
-            width = W * len(R.cols)
-            return _split_ints(_pack_cols(R.cols, slot, width, p, n, W),
-                               slot * width)
-        shape, entries, lengths, accs = _entry_products(
-            A, B, entry_ints(A), entry_ints(B), 1)
-        outs = []
-        for acc, length in zip(accs, lengths):
-            conv = _unpack(next(acc), slot, W * length)
-            outs.append([self.reduce_product(conv[i:i + W])
-                         for i in range(0, W * length, W)])
-        zero = self.zero
-        return MatrixRows(shape, entries, lengths, [
-            _column(itertools.chain.from_iterable(
-                out[i] if i < len(out) else zero for out in outs), p)
-            for i in range(max(lengths, default=0))])
+        return _matpoly_mul(A, B, self.base.p, 1, self.degree,
+                            self.reduce_product)
 
     def matmul(self, A, B):
         """Product of matrices over a packed self: each entry packs into
@@ -828,31 +842,9 @@ class SplitRing:
         return tuple([rng.randrange(self.p) for _ in range(self.degree)])
 
     def matpoly_mul(self, A, B):
-        """Product of MatrixRows A and B over self.
-
-        Each row (a coordinate of an entry) packs into one integer, all
-        rows in one pass.  An output entry sums, per coordinate, the
-        integer products of its row-by-column pairs, and the rows of every
-        output entry are unpacked in one pass, reduced mod p and cut into
-        columns.
-        """
-        n, p = self.degree, self.p
-        # a slot sums, over the inner dimension, up to min(la, lb)
-        # products of residues
-        slot = _slot_bytes((p - 1) ** 2 * _inner_terms(A, B))
-
-        def row_ints(R):
-            return _split_ints(_pack_cols(R.cols, slot, len(R.cols), p),
-                               slot * len(R.cols))
-        shape, entries, lengths, accs = _entry_products(
-            A, B, row_ints(A), row_ints(B), n)
-        top = max(lengths, default=0)
-        vals = _unpack_bytes(b"".join([
-            x.to_bytes(slot * top, "little") for acc in accs for x in acc]),
-            slot)
-        vals = [x % p for x in vals]
-        return MatrixRows(shape, entries, lengths, [
-            _column(vals[i::top], p) for i in range(top)])
+        """Product of MatrixRows A and B over self: _matpoly_mul with
+        degree coordinates of one row per entry, reduced mod p."""
+        return _matpoly_mul(A, B, self.p, self.degree, 1)
 
     def matmul(self, A, B):
         """Product of matrices over self: one dot per output entry, with

@@ -16,8 +16,14 @@ When q = p and every a_i lies in F_p (det's points whenever F_p has
 enough of them, and mc's when s = 1), the ring is F_p^n and runs in value
 form (fields.SplitRing): its products are n small Kronecker products, not
 one packed product reduced mod m, and the corner at a_i is coordinate i.
-Such points come in as elements of F_p itself (ell = F_p), so their pole
-checks, minimal polynomials and Smith forms are F_p arithmetic.
+Such points come in as elements of F_p itself (ell = F_p), so their
+minimal polynomials and Smith forms are F_p arithmetic.
+
+A pole is found by the one inverse the recurrence builder takes, of
+f_A(a) or a_r(a): zero at one point, a zero divisor of the product ring
+inside a batch.  Every ring's inv raises ZeroDivisionError on both, which
+the builder turns into PoleAtPoint or LeadingCoeffVanishes, so a batch
+raises what its points raise alone, CharTooSmall first.
 
 Only the r corner columns of the factorial are ever read, so it runs on
 the last r columns of the identity: each giant step and leftover factor
@@ -37,7 +43,7 @@ from .diffop import DiffSystem, theta_rewrite
 from .errors import CharTooSmall, LeadingCoeffVanishes, PoleAtPoint
 
 
-class RecMatrix(namedtuple("RecMatrix", "ell entries corner")):
+class RecMatrix(namedtuple("RecMatrix", "entries corner")):
     """Square matrix of polynomials in the recurrence index.
 
     corner is the size of the bottom-right block holding the derivatives of
@@ -74,9 +80,10 @@ def build_B_system(sys, ell, a):
     d = sys.degree
     f = polys.taylor_shift(ell, [emb(c) for c in sys.f_A], a)
     f = list(f) + [ell.zero] * (d + 2 - len(f))
-    if f[0] == ell.zero:
-        raise PoleAtPoint("f_A vanishes at the expansion point")
-    f0_inv = ell.inv(f[0])
+    try:
+        f0_inv = ell.inv(f[0])
+    except ZeroDivisionError:
+        raise PoleAtPoint("f_A vanishes at the expansion point") from None
 
     shifted = [[polys.taylor_shift(ell, [emb(c) for c in e], a)
                 for e in row] for row in sys.A_tilde]
@@ -112,7 +119,7 @@ def build_B_system(sys, ell, a):
         for jj in range(r):
             for kk in range(r):
                 rows[d * r + jj][j * r + kk] = blk[jj][kk]
-    return RecMatrix(ell=ell, entries=_tidy(ell, rows), corner=r)
+    return RecMatrix(entries=_tidy(ell, rows), corner=r)
 
 
 def build_B_operator(op, ell, a):
@@ -128,27 +135,17 @@ def build_B_operator(op, ell, a):
     emb = fields.embedding(op.K, ell)
     b = theta_rewrite(op, a, ell, emb)
     n = op.degree + r
-    lead = ell.neg(ell.inv(b[n][0]))
+    try:
+        lead = ell.neg(ell.inv(b[n][0] if b[n] else ell.zero))
+    except ZeroDivisionError:
+        raise LeadingCoeffVanishes(
+            "a_r vanishes at the expansion point") from None
     rows = [[[] for _ in range(n)] for _ in range(n)]
     for i in range(n - 1):
         rows[i][i + 1] = [ell.one]
     for e in range(n):
         rows[n - 1][e] = polys.scale(ell, lead, b[e])
-    return RecMatrix(ell=ell, entries=_tidy(ell, rows), corner=r)
-
-
-def _check_pole(inp, ell, a):
-    """Raise the error a one-point call would raise if a is a pole.
-
-    In the product ring a pole is a zero divisor rather than zero, so it
-    must be caught in ell, before the ring is built.
-    """
-    emb = fields.embedding(inp.K, ell)
-    if isinstance(inp, DiffSystem):
-        if polys.eval_at(ell, [emb(c) for c in inp.f_A], a) == ell.zero:
-            raise PoleAtPoint("f_A vanishes at the expansion point")
-    elif polys.eval_at(ell, [emb(c) for c in inp.leading], a) == ell.zero:
-        raise LeadingCoeffVanishes("a_r vanishes at the expansion point")
+    return RecMatrix(entries=_tidy(ell, rows), corner=r)
 
 
 def _product_ring(K, mins):
@@ -180,7 +177,8 @@ def invariant_factors_at(inp, ell, points, p=None):
     A_p(a) is similar to its negation, so the invariant factors of the
     negated corner are exactly the local similarity class.  A single point is
     handled over ell itself.  Several points share one factorial over the
-    product ring of their minimal polynomials (z - a for a point of K).
+    product ring of their minimal polynomials (z - a for a point of K),
+    where a pole is a zero divisor that the builder's inverse reports.
     When they all lie in F_p, that ring is split and kept in value form,
     so the corner at a_i is read off coordinate i.  Otherwise each entry
     of its corner is a polynomial in z, reduced over F_q modulo the
@@ -197,8 +195,6 @@ def invariant_factors_at(inp, ell, points, p=None):
     if len(points) == 1:
         ring, at = ell, points[0]
     else:
-        for a in points:
-            _check_pole(inp, ell, a)
         # minimal polynomial over K of each distinct point
         mins = {a: tuple(fields.minimal_polynomial(ell, a, inp.K.q))
                 for a in dict.fromkeys(points)}

@@ -271,8 +271,11 @@ def reconstruct_montecarlo(inp, p, params):
     attempts.  Good samples attain the minimal prefix sums of local
     degrees, which no sample can undercut (divisibility lemma), so bad
     ones are skipped; k_sel pairwise non-conjugate good ones glue by CRT.
-    Fails (SelectionFailed) or errs with probability <= epsilon.
+    Fails (SelectionFailed) or errs with probability <= epsilon.  A plan
+    made without an epsilon raises ValueError.
     """
+    if params.mode != "montecarlo":
+        raise ValueError(f"need a montecarlo plan, not {params.mode!r}")
     params = effective_params(inp, params)
     K = inp.K
     s = params.s

@@ -221,7 +221,7 @@ def test_result_document_round_trips(capsys):
 
 def test_run_records_are_frozen_named_tuples():
     flags = cli.RunFlags()
-    assert flags == cli.RunFlags(algo="det", epsilon=None, seed=None,
+    assert flags == cli.RunFlags(algo="det", epsilon=0.1, seed=None,
                                  check=False, profile=False)
     assert_frozen_record(flags)
     spec = cli.InputSpec(p=7, ext=1, kind="operator", payload="Dx + x")
@@ -232,6 +232,27 @@ def test_run_records_are_frozen_named_tuples():
                                        profile=True))
     assert doc.input == spec._asdict()
     assert doc.params["mode"] == "montecarlo" and doc.profile is not None
+
+
+def test_montecarlo_defaults_at_the_library_entry_points(monkeypatch,
+                                                        capsys):
+    # run takes the epsilon pcurv takes when --epsilon is not given
+    text = "(x^2+1)*Dx^2 + x*Dx + 1"
+    spec = cli.InputSpec(p=11, ext=1, kind="operator", payload=text)
+    doc = cli.run(spec, cli.RunFlags(algo="mc", seed=3))
+    assert doc.params["mode"] == "montecarlo"
+    assert doc.params["epsilon"] == 0.1
+    code, out, _ = _run(["--p", "11", "--op", text, "--algo", "mc",
+                         "--seed", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["factors"] == doc.factors
+    # a plan with no sample degree is refused as bad input
+    select = cli.reconstruct.select_params
+    monkeypatch.setattr(cli.reconstruct, "select_params",
+                        lambda inp, epsilon=None, seed=None: select(inp))
+    code, _, err = _run(["--p", "11", "--op", text, "--algo", "mc"], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "bad-input"
 
 
 def test_system_file_flow(tmp_path, capsys):

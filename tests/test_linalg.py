@@ -386,7 +386,7 @@ def test_matrix_factorial_over_packed_rings_matches_sequential(
     evaluate = polys.SubproductTree.evaluate
 
     def counting(self, fs):
-        calls.append(len(fs))
+        calls.append(len(fs.entries))
         return evaluate(self, fs)
     monkeypatch.setattr(polys.SubproductTree, "evaluate", counting)
     got = linalg.matrix_factorial(L, B, count)
@@ -481,7 +481,7 @@ def test_baby_step_length_counts_the_entries_that_run(system, p):
     N = len(B)
     for k in range(1, 21):
         P = linalg._baby_steps(ring, ring.rows_of(B), k)[0]
-        assert len(P) == pattern.nonzero[k], k
+        assert len(P.entries) == pattern.nonzero[k], k
         rows, cols = [0] * N, [0] * N
         for e in P.entries:
             rows[e // N] += 1
@@ -628,7 +628,7 @@ def test_baby_steps_shift_each_matrix_once(monkeypatch):
     taylor_shift = polys.taylor_shift
 
     def counting(self, R, c):
-        calls.append(len(R))
+        calls.append(len(R.entries))
         return shift_rows(self, R, c)
 
     def single(K, f, a):

@@ -60,8 +60,8 @@ def test_recurrence_block_shapes(rng):
     assert rec2.size == L.degree + 2
     assert rec2.corner == 2
     assert_frozen_record(rec2)
-    ell, entries, corner = rec2
-    assert (ell, len(entries), corner) == (F5, rec2.size, 2)
+    entries, corner = rec2
+    assert (len(entries), corner) == (rec2.size, 2)
 
 
 def _nonpole(sysv):
@@ -205,12 +205,19 @@ def test_pole_inside_a_batch_raises_the_one_point_error():
     lead = (F7.zero, F7.from_int(-1), F7.one)
     L = diffop.DiffOperator(F7, ((F7.one,), lead))
     sysv = diffop.DiffSystem(F7, lead, (((F7.one,),),))
-    # a point of degree 2 in the batch, then a batch of F_7 (split)
-    for ell, pts in ((F49, [F49.gen, F49.one, F49.from_int(3)]),
-                     (F7, [F7.from_int(2), F7.one, F7.from_int(3)])):
-        for inp, err in ((L, LeadingCoeffVanishes), (sysv, PoleAtPoint)):
+    poles = ((L, LeadingCoeffVanishes), (sysv, PoleAtPoint))
+    # order 3 over F_3 with a_3 = x: p <= r comes before the pole at 0
+    L3 = _op(F3, (1,), (0,), (0,), (0, 1))
+    small = ((L3, CharTooSmall),
+             (diffop.companion_of_operator(L3), CharTooSmall))
+    # a point of degree 2 in the batch, then batches of F_7 and F_3 (split)
+    for ell, pts, pole, cases in (
+            (F49, [F49.gen, F49.one, F49.from_int(3)], F49.one, poles),
+            (F7, [F7.from_int(2), F7.one, F7.from_int(3)], F7.one, poles),
+            (F3, [F3.one, F3.zero, F3.from_int(2)], F3.zero, small)):
+        for inp, err in cases:
             with pytest.raises(err):
-                local_eval.invariant_factors_at(inp, ell, [ell.one])
+                local_eval.invariant_factors_at(inp, ell, [pole])
             with pytest.raises(err):
                 local_eval.invariant_factors_at(inp, ell, pts)
 

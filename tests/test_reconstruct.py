@@ -204,6 +204,12 @@ def test_montecarlo_makes_one_factorial_per_solve(monkeypatch):
             assert len(points) == K, seed
 
 
+def test_montecarlo_refuses_a_deterministic_plan():
+    with pytest.raises(ValueError, match="montecarlo"):
+        reconstruct.reconstruct_montecarlo(
+            OP22, 11, reconstruct.select_params(OP22))
+
+
 def test_montecarlo_pole_exhaustion_fails_cleanly():
     # every degree-1 point of F_3 is a pole of x(x+1)(x+2)
     fA = (F3.zero, F3.from_int(2), F3.zero, F3.one)
