@@ -558,13 +558,9 @@ class ExtensionField:
         """Lift a base-field element into the extension."""
         return self._pad([c])
 
-    def is_constant(self, a):
-        """Whether a lies in the base field, as the image of embed."""
-        return all(x == self.base.zero for x in a[1:])
-
     def project(self, a):
         """Inverse of embed; raises if a is not a base-field constant."""
-        if not self.is_constant(a):
+        if any(x != self.base.zero for x in a[1:]):
             raise ValueError("element does not lie in the base field")
         return a[0]
 
@@ -694,18 +690,16 @@ class ExtensionField:
                  for col in cols] for row in PA]
 
     def rows_rem(self, cols, m, m_rev_inv):
-        """Remainders by a monic m over F_p of polynomials (rows) over F_p,
-        given and returned column by column (see MatrixRows): column i
-        holds coefficient i of every row.  m_rev_inv inverts the reversal
-        of m to at least the quotient length k.  Each row's k high
-        coefficients fill 2k - 1 slots of one integer; one product with
-        the reversed inverse gives every quotient (Barrett), and its first
-        min(k, deg m) slots, reduced mod p, times -m give the
-        remainders."""
+        """Remainders by a monic m over F_p of polynomials (rows) over F_p
+        longer than m, given and returned column by column (see
+        MatrixRows): column i holds coefficient i of every row.  m_rev_inv
+        inverts the reversal of m to at least the quotient length k > 0.
+        Each row's k high coefficients fill 2k - 1 slots of one integer;
+        one product with the reversed inverse gives every quotient
+        (Barrett), and its first min(k, deg m) slots, reduced mod p, times
+        -m give the remainders."""
         p, d = self.char, len(m) - 1
         k = len(cols) - d
-        if k <= 0:
-            return cols
         count, top = len(cols[0]), min(k, d)
         # a quotient slot sums k products of residues; a slot of the
         # remainder adds to a residue at most min(k, d) products of a
@@ -827,16 +821,6 @@ class SplitRing:
     def embed(self, c):
         """A base-field element as a constant of the ring."""
         return (c,) * self.degree
-
-    def is_constant(self, a):
-        """Whether a lies in the base field, as the image of embed."""
-        return a.count(a[0]) == len(a)
-
-    def project(self, a):
-        """Inverse of embed; raises if a is not a base-field constant."""
-        if not self.is_constant(a):
-            raise ValueError("element does not lie in the base field")
-        return a[0]
 
     def random_elem(self, rng):
         return tuple([rng.randrange(self.p) for _ in range(self.degree)])

@@ -36,14 +36,18 @@ nonzero entry, kept column by column.  Over a packed K the baby steps stay
 in row form from B to P_s.  Each shift is one K.shift_rows of the whole
 matrix while its entries are no longer than p, the product packs its
 factors straight from the columns, and P_s goes down one subproduct tree
-in one SubproductTree.evaluate call as it is.  The evaluation points lie
-in F_p, so the tree has F_p coefficients: each node's remainder, and the
+in one SubproductTree.evaluate call as it is.  The tree takes the
+integers 0, s, ..., (g - 1)s themselves; they lie in F_p, so over a
+packed K the tree has F_p coefficients: each node's remainder, and the
 direct evaluation below BASE_CASE points, works on every row at once in
 packed integers, with no reduction mod S.  Over any other field the baby
 steps are nested lists, with one polys.taylor_shift per entry and one
 polynomial product per pair of entries, and the entries of P_s go down
 the same tree as a list: one node.rem per entry at each node that
-divides, one Horner evaluation per entry and point below it.
+divides, one Horner evaluation per entry and point below it.  A node
+divides, and its product is formed, only when the entries it receives
+are longer than its degree, so a tree whose entries have at most
+BASE_CASE + 1 coefficients forms no product at all.
 """
 
 import functools
@@ -448,7 +452,7 @@ def matrix_factorial(K, B, count, right=None):
     parts = _leftover_parts(s, count - g * s)
     packed = getattr(K, "packed", False)
     baby, kept = _baby_steps(K, K.rows_of(B) if packed else B, s, set(parts))
-    tree = polys.SubproductTree(K, [K.from_int(j * s) for j in range(g)])
+    tree = polys.SubproductTree(K, range(0, g * s, s))
     if packed:
         vals = [[K.zero] * g] * (n * n)
         for e, v in zip(baby.entries, tree.evaluate(baby)):

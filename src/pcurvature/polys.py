@@ -7,10 +7,11 @@ elements are in canonical form, so `==` on elements is exact equality.
 
 Multiplication dispatches to K.polymul, which lets each field supply a
 representation-specific fast path (Kronecker packing over a prime field,
-delayed modular reduction in extensions).  On a packed ring, a
-multipoint evaluation at F_p points dispatches likewise to K.rows_rem and
-K.rows_at.  Everything else here is generic; a whole matrix over a packed
-ring shifts in one kernel of its own (fields.ExtensionField.shift_rows).
+delayed modular reduction in extensions).  A multipoint evaluation
+(SubproductTree) is at integers, which lie in F_p, so on a packed ring it
+dispatches likewise to K.rows_rem and K.rows_at.  Everything else here is
+generic; a whole matrix over a packed ring shifts in one kernel of its
+own (fields.ExtensionField.shift_rows).
 
 Every division by a fixed monic modulus goes through MonicModReducer,
 which keeps the Newton inverse of the reversed modulus: powers modulo m,
@@ -318,29 +319,32 @@ def rem_monic_precomp(K, f, m, m_rev_inv):
 
 
 class SubproductTree:
-    """Balanced product tree over the moduli (x - a_i), for batch evaluation.
+    """Product tree over the moduli (x - a) for the integers a of points,
+    for batch evaluation.
 
-    A polynomial goes down the tree from the root: each node above
-    BASE_CASE points is a MonicModReducer for the product of its points
-    and hands its children the remainder by it, and the first node of at
-    most BASE_CASE points evaluates what it receives at its points
-    directly.  The smaller nodes are built only to form the larger ones,
-    and none is built when the root has at most BASE_CASE points.  Each
-    reducer keeps the inverse of its reversal at the precision its
-    longest quotient needs.
+    A polynomial goes down the tree from the root.  Node (level, i) holds
+    the points from i * 2**level on, at most 2**level of them; an odd node
+    at any level is carried up unchanged.  A node of more than BASE_CASE
+    points divides what it receives by the product of its points when that
+    input is longer than the product's degree, and otherwise hands it to
+    its children untouched; the first node of at most BASE_CASE points
+    evaluates what it receives at its points directly.  A node is built
+    only when it divides: its product comes from its children's, which
+    are kept for later nodes, and its MonicModReducer keeps the inverse of
+    its reversal at the precision its longest quotient needs.
 
-    Over a K that is not packed, evaluate takes a list of polynomials:
-    a division is one node.rem per polynomial, and the direct step one
-    Horner evaluation (eval_at) per point and polynomial.
-    Over a `packed` K (F_p[u]/S in the monomial basis, see
-    fields.ExtensionField, or F_p^n in value form, fields.SplitRing) with
-    every point an F_p constant, as K.is_constant tells, the tree is built
-    over F_p, and evaluate takes fields.MatrixRows: the n coordinates of
-    all its entries go down the tree together, as rows over F_p kept
-    column by column.  A node divides all rows at once (K.rows_rem, with
-    node.inverse(k) for quotients of length k, linear in the number of
-    rows), and the direct step evaluates them all at once (K.rows_at).
-    Nothing is reduced mod S.
+    Over a K that is not packed the tree is built over K, and evaluate
+    takes a list of polynomials: a division is one node.rem per
+    polynomial, and the direct step one Horner evaluation (eval_at) per
+    point and polynomial.  Over a `packed` K (F_p[u]/S in the monomial
+    basis, see fields.ExtensionField, or F_p^n in value form,
+    fields.SplitRing) the tree is built over F_p = K.base, and evaluate
+    takes fields.MatrixRows: the n coordinates of all its entries go down
+    the tree together, as rows over F_p kept column by column.  A node
+    divides all rows at once (K.rows_rem, with node.inverse(k) for
+    quotients of length k, linear in the number of rows), and the direct
+    step evaluates them all at once (K.rows_at).  Nothing is reduced
+    mod S.
     """
 
     BASE_CASE = 32
@@ -350,27 +354,10 @@ class SubproductTree:
         self.points = list(points)
         if not self.points:
             raise ValueError("need at least one evaluation point")
-        self.packed = getattr(K, "packed", False) and all(
-            map(K.is_constant, self.points))
-        R, self._pts = ((K.base, [K.project(a) for a in self.points])
-                        if self.packed else (K, self.points))
-        # levels[l][i] is node (l, i), or None where the descent
-        # evaluates directly
-        if len(self._pts) <= self.BASE_CASE:
-            self.levels = []
-            return
-        levels = [[[R.neg(a), R.one] for a in self._pts]]
-        while len(levels[-1]) > 1:
-            prev = levels[-1]
-            nxt = []
-            for i in range(0, len(prev) - 1, 2):
-                nxt.append(mul(R, prev[i], prev[i + 1]))
-            if len(prev) % 2:
-                nxt.append(prev[-1])
-            levels.append(nxt)
-        self.levels = [[MonicModReducer(R, m)
-                        if len(m) - 1 > self.BASE_CASE else None
-                        for m in level] for level in levels]
+        self.packed = getattr(K, "packed", False)
+        R = self._R = K.base if self.packed else K
+        self._pts = [R.from_int(a) for a in self.points]
+        self._products, self._nodes = {}, {}
 
     def evaluate(self, fs):
         """Values at every point of each polynomial fs holds, one list each.
@@ -384,28 +371,25 @@ class SubproductTree:
             if not fs.cols:
                 return []
             at = self._descend(
-                fs.cols, lambda cols, node: K.rows_rem(
+                fs.cols, len, lambda cols, node: K.rows_rem(
                     cols, node.m, node.inverse(len(cols) - node.dm)),
                 K.rows_at)
         else:
             at = self._descend(
-                fs, lambda fs, node: [node.rem(f) for f in fs],
+                fs, lambda fs: max(map(len, fs), default=0),
+                lambda fs, node: [node.rem(f) for f in fs],
                 lambda fs, pts: [[eval_at(K, f, a) for f in fs]
                                  for a in pts])
         return [list(vals) for vals in zip(*at)]
 
-    def _descend(self, state, divide, direct):
+    def _descend(self, state, length, divide, direct):
         """The lists direct returns, one per point, in the order of the
         points.  state goes down from the root: each node above BASE_CASE
-        points hands its children divide(state, node), and the first node
-        of at most BASE_CASE points gives direct(state, its points).
-
-        An odd node at any level is carried upward unchanged, so node
-        (level, idx) covers children (level - 1, 2*idx) and, when present,
-        (level - 1, 2*idx + 1): the points from idx * 2**level on, at most
-        2**level of them.
-        """
-        total = len(self._pts)
+        points hands its children divide(state, node) when length(state)
+        exceeds its number of points, and state itself otherwise, and the
+        first node of at most BASE_CASE points gives direct(state, its
+        points)."""
+        total, nodes = len(self._pts), self._nodes
         at = [None] * total
 
         def descend(level, idx, state):
@@ -415,7 +399,11 @@ class SubproductTree:
                 at[first:first + size] = direct(
                     state, self._pts[first:first + size])
                 return
-            state = divide(state, self.levels[level][idx])
+            if length(state) > size:
+                if (level, idx) not in nodes:
+                    nodes[level, idx] = MonicModReducer(
+                        self._R, self._product(level, idx))
+                state = divide(state, nodes[level, idx])
             lo = 2 * idx
             descend(level - 1, lo, state)
             if (lo + 1) << (level - 1) < total:
@@ -423,6 +411,21 @@ class SubproductTree:
 
         descend((total - 1).bit_length(), 0, state)
         return at
+
+    def _product(self, level, idx):
+        """The product of the moduli of node (level, idx), memoised."""
+        m = self._products.get((level, idx))
+        if m is None:
+            R = self._R
+            if not level:
+                m = [R.neg(self._pts[idx]), R.one]
+            else:
+                lo = 2 * idx
+                m = self._product(level - 1, lo)
+                if (lo + 1) << (level - 1) < len(self._pts):
+                    m = mul(R, m, self._product(level - 1, lo + 1))
+            self._products[level, idx] = m
+        return m
 
 
 def format_poly(K, f, var="x"):

@@ -134,12 +134,19 @@ def _split_ring():
     return fields.SplitRing(F101, [0, 3, 17, 55, 100])
 
 
+# a prime above 2^64, whose residues do not fit a machine integer: the
+# packed rings keep their columns as lists
+_P65 = 2 ** 64 + 13
+
 _RINGS = {
     "F_101^1": lambda: _extension(101, 1),
     "F_101^3": lambda: _extension(101, 3),
     "F_263^25": lambda: _extension(263, 25),
     "product ring over F_13": _product_ring,
     "split ring over F_101": _split_ring,
+    "F_(2^64+13)^2": lambda: _extension(_P65, 2),
+    "split ring over F_(2^64+13)": lambda: fields.SplitRing(
+        fields.PrimeField(_P65), [0, 5, _P65 - 1]),
     # neither of these is packed: they keep the per-entry loop
     "F_101": lambda: F101,
     "F_81 over F_9": lambda: _extension_of(_extension(3, 2), 2),
@@ -220,7 +227,8 @@ def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
 
 
 _PACKED = ["F_101^1", "F_101^3", "F_263^25", "product ring over F_13",
-           "split ring over F_101"]
+           "split ring over F_101", "F_(2^64+13)^2",
+           "split ring over F_(2^64+13)"]
 
 _MULTIPOINT_RINGS = {f"F_{p}^{n}": functools.partial(_extension, p, n)
                      for p in (101, 263) for n in (1, 12, 25)}
@@ -249,8 +257,7 @@ def test_packed_multipoint_matches_pointwise(ring, rng):
     # direct evaluation below it
     for count in (1, 2, 7, 8, 9, 31, 33, 64, 100, 257):
         xs = [rng.randrange(p) for _ in range(count)]
-        pts = [L.from_int(x) for x in xs]
-        tree = polys.SubproductTree(L, pts)
+        tree = polys.SubproductTree(L, xs)
         assert tree.packed
         # long (first, so that later entries reuse node inverses of more
         # precision than they need), zero, constant, zero coefficients
@@ -277,7 +284,7 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
     p = 1000000007
     L = _extension(p, 3)
     f = [tuple([p - 1] * 3)] * 128
-    pts = [L.from_int(rng.randrange(p)) for _ in range(64)]
+    xs = [rng.randrange(p) for _ in range(64)]
     slots = {}
     unpack = fields._unpack
 
@@ -296,9 +303,9 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
         monkeypatch.setattr(fields.ExtensionField, name, recording)
     kernel("rows_rem")
     kernel("rows_at")
-    got = tree_values(polys.SubproductTree(L, pts), [f])
+    got = tree_values(polys.SubproductTree(L, xs), [f])
     assert min(max(slots["rows_rem"]), max(slots["rows_at"])) > 8
-    assert got == [[polys.eval_at(L, f, a) for a in pts]]
+    assert got == [[polys.eval_at(L, f, L.from_int(x)) for x in xs]]
 
 
 def test_rows_rem_second_product_is_wider_than_a_machine_word(
@@ -356,8 +363,7 @@ def _packed_multipoint_cost(count, monkeypatch):
     monkeypatch.setattr(fields, "_unpack", counting)
     monkeypatch.setattr(fields.ExtensionField, "rows_at", direct)
     K.ops = 0
-    tree_values(polys.SubproductTree(
-        L, [L.from_int(37 * j) for j in range(count)]), [f])
+    tree_values(polys.SubproductTree(L, range(0, 37 * count, 37)), [f])
     monkeypatch.undo()
     return K.ops + cost[0]
 
@@ -579,11 +585,12 @@ def test_taylor_shift_matches_halves(ring, rng):
         # a zero entry and entries of unequal length
         M = [[f, [], polys.trim(L, f[:length // 2])],
              [[L.one], f[1:], f]]
-        for a in (L.from_int(rng.randrange(1, L.char)), L.random_elem(rng)):
+        c = rng.randrange(1, L.char)
+        for a in (L.from_int(c), L.random_elem(rng)):
             want = polys._shift_by_halves(L, f, a)
             assert polys.taylor_shift(L, f, a) == want
-            if packed and L.is_constant(a) and length <= L.char:
-                got = L.shift_rows(L.rows_of(M), L.project(a))
+            if packed and a == L.from_int(c) and length <= L.char:
+                got = L.shift_rows(L.rows_of(M), c)
                 assert L.matrix_of(got) == [
                     [polys._shift_by_halves(L, e, a) for e in row]
                     for row in M]

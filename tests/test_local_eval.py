@@ -1,6 +1,6 @@
 import pytest
 
-from pcurvature import diffop, fields, linalg, local_eval, polys
+from pcurvature import diffop, fields, linalg, local_eval, polys, reconstruct
 from pcurvature.errors import CharTooSmall, LeadingCoeffVanishes, PoleAtPoint
 from pcurvature.ratfunc import RatFuncField
 from oracles import CountingPrimeField
@@ -312,13 +312,10 @@ def test_baby_step_length_is_isqrt_count_off_packed_rings():
     assert linalg.baby_step_length(tower, rec.entries, 400, rec.corner) == 20
 
 
-def _split_batch_count(p, monkeypatch):
+def _value_count(monkeypatch, run):
     """Values the split ring's kernels unpack or produce, plus the
     multiply-adds of the multipoint evaluation's direct step (a row's
-    length per row and point), for one batch of eight points of F_p on
-    the c07 operator."""
-    K = fields.PrimeField(p)
-    op = _c07_operator(K)
+    length per row and point), while run() runs."""
     count = [0]
     unpack_bytes, dot = fields._unpack_bytes, fields.SplitRing.dot
     rows_at = fields.SplitRing.rows_at
@@ -337,10 +334,20 @@ def _split_batch_count(p, monkeypatch):
     monkeypatch.setattr(fields, "_unpack_bytes", unpacking)
     monkeypatch.setattr(fields.SplitRing, "dot", producing)
     monkeypatch.setattr(fields.SplitRing, "rows_at", direct)
-    local_eval.invariant_factors_at(
-        op, K, [K.from_int(a) for a in range(2, 10)], p)
-    monkeypatch.undo()
+    try:
+        run()
+    finally:
+        monkeypatch.undo()
     return count[0]
+
+
+def _split_batch_count(p, monkeypatch):
+    """_value_count of one batch of eight points of F_p on the c07
+    operator."""
+    K = fields.PrimeField(p)
+    op = _c07_operator(K)
+    return _value_count(monkeypatch, lambda: local_eval.invariant_factors_at(
+        op, K, [K.from_int(a) for a in range(2, 10)], p))
 
 
 def test_split_batch_count_grows_like_sqrt_p(monkeypatch):
@@ -349,3 +356,24 @@ def test_split_batch_count_grows_like_sqrt_p(monkeypatch):
     small = _split_batch_count(10007, monkeypatch)
     large = _split_batch_count(40009, monkeypatch)
     assert large <= 2.5 * small, (small, large)
+
+
+def _driver_counts(p, monkeypatch):
+    """_value_count of the det and the mc driver (seed 7) on the c07
+    operator over F_p."""
+    K = fields.PrimeField(p)
+    op = _c07_operator(K)
+    plan = reconstruct.select_params(op, epsilon=0.1, seed=7)
+    return (_value_count(monkeypatch, lambda: (
+                reconstruct.reconstruct_deterministic(op, p))),
+            _value_count(monkeypatch, lambda: (
+                reconstruct.reconstruct_montecarlo(op, p, plan))))
+
+
+def test_whole_driver_count_grows_like_sqrt_p(monkeypatch):
+    # both drivers end to end, with no clock: 4x p doubles sqrt(p), and a
+    # linear algorithm would give 4x (det read 2.24x and mc 1.96x)
+    small = _driver_counts(65539, monkeypatch)
+    large = _driver_counts(262147, monkeypatch)
+    for driver, a, b in zip(("det", "mc"), small, large):
+        assert b <= 2.5 * a, (driver, a, b)

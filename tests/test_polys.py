@@ -154,7 +154,7 @@ def test_reducer_grows_its_inverse_for_long_inputs(dm):
 
 
 def test_multipoint_eval_matches_pointwise(rng):
-    pts = [F13.from_int(i) for i in range(13)]
+    pts = range(13)
     for _ in range(5):
         f = [F13.from_int(rng.randrange(13)) for _ in range(20)]
         tree = polys.SubproductTree(F13, pts)
@@ -185,13 +185,18 @@ _TREE_RINGS = {
 
 
 @pytest.mark.parametrize("ring", sorted(_TREE_RINGS))
-@pytest.mark.parametrize("count, divisors", [(31, 0), (32, 0), (33, 1),
-                                             (100, 3)])
+@pytest.mark.parametrize("count, divisors", [
+    pytest.param(count, sizes, id=f"{count}-{len(sizes)}")
+    for count, sizes in ((31, []), (32, []), (33, [33]),
+                         (100, [100, 64, 36]))])
 def test_tree_builds_only_the_nodes_it_divides_by(count, divisors, ring,
                                                   monkeypatch):
     # packed or not, the descent evaluates every node of at most
-    # BASE_CASE points directly: with no larger node nothing is built,
-    # else one reducer for each larger node (100 = 64 + 36 points)
+    # BASE_CASE points directly, and a larger node divides, and is built,
+    # only when its input is longer than its degree: none before
+    # evaluate, none for an input of fewer than 33 coefficients, and one
+    # reducer for each larger node an input of 2 * count coefficients
+    # reaches (100 = 64 + 36 points)
     built = []
     reducer = polys.MonicModReducer
 
@@ -200,12 +205,13 @@ def test_tree_builds_only_the_nodes_it_divides_by(count, divisors, ring,
         return reducer(K, m)
     monkeypatch.setattr(polys, "MonicModReducer", recording)
     L = _TREE_RINGS[ring]()
-    pts = [L.from_int(3 * j) for j in range(count)]
+    pts = range(0, 3 * count, 3)
     tree = polys.SubproductTree(L, pts)
-    assert len(built) == divisors
-    assert all(size > tree.BASE_CASE for size in built)
-    f = [L.from_int(j * j + 1) for j in range(2 * count)]
-    assert tree_values(tree, [f]) == [[polys.eval_at(L, f, a) for a in pts]]
+    for length, sizes in ((32, []), (2 * count, divisors)):
+        f = [L.from_int(j * j + 1) for j in range(length)]
+        assert tree_values(tree, [f]) == [[
+            polys.eval_at(L, f, L.from_int(a)) for a in pts]]
+        assert built == sizes
 
 
 def test_format_poly_pins():
