@@ -32,8 +32,10 @@ multiplies N x N by N x r, not N x N by N x N.
 The class at each point is the invariant factors of its r x r corner
 (linalg.invariant_factors_of): read off a cyclic vector when one of the
 unit vectors is one, as r - 1 ones and the characteristic polynomial,
-else the Smith form of T - corner.  At the bench's points every corner is
-cyclic.
+else the Smith form of T - corner.  A cyclic class proves its point good
+(reconstruct), so when the first k_sel points are all cyclic the drivers
+evaluate only those: one batch of 5 points on each bench workload, where
+every corner is cyclic.
 """
 
 from collections import namedtuple

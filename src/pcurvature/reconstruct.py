@@ -8,11 +8,15 @@ factors divides that of the first j local ones (the divisibility lemma),
 so the prefix sums of the local T-degrees are at least the global ones,
 with equality at good points; equal sums force equal factors.  Points
 attaining the elementwise minimal prefix sums thus specialize correctly
-and glue by Chinese remaindering.  The drivers differ only in their
-points: all small classes up to total degree F + D + 1 (deterministic),
-or random points of degree s (Monte Carlo, failure below epsilon).  Points
-of degree 1 are elements of F_q itself, so at degree 1 every step, from the
-pole checks to the lifts, runs over F_q and no extension field is built.
+and glue by Chinese remaindering.  A cyclic local class (r - 1 ones) has
+prefix sums (0, ..., 0, r), below which no global ones go, so it proves
+its point good: when the first k_sel points are all cyclic they are
+glued at once, and the other points are evaluated only otherwise.  The
+drivers differ only in their points: all small classes up to total
+degree F + D + 1 (deterministic), or random points of degree s (Monte
+Carlo, failure below epsilon).  Points of degree 1 are elements of F_q
+itself, so at degree 1 every step, from the pole checks to the lifts, runs
+over F_q and no extension field is built.
 """
 
 import itertools
@@ -175,29 +179,52 @@ def _non_pole(inp, ell):
     return lambda a: polys.eval_at(ell, lead, a) != ell.zero
 
 
+def _cyclic(fs):
+    """Whether a local class is cyclic: its first r - 1 factors are 1."""
+    return all(bivar.deg_T(g) == 0 for g in fs[:-1])
+
+
 def _reconstruct(inp, p, ell, s, points, k_sel, D):
     """Bivariate invariant factors from non-pole points of degree s.
 
     The points lie in ell, which is K itself when s = 1 and the extension
-    of K of degree s otherwise.  One matrix factorial gives the local
-    factors at every point; the first k_sel pairwise non-conjugate points
-    with minimal prefix sums determine each coefficient by CRT over the
-    minimal polynomials of the a_i^p (z - a_i^p when s = 1), whose basis
-    (polys.crt_basis) is built once for all coefficients.
+    of K of degree s otherwise.  The first k_sel pairwise non-conjugate
+    points are evaluated first, in one batch.  A cyclic local class, r - 1
+    ones and the characteristic polynomial, has prefix sums (0, ..., 0, r):
+    the global ones are at least 0, end at r, and are at most the local
+    ones (divisibility lemma), so they are equal and the point is good.
+    When every point of the first batch is cyclic, those are the points
+    the selection below would choose, and no other point is evaluated.
+    Otherwise one more batch evaluates every remaining distinct point, and
+    the first k_sel pairwise non-conjugate points with minimal prefix sums
+    are chosen, in the order given.  Each coefficient follows by CRT over
+    the minimal polynomials of the chosen a_i^p (z - a_i^p when s = 1),
+    whose basis (polys.crt_basis) is built once for all coefficients.
     """
     K = inp.K
     q = K.q
-    samples = list(zip(points, _scaled_local_factors(inp, ell, points, p)))
-    sums = [tuple(itertools.accumulate(bivar.deg_T(g) for g in fs))
-            for _, fs in samples]
+    samples = []
+    for a in points:
+        if not any(fields.are_conjugate(ell, a, b, q) for b in samples):
+            samples.append(a)
+            if len(samples) == k_sel:
+                break
+    local = dict(zip(samples, _scaled_local_factors(inp, ell, samples, p)))
+    if len(samples) < k_sel or not all(map(_cyclic, local.values())):
+        rest = [a for a in dict.fromkeys(points) if a not in local]
+        if rest:
+            local.update(zip(rest, _scaled_local_factors(inp, ell, rest, p)))
+        samples = points
+    sums = [tuple(itertools.accumulate(bivar.deg_T(g) for g in local[a]))
+            for a in samples]
     target = tuple(map(min, zip(*sums)))
     chosen = []
-    for (a, fs), ps in zip(samples, sums):
+    for a, ps in zip(samples, sums):
         if ps != target:
             continue
         if any(fields.are_conjugate(ell, a, b, q) for b, _ in chosen):
             continue
-        chosen.append((a, fs))
+        chosen.append((a, local[a]))
         if len(chosen) == k_sel:
             break
     if len(chosen) < k_sel:
@@ -231,7 +258,10 @@ def reconstruct_deterministic(inp, p, params=None):
     attain the minimal prefix sums of local degrees, which no point can
     undercut (divisibility lemma), so only good points are kept and their
     CRT is unique.  One point per Frobenius orbit of size k, for the
-    smallest k whose classes reach the budget.  No probabilistic failure.
+    smallest k whose classes reach the budget.  Only the first
+    -(-(D + 1) // k) of them are evaluated when their local classes are
+    all cyclic, which proves them good; otherwise the rest of the budget
+    is evaluated too, in one more batch.  No probabilistic failure.
     """
     if params is None:
         params = select_params(inp)
@@ -271,6 +301,9 @@ def reconstruct_montecarlo(inp, p, params):
     attempts.  Good samples attain the minimal prefix sums of local
     degrees, which no sample can undercut (divisibility lemma), so bad
     ones are skipped; k_sel pairwise non-conjugate good ones glue by CRT.
+    The first k_sel pairwise non-conjugate draws are evaluated first, and
+    the other distinct draws only when one of those has a local class
+    that is not cyclic; the draws are the same either way.
     Fails (SelectionFailed) or errs with probability <= epsilon.  A plan
     made without an epsilon raises ValueError.
     """

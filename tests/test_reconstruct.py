@@ -1,3 +1,6 @@
+import copy
+import random
+
 import pytest
 
 from pcurvature import (bivar, cli, diffop, fields, linalg, local_eval, polys,
@@ -155,53 +158,141 @@ OP22_POINTS = {
 }
 
 
+def _is_cyclic(local_class):
+    """r - 1 ones before the last factor (the factors are monic)."""
+    return all(len(g) == 1 for g in local_class[:-1])
+
+
+class _Record:
+    """The draws, the evaluated batches as (points, local classes) pairs
+    and the number of matrix factorials since the last clear(), recorded
+    by wrapping the sampler, the local evaluation and the factorial."""
+
+    def __init__(self, monkeypatch):
+        self.clear()
+        sample = reconstruct._sample_degree_s
+        evaluate = local_eval.invariant_factors_at
+        factorial = linalg.matrix_factorial
+
+        def recording_sample(*args):
+            a = sample(*args)
+            self.draws.append(a)
+            return a
+
+        def recording_evaluate(inp, ell, points, p=None):
+            classes = evaluate(inp, ell, points, p)
+            self.batches.append((list(points), classes))
+            return classes
+
+        def counting_factorial(*args):
+            self.factorials += 1
+            return factorial(*args)
+
+        monkeypatch.setattr(reconstruct, "_sample_degree_s", recording_sample)
+        monkeypatch.setattr(local_eval, "invariant_factors_at",
+                            recording_evaluate)
+        monkeypatch.setattr(linalg, "matrix_factorial", counting_factorial)
+
+    def clear(self):
+        self.draws, self.batches, self.factorials = [], [], 0
+
+    @property
+    def certified(self):
+        """Whether every local class of the first batch is cyclic."""
+        return all(map(_is_cyclic, self.batches[0][1]))
+
+    @property
+    def evaluated(self):
+        return [a for points, _ in self.batches for a in points]
+
+
 def _montecarlo_runs(monkeypatch, inp, p, epsilon, seeds):
-    """Formatted output, evaluated points and factorial count per seed."""
-    calls = {"factorial": 0, "points": []}
-    factorial = linalg.matrix_factorial
-    evaluate = local_eval.invariant_factors_at
-
-    def counting_factorial(*args):
-        calls["factorial"] += 1
-        return factorial(*args)
-
-    def recording_evaluate(inp, ell, points, p=None):
-        calls["points"].extend(points)
-        return evaluate(inp, ell, points, p)
-
-    monkeypatch.setattr(linalg, "matrix_factorial", counting_factorial)
-    monkeypatch.setattr(local_eval, "invariant_factors_at",
-                        recording_evaluate)
+    """Formatted output and a copy of the _Record per seed."""
+    record = _Record(monkeypatch)
     out = {}
     for seed in seeds:
-        calls["factorial"] = 0
-        calls["points"] = []
+        record.clear()
         params = reconstruct.select_params(inp, epsilon=epsilon, seed=seed)
         got = _fmt(inp.K, reconstruct.reconstruct_montecarlo(inp, p, params))
-        out[seed] = (got, calls["points"], calls["factorial"])
+        out[seed] = (got, copy.copy(record))
     return out
 
 
+def _fallback_system(p):
+    """f_A = x^2 + 1 and A~ = diag(x, x) over F_p: factors (T, T), so no
+    local class is cyclic."""
+    K = fields.PrimeField(p)
+    x = (K.zero, K.one)
+    return diffop.DiffSystem(K, (K.one, K.zero, K.one), ((x, ()), ((), x)))
+
+
 def test_montecarlo_pinned_seed_for_seed(monkeypatch):
+    # the draws are pinned; the evaluated points are the first k_sel
+    # pairwise non-conjugate draws when their classes are all cyclic, else
+    # every distinct draw
     runs = _montecarlo_runs(monkeypatch, OP22, 11, 0.2, range(50))
-    for seed, (got, points, _) in runs.items():
+    for seed, (got, record) in runs.items():
         assert got == OP22_FACTORS, seed
         if seed in OP22_POINTS:
-            assert points == OP22_POINTS[seed], seed
+            assert record.draws == OP22_POINTS[seed], seed
+            assert record.certified, seed
+            assert record.evaluated == OP22_POINTS[seed][:2], seed
     for inp in (L103, diffop.companion_of_operator(L103)):
         runs = _montecarlo_runs(monkeypatch, inp, 103, 0.1, range(1, 11))
-        for seed, (got, _, _) in runs.items():
+        for seed, (got, record) in runs.items():
             assert got == L103_FACTORS, seed
+            assert record.certified, seed
+            assert record.evaluated == record.draws[:3], seed
+    sysv = _fallback_system(31)
+    want = _fmt(sysv.K, diffop.naive_invariant_factors(sysv, 31))
+    k_sel = reconstruct.select_params(sysv, epsilon=0.1).k_sel
+    runs = _montecarlo_runs(monkeypatch, sysv, 31, 0.1, range(5))
+    for seed, (got, record) in runs.items():
+        assert got == want, seed
+        assert not record.certified, seed
+        distinct = list(dict.fromkeys(record.draws))
+        assert [points for points, _ in record.batches] == [
+            distinct[:k_sel], distinct[k_sel:]], seed
 
 
 def test_montecarlo_makes_one_factorial_per_solve(monkeypatch):
-    for inp, p, epsilon in ((OP22, 11, 0.2), (L103, 103, 0.1)):
-        K = reconstruct.effective_params(
-            inp, reconstruct.select_params(inp, epsilon=epsilon)).K
+    # one factorial on k_sel points when they are certified, else one
+    # more for the other distinct draws, with no point evaluated twice
+    for inp, p, epsilon in ((OP22, 11, 0.2), (L103, 103, 0.1),
+                            (_fallback_system(31), 31, 0.1)):
+        plan = reconstruct.effective_params(
+            inp, reconstruct.select_params(inp, epsilon=epsilon))
         runs = _montecarlo_runs(monkeypatch, inp, p, epsilon, range(5))
-        for seed, (_, points, factorials) in runs.items():
-            assert factorials == 1, seed
-            assert len(points) == K, seed
+        for seed, (_, record) in runs.items():
+            points = record.evaluated
+            assert len(set(points)) == len(points), seed
+            if record.certified:
+                assert record.factorials == 1, seed
+                assert len(points) == plan.k_sel, seed
+            else:
+                assert record.factorials == 2, seed
+                assert len(points) <= plan.K, seed
+
+
+def test_montecarlo_fallback_evaluates_each_distinct_draw_once(monkeypatch):
+    # 12 draws from the 31 points of F_31 repeat some; the fallback batch
+    # takes every distinct draw that the first batch did not
+    sysv = _fallback_system(31)
+    want = diffop.naive_invariant_factors(sysv, 31)
+    record = _Record(monkeypatch)
+    repeated = 0
+    for seed in range(5):
+        record.clear()
+        params = ReconParams(D=4, F=24, mode="montecarlo", epsilon=0.5,
+                             s=1, K=12, k_sel=5, seed=seed)
+        assert reconstruct.reconstruct_montecarlo(sysv, 31, params) == want
+        distinct = list(dict.fromkeys(record.draws))
+        assert len(record.draws) == 12
+        assert [points for points, _ in record.batches] == [
+            distinct[:5], distinct[5:]], seed
+        assert record.factorials == 2
+        repeated += len(distinct) < 12
+    assert repeated
 
 
 def test_montecarlo_refuses_a_deterministic_plan():
@@ -365,9 +456,9 @@ def test_deterministic_builds_no_large_extension(monkeypatch):
 
 def test_bench_solve_classifies_by_cyclic_vectors_and_one_crt_basis(
         monkeypatch):
-    # det on the workload operator at p = 1019: each of the 29 corners is
-    # cyclic, so no Smith form runs, and the moduli's CRT basis is built
-    # once for all coefficients of the factors
+    # det on the workload operator at p = 1019: each of the 5 corners it
+    # evaluates is cyclic, so no Smith form runs, and the moduli's CRT
+    # basis is built once for all coefficients of the factors
     calls = {"smith_form": 0, "crt_basis": 0, "interpolate_crt": 0}
     for module, name in ((linalg, "smith_form"), (polys, "crt_basis"),
                          (polys, "interpolate_crt")):
@@ -379,3 +470,74 @@ def test_bench_solve_classifies_by_cyclic_vectors_and_one_crt_basis(
     got = reconstruct.reconstruct_deterministic(op, 1019)
     assert _fmt(op.K, got) == ["1", "T^2 + 4*X^2 + 4"]
     assert calls == {"smith_form": 0, "crt_basis": 1, "interpolate_crt": 0}
+
+
+def test_bench_solves_evaluate_k_sel_certified_points(monkeypatch):
+    # the bench's three solves: every local class of the first k_sel = 5
+    # points is cyclic, so one batch of 5 points and one factorial serve,
+    # where the budget and the sample count are 29 and 12
+    text = "(x^2+1)*Dx^2 + x*Dx + 1"
+    det_op = cli.parse_operator(text, fields.PrimeField(1019))
+    det_sys = diffop.companion_of_operator(
+        cli.parse_operator(text, fields.PrimeField(263)))
+    mc_op = cli.parse_operator(text, fields.PrimeField(2003))
+    record = _Record(monkeypatch)
+    solves = [(det_op, 1019, None), (det_sys, 263, None)]
+    solves += [(mc_op, 2003, seed) for seed in range(1, 6)]
+    for inp, p, seed in solves:
+        record.clear()
+        if seed is None:
+            got = reconstruct.reconstruct_deterministic(inp, p)
+        else:
+            plan = reconstruct.select_params(inp, epsilon=0.1, seed=seed)
+            got = reconstruct.reconstruct_montecarlo(inp, p, plan)
+        assert _fmt(inp.K, got) == ["1", "T^2 + 4*X^2 + 4"], (p, seed)
+        assert [len(points) for points, _ in record.batches] == [5], (p, seed)
+        assert record.factorials == 1, (p, seed)
+
+
+@pytest.mark.parametrize("p, k, k_sel", [(31, 1, 5), (11, 2, 3)])
+def test_deterministic_falls_back_on_non_cyclic_classes(p, k, k_sel,
+                                                        monkeypatch):
+    # diag(x, x) has no cyclic local class: after the first k_sel points
+    # every other point of the budget F + D + 1 = 29 is evaluated once, in
+    # a second factorial (points of degree 2 at p = 11, 15 of them)
+    sysv = _fallback_system(p)
+    record = _Record(monkeypatch)
+    got = reconstruct.reconstruct_deterministic(sysv, p)
+    assert got == diffop.naive_invariant_factors(sysv, p)
+    n = -(-29 // k)
+    assert [len(points) for points, _ in record.batches] == [k_sel, n - k_sel]
+    assert not record.certified
+    assert len(set(record.evaluated)) == n
+    assert record.factorials == 2
+
+
+def test_cyclic_local_classes_are_good_points():
+    # at each non-pole point of F_p whose local class is cyclic, the
+    # global factors at X = a^p are the scaled local ones; bad points of
+    # random inputs of order 2 and degree 1 or 2 exist, and are not cyclic
+    rng = random.Random(2)
+    bad = 0
+    for _ in range(500):
+        K = rng.choice((F5, F7))
+        p, d = K.char, rng.randint(1, 2)
+        if rng.random() < 0.5:
+            inp = random_operator(K, rng, d, 2)
+            sysv = diffop.companion_of_operator(inp)
+        else:
+            inp = sysv = random_system(K, rng, d, 2)
+        glob = diffop.naive_invariant_factors(sysv, p)
+        points = [a for a in K.elements() if reconstruct._non_pole(inp, K)(a)]
+        if not points:
+            continue
+        local = reconstruct._scaled_local_factors(inp, K, points, p)
+        for a, fs in zip(points, local):
+            ap = K.pow(a, p)
+            spec = [bivar.evaluate_at_X(K, K, g, ap, lambda c: c)
+                    for g in glob]
+            if _is_cyclic(fs):
+                assert spec == fs, (inp, a)
+            else:
+                bad += spec != fs
+    assert bad
