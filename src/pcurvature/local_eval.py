@@ -33,9 +33,9 @@ The class at each point is the invariant factors of its r x r corner
 (linalg.invariant_factors_of): read off a cyclic vector when one of the
 unit vectors is one, as r - 1 ones and the characteristic polynomial,
 else the Smith form of T - corner.  A cyclic class proves its point good
-(reconstruct), so when the first k_sel points are all cyclic the drivers
-evaluate only those: one batch of 5 points on each bench workload, where
-every corner is cyclic.
+(reconstruct), so both drivers first evaluate the D + 1 points of degree
+1 (when F_q has that many non-pole points) and stop there when every
+class is cyclic: one batch of 5 points of F_p on each bench workload.
 """
 
 from collections import namedtuple

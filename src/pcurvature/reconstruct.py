@@ -10,13 +10,14 @@ with equality at good points; equal sums force equal factors.  Points
 attaining the elementwise minimal prefix sums thus specialize correctly
 and glue by Chinese remaindering.  A cyclic local class (r - 1 ones) has
 prefix sums (0, ..., 0, r), below which no global ones go, so it proves
-its point good: when the first k_sel points are all cyclic they are
-glued at once, and the other points are evaluated only otherwise.  The
-drivers differ only in their points: all small classes up to total
-degree F + D + 1 (deterministic), or random points of degree s (Monte
-Carlo, failure below epsilon).  Points of degree 1 are elements of F_q
-itself, so at degree 1 every step, from the pole checks to the lifts, runs
-over F_q and no extension field is built.
+its point good.  Both drivers therefore start with one certified pass:
+the first small points of total degree D + 1, which are glued when their
+classes are all cyclic.  The drivers differ only in their fallback
+points, used otherwise: all small classes up to total degree F + D + 1
+(deterministic), or random points of degree s (Monte Carlo, failure below
+epsilon).  Points of degree 1 are elements of F_q itself, so at degree 1
+every step, from the pole checks to the lifts, runs over F_q and no
+extension field is built.
 """
 
 import itertools
@@ -184,42 +185,65 @@ def _cyclic(fs):
     return all(bivar.deg_T(g) == 0 for g in fs[:-1])
 
 
-def _reconstruct(inp, p, ell, s, points, k_sel, D):
-    """Bivariate invariant factors from non-pole points of degree s.
+def _small_points(inp, total):
+    """Non-pole points of the smallest degree k over K whose classes reach
+    total degree `total`, one point per Frobenius orbit: (ell, k, points),
+    ell the field of the points and points the first -(-total // k) of
+    them in ell.elements() order."""
+    K = inp.K
+    k = 1
+    while True:
+        ell = _point_field(K, k)
+        ok = _non_pole(inp, ell)
+        points, seen = [], set()
+        for a in ell.elements():
+            if a in seen:
+                continue
+            orbit = fields.frobenius_orbit(ell, a, K.q)
+            seen.update(orbit)
+            if len(orbit) == k and ok(a):
+                points.append(a)
+                if k * len(points) >= total:
+                    return ell, k, points
+        k += 1
 
-    The points lie in ell, which is K itself when s = 1 and the extension
-    of K of degree s otherwise.  The first k_sel pairwise non-conjugate
-    points are evaluated first, in one batch.  A cyclic local class, r - 1
-    ones and the characteristic polynomial, has prefix sums (0, ..., 0, r):
-    the global ones are at least 0, end at r, and are at most the local
-    ones (divisibility lemma), so they are equal and the point is good.
-    When every point of the first batch is cyclic, those are the points
-    the selection below would choose, and no other point is evaluated.
-    Otherwise one more batch evaluates every remaining distinct point, and
-    the first k_sel pairwise non-conjugate points with minimal prefix sums
-    are chosen, in the order given.  Each coefficient follows by CRT over
-    the minimal polynomials of the chosen a_i^p (z - a_i^p when s = 1),
-    whose basis (polys.crt_basis) is built once for all coefficients.
+
+def _reconstruct(inp, p, D, fallback):
+    """Bivariate invariant factors from a certified pass or from the
+    driver's fallback points.
+
+    The pass takes the small points of total degree D + 1 and evaluates
+    them in one batch.  A cyclic local class, r - 1 ones and the
+    characteristic polynomial, has prefix sums (0, ..., 0, r): the global
+    ones are at least 0, end at r, and are at most the local ones
+    (divisibility lemma), so they are equal and the point is good.  When
+    every class of the pass is cyclic, its points are glued.  Otherwise
+    fallback() gives (ell, s, points, k_sel): points of degree s in ell,
+    K itself when s = 1 and the extension of K of degree s otherwise.  One
+    more batch evaluates every distinct one the pass did not, and the first
+    k_sel pairwise non-conjugate points with minimal prefix sums are
+    chosen, in the order given.  Each coefficient follows by CRT over the
+    minimal polynomials of the chosen a_i^p (z - a_i^p when s = 1), whose
+    basis (polys.crt_basis) is built once for all coefficients.
     """
     K = inp.K
     q = K.q
-    samples = []
-    for a in points:
-        if not any(fields.are_conjugate(ell, a, b, q) for b in samples):
-            samples.append(a)
-            if len(samples) == k_sel:
-                break
-    local = dict(zip(samples, _scaled_local_factors(inp, ell, samples, p)))
-    if len(samples) < k_sel or not all(map(_cyclic, local.values())):
+    ell, s, points = _small_points(inp, D + 1)
+    local = dict(zip(points, _scaled_local_factors(inp, ell, points, p)))
+    k_sel = len(points)
+    if not all(map(_cyclic, local.values())):
+        first = ell
+        ell, s, points, k_sel = fallback()
+        if ell != first:
+            local = {}
         rest = [a for a in dict.fromkeys(points) if a not in local]
         if rest:
             local.update(zip(rest, _scaled_local_factors(inp, ell, rest, p)))
-        samples = points
     sums = [tuple(itertools.accumulate(bivar.deg_T(g) for g in local[a]))
-            for a in samples]
+            for a in points]
     target = tuple(map(min, zip(*sums)))
     chosen = []
-    for a, ps in zip(samples, sums):
+    for a, ps in zip(points, sums):
         if ps != target:
             continue
         if any(fields.are_conjugate(ell, a, b, q) for b, _ in chosen):
@@ -253,37 +277,24 @@ def _reconstruct(inp, p, ell, s, points, k_sel, D):
 def reconstruct_deterministic(inp, p, params=None):
     """Bivariate invariant factors from every small point, in order.
 
-    Bad points have degree-sum at most F, so non-conjugate non-pole points
-    of total degree F + D + 1 hold good ones of total degree D + 1.  Those
-    attain the minimal prefix sums of local degrees, which no point can
-    undercut (divisibility lemma), so only good points are kept and their
-    CRT is unique.  One point per Frobenius orbit of size k, for the
-    smallest k whose classes reach the budget.  Only the first
-    -(-(D + 1) // k) of them are evaluated when their local classes are
-    all cyclic, which proves them good; otherwise the rest of the budget
-    is evaluated too, in one more batch.  No probabilistic failure.
+    Past the certified pass, the fallback is the budget: bad points have
+    degree-sum at most F, so non-conjugate non-pole points of total degree
+    F + D + 1 hold good ones of total degree D + 1.  Those attain the
+    minimal prefix sums of local degrees, which no point can undercut
+    (divisibility lemma), so only good points are kept and their CRT is
+    unique.  One point per Frobenius orbit of size k, for the smallest k
+    whose classes reach the budget.  No probabilistic failure.
     """
     if params is None:
         params = select_params(inp)
     params = effective_params(inp, params)
-    K = inp.K
-    budget = params.F + params.D + 1
-    k = 1
-    while True:
-        ell = _point_field(K, k)
-        ok = _non_pole(inp, ell)
-        points, seen = [], set()
-        for a in ell.elements():
-            if a in seen:
-                continue
-            orbit = fields.frobenius_orbit(ell, a, K.q)
-            seen.update(orbit)
-            if len(orbit) == k and ok(a):
-                points.append(a)
-                if k * len(points) >= budget:
-                    return _reconstruct(inp, p, ell, k, points,
-                                        -(-(params.D + 1) // k), params.D)
-        k += 1
+    D = params.D
+
+    def budget():
+        ell, k, points = _small_points(inp, params.F + D + 1)
+        return ell, k, points, -(-(D + 1) // k)
+
+    return _reconstruct(inp, p, D, budget)
 
 
 def _sample_degree_s(ell, q, s, rng):
@@ -297,34 +308,36 @@ def _sample_degree_s(ell, q, s, rng):
 def reconstruct_montecarlo(inp, p, params):
     """Bivariate invariant factors from K random points of degree s.
 
-    All K points are drawn first, a pole being redrawn within a cap on the
-    attempts.  Good samples attain the minimal prefix sums of local
-    degrees, which no sample can undercut (divisibility lemma), so bad
-    ones are skipped; k_sel pairwise non-conjugate good ones glue by CRT.
-    The first k_sel pairwise non-conjugate draws are evaluated first, and
-    the other distinct draws only when one of those has a local class
-    that is not cyclic; the draws are the same either way.
-    Fails (SelectionFailed) or errs with probability <= epsilon.  A plan
-    made without an epsilon raises ValueError.
+    Past the certified pass, which draws nothing, the fallback draws all K
+    points, a pole being redrawn within a cap on the attempts.  Good
+    samples attain the minimal prefix sums of local degrees, which no
+    sample can undercut (divisibility lemma), so bad ones are skipped;
+    k_sel pairwise non-conjugate good ones glue by CRT.  Fails
+    (SelectionFailed) or errs with probability <= epsilon.  A plan made
+    without an epsilon raises ValueError.
     """
     if params.mode != "montecarlo":
         raise ValueError(f"need a montecarlo plan, not {params.mode!r}")
     params = effective_params(inp, params)
-    K = inp.K
-    s = params.s
-    rng = random.Random(params.seed)
-    ell = _point_field(K, s)
-    ok = _non_pole(inp, ell)
-    points = []
-    attempts = 0
-    while len(points) < params.K:
-        if attempts >= 4 * params.K + 8:
-            raise SelectionFailed("sampling kept hitting poles")
-        attempts += 1
-        a = _sample_degree_s(ell, K.q, s, rng)
-        if ok(a):
-            points.append(a)
-    return _reconstruct(inp, p, ell, s, points, params.k_sel, params.D)
+
+    def draws():
+        K = inp.K
+        s = params.s
+        rng = random.Random(params.seed)
+        ell = _point_field(K, s)
+        ok = _non_pole(inp, ell)
+        points = []
+        attempts = 0
+        while len(points) < params.K:
+            if attempts >= 4 * params.K + 8:
+                raise SelectionFailed("sampling kept hitting poles")
+            attempts += 1
+            a = _sample_degree_s(ell, K.q, s, rng)
+            if ok(a):
+                points.append(a)
+        return ell, s, points, params.k_sel
+
+    return _reconstruct(inp, p, params.D, draws)
 
 
 def verify_divisibility_lemma(inp, p, ell, a):

@@ -3,9 +3,11 @@
 Everything here favors obviousness over speed: schoolbook products,
 cofactor expansion, one-factor-at-a-time matrix products.  None of it
 shares code with the library paths under test, except the operation
-counter, which wraps the library's prime field.
+counter, which wraps the library's prime field, and the input record
+that sym2_system returns.
 """
 
+from pcurvature.diffop import DiffSystem
 from pcurvature.fields import PrimeField
 
 
@@ -150,6 +152,26 @@ def _det_polys(R, M):
         term = R.mul(M[0][j], _det_polys(R, minor))
         acc = R.add(acc, R.neg(term) if j % 2 else term)
     return acc
+
+
+def sym2_system(K):
+    """The symmetric square of the Gauss system over K (p > 2).
+
+    The Gauss system is f_A Y' = [[0, f_A], [1/4, 2x - 1]] Y with
+    f_A = x - x^2.  Row m of its symmetric square is the derivative of
+    y1^(2-m) y2^m, written by hand from the product rule:
+    A~ = [[0, 2 f_A, 0], [1/4, 2x - 1, f_A], [0, 1/2, 4x - 2]].
+    """
+    def c(*ints):
+        return tuple(K.from_int(i) for i in ints)
+
+    f_A = c(0, 1, -1)
+    quarter, half = K.inv(K.from_int(4)), K.inv(K.from_int(2))
+    return DiffSystem(K, f_A, (
+        ((), c(0, 2, -2), ()),
+        ((quarter,), c(-1, 2), f_A),
+        ((), (half,), c(-2, 4)),
+    ))
 
 
 class CountingPrimeField(PrimeField):

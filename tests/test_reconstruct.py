@@ -8,6 +8,7 @@ from pcurvature import (bivar, cli, diffop, fields, linalg, local_eval, polys,
 from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange, PoleAtPoint,
                                SelectionFailed)
 from pcurvature.reconstruct import ReconParams
+from oracles import sym2_system
 from test_diffop import (assert_frozen_record, random_operator,
                          random_system)
 
@@ -165,8 +166,9 @@ def _is_cyclic(local_class):
 
 class _Record:
     """The draws, the evaluated batches as (points, local classes) pairs
-    and the number of matrix factorials since the last clear(), recorded
-    by wrapping the sampler, the local evaluation and the factorial."""
+    and the rings of the matrix factorials since the last clear(),
+    recorded by wrapping the sampler, the local evaluation and the
+    factorial."""
 
     def __init__(self, monkeypatch):
         self.clear()
@@ -184,17 +186,21 @@ class _Record:
             self.batches.append((list(points), classes))
             return classes
 
-        def counting_factorial(*args):
-            self.factorials += 1
-            return factorial(*args)
+        def recording_factorial(ring, *args):
+            self.rings.append(ring)
+            return factorial(ring, *args)
 
         monkeypatch.setattr(reconstruct, "_sample_degree_s", recording_sample)
         monkeypatch.setattr(local_eval, "invariant_factors_at",
                             recording_evaluate)
-        monkeypatch.setattr(linalg, "matrix_factorial", counting_factorial)
+        monkeypatch.setattr(linalg, "matrix_factorial", recording_factorial)
 
     def clear(self):
-        self.draws, self.batches, self.factorials = [], [], 0
+        self.draws, self.batches, self.rings = [], [], []
+
+    @property
+    def factorials(self):
+        return len(self.rings)
 
     @property
     def certified(self):
@@ -204,6 +210,17 @@ class _Record:
     @property
     def evaluated(self):
         return [a for points, _ in self.batches for a in points]
+
+    @property
+    def points(self):
+        """The points of each batch."""
+        return [points for points, _ in self.batches]
+
+
+def _fail_the_pass(monkeypatch):
+    """Make every local class count as not cyclic, so that the certified
+    pass never certifies and the driver's fallback runs."""
+    monkeypatch.setattr(reconstruct, "_cyclic", lambda fs: False)
 
 
 def _montecarlo_runs(monkeypatch, inp, p, epsilon, seeds):
@@ -227,37 +244,45 @@ def _fallback_system(p):
 
 
 def test_montecarlo_pinned_seed_for_seed(monkeypatch):
-    # the draws are pinned; the evaluated points are the first k_sel
-    # pairwise non-conjugate draws when their classes are all cyclic, else
-    # every distinct draw
+    # a certified pass draws nothing and evaluates the first D + 1 = 5
+    # non-pole points of K: x^2 + x + 1 and x^2 + 1 have no root mod 11 or
+    # mod 103, so these are 0, ..., 4
     runs = _montecarlo_runs(monkeypatch, OP22, 11, 0.2, range(50))
     for seed, (got, record) in runs.items():
         assert got == OP22_FACTORS, seed
-        if seed in OP22_POINTS:
-            assert record.draws == OP22_POINTS[seed], seed
-            assert record.certified, seed
-            assert record.evaluated == OP22_POINTS[seed][:2], seed
+        assert record.certified, seed
+        assert record.draws == [], seed
+        assert record.points == [list(range(5))], seed
     for inp in (L103, diffop.companion_of_operator(L103)):
         runs = _montecarlo_runs(monkeypatch, inp, 103, 0.1, range(1, 11))
         for seed, (got, record) in runs.items():
             assert got == L103_FACTORS, seed
             assert record.certified, seed
-            assert record.evaluated == record.draws[:3], seed
+            assert record.draws == [], seed
+            assert record.points == [list(range(5))], seed
+    # diag(x, x) has no cyclic class: the pass, then the distinct draws
+    # outside it (points of degree 3 here, none of them in the pass)
     sysv = _fallback_system(31)
     want = _fmt(sysv.K, diffop.naive_invariant_factors(sysv, 31))
-    k_sel = reconstruct.select_params(sysv, epsilon=0.1).k_sel
     runs = _montecarlo_runs(monkeypatch, sysv, 31, 0.1, range(5))
     for seed, (got, record) in runs.items():
         assert got == want, seed
         assert not record.certified, seed
-        distinct = list(dict.fromkeys(record.draws))
-        assert [points for points, _ in record.batches] == [
-            distinct[:k_sel], distinct[k_sel:]], seed
+        outside = [a for a in dict.fromkeys(record.draws) if a not in range(5)]
+        assert outside and record.points == [list(range(5)), outside], seed
+    # past a pass that fails, OP22's draws are the pinned ones, draw for
+    # draw, and all of them are evaluated after the pass
+    _fail_the_pass(monkeypatch)
+    runs = _montecarlo_runs(monkeypatch, OP22, 11, 0.2, OP22_POINTS)
+    for seed, (got, record) in runs.items():
+        assert got == OP22_FACTORS, seed
+        assert record.draws == OP22_POINTS[seed], seed
+        assert record.points == [list(range(5)), OP22_POINTS[seed]], seed
 
 
 def test_montecarlo_makes_one_factorial_per_solve(monkeypatch):
-    # one factorial on k_sel points when they are certified, else one
-    # more for the other distinct draws, with no point evaluated twice
+    # one factorial on the D + 1 points of the pass when they are
+    # certified, else one more for the draws, with no point evaluated twice
     for inp, p, epsilon in ((OP22, 11, 0.2), (L103, 103, 0.1),
                             (_fallback_system(31), 31, 0.1)):
         plan = reconstruct.effective_params(
@@ -268,15 +293,15 @@ def test_montecarlo_makes_one_factorial_per_solve(monkeypatch):
             assert len(set(points)) == len(points), seed
             if record.certified:
                 assert record.factorials == 1, seed
-                assert len(points) == plan.k_sel, seed
+                assert len(points) == plan.D + 1, seed
             else:
                 assert record.factorials == 2, seed
-                assert len(points) <= plan.K, seed
+                assert len(points) <= plan.D + 1 + plan.K, seed
 
 
 def test_montecarlo_fallback_evaluates_each_distinct_draw_once(monkeypatch):
-    # 12 draws from the 31 points of F_31 repeat some; the fallback batch
-    # takes every distinct draw that the first batch did not
+    # 12 draws from the 31 points of F_31 repeat some; after the pass on
+    # 0, ..., 4, the fallback batch takes every distinct draw outside it
     sysv = _fallback_system(31)
     want = diffop.naive_invariant_factors(sysv, 31)
     record = _Record(monkeypatch)
@@ -288,8 +313,8 @@ def test_montecarlo_fallback_evaluates_each_distinct_draw_once(monkeypatch):
         assert reconstruct.reconstruct_montecarlo(sysv, 31, params) == want
         distinct = list(dict.fromkeys(record.draws))
         assert len(record.draws) == 12
-        assert [points for points, _ in record.batches] == [
-            distinct[:5], distinct[5:]], seed
+        assert record.points == [
+            list(range(5)), [a for a in distinct if a not in range(5)]], seed
         assert record.factorials == 2
         repeated += len(distinct) < 12
     assert repeated
@@ -301,24 +326,30 @@ def test_montecarlo_refuses_a_deterministic_plan():
             OP22, 11, reconstruct.select_params(OP22))
 
 
-def test_montecarlo_pole_exhaustion_fails_cleanly():
-    # every degree-1 point of F_3 is a pole of x(x+1)(x+2)
+def test_montecarlo_pole_exhaustion_fails_cleanly(monkeypatch):
+    # every degree-1 point of F_3 is a pole of x(x+1)(x+2); a 1 x 1 class
+    # is always cyclic, so the pass (on a point of degree 2) is failed by
+    # hand to reach the draws
     fA = (F3.zero, F3.from_int(2), F3.zero, F3.one)
     sysv = diffop.DiffSystem(F3, fA, (((F3.one,),),))
     params = ReconParams(D=1, F=1, mode="montecarlo", epsilon=0.5,
                          s=1, K=2, k_sel=2, seed=0)
-    with pytest.raises(SelectionFailed):
+    _fail_the_pass(monkeypatch)
+    with pytest.raises(SelectionFailed, match="poles"):
         reconstruct.reconstruct_montecarlo(sysv, 3, params)
 
 
-def test_montecarlo_degree_overflow_fails_cleanly():
-    # true coefficient has X-degree 2; forcing D = 1 must be detected
+def test_montecarlo_degree_overflow_fails_cleanly(monkeypatch):
+    # true coefficient has X-degree 2; forcing D = 1 must be detected once
+    # k_sel = 3 draws are glued (the pass glues D + 1 = 2 points, which
+    # cannot see it, so it is failed by hand)
     sysv = diffop.DiffSystem(F5, (F5.one,),
                              (((F5.zero, F5.zero, F5.one),),))
     assert _fmt(F5, diffop.naive_invariant_factors(sysv, 5)) == ["T + X^2"]
     params = ReconParams(D=1, F=1, mode="montecarlo", epsilon=0.5,
                          s=1, K=6, k_sel=3, seed=2)
-    with pytest.raises(SelectionFailed):
+    _fail_the_pass(monkeypatch)
+    with pytest.raises(SelectionFailed, match="degree bound"):
         reconstruct.reconstruct_montecarlo(sysv, 5, params)
 
 
@@ -447,11 +478,13 @@ def test_deterministic_builds_no_large_extension(monkeypatch):
         solve(inp, p, mode)
         assert seen == [1], (p, seen)
         assert (len(built), muls[0]) == (0, 0), (p, mode)
+    # the order-3 operator over F_25 certifies on points of F_25: the
+    # batch's product ring F_25[z]/(m) is built, but m is reducible, so
+    # no field extends F_25
     solve(order3, 5, "det")
-    assert seen and max(seen) <= 2, seen
-    # the batch's product ring F_25[z]/(m) is built too, but m is reducible
-    extensions = [L for L in built if fields.is_irreducible(L.base, L.modulus)]
-    assert extensions and max(L.degree for L in extensions) <= 2
+    assert seen == [1], seen
+    assert built
+    assert not [L for L in built if fields.is_irreducible(L.base, L.modulus)]
 
 
 def test_bench_solve_classifies_by_cyclic_vectors_and_one_crt_basis(
@@ -499,18 +532,90 @@ def test_bench_solves_evaluate_k_sel_certified_points(monkeypatch):
 @pytest.mark.parametrize("p, k, k_sel", [(31, 1, 5), (11, 2, 3)])
 def test_deterministic_falls_back_on_non_cyclic_classes(p, k, k_sel,
                                                         monkeypatch):
-    # diag(x, x) has no cyclic local class: after the first k_sel points
-    # every other point of the budget F + D + 1 = 29 is evaluated once, in
-    # a second factorial (points of degree 2 at p = 11, 15 of them)
+    # diag(x, x) has no cyclic local class: after the pass on the first 5
+    # points of F_p, every point of the budget F + D + 1 = 29 that the
+    # pass did not evaluate is evaluated once, in a second factorial
+    # (points of degree 2 at p = 11, 15 of them), and k_sel points glue
     sysv = _fallback_system(p)
     record = _Record(monkeypatch)
+    moduli = []
+    crt_basis = polys.crt_basis
+
+    def recording_basis(K, mods, D):
+        moduli.append(len(mods))
+        return crt_basis(K, mods, D)
+
+    monkeypatch.setattr(polys, "crt_basis", recording_basis)
     got = reconstruct.reconstruct_deterministic(sysv, p)
     assert got == diffop.naive_invariant_factors(sysv, p)
     n = -(-29 // k)
-    assert [len(points) for points, _ in record.batches] == [k_sel, n - k_sel]
+    first, rest = record.points
+    assert first == list(range(5))
+    assert len(rest) == (n - 5 if k == 1 else n)
     assert not record.certified
-    assert len(set(record.evaluated)) == n
+    assert len(set(record.evaluated)) == len(record.evaluated)
     assert record.factorials == 2
+    assert moduli == [k_sel]
+
+
+ORDER3 = "(x^3+x+1)*Dx^3 + x^2*Dx^2 + (x+2)*Dx + x^3"
+ORDER3_FACTORS_101 = [
+    "1", "1",
+    "T^3 + (35*X + 53)*T^2 + (22*X^4 + 10*X^3 + 22*X^2 + 32*X + 10)*T"
+    " + 100*X^9 + 44*X^7 + 91*X^6 + 91*X^5 + 74*X^4 + 29*X^3 + 84*X^2"
+    " + 30*X + 93"]
+
+
+def _certified_solves(monkeypatch, inp, p):
+    """The formatted factors of det and of mc (epsilon 0.1, seed 1) on
+    inp, each after asserting that it draws nothing, builds no
+    ExtensionField and makes one factorial, over a SplitRing of the
+    D + 1 points of the pass."""
+    D = reconstruct.effective_params(inp, reconstruct.select_params(inp)).D
+    record = _Record(monkeypatch)
+    built = []
+    init = fields.ExtensionField.__init__
+
+    def recording_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(fields.ExtensionField, "__init__", recording_init)
+    out = []
+    for seed in (None, 1):
+        record.clear()
+        built.clear()
+        if seed is None:
+            got = reconstruct.reconstruct_deterministic(inp, p)
+        else:
+            plan = reconstruct.select_params(inp, epsilon=0.1, seed=seed)
+            got = reconstruct.reconstruct_montecarlo(inp, p, plan)
+        assert record.draws == [] and built == [], seed
+        assert [(type(R), R.degree) for R in record.rings] == [
+            (fields.SplitRing, D + 1)], seed
+        out.append(_fmt(inp.K, got))
+    return out
+
+
+def test_order3_operator_certifies_on_one_split_factorial(monkeypatch):
+    # D = 9 and F + D + 1 = 118 > 101: the budget would climb to points of
+    # degree 2, but the 10 points of the pass are cyclic; the factors are
+    # the ones the budget gave
+    inp = cli.parse_operator(ORDER3, fields.PrimeField(101))
+    det, mc = _certified_solves(monkeypatch, inp, 101)
+    assert det == mc == ORDER3_FACTORS_101
+
+
+@pytest.mark.parametrize("p", [31, 37])
+def test_sym2_certifies_on_one_split_factorial(p, monkeypatch):
+    # the symmetric square of the Gauss system: D = 6 and F = 72, so the
+    # budget would climb past F_p and mc would draw points of degree 2,
+    # but the 7 points of the pass are cyclic
+    sysv = sym2_system(fields.PrimeField(p))
+    want = _fmt(sysv.K, diffop.naive_invariant_factors(sysv, p))
+    assert want == ["1", "1", "T^3"]
+    det, mc = _certified_solves(monkeypatch, sysv, p)
+    assert det == mc == want
 
 
 def test_cyclic_local_classes_are_good_points():

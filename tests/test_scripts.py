@@ -20,6 +20,10 @@ PERFBENCH = os.path.join(os.path.dirname(SRC), "perfbench")
      "epsilon,runs,failures,rate"),
     ("feasibility_demo.py", ["--profile", "23,17,11,6,3,0", "--top", "2"],
      "profile (23, 17, 11, 6, 3, 0), top block 2: "),
+
+    ("cli_corpus.py", ["--first", "1"],
+     '{"argv": ["--p", "1019", "--op", "(x^2+1)*Dx^2 + x*Dx + 1"], '
+     '"exit": 0, "stdout": {"algorithm": "det"'),
 ])
 def test_script_runs_and_prints_its_header(script, args, header):
     out = subprocess.run(
