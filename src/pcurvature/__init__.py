@@ -11,12 +11,14 @@ matrix and command line records) are immutable named tuples: build them
 with keyword fields, take a modified copy with _replace, and they also
 unpack and compare as tuples.  The rank profile tools of nilprofile and
 the rational functions of ratfunc, which no solve uses, are imported on
-first use, so that importing the package loads only the engine.
+first use, so that importing the package loads only the engine.  So are
+the extension fields (extension, ExtensionField included) and the Smith
+form (smith), which a solve over F_p whose points are cyclic never runs.
 """
 
 from .diffop import (DiffOperator, DiffSystem, companion_of_operator,
                      naive_invariant_factors)
-from .fields import ExtensionField, PrimeField, find_irreducible
+from .fields import PrimeField, find_irreducible
 from .local_eval import invariant_factors_at
 from .reconstruct import (ReconParams, effective_params,
                           reconstruct_deterministic, reconstruct_montecarlo,
@@ -33,11 +35,14 @@ def __getattr__(name):
     if name in _NILPROFILE:
         from . import nilprofile
         return getattr(nilprofile, name)
+    if name == "ExtensionField":
+        from .extension import ExtensionField
+        return ExtensionField
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_NILPROFILE))
+    return sorted(set(globals()) | set(_NILPROFILE) | {"ExtensionField"})
 
 __all__ = [
     "DiffOperator",

@@ -244,7 +244,8 @@ def make_field(p, ext):
             f"extension degree must be at least 1, got {ext}")
     K = fields.PrimeField(p)
     if ext > 1:
-        K = fields.ExtensionField(K, fields.find_irreducible(K, ext))
+        from .extension import ExtensionField
+        K = ExtensionField(K, fields.find_irreducible(K, ext))
     return K
 
 

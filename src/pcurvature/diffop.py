@@ -10,13 +10,14 @@ on the numerators over F_q[x] (A_i = A~_i / f_A^i), with no shortcuts: it
 is the oracle every fast path is measured against.  Its invariant factors
 are rational a priori; clearing denominators by f_A^p makes them
 polynomials in x^p, and that cleared, compressed form is what the library
-reports everywhere.  The oracle's rational function field (ratfunc) is
-imported on its first call, so the fast paths never load it.
+reports everywhere.  The oracle's rational function field (ratfunc) and
+Smith form (smith) are imported on its first call, so the fast paths
+never load them.
 """
 
 from collections import namedtuple
 
-from . import bivar, linalg, polys
+from . import bivar, polys
 from .errors import NotInXp, ZeroLeadingCoefficient
 
 
@@ -146,10 +147,11 @@ def rational_invariant_factors(sys, p):
     """Invariant factors of A_p(x) over F_q(x), monic in T: the Smith form
     of T - A_p itself, not linalg.invariant_factors_of, so that this
     oracle shares no shortcut with the local evaluations it checks."""
+    from . import smith
     from .ratfunc import RatFuncField
     R = RatFuncField(sys.K)
     Ap = naive_p_curvature(sys, p)
-    return R, linalg.smith_form(R, linalg.char_matrix(R, Ap))
+    return R, smith.smith_form(R, smith.char_matrix(R, Ap))
 
 
 def naive_invariant_factors(sys, p):

@@ -1,15 +1,14 @@
-"""Finite fields: F_p on machine ints and extensions as fixed-width tuples.
+"""Finite fields: F_p on machine ints, and the kernels of the packed rings.
 
-A PrimeField element is an int in [0, p); an ExtensionField element is a
-tuple of base-field elements of length exactly the extension degree, so
-equality and hashing are structural.  Field objects expose the same method
-surface (add, mul, inv, polymul, ...) and are compared by their `key`.
+A PrimeField element is an int in [0, p).  Field objects expose the same
+method surface (add, mul, inv, polymul, ...) and are compared by their
+`key`.  Extensions base[u]/(S), whose elements are tuples, live in
+`extension`; a solve whose points all lie in F_p never loads it.
 
 The polynomial product hooks are where the speed lives: over F_p the
 coefficients are packed into one big integer per operand (Kronecker
 substitution) so the convolution happens inside CPython's long
-multiplication, and extensions delay the modular reduction so a dot product
-of k element pairs costs k packed convolutions but a single reduction.
+multiplication.
 
 Both packed rings, an ExtensionField over F_p and a SplitRing, keep a
 matrix of polynomials in t in row form (MatrixRows): one row over F_p per
@@ -33,8 +32,8 @@ of polynomials in t is one Kronecker product over F_p per coordinate and
 pair of nonzero entries, on integers n times shorter than those of
 F_p[u]/S (whose blocks need 2n - 1 slots per t-coefficient), and constant
 matrices multiply pointwise.  The row form, shift_rows, rows_rem and
-rows_at act on each coordinate alone, so the split ring shares them with
-ExtensionField.
+rows_at act on each coordinate alone, so both rings take them from one
+base class, PackedRing.
 
 Slot widths.  Every packed product sizes its slots for the largest sum a
 slot can hold.  A slot of up to 8 bytes packs and unpacks in one array
@@ -51,13 +50,12 @@ system and sym2 (N = 4, 6 and 9), at the planner's s, are:
     rows_rem, first product      k (p-1)^2                   -   39   44   50
     rows_rem, second product     min(k, deg m) (p-1)^2 + p-1 -  39   44   50
     rows_at                      L (p-1)^2                  26   40   45   50
-    ExtensionField.matmul        n N (p-1)^2               2 log2 p + log2 nN
 
-(rows_rem shows the larger of its two products.)  The first six grow by
-about 2.5 bits per doubling of p, as L and k grow like sqrt p, so they
-stay within 8 bytes up to about p = 2^25 (2^26 for shift_rows, 2^23 for
-_matpoly_mul over F_p[u]/S at n = 18).  ExtensionField.matmul does up to
-p = 2^28 at nN = 162.
+(rows_rem shows the larger of its two products.)  They grow by about 2.5
+bits per doubling of p, as L and k grow like sqrt p, so they stay within
+8 bytes up to about p = 2^25 (2^26 for shift_rows, 2^23 for _matpoly_mul
+over F_p[u]/S at n = 18).  ExtensionField.matmul has its own bound
+(extension).
 """
 
 import array
@@ -376,7 +374,7 @@ def _matpoly_mul(A, B, p, parts, k, reduce=None):
     A coordinate packs into one integer, a block of 2k - 1 slots per
     t-coefficient so that no convolution spills into the next block.  All
     products are unpacked in one pass, and each block is reduced once: mod
-    p when k = 1, else by `reduce` (ExtensionField.reduce_product).
+    p when k = 1, else by `reduce` (extension.ExtensionField.reduce_product).
     """
     W = 2 * k - 1
     # a slot sums k products of residues per pair of t-coefficients, and
@@ -409,205 +407,14 @@ def _matpoly_mul(A, B, p, parts, k, reduce=None):
         for i in range(top)])
 
 
-class ExtensionField:
-    """base[u]/(modulus) with elements as width-`degree` tuples.
-
-    The modulus must be monic.  An irreducible one (callers build one with
-    find_irreducible) gives a field.  A squarefree one gives the product
-    ring of the fields base[u]/(m_i), one per irreducible factor m_i:
-    every ring operation works as it does in a field, but `inv` raises
-    ZeroDivisionError on a zero divisor, which need not be zero.  The base
-    may itself be an extension.
+class PackedRing:
+    """The row-form kernels that both packed rings share: conversions
+    to and from MatrixRows, shift_rows, rows_rem and rows_at.  Each acts
+    on every row over F_p alone, so it serves the coordinates of
+    F_p[u]/S in the monomial basis (extension.ExtensionField over F_p)
+    and of F_p^n in value form (SplitRing) alike.  A subclass has
+    `degree` rows per entry, `zero` and the characteristic `char`.
     """
-
-    def __init__(self, base, modulus):
-        modulus = polys.trim(base, modulus)
-        if len(modulus) < 2:
-            raise ValueError("modulus must have degree at least 1")
-        polys.require_monic(base, modulus, "extension modulus")
-        self.base = base
-        self.modulus = modulus
-        self.degree = len(modulus) - 1
-        self.q = base.q ** self.degree
-        self.char = base.char
-        self.zero = (base.zero,) * self.degree
-        self.one = self._pad([base.one])
-        self.key = ("ext", base.key, tuple(modulus))
-        # products over a prime base pack into integers (matpoly_mul)
-        self.packed = isinstance(base, PrimeField)
-        if self.packed:
-            self._init_reduction_rows()
-        else:
-            self._reducer = polys.MonicModReducer(base, modulus)
-
-    def _pad(self, coeffs):
-        n = self.degree
-        if len(coeffs) < n:
-            return tuple(coeffs) + (self.base.zero,) * (n - len(coeffs))
-        return tuple(coeffs[:n])
-
-    def _strip(self, a):
-        return polys.trim(self.base, list(a))
-
-    @property
-    def gen(self):
-        """The image of u, a root of the modulus."""
-        return self._pad(polys.rem(self.base, [self.base.zero, self.base.one],
-                                   self.modulus))
-
-    def add(self, a, b):
-        base = self.base
-        return tuple(base.add(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        base = self.base
-        return tuple(base.sub(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        base = self.base
-        return tuple(base.neg(x) for x in a)
-
-    def mul_unreduced(self, a, b):
-        """Plain convolution as a base-field list, no reduction by S."""
-        fa, fb = self._strip(a), self._strip(b)
-        if not fa or not fb:
-            return []
-        return self.base.polymul(fa, fb)
-
-    def reduce_product(self, c):
-        """Reduce a convolution (degree < 2*degree - 1) back to a tuple.
-
-        Over a prime base the coefficients may be any ints, reduced mod p
-        or not; over any other base the modulus's MonicModReducer divides.
-        """
-        if self.packed:
-            return self._reduce_ints(c)
-        return self._pad(self._reducer.rem(c))
-
-    def _init_reduction_rows(self):
-        """Pack row j = u^(degree + j) mod S for j < degree - 1, so that a
-        remainder is one integer sum of rows weighted by high coefficients."""
-        p, n, tail = self.base.p, self.degree, self.modulus[:-1]
-        # a u-coefficient of a product in F_p[u]/(S): n products of residues
-        self._row_slot = _slot_bytes((p - 1) ** 2 * n)
-        rows = []
-        r = [0] * (n - 1) + [1]
-        for _ in range(n - 1):
-            top = r[-1]
-            r = [(a - top * m) % p for a, m in zip([0] + r[:-1], tail)]
-            rows.append(_pack([r], self._row_slot, n))
-        self._rows = rows
-
-    def _reduce_ints(self, c):
-        """Remainder modulo S over F_p of a list of ints: coefficient
-        degree + j, reduced mod p, weights packed row j."""
-        p, n = self.base.p, self.degree
-        acc = 0
-        for h, row in zip(c[n:], self._rows):
-            acc += h % p * row
-        r = list(_unpack(acc, self._row_slot, n))
-        for k, x in enumerate(c[:n]):
-            r[k] += x
-        return tuple([x % p for x in r])
-
-    def mul(self, a, b):
-        # a product by an embedded base constant (or zero) scales the
-        # coordinates of the other factor
-        zero_tail = self.zero[1:]
-        if b[1:] == zero_tail:
-            a, b = b, a
-        if a[1:] == zero_tail:
-            mul, c = self.base.mul, a[0]
-            return tuple([mul(c, x) for x in b])
-        c = self.mul_unreduced(a, b)
-        if len(c) <= self.degree:
-            # no reduction by S needed, and the base field has reduced the
-            # coefficients already
-            return self._pad(c)
-        return self.reduce_product(c)
-
-    def dot(self, xs, ys):
-        base = self.base
-        acc = []
-        for a, b in zip(xs, ys):
-            acc = polys.add(base, acc, self.mul_unreduced(a, b))
-        return self.reduce_product(acc)
-
-    def inv(self, a):
-        fa = self._strip(a)
-        if not fa:
-            raise ZeroDivisionError("inverse of zero")
-        return self._pad(polys.invmod(self.base, fa, self.modulus))
-
-    def pow(self, a, e):
-        if e < 0:
-            a, e = self.inv(a), -e
-        result = self.one
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            e >>= 1
-            if e:
-                a = self.mul(a, a)
-        return result
-
-    def from_int(self, n):
-        return self._pad([self.base.from_int(n)])
-
-    def embed(self, c):
-        """Lift a base-field element into the extension."""
-        return self._pad([c])
-
-    def project(self, a):
-        """Inverse of embed; raises if a is not a base-field constant."""
-        if any(x != self.base.zero for x in a[1:]):
-            raise ValueError("element does not lie in the base field")
-        return a[0]
-
-    def elem(self, i):
-        digits = []
-        q0 = self.base.q
-        for _ in range(self.degree):
-            i, d = divmod(i, q0)
-            digits.append(self.base.elem(d))
-        return tuple(digits)
-
-    def elements(self):
-        return (self.elem(i) for i in range(self.q))
-
-    def random_elem(self, rng):
-        return self.elem(rng.randrange(self.q))
-
-    def format_elem(self, a, var="u"):
-        return polys.format_poly(self.base, self._strip(a), var=var)
-
-    def polymul(self, f, g):
-        """Product in ℓ[t] with one reduction by S per output coefficient.
-
-        Over a prime base both factors pack into one integer each,
-        t-coefficient i in a block of 2 degree - 1 slots as matpoly_mul
-        packs an entry, so the product is one integer product."""
-        if self.packed:
-            n, W, p = self.degree, 2 * self.degree - 1, self.base.p
-            # a slot sums n products of residues per pair of coefficients
-            slot = _slot_bytes((p - 1) ** 2 * n * min(len(f), len(g)))
-            size = W * (len(f) + len(g) - 1)
-            conv = _unpack(_pack(f, slot, W) * _pack(g, slot, W), slot, size)
-            return polys.trim(self, [self.reduce_product(conv[i:i + W])
-                                     for i in range(0, size, W)])
-        base = self.base
-        stripped = [self._strip(b) for b in g]
-        accs = [[] for _ in range(len(f) + len(g) - 1)]
-        for i, a in enumerate(f):
-            fa = self._strip(a)
-            if not fa:
-                continue
-            for j, fb in enumerate(stripped):
-                if fb:
-                    accs[i + j] = polys.add(base, accs[i + j],
-                                            base.polymul(fa, fb))
-        # over a product ring the top coefficient can vanish
-        return polys.trim(self, [self.reduce_product(c) for c in accs])
 
     def rows_of(self, M):
         """M, a nested list of polynomials over a packed self, as
@@ -667,28 +474,6 @@ class ExtensionField:
         return MatrixRows(R.shape, R.entries, R.lengths, [
             _column(vals[j:j + count], p) for j in range(0, L * count, count)])
 
-    def matpoly_mul(self, A, B):
-        """Product of MatrixRows A and B over self, which needs a prime
-        base (`packed`): _matpoly_mul with one coordinate of degree rows
-        per entry, each block reduced by the modulus."""
-        if not self.packed:
-            raise TypeError(f"matpoly_mul needs a prime base, not {self.base}")
-        return _matpoly_mul(A, B, self.base.p, 1, self.degree,
-                            self.reduce_product)
-
-    def matmul(self, A, B):
-        """Product of matrices over a packed self: each entry packs into
-        one integer, and an output entry is the integer sum of its
-        row-by-column products, unpacked and reduced by the modulus once."""
-        n, p = self.degree, self.base.p
-        # a slot sums, over the inner dimension, n products of residues
-        slot = _slot_bytes((p - 1) ** 2 * n * len(B))
-        PA = [[_pack([e], slot, n) for e in row] for row in A]
-        cols = list(zip(*[[_pack([e], slot, n) for e in row] for row in B]))
-        return [[self.reduce_product(_unpack(sum(map(operator.mul, row, col)),
-                                             slot, 2 * n - 1))
-                 for col in cols] for row in PA]
-
     def rows_rem(self, cols, m, m_rev_inv):
         """Remainders by a monic m over F_p of polynomials (rows) over F_p
         longer than m, given and returned column by column (see
@@ -742,17 +527,8 @@ class ExtensionField:
             out.append(list(zip(*[vals] * self.degree)))
         return out
 
-    def __eq__(self, other):
-        return isinstance(other, ExtensionField) and other.key == self.key
 
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"GF({self.q})"
-
-
-class SplitRing:
+class SplitRing(PackedRing):
     """F_p[z]/((z - a_1)...(z - a_n)) for distinct a_i in F_p, in value form.
 
     An element is the tuple of its values at a_1, ..., a_n, so the ring is
@@ -862,15 +638,6 @@ class SplitRing:
             out = ([x % p for x in c] for c in acc)
         # over a product ring the top coefficient can vanish
         return polys.trim(self, [tuple(c) for c in out])
-
-    # shifting by an F_p constant acts on each coordinate alone, in value
-    # form as in the monomial basis, and so do the row conversions and the
-    # multipoint kernels
-    rows_of = ExtensionField.rows_of
-    matrix_of = ExtensionField.matrix_of
-    shift_rows = ExtensionField.shift_rows
-    rows_rem = ExtensionField.rows_rem
-    rows_at = ExtensionField.rows_at
 
     def __eq__(self, other):
         return isinstance(other, SplitRing) and other.key == self.key

@@ -11,7 +11,6 @@ import functools
 
 from . import polys
 from .errors import FieldMismatch, NoSolutionWithinBound, NotAGenerator
-from .linalg import LinearSolver
 
 BASIS_CACHE_SIZE = 64
 
@@ -27,6 +26,7 @@ def power_basis_solver(ell, a_power):
     through those points per coefficient, so the cache holds a few runs'
     worth of points and no more.
     """
+    from .smith import LinearSolver
     n = ell.degree
     pw = []
     w = ell.one

@@ -164,10 +164,11 @@ def _product_ring(K, mins):
     if isinstance(K, fields.PrimeField) and all(len(m) == 2 for m in distinct):
         ring = fields.SplitRing(K, [K.neg(m[0]) for m in distinct])
         return ring, {m: i for i, m in enumerate(distinct)}
+    from .extension import ExtensionField
     m = [K.one]
     for mp in distinct:
         m = polys.mul(K, m, list(mp))
-    return fields.ExtensionField(K, m), None
+    return ExtensionField(K, m), None
 
 
 def invariant_factors_at(inp, ell, points, p=None):

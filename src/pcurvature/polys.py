@@ -11,7 +11,7 @@ delayed modular reduction in extensions).  A multipoint evaluation
 (SubproductTree) is at integers, which lie in F_p, so on a packed ring it
 dispatches likewise to K.rows_rem and K.rows_at.  Everything else here is
 generic; a whole matrix over a packed ring shifts in one kernel of its
-own (fields.ExtensionField.shift_rows).
+own (fields.PackedRing.shift_rows).
 
 Every division by a fixed monic modulus goes through MonicModReducer,
 which keeps the Newton inverse of the reversed modulus: powers modulo m,
@@ -337,7 +337,7 @@ class SubproductTree:
     takes a list of polynomials: a division is one node.rem per
     polynomial, and the direct step one Horner evaluation (eval_at) per
     point and polynomial.  Over a `packed` K (F_p[u]/S in the monomial
-    basis, see fields.ExtensionField, or F_p^n in value form,
+    basis, see extension.ExtensionField, or F_p^n in value form,
     fields.SplitRing) the tree is built over F_p = K.base, and evaluate
     takes fields.MatrixRows: the n coordinates of all its entries go down
     the tree together, as rows over F_p kept column by column.  A node

@@ -12,8 +12,8 @@ from collections import Counter
 
 import pytest
 
-from pcurvature import (bivar, diffop, fields, linalg, local_eval, polys,
-                        reconstruct)
+from pcurvature import (bivar, diffop, extension, fields, linalg, local_eval,
+                        polys, reconstruct, smith)
 from pcurvature.errors import SelectionFailed
 from pcurvature.nilprofile import FactorizationHypothesis, RankProfile, \
     feasibility_check
@@ -89,14 +89,14 @@ def test_c02_local_factors_match_specialized_curvature(corpus, capsys):
         R = RatFuncField(K)
         Ap = diffop.naive_p_curvature(sysform, p)
         for k in (1, 2, 3, 4):
-            ell = K if k == 1 else fields.ExtensionField(
+            ell = K if k == 1 else extension.ExtensionField(
                 K, fields.find_irreducible(K, k))
             emb = fields.embedding(K, ell)
             a = _point_avoiding_poles(sysform, ell, rng)
             [got] = local_eval.invariant_factors_at(inp, ell, [a], p)
             # the Smith form itself, not the cyclic-vector path under test
             M = [[R.evaluate(e, a, ell, emb) for e in row] for row in Ap]
-            ref = linalg.smith_form(ell, linalg.char_matrix(ell, M))
+            ref = smith.smith_form(ell, smith.char_matrix(ell, M))
             pairs += 1
             bad += got != ref
     dt = time.perf_counter() - t0
@@ -153,7 +153,7 @@ def test_c04_divisibility_at_points(corpus, capsys):
     for inp in rng.choices(ops + systems, k=218):
         K, p = inp.K, inp.K.char
         k = rng.randint(1, 2)
-        ell = K if k == 1 else fields.ExtensionField(
+        ell = K if k == 1 else extension.ExtensionField(
             K, fields.find_irreducible(K, k))
         a = _point_avoiding_poles(_sysform(inp), ell, rng)
         pairs += 1

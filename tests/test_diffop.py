@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pcurvature import bivar, diffop, fields, linalg, polys
+from pcurvature import bivar, diffop, extension, fields, linalg, polys
 from pcurvature.errors import ZeroLeadingCoefficient
 from pcurvature.ratfunc import RatFuncField
 
@@ -145,7 +145,7 @@ def _rational_p_curvature(sysv, p):
 def test_naive_p_curvature_matches_the_rational_recurrence(rng):
     # the recurrence on cleared numerators, divided by f_A^p at the end,
     # gives the same reduced fractions at every step count p
-    F9 = fields.ExtensionField(F3, fields.find_irreducible(F3, 2))
+    F9 = extension.ExtensionField(F3, fields.find_irreducible(F3, 2))
     for K, p in ((F5, 5), (F7, 7), (F11, 11), (F9, 3)):
         for d, r in ((1, 1), (2, 2), (1, 3)):
             sysv = random_system(K, rng, d, r)

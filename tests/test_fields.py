@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 import pcurvature
-from pcurvature import fields, polys
+from pcurvature import extension, fields, polys
 from pcurvature.errors import FieldMismatch, NonPrime, NotAGenerator
 
 F13 = fields.PrimeField(13)
 F5 = fields.PrimeField(5)
-F9 = fields.ExtensionField(fields.PrimeField(3),
+F9 = extension.ExtensionField(fields.PrimeField(3),
                            fields.find_irreducible(fields.PrimeField(3), 2))
 
 elems13 = st.integers(0, 12).map(F13.from_int)
@@ -131,14 +131,14 @@ def test_find_irreducible_degree_four_no_small_factors():
 
 
 def test_frobenius_orbit_of_generator_has_full_degree():
-    L = fields.ExtensionField(F5, fields.find_irreducible(F5, 3))
+    L = extension.ExtensionField(F5, fields.find_irreducible(F5, 3))
     orbit = fields.frobenius_orbit(L, L.gen, 5)
     assert len(orbit) == 3
     assert len({tuple(b) for b in orbit}) == 3
 
 
 def test_minimal_polynomial_is_product_over_orbit():
-    L = fields.ExtensionField(F5, fields.find_irreducible(F5, 3))
+    L = extension.ExtensionField(F5, fields.find_irreducible(F5, 3))
     rng = random.Random(5)
     for _ in range(10):
         a = L.random_elem(rng)
@@ -167,7 +167,7 @@ def test_are_conjugate_matches_orbit_membership():
             assert fields.are_conjugate(L, a, b, 3) == (tuple(b) in orbit)
 
 
-F25 = fields.ExtensionField(F5, fields.find_irreducible(F5, 2))
+F25 = extension.ExtensionField(F5, fields.find_irreducible(F5, 2))
 
 
 @pytest.mark.parametrize("K", [fields.PrimeField(101), F25],
@@ -175,7 +175,7 @@ F25 = fields.ExtensionField(F5, fields.find_irreducible(F5, 2))
 def test_degree_one_forms_match_a_degree_one_extension(K):
     # over K itself (points of degree 1) the minimal polynomial is z - a
     # and the orbit is [a], as over the extension of K of degree 1
-    E = fields.ExtensionField(K, fields.find_irreducible(K, 1))
+    E = extension.ExtensionField(K, fields.find_irreducible(K, 1))
     rng = random.Random(7)
     elems = [K.zero, K.one] + [K.random_elem(rng) for _ in range(12)]
     for a in elems:
@@ -201,16 +201,16 @@ def _product_ring_13():
     m = [F13.one]
     for f in ([12, 1], [11, 1], [2, 0, 1]):
         m = polys.mul(F13, m, f)
-    return fields.ExtensionField(F13, m)
+    return extension.ExtensionField(F13, m)
 
 
 _CONSTANT_RINGS = {
-    "F_101^25": lambda: fields.ExtensionField(
+    "F_101^25": lambda: extension.ExtensionField(
         fields.PrimeField(101),
         fields.find_irreducible(fields.PrimeField(101), 25)),
     "product ring over F_13": _product_ring_13,
     "F_9 over F_3": lambda: F9,
-    "F_81 over F_9": lambda: fields.ExtensionField(
+    "F_81 over F_9": lambda: extension.ExtensionField(
         F9, fields.find_irreducible(F9, 2)),
 }
 
@@ -232,7 +232,7 @@ def test_mul_by_base_constant_matches_general_product(ring):
 def test_embedding_identity_and_constant():
     emb = fields.embedding(F5, F5)
     assert emb(F5.from_int(3)) == F5.from_int(3)
-    L = fields.ExtensionField(F5, fields.find_irreducible(F5, 2))
+    L = extension.ExtensionField(F5, fields.find_irreducible(F5, 2))
     emb2 = fields.embedding(F5, L)
     assert emb2(F5.one) == L.one
     with pytest.raises(FieldMismatch):
@@ -277,10 +277,10 @@ def _find_in_fresh_interpreter(code):
 
 
 def test_find_irreducible_is_reproducible():
-    code = ("from pcurvature import fields\n"
+    code = ("from pcurvature import extension, fields\n"
             "for p, n in ((263, 25), (5, 4), (3, 1)):\n"
             "    print(fields.find_irreducible(fields.PrimeField(p), n))\n"
-            "L = fields.ExtensionField(fields.PrimeField(3), [2, 2, 1])\n"
+            "L = extension.ExtensionField(fields.PrimeField(3), [2, 2, 1])\n"
             "print(fields.find_irreducible(L, 3))\n")
     first = _find_in_fresh_interpreter(code)
     assert first == _find_in_fresh_interpreter(code)
@@ -315,7 +315,7 @@ def test_find_irreducible_tries_about_n_candidates(p, monkeypatch):
     fields.find_irreducible(F5, 1), [2, 1], fields.find_irreducible(F5, 2),
     fields.find_irreducible(F5, 3), fields.find_irreducible(F5, 4)])
 def test_gen_is_a_root_of_the_modulus(modulus):
-    L = fields.ExtensionField(F5, modulus)
+    L = extension.ExtensionField(F5, modulus)
     assert polys.eval_at(L, [L.embed(c) for c in modulus], L.gen) == L.zero
 
 
@@ -328,7 +328,7 @@ def test_squarefree_modulus_gives_the_product_ring():
     m = [K.one]
     for f in factors:
         m = polys.mul(K, m, f)
-    R = fields.ExtensionField(K, m)
+    R = extension.ExtensionField(K, m)
     rng = random.Random(3)
     for _ in range(50):
         a, b = R.random_elem(rng), R.random_elem(rng)
@@ -359,7 +359,7 @@ def test_reduction_on_ints_matches_polynomial_remainder(n):
     rng = random.Random(n)
     K = fields.PrimeField(2003)
     m = [K.random_elem(rng) for _ in range(n)] + [K.one]
-    R = fields.ExtensionField(K, m)
+    R = extension.ExtensionField(K, m)
     for _ in range(20):
         # a full-length input reaches the top row, u^(2n-2) mod S
         for length in (2 * n - 1, rng.randint(0, 2 * n - 1)):
@@ -378,7 +378,7 @@ def test_non_packed_newton_reduction_matches_polynomial_remainder():
     rng = random.Random(25)
     m = [F9.random_elem(rng) for _ in range(25)] + [F9.one]
     assert len(m) - 1 >= polys.MonicModReducer.NEWTON_CUTOFF
-    R = fields.ExtensionField(F9, m)
+    R = extension.ExtensionField(F9, m)
     assert not R.packed
 
     def product(a, b):
@@ -425,10 +425,10 @@ _FWIDE = fields.PrimeField(10**9 + 7)
 @pytest.mark.parametrize("ring", [
     lambda: fields.SplitRing(_F1019, range(1, 30)),
     lambda: fields.SplitRing(_FWIDE, [2, 3, 5]),
-    lambda: fields.ExtensionField(
+    lambda: extension.ExtensionField(
         _F1019, fields.find_irreducible(_F1019, 3)),
-    lambda: fields.ExtensionField(fields.PrimeField(7), [0, 1, 0, 1]),
-    lambda: fields.ExtensionField(_FWIDE, [1, 0, 1])],
+    lambda: extension.ExtensionField(fields.PrimeField(7), [0, 1, 0, 1]),
+    lambda: extension.ExtensionField(_FWIDE, [1, 0, 1])],
     ids=["split29", "split-wide", "ext3", "ext-product-ring", "ext-wide"])
 def test_packed_polymul_multiplies_directly(ring, monkeypatch):
     # a product of two polynomials over a packed ring builds no row form:

@@ -60,7 +60,8 @@ def test_import_graph_runs_one_way():
     graph = _graph()
     # the reader sees the edges it must, so an empty graph cannot pass
     assert set(ENGINE) <= set(graph)
-    assert {"polys", "linalg"} <= graph["interp"]
+    assert {"polys", "smith"} <= graph["interp"]
+    assert "linalg" not in graph["interp"]
     assert "nilprofile" in graph["cli"]
     cyclic = sorted(m for m in graph if m in _reachable(graph, m))
     assert cyclic == []
@@ -71,9 +72,12 @@ def test_import_graph_runs_one_way():
 
 # Loaded by `import pcurvature` and `from pcurvature import cli` at start-up:
 # none of these serves a solve.  dataclasses pulls in inspect, ast, dis and
-# tokenize, and each decorated class execs generated source.
+# tokenize, and each decorated class execs generated source.  extension and
+# smith serve only towers, points of degree > 1, derogatory classes and the
+# oracle, and each is compiled from source when it loads.
 OFF_IMPORT_PATH = ("dataclasses", "inspect", "pcurvature.nilprofile",
-                   "pcurvature.ratfunc")
+                   "pcurvature.ratfunc", "pcurvature.extension",
+                   "pcurvature.smith")
 
 _PROBE = """
 import sys
@@ -99,6 +103,45 @@ def test_import_path_loads_only_the_engine_and_parser():
     assert sorted(set(OFF_IMPORT_PATH) & set(added)) == []
     assert unresolved == []
     assert undirected == []
+
+
+COLD = ("pcurvature.extension", "pcurvature.smith")
+
+# Each line prints which of COLD are loaded after one more step: a det
+# solve of the workload operator over F_1019, an mc solve of it over
+# F_2003, a field of degree 2, and a derogatory matrix's class.
+_SOLVE_PROBE = """
+import sys
+from pcurvature import cli, fields, linalg, reconstruct
+COLD = %r
+
+
+def loaded():
+    print(" ".join(m for m in COLD if m in sys.modules) or "-")
+
+
+op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", fields.PrimeField(1019))
+reconstruct.reconstruct_deterministic(op, 1019)
+loaded()
+op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", fields.PrimeField(2003))
+plan = reconstruct.select_params(op, epsilon=0.1, seed=1)
+reconstruct.reconstruct_montecarlo(op, 2003, plan)
+loaded()
+cli.make_field(5, 2)
+loaded()
+K = fields.PrimeField(5)
+print(linalg.invariant_factors_of(K, [[1, 0], [0, 1]]))
+loaded()
+""" % (COLD,)
+
+
+def test_fp_solves_load_neither_extension_nor_smith():
+    env = dict(os.environ, PYTHONPATH=str(PKG.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", _SOLVE_PROBE],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout.split("\n")
+    assert out[:5] == ["-", "-", "pcurvature.extension", "[[4, 1], [4, 1]]",
+                       "pcurvature.extension pcurvature.smith"]
 
 
 def test_fixed_modulus_division_lives_in_one_class():

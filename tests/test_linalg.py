@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pcurvature import (cli, diffop, fields, linalg, local_eval, polys,
-                        reconstruct)
+from pcurvature import (cli, diffop, extension, fields, linalg, local_eval,
+                        polys, reconstruct, smith)
 from pcurvature.errors import NotSquare
 from oracles import (CountingPrimeField, matmul_schoolbook,
                      matpoly_mul_schoolbook, matrix_factorial_sequential,
@@ -111,7 +111,7 @@ def _polymat(L, rng, rows, cols, longest):
 
 
 def _extension_of(K, degree):
-    return fields.ExtensionField(K, fields.find_irreducible(K, degree))
+    return extension.ExtensionField(K, fields.find_irreducible(K, degree))
 
 
 def _extension(p, degree):
@@ -125,7 +125,7 @@ def _product_ring():
     m = [K.one]
     for f in ([12, 1], [11, 1], [2, 0, 1]):
         m = polys.mul(K, m, f)
-    return fields.ExtensionField(K, m)
+    return extension.ExtensionField(K, m)
 
 
 def _split_ring():
@@ -213,12 +213,12 @@ def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
     B = [[[L.random_elem(rng) for _ in range(5)] for _ in range(3)]
          for _ in range(6)]
     calls = []
-    reduce_product = fields.ExtensionField.reduce_product
+    reduce_product = extension.ExtensionField.reduce_product
 
     def counting(self, c):
         calls.append(len(c))
         return reduce_product(self, c)
-    monkeypatch.setattr(fields.ExtensionField, "reduce_product", counting)
+    monkeypatch.setattr(extension.ExtensionField, "reduce_product", counting)
     out = _matpoly_mul(L, A, B)
     length = max(len(e) for row in out for e in row)
     assert length == 9
@@ -289,7 +289,7 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
     unpack = fields._unpack
 
     def kernel(name):
-        method = getattr(fields.ExtensionField, name)
+        method = getattr(extension.ExtensionField, name)
 
         def recording(self, *args):
             def unpacking(x, slot, count):
@@ -300,7 +300,7 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
                 return method(self, *args)
             finally:
                 monkeypatch.setattr(fields, "_unpack", unpack)
-        monkeypatch.setattr(fields.ExtensionField, name, recording)
+        monkeypatch.setattr(extension.ExtensionField, name, recording)
     kernel("rows_rem")
     kernel("rows_at")
     got = tree_values(polys.SubproductTree(L, xs), [f])
@@ -347,11 +347,11 @@ def _packed_multipoint_cost(count, monkeypatch):
     multiply-adds (a row's length per row and point) of one packed
     evaluation of a polynomial of length 2*count at count points."""
     K = CountingPrimeField(10007)
-    L = fields.ExtensionField(K, fields.find_irreducible(K, 4))
+    L = extension.ExtensionField(K, fields.find_irreducible(K, 4))
     rng = random.Random(count)
     f = [L.random_elem(rng) for _ in range(2 * count)]
     cost = [0]
-    unpack, rows_at = fields._unpack, fields.ExtensionField.rows_at
+    unpack, rows_at = fields._unpack, extension.ExtensionField.rows_at
 
     def counting(x, slot, n):
         cost[0] += n
@@ -361,7 +361,7 @@ def _packed_multipoint_cost(count, monkeypatch):
         cost[0] += len(cols) * len(cols[0]) * len(points)
         return rows_at(self, cols, points)
     monkeypatch.setattr(fields, "_unpack", counting)
-    monkeypatch.setattr(fields.ExtensionField, "rows_at", direct)
+    monkeypatch.setattr(extension.ExtensionField, "rows_at", direct)
     K.ops = 0
     tree_values(polys.SubproductTree(L, range(0, 37 * count, 37)), [f])
     monkeypatch.undo()
@@ -653,7 +653,7 @@ def test_baby_steps_shift_each_matrix_once(monkeypatch):
     assert singles == []
     # the per-entry kernels are gone, and a packed ring's polys.taylor_shift
     # by a constant takes the halves algorithm
-    assert not hasattr(fields.ExtensionField, "coords_shift")
+    assert not hasattr(extension.ExtensionField, "coords_shift")
     assert not hasattr(fields.SplitRing, "_split")
     halves = []
     monkeypatch.setattr(polys, "_shift_by_halves",
@@ -716,21 +716,22 @@ def test_invariant_factors_of_companion_matrix(rng):
 
 
 F7 = fields.PrimeField(7)
-F49 = fields.ExtensionField(F7, fields.find_irreducible(F7, 2))
+F49 = extension.ExtensionField(F7, fields.find_irreducible(F7, 2))
 
 
 def _smith_factors(K, A):
-    return linalg.smith_form(K, linalg.char_matrix(K, A))
+    return smith.smith_form(K, smith.char_matrix(K, A))
 
 
 def _counting_smith(monkeypatch):
+    # invariant_factors_of looks smith_form up on the smith module
     calls = [0]
-    smith = linalg.smith_form
+    smith_form = smith.smith_form
 
     def counting(*args):
         calls[0] += 1
-        return smith(*args)
-    monkeypatch.setattr(linalg, "smith_form", counting)
+        return smith_form(*args)
+    monkeypatch.setattr(smith, "smith_form", counting)
     return calls
 
 
@@ -825,7 +826,7 @@ def test_invariant_factors_similarity_invariant(M, seed):
     while True:
         U = [[F5.from_int(rng.randrange(5)) for _ in range(3)]
              for _ in range(3)]
-        if linalg.LinearSolver(F5, U).rank == 3:
+        if smith.LinearSolver(F5, U).rank == 3:
             break
     Uinv = _inverse(F5, U)
     conj = linalg.matmul(F5, U, linalg.matmul(F5, M, Uinv))
@@ -835,7 +836,7 @@ def test_invariant_factors_similarity_invariant(M, seed):
 
 def _inverse(K, U):
     n = len(U)
-    solver = linalg.LinearSolver(K, U)
+    solver = smith.LinearSolver(K, U)
     cols = []
     for j in range(n):
         e = [K.one if i == j else K.zero for i in range(n)]
@@ -850,7 +851,7 @@ def test_linear_solver_solves_consistent_systems(rng):
              for _ in range(m)]
         x = [F5.from_int(rng.randrange(5)) for _ in range(n)]
         v = linalg.matvec(F5, M, x)
-        got = linalg.LinearSolver(F5, M).solve(v)
+        got = smith.LinearSolver(F5, M).solve(v)
         assert got is not None
         assert linalg.matvec(F5, M, got) == v
 
@@ -858,7 +859,7 @@ def test_linear_solver_solves_consistent_systems(rng):
 def test_linear_solver_detects_inconsistency():
     M = [[F5.one, F5.zero], [F5.one, F5.zero]]
     v = [F5.one, F5.from_int(2)]
-    assert linalg.LinearSolver(F5, M).solve(v) is None
+    assert smith.LinearSolver(F5, M).solve(v) is None
 
 
 def test_kernel_dims_match_valuations_of_invariant_factors(rng):

@@ -1,6 +1,7 @@
 import pytest
 
-from pcurvature import diffop, fields, linalg, local_eval, polys, reconstruct
+from pcurvature import (diffop, extension, fields, linalg, local_eval, polys,
+                        reconstruct, smith)
 from pcurvature.errors import CharTooSmall, LeadingCoeffVanishes, PoleAtPoint
 from pcurvature.ratfunc import RatFuncField
 from oracles import CountingPrimeField
@@ -21,7 +22,7 @@ def naive_local_factors(inp, ell, a, p):
     Ap = diffop.naive_p_curvature(sysv, p)
     emb = fields.embedding(sysv.K, ell)
     M = [[R.evaluate(e, a, ell, emb) for e in row] for row in Ap]
-    return linalg.smith_form(ell, linalg.char_matrix(ell, M))
+    return smith.smith_form(ell, smith.char_matrix(ell, M))
 
 
 def _op(K, *coeffs):
@@ -115,7 +116,7 @@ def test_local_factors_match_naive_in_prime_field(rng):
 
 
 def test_local_factors_match_naive_in_extension(rng):
-    ell = fields.ExtensionField(F5, fields.find_irreducible(F5, 2))
+    ell = extension.ExtensionField(F5, fields.find_irreducible(F5, 2))
     a = ell.gen
     for _ in range(6):
         if rng.random() < 0.5:
@@ -164,7 +165,7 @@ def _nonpoles(inp, ell, rng, s, count):
 def test_batch_matches_per_point_calls(rng, s):
     # at p = 89 the factorial's 8 giant steps go through a subproduct tree
     K = fields.PrimeField(89)
-    ell = fields.ExtensionField(K, fields.find_irreducible(K, s))
+    ell = extension.ExtensionField(K, fields.find_irreducible(K, s))
     q = K.q
     for inp in (random_operator(K, rng, 2, 2), random_system(K, rng, 1, 2)):
         a, b, c = _nonpoles(inp, ell, rng, s, 3)
@@ -188,8 +189,8 @@ def test_batch_in_the_prime_field_matches_naive(rng):
 
 def test_batch_over_an_extension_base(rng):
     # inputs over F_9, points in F_81: the product ring has base F_9
-    F9 = fields.ExtensionField(F3, fields.find_irreducible(F3, 2))
-    ell = fields.ExtensionField(F9, fields.find_irreducible(F9, 2))
+    F9 = extension.ExtensionField(F3, fields.find_irreducible(F3, 2))
+    ell = extension.ExtensionField(F9, fields.find_irreducible(F9, 2))
     for inp in (random_operator(F9, rng, 1, 2), random_system(F9, rng, 1, 2)):
         a, b = _nonpoles(inp, ell, rng, 2, 2)
         for pts in ([a, b], [a, ell.pow(a, 9), b, b]):
@@ -201,7 +202,7 @@ def test_batch_over_an_extension_base(rng):
 
 def test_pole_inside_a_batch_raises_the_one_point_error():
     # a_r = x(x - 1) vanishes at 0 and 1; f_A likewise for the system
-    F49 = fields.ExtensionField(F7, fields.find_irreducible(F7, 2))
+    F49 = extension.ExtensionField(F7, fields.find_irreducible(F7, 2))
     lead = (F7.zero, F7.from_int(-1), F7.one)
     L = diffop.DiffOperator(F7, ((F7.one,), lead))
     sysv = diffop.DiffSystem(F7, lead, (((F7.one,),),))
@@ -227,8 +228,8 @@ def test_split_batch_is_never_reduced_mod_the_modulus(monkeypatch, rng):
     # reduced by (z - a_1)...(z - a_n); the products of ell itself may be
     K = fields.PrimeField(89)
     inputs = (random_operator(K, rng, 2, 2), random_system(K, rng, 1, 2))
-    reduce_product = fields.ExtensionField.reduce_product
-    for ell in (K, fields.ExtensionField(K, fields.find_irreducible(K, 1))):
+    reduce_product = extension.ExtensionField.reduce_product
+    for ell in (K, extension.ExtensionField(K, fields.find_irreducible(K, 1))):
         batches = [_nonpoles(inp, ell, rng, 1, 3) for inp in inputs]
         batches = [pts + pts[::2] for pts in batches]
         single = [[local_eval.invariant_factors_at(inp, ell, [x])[0]
@@ -237,7 +238,7 @@ def test_split_batch_is_never_reduced_mod_the_modulus(monkeypatch, rng):
         def only_in_ell(self, c):
             assert self == ell, "reduced a product of the batch ring"
             return reduce_product(self, c)
-        monkeypatch.setattr(fields.ExtensionField, "reduce_product",
+        monkeypatch.setattr(extension.ExtensionField, "reduce_product",
                             only_in_ell)
         for inp, pts, want in zip(inputs, batches, single):
             assert local_eval.invariant_factors_at(inp, ell, pts) == want
@@ -305,8 +306,8 @@ def test_baby_step_length_is_isqrt_count_off_packed_rings():
     K = fields.PrimeField(10007)
     rec = local_eval.build_B_operator(_c07_operator(K), K, K.from_int(2))
     assert linalg.baby_step_length(K, rec.entries, 10007, rec.corner) == 100
-    F9 = fields.ExtensionField(F3, fields.find_irreducible(F3, 2))
-    tower = fields.ExtensionField(F9, fields.find_irreducible(F9, 2))
+    F9 = extension.ExtensionField(F3, fields.find_irreducible(F3, 2))
+    tower = extension.ExtensionField(F9, fields.find_irreducible(F9, 2))
     assert not tower.packed
     rec = local_eval.build_B_operator(_c07_operator(F9), tower, tower.gen)
     assert linalg.baby_step_length(tower, rec.entries, 400, rec.corner) == 20

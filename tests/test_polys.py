@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from pcurvature import fields, interp, polys
+from pcurvature import extension, fields, interp, polys
 from pcurvature.errors import (FieldMismatch, InsufficientModuli,
                                ModuliNotCoprime, NoSolutionWithinBound,
                                NotAGenerator)
@@ -11,7 +11,7 @@ from oracles import int_polyadd, int_polymul
 
 F13 = fields.PrimeField(13)
 F3 = fields.PrimeField(3)
-F9 = fields.ExtensionField(F3, fields.find_irreducible(F3, 2))
+F9 = extension.ExtensionField(F3, fields.find_irreducible(F3, 2))
 
 int_polys = st.lists(st.integers(0, 12), max_size=8)
 small_polys = st.lists(st.integers(0, 12), min_size=1, max_size=6)
@@ -310,7 +310,7 @@ def test_crt_basis_raises_as_interpolate_crt_does():
 
 
 def test_power_basis_lift_round_trip(rng):
-    ell = fields.ExtensionField(F3, fields.find_irreducible(F3, 4))
+    ell = extension.ExtensionField(F3, fields.find_irreducible(F3, 4))
     a = ell.gen
     ap = ell.pow(a, 3)
     for _ in range(10):
@@ -321,7 +321,7 @@ def test_power_basis_lift_round_trip(rng):
 
 
 def test_power_basis_lift_respects_bound():
-    ell = fields.ExtensionField(F3, fields.find_irreducible(F3, 4))
+    ell = extension.ExtensionField(F3, fields.find_irreducible(F3, 4))
     a = ell.gen
     c = [F3.zero, F3.zero, F3.zero, F3.one]
     v = polys.eval_at(ell, [ell.embed(x) for x in c], a)
@@ -331,13 +331,13 @@ def test_power_basis_lift_respects_bound():
 
 @pytest.mark.parametrize("K", [
     fields.PrimeField(101),
-    fields.ExtensionField(fields.PrimeField(5),
+    extension.ExtensionField(fields.PrimeField(5),
                           fields.find_irreducible(fields.PrimeField(5), 2)),
 ], ids=["F_101", "F_25"])
 def test_lift_over_the_base_field_itself(K):
     # at points of degree 1 the lift is over K itself: the value, as a
     # constant, as through the extension of K of degree 1
-    E = fields.ExtensionField(K, fields.find_irreducible(K, 1))
+    E = extension.ExtensionField(K, fields.find_irreducible(K, 1))
     rng = random.Random(4)
     for _ in range(10):
         a, v = K.random_elem(rng), K.random_elem(rng)
@@ -354,13 +354,13 @@ def test_lift_over_the_base_field_itself(K):
 
 
 def test_power_basis_rejects_non_generator():
-    ell = fields.ExtensionField(F3, fields.find_irreducible(F3, 4))
+    ell = extension.ExtensionField(F3, fields.find_irreducible(F3, 4))
     with pytest.raises(NotAGenerator):
         interp.power_basis_solver(ell, ell.one)
 
 
 def test_power_basis_cache_is_bounded():
-    ell = fields.ExtensionField(F13, fields.find_irreducible(F13, 2))
+    ell = extension.ExtensionField(F13, fields.find_irreducible(F13, 2))
     solver = interp.power_basis_solver
     size = solver.cache_info().maxsize
     # a + b*u with b != 0 generates F_169; more of them than the cache holds
@@ -417,7 +417,7 @@ def _power_of_x_plus_2(K, name, e):
         return polys.poly_pow(K, base, e)
     if name == "pow_mod":
         return polys.pow_mod(K, base, e, m)
-    L = fields.ExtensionField(K, m)
+    L = extension.ExtensionField(K, m)
     return polys.trim(K, list(L.pow(L._pad(base), e)))
 
 

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from pcurvature import (bivar, cli, diffop, fields, linalg, local_eval, polys,
-                        reconstruct)
+from pcurvature import (bivar, cli, diffop, extension, fields, linalg,
+                        local_eval, polys, reconstruct, smith)
 from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange, PoleAtPoint,
                                SelectionFailed)
 from pcurvature.reconstruct import ReconParams
@@ -444,7 +444,7 @@ def test_deterministic_builds_no_large_extension(monkeypatch):
     order3 = cli.parse_operator("Dx^3 + -(4 + x^2)*Dx^1 + -(3+x^2)", F25)
     seen, built, muls = [], [], [0]
     find = fields.find_irreducible
-    init, mul = fields.ExtensionField.__init__, fields.ExtensionField.mul
+    init, mul = extension.ExtensionField.__init__, extension.ExtensionField.mul
 
     def recording(K, n):
         seen.append(n)
@@ -459,8 +459,8 @@ def test_deterministic_builds_no_large_extension(monkeypatch):
         return mul(self, a, b)
 
     monkeypatch.setattr(fields, "find_irreducible", recording)
-    monkeypatch.setattr(fields.ExtensionField, "__init__", recording_init)
-    monkeypatch.setattr(fields.ExtensionField, "mul", counting_mul)
+    monkeypatch.setattr(extension.ExtensionField, "__init__", recording_init)
+    monkeypatch.setattr(extension.ExtensionField, "mul", counting_mul)
 
     def solve(inp, p, mode):
         seen.clear()
@@ -493,7 +493,7 @@ def test_bench_solve_classifies_by_cyclic_vectors_and_one_crt_basis(
     # evaluates is cyclic, so no Smith form runs, and the moduli's CRT
     # basis is built once for all coefficients of the factors
     calls = {"smith_form": 0, "crt_basis": 0, "interpolate_crt": 0}
-    for module, name in ((linalg, "smith_form"), (polys, "crt_basis"),
+    for module, name in ((smith, "smith_form"), (polys, "crt_basis"),
                          (polys, "interpolate_crt")):
         def counting(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
@@ -574,13 +574,13 @@ def _certified_solves(monkeypatch, inp, p):
     D = reconstruct.effective_params(inp, reconstruct.select_params(inp)).D
     record = _Record(monkeypatch)
     built = []
-    init = fields.ExtensionField.__init__
+    init = extension.ExtensionField.__init__
 
     def recording_init(self, *args):
         built.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(fields.ExtensionField, "__init__", recording_init)
+    monkeypatch.setattr(extension.ExtensionField, "__init__", recording_init)
     out = []
     for seed in (None, 1):
         record.clear()
