@@ -12,13 +12,11 @@ costs k convolutions but a single reduction by S.  Over a prime base the
 ring is packed: an element's coordinates pack into integers, a matrix of
 polynomials in t is kept in row form (fields.MatrixRows), and it takes
 the row kernels of fields.PackedRing and fields._matpoly_mul, its blocks
-reduced by one integer sum of the packed rows u^(n+j) mod S.  Its own
-kernel for constant matrices, matmul, sizes its slots for n N (p-1)^2,
-for n the degree and N x N matrices: 2 log2 p + log2 nN bits, so it
-stays within 8 bytes up to p = 2^28 at nN = 162.
+reduced by one integer sum of the packed rows u^(n+j) mod S.  Its
+chain packs only the nonzero values of its N x N steps, and sizes its
+slots for n m (p-1)^2, for n the degree and m <= N the most in a row:
+2 log2 p + log2 nm bits, within 8 bytes up to p = 2^28 at nm = 162.
 """
-
-import operator
 
 from . import polys
 from .fields import (PackedRing, PrimeField, _matpoly_mul, _pack, _slot_bytes,
@@ -234,18 +232,22 @@ class ExtensionField(PackedRing):
         return _matpoly_mul(A, B, self.base.p, 1, self.degree,
                             self.reduce_product)
 
-    def matmul(self, A, B):
-        """Product of matrices over a packed self: each entry packs into
-        one integer, and an output entry is the integer sum of its
-        row-by-column products, unpacked and reduced by the modulus once."""
+    def chain(self, pattern, steps, acc):
+        """linalg.chain over a packed self: each value and entry of acc
+        packs into one integer, and an output entry is one integer sum of
+        products, unpacked and reduced by the modulus once."""
         n, p = self.degree, self.base.p
-        # a slot sums, over the inner dimension, n products of residues
-        slot = _slot_bytes((p - 1) ** 2 * n * len(B))
-        PA = [[_pack([e], slot, n) for e in row] for row in A]
-        cols = list(zip(*[[_pack([e], slot, n) for e in row] for row in B]))
-        return [[self.reduce_product(_unpack(sum(map(operator.mul, row, col)),
-                                             slot, 2 * n - 1))
-                 for col in cols] for row in PA]
+        # a slot sums n products of residues per pair of a row (one at
+        # least, to hold a residue of acc)
+        slot = _slot_bytes((p - 1) ** 2 * n * max(map(len, [[0], *pattern])))
+        for vals in steps:
+            left = [_pack([v], slot, n) for v in vals]
+            right = list(zip(*[[_pack([e], slot, n) for e in row]
+                               for row in acc]))
+            acc = [[self.reduce_product(_unpack(sum([
+                left[q] * col[k] for k, q in row]), slot, 2 * n - 1))
+                for col in right] for row in pattern]
+        return acc
 
     def __eq__(self, other):
         return isinstance(other, ExtensionField) and other.key == self.key

@@ -54,7 +54,7 @@ system and sym2 (N = 4, 6 and 9), at the planner's s, are:
 (rows_rem shows the larger of its two products.)  They grow by about 2.5
 bits per doubling of p, as L and k grow like sqrt p, so they stay within
 8 bytes up to about p = 2^25 (2^26 for shift_rows, 2^23 for _matpoly_mul
-over F_p[u]/S at n = 18).  ExtensionField.matmul has its own bound
+over F_p[u]/S at n = 18).  ExtensionField.chain has its own bound
 (extension).
 """
 
@@ -512,14 +512,14 @@ class PackedRing:
         coordinates are the rows of rows_rem, degree rows each: one list
         per point.  Column i fills an integer C_i, and the row values at a
         are the slots of sum_i (a^i mod p) C_i."""
-        p, count = self.char, len(cols[0])
+        p, count = self.char, len(cols[0]) if cols else 0
         # a slot sums len(cols) products of residues
         slot = _slot_bytes(len(cols) * (p - 1) ** 2)
         C = [int.from_bytes(_pack_cols([col], slot, 1, p), "little")
              for col in cols]
         out = []
         for a in points:
-            acc, x = C[0], 1
+            acc, x = C[0] if C else 0, 1
             for c in C[1:]:
                 x = x * a % p
                 acc += x * c
@@ -533,7 +533,7 @@ class SplitRing(PackedRing):
 
     An element is the tuple of its values at a_1, ..., a_n, so the ring is
     F_p^n and every operation acts on each coordinate alone: add, mul and
-    inv pointwise (inv raises ZeroDivisionError on a zero divisor), dot
+    inv pointwise (inv raises ZeroDivisionError on a zero divisor), chain
     one sum per coordinate, and a product of polynomial matrices in t one
     Kronecker product over F_p per coordinate and pair of entries.  No
     product is ever reduced by the modulus, and integers stay as short as
@@ -573,18 +573,6 @@ class SplitRing(PackedRing):
         p = self.p
         return tuple([x * y % p for x, y in zip(a, b)])
 
-    def dot(self, xs, ys):
-        """One chain of pointwise products and sums over the coordinates,
-        reduced mod p once."""
-        acc = None
-        for a, b in zip(xs, ys):
-            prods = map(operator.mul, a, b)
-            acc = prods if acc is None else map(operator.add, acc, prods)
-        if acc is None:
-            return self.zero
-        p = self.p
-        return tuple([x % p for x in acc])
-
     def inv(self, a):
         if not all(a):
             raise ZeroDivisionError("element is a zero divisor")
@@ -606,18 +594,25 @@ class SplitRing(PackedRing):
         degree coordinates of one row per entry, reduced mod p."""
         return _matpoly_mul(A, B, self.p, self.degree, 1)
 
-    def matmul(self, A, B):
-        """Product of matrices over self: one dot per output entry, with
-        no term for a zero entry of A."""
-        zero = self.zero
-        cols = list(zip(*B))
-        out = []
-        for row in A:
-            terms = [k for k, a in enumerate(row) if a != zero]
-            left = [row[k] for k in terms]
-            out.append([self.dot(left, [col[k] for k in terms])
-                        for col in cols])
-        return out
+    def chain(self, pattern, steps, acc):
+        """linalg.chain: a row of acc as one list of its entries' values,
+        an output row as one chain of pointwise products and sums,
+        reduced mod p once."""
+        p, n, r = self.p, self.degree, len(acc[0])
+        mul, add = operator.mul, operator.add
+        rows = [[x for e in row for x in e] for row in acc]
+        zeros = [0] * (n * r)
+        for vals in steps:
+            out = []
+            for row in pattern:
+                s = None
+                for k, q in row:
+                    prods = map(mul, vals[q] * r, rows[k])
+                    s = prods if s is None else map(add, s, prods)
+                out.append(zeros if s is None else [x % p for x in s])
+            rows = out
+        return [[tuple(row[j:j + n]) for j in range(0, n * r, n)]
+                for row in rows]
 
     def polymul(self, f, g):
         """Product of polynomials over self, coordinate by coordinate:

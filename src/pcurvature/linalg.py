@@ -14,9 +14,11 @@ leftover factors.  P_s comes from doubling along the bits of s,
 P_2k(u) = P_k(u+k) P_k(u) and P_(k+1)(u) = B(u+k) P_k(u): at most
 2 log2(s) products, each after a Taylor shift of its left factor by an
 integer.  The leftover factors go in runs of k, one evaluation of a P_k
-of that chain each (_leftover_parts).  A right factor of r columns
-(local_eval passes the r corner columns of the identity) makes each giant
-step and leftover run an N x N by N x r product.
+of that chain each (_leftover_parts).  The giant steps and leftover runs
+are one chain over the nonzero pattern of P_s (P_k for a run), fed each
+point's values as the tree gives them, with no step matrices.  A right
+factor of r columns (local_eval passes the r corner columns of the
+identity) makes each step an N x N by N x r product.
 
 The analysis balances s against count/s with quasi-linear products,
 which puts s near sqrt(count), and baby_step_length takes s = isqrt(count)
@@ -28,27 +30,20 @@ balance lies lower: there it picks the s of least estimated cost
 units.
 
 Every inner product of field elements is one K.dot, which every field
-object has: matvec always, and matmul unless K is `packed`.  A packed K
+object has: matvec always, and chain unless K is `packed`.  A packed K
 is an extension F_p[u]/S or a split ring F_p^n (fields.SplitRing), and
-has its own kernels: K.matmul for constant matrices (the giant steps),
-and K.matpoly_mul for polynomial matrices, which it takes and returns in
-row form (fields.MatrixRows): one row over F_p per coordinate of each
-nonzero entry, kept column by column.  Over a packed K the baby steps stay
-in row form from B to P_s.  Each shift is one K.shift_rows of the whole
-matrix while its entries are no longer than p, the product packs its
-factors straight from the columns, and P_s goes down one subproduct tree
-in one SubproductTree.evaluate call as it is.  The tree takes the
-integers 0, s, ..., (g - 1)s themselves; they lie in F_p, so over a
-packed K the tree has F_p coefficients: each node's remainder, and the
-direct evaluation below BASE_CASE points, works on every row at once in
-packed integers, with no reduction mod S.  Over any other field the baby
+has its own kernels: K.chain, and K.matpoly_mul for polynomial matrices,
+which it takes and returns in row form (fields.MatrixRows): one row over
+F_p per coordinate of each nonzero entry, kept column by column.  Over a
+packed K the baby steps stay in row form from B to P_s.  Each shift is
+one K.shift_rows of the whole matrix while its entries are no longer
+than p, the product packs its factors straight from the columns, and P_s
+goes down one subproduct tree over F_p (polys.SubproductTree, at the
+integers 0, s, ..., (g - 1)s) in one evaluate call as it is, and the
+leftover runs evaluate P_k by K.rows_at.  Over any other field the baby
 steps are nested lists, with one polys.taylor_shift per entry and one
 polynomial product per pair of entries, and the entries of P_s go down
-the same tree as a list: one node.rem per entry at each node that
-divides, one Horner evaluation per entry and point below it.  A node
-divides, and its product is formed, only when the entries it receives
-are longer than its degree, so a tree whose entries have at most
-BASE_CASE + 1 coefficients forms no product at all.
+the same tree as a list.
 """
 
 import functools
@@ -64,13 +59,27 @@ def identity(K, n):
 
 
 def matmul(K, A, B):
+    """A B: one step of chain, on the pattern of A's nonzero entries."""
     if len(B) != len(A[0]):
         raise DimensionMismatch(
             f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
+    zero, m = K.zero, len(B)
+    pattern = [[(k, i * m + k) for k, a in enumerate(row) if a != zero]
+               for i, row in enumerate(A)]
+    return chain(K, pattern, [[a for row in A for a in row]], B)
+
+
+def chain(K, pattern, steps, acc):
+    """M_g ... M_1 acc for M_j the matrix of steps[j - 1] = vals: vals[q]
+    in row i, column k for each pair (k, q) of pattern[i], else zero.  A
+    packed K runs K.chain, any other ring one K.dot per output entry."""
     if getattr(K, "packed", False):
-        return K.matmul(A, B)
-    cols = list(zip(*B))
-    return [[K.dot(row, col) for col in cols] for row in A]
+        return K.chain(pattern, steps, acc)
+    for vals in steps:
+        cols = list(zip(*acc))
+        acc = [[K.dot([vals[q] for _, q in row], [col[k] for k, _ in row])
+                for col in cols] for row in pattern]
+    return acc
 
 
 def matvec(K, A, v):
@@ -102,10 +111,6 @@ def matpoly_mul(K, A, B):
             orow.append(acc)
         out.append(orow)
     return out
-
-
-def matpoly_eval(K, B, a):
-    return [[polys.eval_at(K, e, a) for e in row] for row in B]
 
 
 def baby_step_length(K, B, count, r):
@@ -231,9 +236,9 @@ class _FactorialCost:
       - Multipoint: SubproductTree.evaluate on the entries of P_s, of
         length L(s), at g = count // s points, level by level as it
         descends.
-      - Giant steps: g products of N x N by N x r.
-      - Leftover factors: one evaluation of P_k and one product per part
-        k of _leftover_parts(s, count mod s).
+      - Giant steps: g steps of the chain, N x N by N x r.
+      - Leftover factors: one evaluation of P_k and one step per part k
+        of _leftover_parts(s, count mod s).
     The kernels skip zero entries, so every layer is priced on the
     nonzero entries of P_k and the nonzero pairs a product multiplies
     (_Pattern, counted once from B), per ring coordinate: in the
@@ -348,7 +353,9 @@ class _FactorialCost:
             self.pattern.nonzero[k], self.pattern.nonzero[k + 1])
 
     def step(self, k):
-        """One product of P_k at a point, N x N, by N x r."""
+        """One step of the chain of P_k at a point, N x N, by N x r, at
+        the price of the step matrix and matmul it replaced (twice its
+        cost; refit, det-op's s falls to 24, no faster, peaking higher)."""
         N, r = self.N, self.r
         if not self.split:
             return (0.1401 * N * r + 0.2418 * (N + r) * N) * self.n
@@ -434,8 +441,6 @@ def matrix_factorial(K, B, count, right=None):
     and leftover factors then multiply N x N by N x r.  count may exceed
     the characteristic: the evaluation points then repeat, and the baby
     steps shift entries longer than p, which polys.taylor_shift handles.
-    Over a packed K the baby steps run on MatrixRows, which the tree
-    evaluates as they are and the leftover runs evaluate by K.rows_at.
     """
     n = len(B)
     if any(len(row) != n for row in B):
@@ -444,45 +449,49 @@ def matrix_factorial(K, B, count, right=None):
     if len(acc) != n:
         raise DimensionMismatch(
             f"cannot multiply {n}x{n} by {len(acc)} rows")
+    P = K.rows_of(B) if getattr(K, "packed", False) else B
     if count < 16:
-        for i in range(count):
-            acc = matmul(K, matpoly_eval(K, B, K.from_int(i)), acc)
-        return acc
+        return _chain_at(K, P, range(count), acc)
     s = baby_step_length(K, B, count, len(acc[0]))
     g = count // s
     parts = _leftover_parts(s, count - g * s)
-    packed = getattr(K, "packed", False)
-    baby, kept = _baby_steps(K, K.rows_of(B) if packed else B, s, set(parts))
-    tree = polys.SubproductTree(K, range(0, g * s, s))
-    if packed:
-        vals = [[K.zero] * g] * (n * n)
-        for e, v in zip(baby.entries, tree.evaluate(baby)):
-            vals[e] = v
-    else:
-        vals = tree.evaluate([e for row in baby for e in row])
+    baby, kept = _baby_steps(K, P, s, set(parts))
+    pattern, fs = _nonzero(K, baby)
+    steps = polys.SubproductTree(K, range(0, g * s, s)).evaluate(fs)
     # only the values feed the giant steps; free the product
-    del baby
-    for j in range(g):
-        step = [[vals[i * n + k][j] for k in range(n)] for i in range(n)]
-        acc = matmul(K, step, acc)
+    del baby, fs
+    acc = chain(K, pattern, steps, acc)
     i = g * s
     for k in parts:
         # P_k(i) = B(i+k-1) ... B(i)
-        acc = matmul(K, _evaluated(K, kept[k], i), acc)
+        acc = _chain_at(K, kept[k], [i], acc)
         i += k
     return acc
 
 
-def _evaluated(K, P, i):
-    """The baby-step matrix P at the integer i, as a matrix over K."""
-    if not getattr(K, "packed", False):
-        return matpoly_eval(K, P, K.from_int(i))
-    rows, width = P.shape
-    out = [K.zero] * (rows * width)
-    if P.cols:
-        for e, v in zip(P.entries, K.rows_at(P.cols, [i % K.char])[0]):
-            out[e] = v
-    return [out[r * width:(r + 1) * width] for r in range(rows)]
+def _nonzero(K, P):
+    """The pattern, for chain, of a square P in the baby steps' form, and
+    the entries it indexes, as SubproductTree.evaluate takes them."""
+    if getattr(K, "packed", False):
+        n, fs, pairs = P.shape[1], P, enumerate(P.entries)
+    else:
+        n, fs = len(P), [e for row in P for e in row]
+        pairs = [(e, e) for e, f in enumerate(fs) if f]
+    pattern = [[] for _ in range(n)]
+    for q, e in pairs:
+        pattern[e // n].append((e % n, q))
+    return pattern, fs
+
+
+def _chain_at(K, P, points, acc):
+    """chain of the values of P, as _nonzero reads it, at each of points."""
+    pattern, fs = _nonzero(K, P)
+    if getattr(K, "packed", False):
+        steps = K.rows_at(fs.cols, [a % K.char for a in points])
+    else:
+        steps = [[polys.eval_at(K, f, K.from_int(a)) for f in fs]
+                 for a in points]
+    return chain(K, pattern, steps, acc)
 
 
 def invariant_factors_of(K, A):

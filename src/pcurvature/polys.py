@@ -343,8 +343,8 @@ class SubproductTree:
     the tree together, as rows over F_p kept column by column.  A node
     divides all rows at once (K.rows_rem, with node.inverse(k) for
     quotients of length k, linear in the number of rows), and the direct
-    step evaluates them all at once (K.rows_at).  Nothing is reduced
-    mod S.
+    step evaluates them all at once (K.rows_at), never mod S.  On every
+    ring the values come point by point, as the giant steps take them.
     """
 
     BASE_CASE = 32
@@ -360,27 +360,20 @@ class SubproductTree:
         self._products, self._nodes = {}, {}
 
     def evaluate(self, fs):
-        """Values at every point of each polynomial fs holds, one list each.
-
-        fs is a list of polynomials, or over a packed K a
-        fields.MatrixRows, whose result has one list per entry it holds,
-        in the order of its entries.
-        """
+        """One list per point of the values there of the polynomials fs
+        holds: a list, or over a packed K a fields.MatrixRows, whose
+        values come in the order of its entries."""
         K = self.K
-        if self.packed:
-            if not fs.cols:
-                return []
-            at = self._descend(
-                fs.cols, len, lambda cols, node: K.rows_rem(
-                    cols, node.m, node.inverse(len(cols) - node.dm)),
-                K.rows_at)
-        else:
-            at = self._descend(
+        if not self.packed:
+            return self._descend(
                 fs, lambda fs: max(map(len, fs), default=0),
                 lambda fs, node: [node.rem(f) for f in fs],
                 lambda fs, pts: [[eval_at(K, f, a) for f in fs]
                                  for a in pts])
-        return [list(vals) for vals in zip(*at)]
+        return self._descend(
+            fs.cols, len, lambda cols, node: K.rows_rem(
+                cols, node.m, node.inverse(len(cols) - node.dm)),
+            K.rows_at)
 
     def _descend(self, state, length, divide, direct):
         """The lists direct returns, one per point, in the order of the

@@ -393,7 +393,12 @@ def test_matrix_factorial_over_packed_rings_matches_sequential(
 
     def counting(self, fs):
         calls.append(len(fs.entries))
-        return evaluate(self, fs)
+        at = evaluate(self, fs)
+        # one list per point, of one value per entry: the giant steps'
+        # layout
+        assert len(at) == len(self.points)
+        assert {len(vals) for vals in at} == {len(fs.entries)}
+        return at
     monkeypatch.setattr(polys.SubproductTree, "evaluate", counting)
     got = linalg.matrix_factorial(L, B, count)
     monkeypatch.undo()
@@ -688,6 +693,58 @@ def test_packed_matmul_of_zero_divisors(monkeypatch):
     got = linalg.matmul(L, A, B)
     assert got == matmul_schoolbook(L, A, B)
     assert got[0][0] == L.zero and a != L.zero and b != L.zero
+
+
+@pytest.mark.parametrize("ring", [
+    "split ring over F_101", "product ring over F_13", "F_(2^64+13)^2",
+    "F_101", "F_81 over F_9"])
+@pytest.mark.parametrize("r", [1, 4])
+def test_chain_matches_repeated_schoolbook_products(ring, r, rng):
+    # 4 x 4 steps whose row 1 and column 2 are zero, the rest of the
+    # pattern at random, times 4 x r, for 1 to 5 steps
+    L = _RINGS[ring]()
+    N = 4
+    cells = [(i, k) for i in range(N) for k in range(N)
+             if i != 1 and k != 2 and rng.random() < 0.7]
+    pattern = [[] for _ in range(N)]
+    for q, (i, k) in enumerate(cells):
+        pattern[i].append((k, q))
+    acc = [[L.random_elem(rng) for _ in range(r)] for _ in range(N)]
+    for g in range(1, 6):
+        steps = [[L.random_elem(rng) for _ in cells] for _ in range(g)]
+        want = acc
+        for vals in steps:
+            M = [[L.zero] * N for _ in range(N)]
+            for (i, k), v in zip(cells, vals):
+                M[i][k] = v
+            want = matmul_schoolbook(L, M, want)
+        assert linalg.chain(L, pattern, steps, acc) == want
+    # no pair at all: every step is zero
+    zero = [[L.zero] * r for _ in range(N)]
+    assert linalg.chain(L, [[] for _ in range(N)], [[]], acc) == zero
+
+
+def test_det_solve_chains_the_giant_steps(monkeypatch):
+    # det-op's solve: its one factorial evaluates P_s in one evaluate
+    # call, and neither the giant steps nor the leftover runs go through
+    # linalg.matmul
+    K = fields.PrimeField(1019)
+    op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", K)
+    calls = {"matrix_factorial": 0, "matmul": 0, "evaluate": 0}
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+    counting(linalg, "matrix_factorial")
+    counting(linalg, "matmul")
+    counting(polys.SubproductTree, "evaluate")
+    reconstruct.reconstruct_deterministic(op, 1019)
+    monkeypatch.undo()
+    assert calls == {"matrix_factorial": 1, "matmul": 0, "evaluate": 1}
 
 
 def test_matrix_factorial_requires_square():

@@ -290,14 +290,15 @@ def _factorial_calls(p, name, monkeypatch):
 
 def test_baby_steps_double_and_leave_few_factors(monkeypatch):
     # at most two polynomial-matrix products per bit of s, and few
-    # leftover evaluations at p = 1019; s is chosen as matrix_factorial
-    # chooses it, for the recurrence matrix and corner of this evaluation
+    # leftover evaluations (one _chain_at call per run) at p = 1019; s
+    # is chosen as matrix_factorial chooses it, for the recurrence matrix
+    # and corner of this evaluation
     K = fields.PrimeField(10007)
     rec = local_eval.build_B_operator(_c07_operator(K), K, K.from_int(2))
     s = linalg.baby_step_length(K, rec.entries, 10007, rec.corner)
     products = _factorial_calls(10007, "matpoly_mul", monkeypatch)
     assert products <= 2 * (s.bit_length() - 1), (s, products)
-    assert _factorial_calls(1019, "matpoly_eval", monkeypatch) <= 5
+    assert _factorial_calls(1019, "_chain_at", monkeypatch) <= 5
 
 
 def test_baby_step_length_is_isqrt_count_off_packed_rings():
@@ -314,26 +315,28 @@ def test_baby_step_length_is_isqrt_count_off_packed_rings():
 
 
 def _value_count(monkeypatch, run):
-    """Values the split ring's kernels unpack or produce, plus the
+    """Values the split ring's kernels unpack or produce (the chain of the
+    giant steps its degree per output entry of each step), plus the
     multiply-adds of the multipoint evaluation's direct step (a row's
     length per row and point), while run() runs."""
     count = [0]
-    unpack_bytes, dot = fields._unpack_bytes, fields.SplitRing.dot
+    unpack_bytes, chain = fields._unpack_bytes, fields.SplitRing.chain
     rows_at = fields.SplitRing.rows_at
 
     def unpacking(buf, slot):
         count[0] += len(buf) // slot
         return unpack_bytes(buf, slot)
 
-    def producing(self, xs, ys):
-        count[0] += self.degree
-        return dot(self, xs, ys)
+    def producing(self, pattern, steps, acc):
+        steps = list(steps)
+        count[0] += self.degree * len(steps) * len(pattern) * len(acc[0])
+        return chain(self, pattern, steps, acc)
 
     def direct(self, cols, points):
         count[0] += len(cols) * len(cols[0]) * len(points)
         return rows_at(self, cols, points)
     monkeypatch.setattr(fields, "_unpack_bytes", unpacking)
-    monkeypatch.setattr(fields.SplitRing, "dot", producing)
+    monkeypatch.setattr(fields.SplitRing, "chain", producing)
     monkeypatch.setattr(fields.SplitRing, "rows_at", direct)
     try:
         run()

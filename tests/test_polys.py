@@ -160,20 +160,26 @@ def test_multipoint_eval_matches_pointwise(rng):
         tree = polys.SubproductTree(F13, pts)
         got = tree.evaluate([polys.trim(F13, f)])
         want = [polys.eval_at(F13, polys.trim(F13, f), a) for a in pts]
-        assert got == [want]
+        # one list per point, of one value per polynomial
+        assert got == [[w] for w in want]
 
 
 def tree_values(tree, fs):
-    """tree.evaluate of the polynomials fs, one list each.  A packed tree
-    takes them as the one row of a MatrixRows, read back by its entries,
-    which leave out (and so give all zeros for) a zero polynomial."""
+    """tree.evaluate of the polynomials fs, which gives one list per
+    point, read back as one list per polynomial.  A packed tree takes them
+    as the one row of a MatrixRows, read back by its entries, which leave
+    out (and so give all zeros for) a zero polynomial."""
     if not tree.packed:
-        return tree.evaluate(fs)
+        return [list(vals) for vals in zip(*tree.evaluate(fs))]
     L = tree.K
     rows = L.rows_of([fs])
     out = [[L.zero] * len(tree.points) for _ in fs]
-    for e, vals in zip(rows.entries, tree.evaluate(rows)):
-        out[e] = vals
+    at = tree.evaluate(rows)
+    assert len(at) == len(tree.points)
+    for j, vals in enumerate(at):
+        assert len(vals) == len(rows.entries)
+        for e, v in zip(rows.entries, vals):
+            out[e][j] = v
     return out
 
 
