@@ -316,6 +316,8 @@ def run(spec, flags):
 
     params = {"mode": "naive"}
     t0 = time.perf_counter()
+    # only mc reads epsilon, but no driver accepts a bad one
+    reconstruct.check_epsilon(flags.epsilon)
     if flags.algo == "naive":
         factors = diffop.naive_invariant_factors(_as_system(inp), spec.p)
     else:

@@ -27,7 +27,7 @@ multiply integers of a few dozen digits, which CPython multiplies by
 schoolbook, so the last doubling costs about N^3 n (s d)^2 and the
 balance lies lower: there it picks the s of least estimated cost
 (_FactorialCost), which prices each layer as the code runs it, in fitted
-units.
+units, over the s near sqrt(count) with at most two set bits only.
 
 Every inner product of field elements is one K.dot, which every field
 object has: matvec always, and chain unless K is `packed`.  A packed K
@@ -115,9 +115,10 @@ def matpoly_mul(K, A, B):
 
 def baby_step_length(K, B, count, r):
     """The s that matrix_factorial(K, B, count, right) uses, for count >= 16
-    and right of r columns: isqrt(count) unless K is packed, else the s in
-    [sqrt(count) / 2, 2 sqrt(count) + 1] of least estimated cost
-    (_FactorialCost), the smallest one on a tie.
+    and right of r columns: isqrt(count) unless K is packed, else the s of
+    least estimated cost (_FactorialCost), the smallest one on a tie, among
+    those in [sqrt(count) / 2, 2 sqrt(count) + 1] with at most two set
+    bits.
 
     The window keeps s = Theta(sqrt(count)), which the O~(sqrt p) bound
     needs: for a fixed s the multipoint evaluation's direct step grows like
@@ -125,25 +126,23 @@ def baby_step_length(K, B, count, r):
     mid-size p (packed direct evaluation is cheap per value), but the work
     then grows linearly, which the value-count gates of the tests catch.
 
+    Each candidate is a doubling chain with at most one odd step, so the
+    O(log count) candidates share O(log^2 count) prefixes, each priced
+    once (_FactorialCost memoises them), where the whole window has
+    O(sqrt count).  On the batches of the tests the pick's estimate is
+    within 1% of the whole window's best.
+
     It depends on the factorial's shape alone: N = len(B), r, count, the
     longest entry of B, its zero pattern and the degree growth of its
-    products (_degree_growth), and the ring's degree and characteristic.
-    The candidates are priced in the order of a lower bound on their cost
-    (_FactorialCost.floor), and the search stops once that bound exceeds
-    the best estimate, so most are never fully priced."""
-    best_s = math.isqrt(count)
+    products (_degree_growth), and the ring's degree and characteristic."""
+    w = math.isqrt(count)
     if not getattr(K, "packed", False):
-        return best_s
+        return w
     cost = _FactorialCost(K, B, r, count)
-    best = math.inf
-    for bound, s in sorted((cost.floor(s, count), s) for s in range(
-            max(best_s // 2, 1), 2 * best_s + 2)):
-        if bound > best:
-            break
-        price = cost.total(s, count)
-        if price < best or price == best and s < best_s:
-            best, best_s = price, s
-    return best_s
+    lo, hi = max(w // 2, 1), 2 * w + 1
+    return min((s for s in {1 << a | 1 << b for a in range(hi.bit_length())
+                            for b in range(a + 1)} if lo <= s <= hi),
+               key=lambda s: (cost.total(s, count), s))
 
 
 def _degree_growth(B):
@@ -245,7 +244,9 @@ class _FactorialCost:
     big-integer products of the Kronecker kernels (_product_bytes, at the
     slot widths the kernels choose), the Python work per row, value and
     column they pack, unpack or reduce, and the Python work per pair and
-    per output entry.
+    per output entry.  baby and leftover keep the price of each prefix
+    k, which the candidates of baby_step_length share: for the s with at
+    most two set bits near sqrt(count), O(log^2 count) prefixes in all.
 
     The prices were fitted by nonnegative least squares on relative error
     (the rows of one layer of one factorial weighted by one over the
@@ -277,7 +278,7 @@ class _FactorialCost:
         self.base = polys.SubproductTree.BASE_CASE
         # baby_step_length prices s up to 2 sqrt(count) + 1
         self.pattern = _Pattern(B, 2 * math.isqrt(count) + 2)
-        self._baby = {0: 0.0, 1: 0.0}
+        self._baby, self._leftover = {0: 0.0, 1: 0.0}, {}
         # every odd step shifts B
         self._shift_B = self._shift(self.pattern.nonzero[1], self.d + 1)
 
@@ -299,22 +300,6 @@ class _FactorialCost:
         g, t = divmod(count, s)
         return (self.baby(s) + self.multipoint(g, s) + g * self.step(s)
                 + sum(map(self.leftover, _leftover_parts(s, t))))
-
-    def floor(self, s, count):
-        """A lower bound on total(s, count) that prices no division of the
-        tree, no leftover run and not the last odd step: the baby steps of
-        length s rounded down to even, the multipoint's pass over P_s and
-        its direct step, and the giant steps."""
-        g = count // s
-        L, size = self.length(s), g
-        rows = self.pattern.nonzero[s] * self.n
-        while size > self.base:
-            size /= 2
-        # once a level divides, every level below it divides, and hands
-        # down rows as long as its nodes' degree
-        direct = min(L, 2 * size) if size < g else L
-        return (self.baby(s & ~1) + (0.01874 * rows * L + self._direct(
-            g, rows, direct, size)) + g * self.step(s))
 
     def _shift(self, entries, L):
         """shift_rows of that many nonzero entries of length L."""
@@ -366,9 +351,13 @@ class _FactorialCost:
         """One leftover run of k factors: P_k evaluated at a point, then
         multiplied in.  That product measured at 1.11 times a giant step's
         price."""
-        L = self.length(k)
-        return (1.112 * self.step(k) + 18.58 + L * (
-            0.02164 * self.n * self.pattern.nonzero[k] + 1.765))
+        memo = self._leftover
+        price = memo.get(k)
+        if price is None:
+            L = self.length(k)
+            price = memo[k] = (1.112 * self.step(k) + 18.58 + L * (
+                0.02164 * self.n * self.pattern.nonzero[k] + 1.765))
+        return price
 
     def multipoint(self, g, s):
         """SubproductTree.evaluate of the entries of P_s at g points."""

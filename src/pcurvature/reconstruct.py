@@ -105,6 +105,12 @@ def _mc_plan(q, D, F, epsilon):
     return s, K, k_sel
 
 
+def check_epsilon(epsilon):
+    """Refuse an error budget outside (0, 1), NaN included."""
+    if not 0 < epsilon < 1:
+        raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {epsilon}")
+
+
 def select_params(inp, epsilon=None, seed=None):
     """Degree bounds D, F for the input and, with epsilon, a sample plan.
 
@@ -121,8 +127,7 @@ def select_params(inp, epsilon=None, seed=None):
         D, F = d, 3 * d * (2 * r - 1)
     if epsilon is None:
         return ReconParams(D=D, F=F, mode="deterministic", seed=seed)
-    if not 0 < epsilon < 1:
-        raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {epsilon}")
+    check_epsilon(epsilon)
     s, K, k_sel = _mc_plan(inp.K.q, D, F, epsilon)
     return ReconParams(D=D, F=F, mode="montecarlo", epsilon=epsilon,
                        s=s, K=K, k_sel=k_sel, seed=seed)

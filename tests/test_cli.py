@@ -154,8 +154,12 @@ def test_main_exit_codes(tmp_path, capsys):
     assert _run(["--p", "3", "--op", "3*Dx"], capsys)[0] == 2
     assert _run(["--p", "4", "--op", "Dx"], capsys)[0] == 3
     assert _run(["--p", "3", "--op", "Dx^3 + x"], capsys)[0] == 3
-    assert _run(["--p", "5", "--op", "Dx", "--epsilon", "2.0",
-                 "--algo", "mc"], capsys)[0] == 3
+    for algo in ("mc", "det", "naive"):
+        for eps in ("2.0", "nan"):
+            code, _, err = _run(["--p", "5", "--op", "Dx", "--epsilon", eps,
+                                 "--algo", algo], capsys)
+            assert code == 3, (algo, eps)
+            assert json.loads(err)["error"] == "precondition", (algo, eps)
     assert _run(["--p", "5", "--ext", "0", "--op", "Dx"], capsys)[0] == 3
     assert _run(["--p", "5", "--ext", "-1", "--op", "Dx"], capsys)[0] == 3
     path = tmp_path / "ext0.json"

@@ -447,13 +447,15 @@ def test_matrix_factorial_of_entries_longer_than_p(ring, rng, monkeypatch):
     assert max(lengths) > L.char
 
 
-def _bench_batch(system, p):
-    """Ring, recurrence matrix and corner of a batch of 29 points of F_p
-    (det's budget F + D + 1, all evaluated when its first 5 points are not
-    all cyclic), as local_eval builds them for the workload operator
-    (x^2 + 1) Dx^2 + x Dx + 1 or for its companion system."""
+def _bench_batch(system, p, points=range(1, 30), ring=None):
+    """Ring, recurrence matrix and corner of a batch of points of F_p, by
+    default the 29 of det's budget F + D + 1 (all evaluated when its first
+    5 points are not all cyclic), as local_eval builds them for the
+    workload operator (x^2 + 1) Dx^2 + x Dx + 1 or for its companion
+    system.  A ring given replaces the split ring of the points."""
     K = fields.PrimeField(p)
-    ring = fields.SplitRing(K, range(1, 30))
+    if ring is None:
+        ring = fields.SplitRing(K, points)
     x2p1 = (K.one, K.zero, K.one)
     if system:
         inp = diffop.DiffSystem(K, x2p1, (((), x2p1),
@@ -464,6 +466,17 @@ def _bench_batch(system, p):
         inp = diffop.DiffOperator(K, ((K.one,), (K.zero, K.one), x2p1))
         rec = local_eval.build_B_operator(inp, ring, ring.gen)
     return ring, rec.entries, rec.corner
+
+
+def _quadratic_ring(p, n):
+    """The ring of a batch of n points of degree 2: F_p[u]/S of degree 2n,
+    for S the product of the irreducible u^2 - c over the first n
+    non-squares c."""
+    K = fields.PrimeField(p)
+    S = [K.one]
+    for c in [c for c in range(2, p) if pow(c, (p - 1) // 2, p) != 1][:n]:
+        S = polys.mul(K, S, [K.neg(K.from_int(c)), K.zero, K.one])
+    return extension.ExtensionField(K, S)
 
 
 def test_baby_step_length_prices_the_doubling():
@@ -527,32 +540,68 @@ def _solved_batches(monkeypatch):
     return batches
 
 
+_LARGE_PRIMES = (65539, 262147, 1048583, 4194319)
+
+
 def test_pruned_planner_returns_the_exhaustive_argmin(monkeypatch):
     # the bench's batches, the batches of the baby_step_length tests above,
-    # and det's batch of the workload operator at p = 65539: the search
-    # that prices candidates in the order of their lower bound picks the
-    # s of least estimated cost over the whole window, the smallest on a
-    # tie.  The picks are pinned: det-op's solved batch holds its k_sel = 5
-    # certified points and takes 32; the other batches take the s they
-    # have always taken
-    K = fields.PrimeField(65539)
-    ring = fields.SplitRing(K, range(29))
-    op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", K)
-    big = (ring, local_eval.build_B_operator(op, ring, ring.gen).entries,
-           65539, 2)
-    small = [(ring, B, p, r) for (ring, B, r), p in (
-        (_bench_batch(True, 263), 263), (_bench_batch(False, 1019), 1019))]
-    batches = _solved_batches(monkeypatch) + small + [big]
-    picks = []
-    for ring, B, count, r in batches:
-        cost = linalg._FactorialCost(ring, B, r, count)
-        w = math.isqrt(count)
-        window = range(max(w // 2, 1), 2 * w + 2)
-        want = min(window, key=lambda s: (cost.total(s, count), s))
-        got = linalg.baby_step_length(ring, B, count, r)
-        assert got == want, (count, got, want)
-        picks.append(got)
-    assert picks == [32, 8, 40, 8, 24, 152]
+    # and det's batch of the workload operator at p = 65539: the planner
+    # picks the s of least estimated cost among the s of the window with
+    # at most two set bits, the smallest on a tie, and its estimate is
+    # within 1% of the best over the whole window.  The picks are pinned:
+    # det-op's solved batch holds its k_sel = 5 certified points and takes
+    # 32, and the 29 points at 65539 take 160 (152 over the whole window,
+    # 0.2% cheaper by the estimate)
+    batches = _solved_batches(monkeypatch) + [
+        (ring, B, p, r) for (ring, B, r), p in (
+            (_bench_batch(True, 263), 263), (_bench_batch(False, 1019), 1019),
+            (_bench_batch(False, 65539), 65539))]
+    picks = [_planner_check(*batch) for batch in batches]
+    assert picks == [32, 8, 40, 8, 24, 160]
+    # the same bound on the 5-point batch at large p, and over F_p[u]/S
+    for p in _LARGE_PRIMES:
+        ring, B, r = _bench_batch(False, p, range(1, 6))
+        _planner_check(ring, B, p, r)
+    ring, B, r = _bench_batch(False, 1009, ring=_quadratic_ring(1009, 6))
+    assert ring.degree == 12
+    _planner_check(ring, B, 1009, r)
+
+
+def _planner_check(ring, B, count, r):
+    """baby_step_length's pick, checked against the candidates it prices
+    and against the whole window."""
+    cost = linalg._FactorialCost(ring, B, r, count)
+    w = math.isqrt(count)
+    window = range(max(w // 2, 1), 2 * w + 2)
+    want = min((s for s in window if s.bit_count() <= 2),
+               key=lambda s: (cost.total(s, count), s))
+    best = min(cost.total(s, count) for s in window)
+    got = linalg.baby_step_length(ring, B, count, r)
+    assert got == want, (count, got, want)
+    assert cost.total(got, count) <= 1.01 * best, (count, got)
+    return got
+
+
+def test_planner_work_grows_like_log_squared_count(monkeypatch):
+    # the planner's own work, with no clock: the price evaluations of one
+    # baby_step_length call on the operator's 5-point batch.  From
+    # p = 65539 to 4194319 sqrt(p) grows 8x and log(p)^2 about 1.9x; a
+    # planner that prices the whole window would give 8x
+    def price_calls(p):
+        ring, B, r = _bench_batch(False, p, range(1, 6))
+        calls = [0]
+        for name in ("total", "doubling", "odd"):
+            fn = getattr(linalg._FactorialCost, name)
+
+            def counting(*args, fn=fn):
+                calls[0] += 1
+                return fn(*args)
+            monkeypatch.setattr(linalg._FactorialCost, name, counting)
+        linalg.baby_step_length(ring, B, p, r)
+        monkeypatch.undo()
+        return calls[0]
+    small, large = price_calls(_LARGE_PRIMES[0]), price_calls(_LARGE_PRIMES[-1])
+    assert large <= 2 * small, (small, large)
 
 
 @pytest.mark.parametrize("ring", sorted(_RINGS))
