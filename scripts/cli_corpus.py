@@ -8,8 +8,9 @@ checkouts and diff the outputs to see whether a change moved any result:
 
 System inputs are written as JSON files to a temporary directory, which
 the output names $TMP.  The corpus covers both drivers and the oracle,
---check and --profile, operators and systems, extensions of F_p, inputs
-with and without cyclic local classes, and the error exits 2 and 3.
+--check and --profile, operators and systems, inputs with and without
+cyclic local classes, and the error exits 2 and 3, including flags that
+argparse refuses.
 """
 
 import argparse
@@ -75,19 +76,16 @@ CORPUS = [
     _sys("companion", "--p", "263", *_mc(3, "--profile")),
     _sys("companion", "--p", "263", "--algo", "naive", "--check"),
     _op(5, L, "--ext", "2"),
-    _op(5, L, "--ext", "2", "--check"),
-    _op(5, L, "--ext", "2", "--algo", "naive", "--profile"),
-    _op(5, TOWER3, "--ext", "2"),
-    _op(5, TOWER3, "--ext", "2", "--check"),
+    _op(5, L, "--check"),
+    _op(5, TOWER3, "--check"),
     _op(5, "Dx + @"),
     _op(3, "3*Dx"),
     _op(4, "Dx"),
     _op(3, "Dx^3 + x"),
     _op(5, "Dx", "--algo", "mc", "--epsilon", "2.0"),
-    _op(5, "Dx", "--ext", "0"),
     _sys("sym2_1009"),
     _sys("sym2_1009", *_mc(1)),
-    _op(251, L, "--ext", "2"),
+    _op(251, L),
     _op(65539, L),
     _op(65539, L, *_mc(7)),
     _op(4099, L, *_mc(4)),
@@ -120,7 +118,10 @@ def run(argv, tmp):
     """One line for `pcurv argv`, with $TMP standing for tmp."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([a.replace("$TMP", tmp) for a in argv])
+        try:
+            code = cli.main([a.replace("$TMP", tmp) for a in argv])
+        except SystemExit as e:  # argparse refuses the flags
+            code = e.code
     doc = out.getvalue()
     if doc:
         doc = json.loads(doc)
@@ -136,6 +137,8 @@ def main():
     ap.add_argument("--first", type=int, default=None,
                     help="run only the first N entries")
     args = ap.parse_args()
+    # argparse wraps the usage text of a refused flag to $COLUMNS
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in _systems((31, 37, 1009)).items():
             with open(os.path.join(tmp, f"{name}.json"), "w") as fh:

@@ -22,7 +22,7 @@ from .fields import PrimeField, find_irreducible
 from .local_eval import invariant_factors_at
 from .reconstruct import (ReconParams, effective_params,
                           reconstruct_deterministic, reconstruct_montecarlo,
-                          select_params, verify_divisibility_lemma)
+                          select_params)
 
 __version__ = "0.1.0"
 
@@ -63,5 +63,4 @@ __all__ = [
     "reconstruct_montecarlo",
     "select_params",
     "sym_power_rank",
-    "verify_divisibility_lemma",
 ]

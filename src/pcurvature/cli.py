@@ -5,9 +5,11 @@ The operator grammar is sums of terms c(x)*Dx^k.  Coefficient arithmetic
 differential symbol Dx is only allowed as the rightmost factor of a term,
 so nothing here ever needs the skew product rule.
 
-Systems arrive as a JSON file {"p":..., "ext":..., "f_A":"...",
+Systems arrive as a JSON file {"p":..., "f_A":"...",
 "A_tilde":[["...",...],...]} holding polynomial strings, mirroring the
-cleared form A = A_tilde / f_A the library works with.
+cleared form A = A_tilde / f_A the library works with.  The grammar has
+no symbol outside F_p, so every input is solved over F_p: invariant
+factors do not change under field extension.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 point
 selection failed, 5 oracle cross-check mismatch.
@@ -30,9 +32,9 @@ from .errors import (CharTooSmall, EpsilonOutOfRange,
 MAX_PARSED_DEGREE = 10 ** 5
 
 
-class InputSpec(namedtuple("InputSpec", "p ext kind payload")):
-    """What to solve.  For a system, p and ext may be None (no flag given)
-    until run() reads them from the file."""
+class InputSpec(namedtuple("InputSpec", "p kind payload")):
+    """What to solve, over F_p.  For a system, p may be None (no flag
+    given) until run() reads it from the file."""
     __slots__ = ()
 
 
@@ -249,27 +251,27 @@ def make_field(p, ext):
     return K
 
 
-def _system_from_doc(doc, p, ext):
-    K = make_field(p, ext)
+def _system_from_doc(doc, p):
+    K = make_field(p, 1)
     f_A = parse_polynomial(doc["f_A"], K)
     A = [[parse_polynomial(e, K) for e in row] for row in doc["A_tilde"]]
     return diffop.DiffSystem(K, tuple(f_A),
                              tuple(tuple(tuple(e) for e in row) for row in A))
 
 
-def load_system(path, p=None, ext=None):
-    """DiffSystem from the JSON file; flags may repeat but not contradict."""
+def load_system(path, p=None):
+    """DiffSystem from the JSON file; --p may repeat it but not contradict."""
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise SystemFileError("the system file must hold a JSON object")
+    if "ext" in doc:
+        raise SystemFileError('"ext" is not a system file key: every input '
+                              'is over F_p')
     file_p = doc.get("p")
-    file_ext = doc.get("ext", 1)
     # bool is a subclass of int, so compare the exact type
     if file_p is not None and type(file_p) is not int:
         raise SystemFileError(f'"p" must be an integer, got {file_p!r}')
-    if type(file_ext) is not int:
-        raise SystemFileError(f'"ext" must be an integer, got {file_ext!r}')
     rows = doc.get("A_tilde")
     if not (isinstance(doc.get("f_A"), str) and isinstance(rows, list)
             and all(isinstance(row, list)
@@ -279,21 +281,18 @@ def load_system(path, p=None, ext=None):
                               'of rows of polynomial strings')
     if p is not None and file_p is not None and p != file_p:
         raise ValueError(f"--p {p} contradicts the system file (p = {file_p})")
-    if ext is not None and ext != file_ext:
-        raise ValueError(f"--ext {ext} contradicts the system file "
-                         f"(ext = {file_ext})")
     p = file_p if file_p is not None else p
     if p is None:
         raise ValueError("no characteristic: pass --p or put p in the file")
-    return _system_from_doc(doc, p, file_ext), p, file_ext
+    return _system_from_doc(doc, p), p
 
 
 def _parse_input(spec):
-    """The input of spec, and spec with p and ext read from a system file."""
+    """The input of spec, and spec with p read from a system file."""
     if spec.kind == "system":
-        sysv, p, ext = load_system(spec.payload, spec.p, spec.ext)
-        return sysv, spec._replace(p=p, ext=ext)
-    K = make_field(spec.p, spec.ext)
+        sysv, p = load_system(spec.payload, spec.p)
+        return sysv, spec._replace(p=p)
+    K = make_field(spec.p, 1)
     return parse_operator(spec.payload, K), spec
 
 
@@ -387,11 +386,8 @@ def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="pcurv",
         description="Invariant factors of the p-curvature of a linear "
-                    "differential operator or system over F_q(x).")
+                    "differential operator or system over F_p(x).")
     ap.add_argument("--p", type=int, help="prime characteristic")
-    ap.add_argument("--ext", type=int, default=None,
-                    help="extension degree a, for q = p^a (default 1, or "
-                         "the system file's)")
     src = ap.add_mutually_exclusive_group(required=True)
     src.add_argument("--op", help="operator text, e.g. 'x*Dx^2 + Dx + 1'")
     src.add_argument("--system", help="path to a system JSON file")
@@ -411,11 +407,7 @@ def main(argv=None):
         ap.error("--p is required with --op")
     kind = "operator" if args.op is not None else "system"
     payload = args.op if args.op is not None else args.system
-
-    ext = args.ext
-    if ext is None and args.op is not None:
-        ext = 1
-    spec = InputSpec(p=args.p, ext=ext, kind=kind, payload=payload)
+    spec = InputSpec(p=args.p, kind=kind, payload=payload)
     flags = RunFlags(algo=args.algo, epsilon=args.epsilon, seed=args.seed,
                      check=args.check, profile=args.profile)
     try:
@@ -429,8 +421,7 @@ def main(argv=None):
     except (json.JSONDecodeError, KeyError, OSError, SystemFileError) as e:
         _emit_error("bad-system-file", e)
         return 2
-    except (NonPrime, ExtensionDegreeOutOfRange, CharTooSmall,
-            EpsilonOutOfRange) as e:
+    except (NonPrime, CharTooSmall, EpsilonOutOfRange) as e:
         _emit_error("precondition", e)
         return 3
     except SelectionFailed as e:

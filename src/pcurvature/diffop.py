@@ -52,10 +52,6 @@ class DiffOperator(namedtuple("DiffOperator", "K coeffs")):
     def bidegree(self):
         return (self.degree, self.order)
 
-    @property
-    def leading(self):
-        return list(self.coeffs[-1])
-
 
 class DiffSystem(namedtuple("DiffSystem", "K f_A A_tilde")):
     """Y' = (A_tilde / f_A) * Y with polynomial A_tilde and f_A."""

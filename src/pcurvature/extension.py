@@ -3,8 +3,8 @@
 An ExtensionField element is a tuple of base-field elements of length
 exactly the extension degree, so equality and hashing are structural.
 It has the method surface of the fields in `fields` (add, mul, inv,
-polymul, ...) and is compared by its `key`.  Only inputs over F_(p^k)
-(`--ext` 2 and up) and points of degree k > 1 use it, so a solve whose
+polymul, ...) and is compared by its `key`.  Only library inputs over
+F_(p^k), k > 1, and points of degree k > 1 use it, so a solve whose
 points all lie in F_p never imports this module.
 
 Products delay the modular reduction: a dot product of k element pairs

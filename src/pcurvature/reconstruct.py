@@ -25,7 +25,7 @@ import random
 from collections import namedtuple
 
 from . import bivar, fields, interp, local_eval, polys
-from .diffop import DiffSystem, companion_of_operator, naive_invariant_factors
+from .diffop import DiffSystem
 from .errors import CharTooSmall, EpsilonOutOfRange, SelectionFailed
 
 
@@ -346,25 +346,3 @@ def reconstruct_montecarlo(inp, p, params):
         return ell, s, points, params.k_sel
 
     return _reconstruct(inp, p, params.D, draws)
-
-
-def verify_divisibility_lemma(inp, p, ell, a):
-    """Check that the specialized factor products divide the local ones.
-
-    At any non-pole point a, the product of the first j bivariate factors
-    evaluated at X = a^p divides the product of the first j local factors,
-    for every j; equality can fail (bad points) but divisibility cannot.
-    """
-    sysform = inp if isinstance(inp, DiffSystem) else companion_of_operator(inp)
-    glob = naive_invariant_factors(sysform, p)
-    scaled = _scaled_local_factors(inp, ell, [a], p)[0]
-    emb = fields.embedding(inp.K, ell)
-    ap = ell.pow(a, p)
-    spec = [bivar.evaluate_at_X(inp.K, ell, g, ap, emb) for g in glob]
-    P, Q = [ell.one], [ell.one]
-    for gj, lj in zip(spec, scaled):
-        P = polys.mul(ell, P, gj)
-        Q = polys.mul(ell, Q, lj)
-        if not polys.divides(ell, P, Q):
-            return False
-    return True

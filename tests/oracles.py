@@ -3,11 +3,14 @@
 Everything here favors obviousness over speed: schoolbook products,
 cofactor expansion, one-factor-at-a-time matrix products.  None of it
 shares code with the library paths under test, except the operation
-counter, which wraps the library's prime field, and the input record
-that sym2_system returns.
+counter, which wraps the library's prime field, the input record that
+sym2_system returns, and the divisibility check, which holds the
+library's local factors against its O(p) oracle.
 """
 
-from pcurvature.diffop import DiffSystem
+from pcurvature import bivar, fields, polys, reconstruct
+from pcurvature.diffop import (DiffSystem, companion_of_operator,
+                               naive_invariant_factors)
 from pcurvature.fields import PrimeField
 
 
@@ -172,6 +175,28 @@ def sym2_system(K):
         ((quarter,), c(-1, 2), f_A),
         ((), (half,), c(-2, 4)),
     ))
+
+
+def verify_divisibility_lemma(inp, p, ell, a):
+    """Check that the specialized factor products divide the local ones.
+
+    At any non-pole point a, the product of the first j bivariate factors
+    evaluated at X = a^p divides the product of the first j local factors,
+    for every j; equality can fail (bad points) but divisibility cannot.
+    """
+    sysform = inp if isinstance(inp, DiffSystem) else companion_of_operator(inp)
+    glob = naive_invariant_factors(sysform, p)
+    scaled = reconstruct._scaled_local_factors(inp, ell, [a], p)[0]
+    emb = fields.embedding(inp.K, ell)
+    ap = ell.pow(a, p)
+    spec = [bivar.evaluate_at_X(inp.K, ell, g, ap, emb) for g in glob]
+    P, Q = [ell.one], [ell.one]
+    for gj, lj in zip(spec, scaled):
+        P = polys.mul(ell, P, gj)
+        Q = polys.mul(ell, Q, lj)
+        if not polys.divides(ell, P, Q):
+            return False
+    return True
 
 
 class CountingPrimeField(PrimeField):

@@ -9,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pcurvature import cli, diffop, fields
-from pcurvature.errors import OperatorSyntaxError, ZeroOperator
+from pcurvature.errors import (ExtensionDegreeOutOfRange, OperatorSyntaxError,
+                               ZeroOperator)
 from test_diffop import assert_frozen_record
 
 F3 = fields.PrimeField(3)
@@ -160,18 +161,17 @@ def test_main_exit_codes(tmp_path, capsys):
                                  "--algo", algo], capsys)
             assert code == 3, (algo, eps)
             assert json.loads(err)["error"] == "precondition", (algo, eps)
-    assert _run(["--p", "5", "--ext", "0", "--op", "Dx"], capsys)[0] == 3
-    assert _run(["--p", "5", "--ext", "-1", "--op", "Dx"], capsys)[0] == 3
-    path = tmp_path / "ext0.json"
-    path.write_text(json.dumps({"p": 5, "ext": 0, "f_A": "1",
-                                "A_tilde": [["x"]]}))
-    code, _, err = _run(["--system", str(path)], capsys)
-    assert code == 3
-    assert json.loads(err)["error"] == "precondition"
-    for key, value in (("p", "5"), ("p", True), ("p", 5.0), ("ext", "2"),
-                       ("ext", True), ("ext", None), ("f_A", 1),
+    # every input is over F_p: --ext is refused by argparse, and a system
+    # file's "ext" key, whatever its value, is refused, not ignored
+    with pytest.raises(SystemExit) as e:
+        cli.main(["--p", "5", "--op", "Dx", "--ext", "2"])
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    path = tmp_path / "sys.json"
+    for key, value in (("p", "5"), ("p", True), ("p", 5.0), ("ext", 1),
+                       ("ext", 2), ("ext", "2"), ("ext", None), ("f_A", 1),
                        ("A_tilde", "x"), ("A_tilde", [[1]])):
-        doc = {"p": 5, "ext": 1, "f_A": "1", "A_tilde": [["x"]], key: value}
+        doc = {"p": 5, "f_A": "1", "A_tilde": [["x"]], key: value}
         path.write_text(json.dumps(doc))
         code, _, err = _run(["--system", str(path)], capsys)
         assert code == 2, (key, value)
@@ -180,13 +180,13 @@ def test_main_exit_codes(tmp_path, capsys):
     code, _, err = _run(["--system", str(path)], capsys)
     assert code == 2
     assert json.loads(err)["error"] == "bad-system-file"
-    # an explicit --ext 1 is a flag like any other, not "no flag"
-    path.write_text(json.dumps({"p": 5, "ext": 2, "f_A": "1",
-                                "A_tilde": [["x"]]}))
-    for ext in ("1", "3"):
-        code, _, err = _run(["--system", str(path), "--ext", ext], capsys)
-        assert code == 2, ext
-        assert json.loads(err)["error"] == "bad-input", ext
+
+
+def test_make_field_refuses_extension_degree_below_one():
+    # pcurv always solves over F_p; library callers may still ask for F_q
+    for ext in (0, -1):
+        with pytest.raises(ExtensionDegreeOutOfRange):
+            cli.make_field(5, ext)
 
 
 @pytest.mark.parametrize("text, position", [("x^1000000000", 1),
@@ -228,9 +228,9 @@ def test_run_records_are_frozen_named_tuples():
     assert flags == cli.RunFlags(algo="det", epsilon=0.1, seed=None,
                                  check=False, profile=False)
     assert_frozen_record(flags)
-    spec = cli.InputSpec(p=7, ext=1, kind="operator", payload="Dx + x")
+    spec = cli.InputSpec(p=7, kind="operator", payload="Dx + x")
     assert_frozen_record(spec)
-    p, ext, kind, payload = spec
+    p, kind, payload = spec
     assert spec != spec._replace(p=11)
     doc = cli.run(spec, flags._replace(algo="mc", epsilon=0.1, seed=1,
                                        profile=True))
@@ -242,7 +242,7 @@ def test_montecarlo_defaults_at_the_library_entry_points(monkeypatch,
                                                         capsys):
     # run takes the epsilon pcurv takes when --epsilon is not given
     text = "(x^2+1)*Dx^2 + x*Dx + 1"
-    spec = cli.InputSpec(p=11, ext=1, kind="operator", payload=text)
+    spec = cli.InputSpec(p=11, kind="operator", payload=text)
     doc = cli.run(spec, cli.RunFlags(algo="mc", seed=3))
     assert doc.params["mode"] == "montecarlo"
     assert doc.params["epsilon"] == 0.1
@@ -262,7 +262,7 @@ def test_montecarlo_defaults_at_the_library_entry_points(monkeypatch,
 def test_system_file_flow(tmp_path, capsys):
     path = tmp_path / "sys.json"
     path.write_text(json.dumps({
-        "p": 5, "ext": 1, "f_A": "x^2 + 1",
+        "p": 5, "f_A": "x^2 + 1",
         "A_tilde": [["x", "1"], ["0", "x^2"]],
     }))
     code, out, _ = _run(["--system", str(path), "--check"], capsys)
@@ -276,25 +276,25 @@ def test_system_file_flow(tmp_path, capsys):
     assert "contradicts" in json.loads(err)["message"]
 
 
-@pytest.mark.parametrize("flags", [[], ["--p", "5"], ["--ext", "2"]])
+@pytest.mark.parametrize("flags", [[], ["--p", "5"]])
 def test_system_file_is_parsed_once(flags, tmp_path, capsys, monkeypatch):
     path = tmp_path / "sys.json"
-    path.write_text(json.dumps({"p": 5, "ext": 2, "f_A": "x^2 + 1",
+    path.write_text(json.dumps({"p": 5, "f_A": "x^2 + 1",
                                 "A_tilde": [["x", "1"], ["0", "x^2"]]}))
     calls = []
     parse = cli._system_from_doc
 
-    def counted(doc, p, ext):
-        calls.append((p, ext))
-        return parse(doc, p, ext)
+    def counted(doc, p):
+        calls.append(p)
+        return parse(doc, p)
 
     monkeypatch.setattr(cli, "_system_from_doc", counted)
     code, out, _ = _run(["--system", str(path), "--algo", "naive"] + flags,
                         capsys)
     assert code == 0
-    assert calls == [(5, 2)]
+    assert calls == [5]
     doc = json.loads(out)
-    assert (doc["input"]["p"], doc["input"]["ext"]) == (5, 2)
+    assert doc["input"] == {"p": 5, "kind": "system", "payload": str(path)}
 
 
 def test_system_file_missing_keys(tmp_path, capsys):
@@ -311,8 +311,8 @@ def test_load_system_values():
         json.dump(doc, fh)
         name = fh.name
     try:
-        sysv, p, ext = cli.load_system(name)
-        assert (p, ext) == (5, 1)
+        sysv, p = cli.load_system(name)
+        assert p == 5
         assert list(sysv.f_A) == [F5.zero, F5.one]
         assert [list(e) for e in sysv.A_tilde[0]] == [[F5.one,
                                                        F5.from_int(2)]]
@@ -381,32 +381,22 @@ _OPERATOR = st.one_of(
 _EPSILON = st.one_of(
     st.sampled_from(["nan", "inf", "-inf", "0", "1", "-0.5", "2.5", "x"]),
     st.floats(0.01, 0.99).map(repr), st.floats(0.01, 0.99).map(repr))
-# Primes are drawn more often, so that most runs get past make_field.  Over
-# F_(p^2) with p <= 7 a run takes a few seconds at most (det on an order-3
-# operator over F_49: about 1 s, 2.6 s with coefficients of degree 4); the
-# naive oracle over F_(59^2) is still slow, so extension degrees above 1
-# come with p <= 7 only.
+# Primes are drawn more often, so that most runs get past make_field.
 _PRIME = st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
                           47, 53, 59])
-_FIELD = st.one_of(
-    st.tuples(_PRIME, st.just(1)),
-    st.tuples(_PRIME, st.just(1)),
-    st.tuples(st.integers(-5, 60), st.integers(-1, 1)),
-    st.tuples(st.sampled_from([2, 3, 4]), st.integers(2, 3)),
-    st.tuples(st.sampled_from([5, 7]), st.just(2)))
+_CHAR = st.one_of(_PRIME, _PRIME, st.integers(-5, 60))
 
 
-@given(text=_OPERATOR, field=_FIELD,
+@given(text=_OPERATOR, p=_CHAR,
        algo=st.sampled_from(["det", "mc", "naive"]), epsilon=_EPSILON,
        seed=st.integers(0, 3), glued=st.booleans())
-def test_main_fuzz_exits_with_a_documented_code(text, field, algo, epsilon,
+def test_main_fuzz_exits_with_a_documented_code(text, p, algo, epsilon,
                                                 seed, glued):
-    p, ext = field
     # the operator text comes as one word "--op=TEXT" or as two words; the
     # other values use the = form, so that "-1" or "-inf" is not a flag
     op = [f"--op={text}"] if glued else ["--op", text]
-    argv = op + [f"--p={p}", f"--ext={ext}", f"--algo={algo}",
-                 f"--epsilon={epsilon}", f"--seed={seed}"]
+    argv = op + [f"--p={p}", f"--algo={algo}", f"--epsilon={epsilon}",
+                 f"--seed={seed}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:

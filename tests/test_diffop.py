@@ -66,7 +66,7 @@ def test_operator_validation():
     assert L.order == 2
     assert L.degree == 2
     assert L.bidegree == (2, 2)
-    assert L.leading == [F5.one, F5.zero, F5.from_int(3)]
+    assert list(L.coeffs[-1]) == [F5.one, F5.zero, F5.from_int(3)]
 
     assert_frozen_record(L)
     K, coeffs = L
@@ -210,7 +210,7 @@ def test_theta_rewrite_structure(rng):
         d_eff = L.degree
         assert len(b) == d_eff + r + 1
         assert all(polys.deg(be) <= d_eff for be in b)
-        lead_at_a = polys.eval_at(F7, L.leading, a)
+        lead_at_a = polys.eval_at(F7, L.coeffs[-1], a)
         assert list(b[d_eff + r]) == ([lead_at_a]
                                       if lead_at_a != F7.zero else [])
         for e in range(d_eff):
