@@ -30,8 +30,9 @@ TOWER3 = "Dx^3 + -(4 + x^2)*Dx^1 + -(3+x^2)"
 
 def _systems(p_sym2):
     """System files by name: the companion system of L, diag(x, x),
-    diag(x, x, x^2 + 3) and diag(x, 0), none holding p, and the symmetric
-    square of the Gauss system at each p of p_sym2."""
+    diag(x, x, x^2 + 3), diag(x, 0) and the constant diag(2, 2), none
+    holding p, and the symmetric square of the Gauss system at each p of
+    p_sym2."""
     out = {
         "companion": {"f_A": "x^2+1", "A_tilde": [["0", "x^2+1"],
                                                   ["-1", "-x"]]},
@@ -40,6 +41,7 @@ def _systems(p_sym2):
                                               ["0", "x", "0"],
                                               ["0", "0", "x^2+3"]]},
         "diag_x_0": {"f_A": "1", "A_tilde": [["x", "0"], ["0", "0"]]},
+        "const2": {"f_A": "1", "A_tilde": [["2", "0"], ["0", "2"]]},
     }
     for p in p_sym2:
         f = "(x - x^2)"
@@ -111,6 +113,13 @@ CORPUS = [
     _op(11, OP22, *_mc(1, "--epsilon", "0.2")),
     _sys("diag_x_0", "--p", "11", *_mc(0, "--check")),
     _sys("diag_x_0", "--p", "101", "--check"),
+    # D = 0: the certified pass, det's budget and mc's draw are each one
+    # point
+    _op(10007, "Dx^2 + 3*Dx + 1", "--check"),
+    _op(10007, "Dx^2 + 3*Dx + 1", *_mc(1, "--check")),
+    _sys("const2", "--p", "1019", "--check"),
+    _sys("const2", "--p", "1019", *_mc(1, "--check")),
+    _op(65539, "Dx^3 + Dx + 5"),
 ]
 
 

@@ -51,11 +51,6 @@ def compress_xp(K, f, p):
     return polys.trim(K, out)
 
 
-def evaluate_at_X(K, L, bp, b, embed):
-    """Specialize X to b in L, producing a T-polynomial over L."""
-    return [polys.eval_at(L, [embed(c) for c in coeff], b) for coeff in bp]
-
-
 def format_bivar(K, bp, var_x="X", var_t="T"):
     """Render in descending T-powers: "T^2 + (X + 1)*T + X"."""
     if not bp:

@@ -112,9 +112,11 @@ def naive_p_curvature(sys, p):
     With A = A~/f, A_i is A~_i/f^i for the polynomial matrices A~_1 = -A~
     and A~_(i+1) = f A~_i' - i f' A~_i - A~ A~_i, which the recurrence
     runs on over F_q[x] with no gcd; A_p = A~_p / f^p goes into F_q(x)
-    once, at the end."""
+    once, at the end.  Any p but the characteristic raises ValueError."""
     from .ratfunc import RatFuncField
     K = sys.K
+    if p != K.char:
+        raise ValueError(f"p = {p} differs from the characteristic {K.char}")
     f = list(sys.f_A)
     df = polys.derivative(K, f)
     At = [[list(e) for e in row] for row in sys.A_tilde]

@@ -20,12 +20,12 @@ point's values as the tree gives them, with no step matrices.  A right
 factor of r columns (local_eval passes the r corner columns of the
 identity) makes each step an N x N by N x r product.
 
-The analysis balances s against count/s with quasi-linear products,
-which puts s near sqrt(count), and baby_step_length takes s = isqrt(count)
-over any ring that is not packed.  Over a packed ring the baby steps
-multiply integers of a few dozen digits, which CPython multiplies by
-schoolbook, so the last doubling costs about N^3 n (s d)^2 and the
-balance lies lower: there it picks the s of least estimated cost
+The analysis balances s against count/s with quasi-linear products, which
+puts s near sqrt(count), and baby_step_length takes s = isqrt(count) over
+a ring that is not packed (local_eval: towers only).  Over a packed ring
+the baby steps multiply integers of a few dozen digits, which CPython
+multiplies by schoolbook, so the last doubling costs about N^3 n (s d)^2
+and the balance lies lower: there it picks the s of least estimated cost
 (_FactorialCost), which prices each layer as the code runs it, in fitted
 units, over the s near sqrt(count) with at most two set bits only.
 
@@ -260,10 +260,11 @@ class _FactorialCost:
     the Gauss system (79 points, p = 1009), batches of 8 points on the
     operator at p = 10007, 40009 and 262147, and 2 x 2 and 3 x 3 matrices
     of degree 9 over three points of F_1009 at count 100 and 400.  Over
-    F_p[u]/S the products and giant steps have prices of their own,
-    fitted likewise on sym2's mc batch (degree 18, p = 1009) and on
-    batches of points of degree 2 on the operator (degree 12 at p = 1009,
-    18 at 4099).
+    F_p[u]/S the products have prices of their own, fitted likewise on
+    sym2's mc batch (degree 18, p = 1009) and on batches of points of
+    degree 2 on the operator (degree 12 at p = 1009, 18 at 4099).  The
+    steps were fitted to the chain alone at 240 shapes (N = 2-9, r = 1, 2
+    and N, ring degree 1-29).
     """
 
     def __init__(self, K, B, r, count):
@@ -338,24 +339,25 @@ class _FactorialCost:
             self.pattern.nonzero[k], self.pattern.nonzero[k + 1])
 
     def step(self, k):
-        """One step of the chain of P_k at a point, N x N, by N x r, at
-        the price of the step matrix and matmul it replaced (twice its
-        cost; refit, det-op's s falls to 24, no faster, peaking higher)."""
-        N, r = self.N, self.r
-        if not self.split:
-            return (0.1401 * N * r + 0.2418 * (N + r) * N) * self.n
+        """One step of the chain of P_k at a point, N x N, by N x r.  On a
+        split ring the fit is scaled by 1.44, the chain's median ratio of
+        time to price over the baby steps' on the planner's batches."""
+        N, r, n = self.N, self.r, self.n
         nz = self.pattern.nonzero[k]
-        return r * (self.n * (0.07626 * nz + 0.004069 * N) + 1.926 * N)
+        if not self.split:
+            return (n * (0.2018 * N * r + 0.0696 * nz)
+                    + r * (0.3393 * nz + 3.364 * N))
+        return 1.44 * (n * r * (0.0546 * nz + 0.01041 * N) + 0.2542 * nz
+                       + 0.1635 * N)
 
     def leftover(self, k):
         """One leftover run of k factors: P_k evaluated at a point, then
-        multiplied in.  That product measured at 1.11 times a giant step's
-        price."""
+        multiplied in, a one-step chain with its own pattern."""
         memo = self._leftover
         price = memo.get(k)
         if price is None:
             L = self.length(k)
-            price = memo[k] = (1.112 * self.step(k) + 18.58 + L * (
+            price = memo[k] = (1.02 * self.step(k) + 3.7 + L * (
                 0.02164 * self.n * self.pattern.nonzero[k] + 1.765))
         return price
 

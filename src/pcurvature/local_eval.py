@@ -8,21 +8,22 @@ giant-step evaluates in O~(sqrt(p)) ring operations; Y^{(p)}(0) sits in the
 bottom-right corner and is similar to -A_p(a).
 
 The factorial needs only ring operations once B is built, so several
-points a_1, ..., a_k share one: it runs at the generator z of
-F_q[z]/(m), with m the product of the distinct minimal polynomials of the
-a_i over F_q.  That ring is a product of fields, one per minimal
-polynomial, and sending z to a_i maps the corner onto the one at a_i.
-When q = p and every a_i lies in F_p (det's points whenever F_p has
-enough of them, and mc's when s = 1), the ring is F_p^n and runs in value
-form (fields.SplitRing): its products are n small Kronecker products, not
-one packed product reduced mod m, and the corner at a_i is coordinate i.
-Such points come in as elements of F_p itself (ell = F_p), so their
-minimal polynomials and Smith forms are F_p arithmetic.
+points a_1, ..., a_k share one: it runs at the generator z of F_q[z]/(m),
+with m the product of the distinct minimal polynomials of the a_i over
+F_q.  That ring is a product of fields, one per minimal polynomial, and
+sending z to a_i maps the corner onto the one at a_i; a single point is a
+batch of one.  When q = p and every a_i lies in F_p (det's points
+whenever F_p has enough of them, and mc's when s = 1), the ring is F_p^n
+and runs in value form (fields.SplitRing): its products are n small
+Kronecker products, not one packed product reduced mod m, and the corner
+at a_i is coordinate i.  Such points come in as elements of F_p itself
+(ell = F_p), so their minimal polynomials and Smith forms are F_p
+arithmetic.
 
 A pole is found by the one inverse the recurrence builder takes, of
-f_A(a) or a_r(a): zero at one point, a zero divisor of the product ring
-inside a batch.  Every ring's inv raises ZeroDivisionError on both, which
-the builder turns into PoleAtPoint or LeadingCoeffVanishes, so a batch
+f_A(a) or a_r(a): a zero divisor of the product ring, zero if it has one
+point.  Every ring's inv raises ZeroDivisionError on it, which the
+builder turns into PoleAtPoint or LeadingCoeffVanishes, so a batch
 raises what its points raise alone, CharTooSmall first.
 
 Only the r corner columns of the factorial are ever read, so it runs on
@@ -171,48 +172,37 @@ def _product_ring(K, mins):
     return ExtensionField(K, m), None
 
 
-def invariant_factors_at(inp, ell, points, p=None):
+def invariant_factors_at(inp, ell, points):
     """Invariant factors of A_p(a) at every point a of ell, one list each.
 
     ell is the input's field K itself for points of degree 1, else an
-    extension of K.  One matrix factorial of p terms, on the last r
-    columns of the identity, gives Y^{(p)}(0) in the bottom-right corner;
-    A_p(a) is similar to its negation, so the invariant factors of the
-    negated corner are exactly the local similarity class.  A single point is
-    handled over ell itself.  Several points share one factorial over the
-    product ring of their minimal polynomials (z - a for a point of K),
-    where a pole is a zero divisor that the builder's inverse reports.
-    When they all lie in F_p, that ring is split and kept in value form,
-    so the corner at a_i is read off coordinate i.  Otherwise each entry
-    of its corner is a polynomial in z, reduced over F_q modulo the
-    minimal polynomial of a_i and then evaluated at a_i before its
-    invariant factors are taken over ell.
+    extension of K, and p is its characteristic.  All the points, one or
+    many, share one matrix factorial of p terms over the product ring of
+    their minimal polynomials (z - a for a point of K), on the last r
+    columns of the identity: Y^{(p)}(0) sits in its bottom-right corner,
+    and A_p(a) is similar to its negation, so the invariant factors of the
+    negated corner are exactly the local similarity class.  When the
+    points all lie in F_p, the ring is split and kept in value form, so
+    the corner at a_i is read off coordinate i.  Otherwise each entry of
+    its corner is a polynomial in z, reduced over F_q modulo the minimal
+    polynomial of a_i and then evaluated at a_i before its invariant
+    factors are taken over ell.
     """
-    if p is None:
-        p = ell.char
-    elif p != ell.char:
-        raise ValueError(f"p = {p} differs from the characteristic {ell.char}")
     points = list(points)
     if not points:
         raise ValueError("need at least one point")
-    if len(points) == 1:
-        ring, at = ell, points[0]
-    else:
-        # minimal polynomial over K of each distinct point
-        mins = {a: tuple(fields.minimal_polynomial(ell, a, inp.K.q))
-                for a in dict.fromkeys(points)}
-        ring, coord = _product_ring(inp.K, mins)
-        at = ring.gen
+    # minimal polynomial over K of each distinct point
+    mins = {a: tuple(fields.minimal_polynomial(ell, a, inp.K.q))
+            for a in dict.fromkeys(points)}
+    ring, coord = _product_ring(inp.K, mins)
     if isinstance(inp, DiffSystem):
-        rec = build_B_system(inp, ring, at)
+        rec = build_B_system(inp, ring, ring.gen)
     else:
-        rec = build_B_operator(inp, ring, at)
+        rec = build_B_operator(inp, ring, ring.gen)
     n, r = rec.size, rec.corner
     right = [row[n - r:] for row in linalg.identity(ring, n)]
-    M = linalg.matrix_factorial(ring, rec.entries, p, right)
+    M = linalg.matrix_factorial(ring, rec.entries, ring.char, right)
     corner = [[ring.neg(e) for e in row] for row in M[n - r:]]
-    if ring is ell:
-        return [linalg.invariant_factors_of(ell, corner)]
     emb = fields.embedding(inp.K, ell)
 
     def value(e, a):

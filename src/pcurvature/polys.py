@@ -128,13 +128,6 @@ def divexact(K, f, g):
     return q
 
 
-def divides(K, f, g):
-    """Whether f divides g (with 0 | 0 true)."""
-    if not f:
-        return not g
-    return not rem(K, g, f)
-
-
 def monic(K, f):
     if not f:
         return []

@@ -164,7 +164,7 @@ def _point_field(K, k):
     return ExtensionField(K, f)
 
 
-def _scaled_local_factors(inp, ell, points, p):
+def _scaled_local_factors(inp, ell, points):
     """Local invariant factors at each point, rescaled to match the global
     object; one matrix factorial serves the whole batch.
 
@@ -173,10 +173,10 @@ def _scaled_local_factors(inp, ell, points, p):
     """
     emb = fields.embedding(inp.K, ell)
     lead = [emb(c) for c in _leading(inp)]
-    local = local_eval.invariant_factors_at(inp, ell, points, p)
+    local = local_eval.invariant_factors_at(inp, ell, points)
     out = []
     for a, fs in zip(points, local):
-        c = ell.pow(polys.eval_at(ell, lead, a), p)
+        c = ell.pow(polys.eval_at(ell, lead, a), ell.char)
         out.append([bivar.scale_similarity(ell, g, c) for g in fs])
     return out
 
@@ -235,9 +235,11 @@ def _reconstruct(inp, p, D, fallback):
     basis (polys.crt_basis) is built once for all coefficients.
     """
     K = inp.K
+    if p != K.char:
+        raise ValueError(f"p = {p} differs from the characteristic {K.char}")
     q = K.q
     ell, s, points = _small_points(inp, D + 1)
-    local = dict(zip(points, _scaled_local_factors(inp, ell, points, p)))
+    local = dict(zip(points, _scaled_local_factors(inp, ell, points)))
     k_sel = len(points)
     if not all(map(_cyclic, local.values())):
         first = ell
@@ -246,7 +248,7 @@ def _reconstruct(inp, p, D, fallback):
             local = {}
         rest = [a for a in dict.fromkeys(points) if a not in local]
         if rest:
-            local.update(zip(rest, _scaled_local_factors(inp, ell, rest, p)))
+            local.update(zip(rest, _scaled_local_factors(inp, ell, rest)))
     sums = [tuple(itertools.accumulate(bivar.deg_T(g) for g in local[a]))
             for a in points]
     target = tuple(map(min, zip(*sums)))

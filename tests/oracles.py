@@ -5,10 +5,11 @@ cofactor expansion, one-factor-at-a-time matrix products.  None of it
 shares code with the library paths under test, except the operation
 counter, which wraps the library's prime field, the input record that
 sym2_system returns, and the divisibility check, which holds the
-library's local factors against its O(p) oracle.
+library's local factors against its O(p) oracle, with evaluate_at_X and
+divides, thin helpers over the library's evaluation and remainder.
 """
 
-from pcurvature import bivar, fields, polys, reconstruct
+from pcurvature import fields, polys, reconstruct
 from pcurvature.diffop import (DiffSystem, companion_of_operator,
                                naive_invariant_factors)
 from pcurvature.fields import PrimeField
@@ -177,6 +178,18 @@ def sym2_system(K):
     ))
 
 
+def evaluate_at_X(L, bp, b, embed):
+    """Specialize X to b in L, producing a T-polynomial over L."""
+    return [polys.eval_at(L, [embed(c) for c in coeff], b) for coeff in bp]
+
+
+def divides(K, f, g):
+    """Whether f divides g (with 0 | 0 true)."""
+    if not f:
+        return not g
+    return not polys.rem(K, g, f)
+
+
 def verify_divisibility_lemma(inp, p, ell, a):
     """Check that the specialized factor products divide the local ones.
 
@@ -186,15 +199,15 @@ def verify_divisibility_lemma(inp, p, ell, a):
     """
     sysform = inp if isinstance(inp, DiffSystem) else companion_of_operator(inp)
     glob = naive_invariant_factors(sysform, p)
-    scaled = reconstruct._scaled_local_factors(inp, ell, [a], p)[0]
+    scaled = reconstruct._scaled_local_factors(inp, ell, [a])[0]
     emb = fields.embedding(inp.K, ell)
     ap = ell.pow(a, p)
-    spec = [bivar.evaluate_at_X(inp.K, ell, g, ap, emb) for g in glob]
+    spec = [evaluate_at_X(ell, g, ap, emb) for g in glob]
     P, Q = [ell.one], [ell.one]
     for gj, lj in zip(spec, scaled):
         P = polys.mul(ell, P, gj)
         Q = polys.mul(ell, Q, lj)
-        if not polys.divides(ell, P, Q):
+        if not divides(ell, P, Q):
             return False
     return True
 

@@ -94,7 +94,7 @@ def test_c02_local_factors_match_specialized_curvature(corpus, capsys):
                 K, fields.find_irreducible(K, k))
             emb = fields.embedding(K, ell)
             a = _point_avoiding_poles(sysform, ell, rng)
-            [got] = local_eval.invariant_factors_at(inp, ell, [a], p)
+            [got] = local_eval.invariant_factors_at(inp, ell, [a])
             # the Smith form itself, not the cyclic-vector path under test
             M = [[R.evaluate(e, a, ell, emb) for e in row] for row in Ap]
             ref = smith.smith_form(ell, smith.char_matrix(ell, M))
@@ -212,11 +212,11 @@ def _scaling_probe(p):
                                  (K.zero, K.one),
                                  (K.one, K.zero, K.one)))
     a = K.from_int(2)
-    local_eval.invariant_factors_at(op, K, [a], p)  # warm up
+    local_eval.invariant_factors_at(op, K, [a])  # warm up
     times = []
     for _ in range(5):
         t0 = time.perf_counter()
-        local_eval.invariant_factors_at(op, K, [a], p)
+        local_eval.invariant_factors_at(op, K, [a])
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
 

@@ -179,6 +179,20 @@ def test_micro_instance_factors():
     assert _fmt(F3, diffop.naive_invariant_factors(s3, 3)) == ["T"]
 
 
+def test_naive_oracle_refuses_a_wrong_characteristic():
+    # p = 6 over F_3 gave T + 2*X, and p = 7 over F_5 gave T + 2, with no
+    # error; over F_9 the characteristic is 3
+    for K, p, coeffs in ((F3, 6, (0, 2)), (F5, 7, (2,))):
+        sysv = diffop.companion_of_operator(_op(K, coeffs, (1,)))
+        with pytest.raises(ValueError):
+            diffop.naive_invariant_factors(sysv, p)
+        with pytest.raises(ValueError):
+            diffop.naive_p_curvature(sysv, p)
+    F9 = extension.ExtensionField(F3, fields.find_irreducible(F3, 2))
+    s9 = diffop.companion_of_operator(_op(F9, (0, 2), (1,)))  # Dx - x
+    assert _fmt(F9, diffop.naive_invariant_factors(s9, 3)) == ["T + X"]
+
+
 def test_second_order_operator_pin():
     # (x^2+x+1) Dx^2 + Dx + (x^2+1) over F_11
     L = _op(F11, (1, 0, 1), (1,), (1, 1, 1))

@@ -4,7 +4,6 @@ from pcurvature import (diffop, extension, fields, linalg, local_eval, polys,
                         reconstruct, smith)
 from pcurvature.errors import CharTooSmall, LeadingCoeffVanishes, PoleAtPoint
 from pcurvature.ratfunc import RatFuncField
-from oracles import CountingPrimeField
 from test_diffop import (assert_frozen_record, random_operator,
                          random_system)
 
@@ -93,12 +92,6 @@ def test_char_too_small_raises():
         local_eval.invariant_factors_at(L, F3, [F3.zero])
 
 
-def test_characteristic_mismatch_raises():
-    L = _op(F5, (1,), (1,))
-    with pytest.raises(ValueError):
-        local_eval.invariant_factors_at(L, F5, [F5.zero], p=7)
-
-
 def test_local_factors_match_naive_in_prime_field(rng):
     for p, K in ((5, F5), (7, F7)):
         for _ in range(6):
@@ -110,7 +103,7 @@ def test_local_factors_match_naive_in_prime_field(rng):
                 inp = random_system(K, rng, rng.randint(0, 2),
                                     rng.randint(1, 2))
                 a = K.from_int(_nonpole(inp))
-            [got] = local_eval.invariant_factors_at(inp, K, [a], p)
+            [got] = local_eval.invariant_factors_at(inp, K, [a])
             want = naive_local_factors(inp, K, a, p)
             assert got == want
 
@@ -129,7 +122,7 @@ def test_local_factors_match_naive_in_extension(rng):
             lead = [ell.embed(c) for c in inp.f_A]
         if polys.eval_at(ell, lead, a) == ell.zero:
             continue
-        [got] = local_eval.invariant_factors_at(inp, ell, [a], 5)
+        [got] = local_eval.invariant_factors_at(inp, ell, [a])
         want = naive_local_factors(inp, ell, a, 5)
         assert got == want
 
@@ -138,9 +131,9 @@ def test_operator_and_companion_system_paths_agree(rng):
     for _ in range(8):
         L = random_operator(F7, rng, rng.randint(0, 2), rng.randint(1, 2))
         a = F7.from_int(_nonpole_op(L))
-        via_op = local_eval.invariant_factors_at(L, F7, [a], 7)
+        via_op = local_eval.invariant_factors_at(L, F7, [a])
         via_sys = local_eval.invariant_factors_at(
-            diffop.companion_of_operator(L), F7, [a], 7)
+            diffop.companion_of_operator(L), F7, [a])
         assert via_op == via_sys
 
 
@@ -172,17 +165,21 @@ def test_batch_matches_per_point_calls(rng, s):
         batches = [[a, b, c], [a, b, a, a], [b, c, b]]
         if s > 1:
             batches.append([a, ell.pow(a, q), b, ell.pow(b, q * q)])
+        # single points run on the batch engine too: hold the first point
+        # of each batch against the O(p) oracle
+        naive = {x: naive_local_factors(inp, ell, x, 89) for x in (a, b)}
         for pts in batches:
             single = [local_eval.invariant_factors_at(inp, ell, [x])[0]
                       for x in pts]
             assert local_eval.invariant_factors_at(inp, ell, pts) == single
+            assert single[0] == naive[pts[0]]
 
 
 def test_batch_in_the_prime_field_matches_naive(rng):
     for inp in (random_operator(F7, rng, 2, 2), random_system(F7, rng, 1, 2)):
         pts = [x for x in (F7.from_int(c) for c in range(7))
                if polys.eval_at(F7, _leading_of(inp), x) != F7.zero]
-        got = local_eval.invariant_factors_at(inp, F7, pts + pts[:1], 7)
+        got = local_eval.invariant_factors_at(inp, F7, pts + pts[:1])
         assert got == [naive_local_factors(inp, F7, x, 7)
                        for x in pts + pts[:1]]
 
@@ -256,22 +253,6 @@ def _c07_operator(K):
                                    (K.one, K.zero, K.one)))
 
 
-def _op_count(p):
-    """Field operations of one local evaluation of the c07 operator."""
-    K = CountingPrimeField(p)
-    op = _c07_operator(K)
-    K.ops = 0
-    local_eval.invariant_factors_at(op, K, [K.from_int(2)], p)
-    return K.ops
-
-
-def test_operation_count_grows_like_sqrt_p():
-    # quadrupling p doubles sqrt(p); a linear algorithm would give 4x
-    small, large = _op_count(10007), _op_count(40009)
-    assert _op_count(10007) == small
-    assert large <= 2.5 * small, (small, large)
-
-
 def _factorial_calls(p, name, monkeypatch):
     """Calls of linalg.<name> in one local evaluation of the c07 operator."""
     K = fields.PrimeField(p)
@@ -283,7 +264,7 @@ def _factorial_calls(p, name, monkeypatch):
         calls[0] += 1
         return fn(*args)
     monkeypatch.setattr(linalg, name, counting)
-    local_eval.invariant_factors_at(op, K, [K.from_int(2)], p)
+    local_eval.invariant_factors_at(op, K, [K.from_int(2)])
     monkeypatch.undo()
     return calls[0]
 
@@ -291,11 +272,12 @@ def _factorial_calls(p, name, monkeypatch):
 def test_baby_steps_double_and_leave_few_factors(monkeypatch):
     # at most two polynomial-matrix products per bit of s, and few
     # leftover evaluations (one _chain_at call per run) at p = 1019; s
-    # is chosen as matrix_factorial chooses it, for the recurrence matrix
-    # and corner of this evaluation
+    # is chosen as matrix_factorial chooses it, for the one-root split
+    # ring, recurrence matrix and corner of this evaluation
     K = fields.PrimeField(10007)
-    rec = local_eval.build_B_operator(_c07_operator(K), K, K.from_int(2))
-    s = linalg.baby_step_length(K, rec.entries, 10007, rec.corner)
+    ring = fields.SplitRing(K, [K.from_int(2)])
+    rec = local_eval.build_B_operator(_c07_operator(K), ring, ring.gen)
+    s = linalg.baby_step_length(ring, rec.entries, 10007, rec.corner)
     products = _factorial_calls(10007, "matpoly_mul", monkeypatch)
     assert products <= 2 * (s.bit_length() - 1), (s, products)
     assert _factorial_calls(1019, "_chain_at", monkeypatch) <= 5
@@ -303,7 +285,7 @@ def test_baby_steps_double_and_leave_few_factors(monkeypatch):
 
 def test_baby_step_length_is_isqrt_count_off_packed_rings():
     # only packed rings have a price model; elsewhere s is isqrt(count),
-    # for one point of F_p and for a point of a tower over F_9 alike
+    # over F_p itself and over a tower over F_9 alike
     K = fields.PrimeField(10007)
     rec = local_eval.build_B_operator(_c07_operator(K), K, K.from_int(2))
     assert linalg.baby_step_length(K, rec.entries, 10007, rec.corner) == 100
@@ -351,7 +333,25 @@ def _split_batch_count(p, monkeypatch):
     K = fields.PrimeField(p)
     op = _c07_operator(K)
     return _value_count(monkeypatch, lambda: local_eval.invariant_factors_at(
-        op, K, [K.from_int(a) for a in range(2, 10)], p))
+        op, K, [K.from_int(a) for a in range(2, 10)]))
+
+
+def _one_point_count(p, monkeypatch):
+    """_value_count of one point of F_p on the c07 operator."""
+    K = fields.PrimeField(p)
+    op = _c07_operator(K)
+    return _value_count(monkeypatch, lambda: local_eval.invariant_factors_at(
+        op, K, [K.from_int(2)]))
+
+
+def test_one_point_count_grows_like_sqrt_p(monkeypatch):
+    # a single point runs on its one-root split ring, whose baby steps,
+    # multipoint evaluation and giant steps are counted in values;
+    # quadrupling p doubles sqrt(p), and a linear algorithm would give 4x
+    small = _one_point_count(10007, monkeypatch)
+    large = _one_point_count(40009, monkeypatch)
+    assert _one_point_count(10007, monkeypatch) == small
+    assert large <= 2.5 * small, (small, large)
 
 
 def test_split_batch_count_grows_like_sqrt_p(monkeypatch):

@@ -8,7 +8,7 @@ from pcurvature import (bivar, cli, diffop, extension, fields, linalg,
 from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange, PoleAtPoint,
                                SelectionFailed)
 from pcurvature.reconstruct import ReconParams
-from oracles import sym2_system, verify_divisibility_lemma
+from oracles import evaluate_at_X, sym2_system, verify_divisibility_lemma
 from test_diffop import (assert_frozen_record, random_operator,
                          random_system)
 
@@ -181,8 +181,8 @@ class _Record:
             self.draws.append(a)
             return a
 
-        def recording_evaluate(inp, ell, points, p=None):
-            classes = evaluate(inp, ell, points, p)
+        def recording_evaluate(inp, ell, points):
+            classes = evaluate(inp, ell, points)
             self.batches.append((list(points), classes))
             return classes
 
@@ -421,11 +421,21 @@ BAD_CANDIDATES = [
 ]
 
 
+def test_characteristic_mismatch_raises():
+    # both drivers take p as the characteristic of the input's field
+    L = _op(F5, (1,), (1,))
+    with pytest.raises(ValueError):
+        reconstruct.reconstruct_deterministic(L, 7)
+    with pytest.raises(ValueError):
+        reconstruct.reconstruct_montecarlo(
+            L, 7, reconstruct.select_params(L, epsilon=0.1, seed=1))
+
+
 @pytest.mark.parametrize("p, top, bottom, bad", BAD_CANDIDATES)
 def test_deterministic_skips_bad_candidates(p, top, bottom, bad):
     K = fields.PrimeField(p)
     sysv = _diag_system(K, top, bottom)
-    local = reconstruct._scaled_local_factors(sysv, K, [bad], p)[0]
+    local = reconstruct._scaled_local_factors(sysv, K, [bad])[0]
     assert [bivar.deg_T(g) for g in local] == [1, 1]
     want = diffop.naive_invariant_factors(sysv, p)
     assert [bivar.deg_T(g) for g in want] == [0, 2]
@@ -636,11 +646,10 @@ def test_cyclic_local_classes_are_good_points():
         points = [a for a in K.elements() if reconstruct._non_pole(inp, K)(a)]
         if not points:
             continue
-        local = reconstruct._scaled_local_factors(inp, K, points, p)
+        local = reconstruct._scaled_local_factors(inp, K, points)
         for a, fs in zip(points, local):
             ap = K.pow(a, p)
-            spec = [bivar.evaluate_at_X(K, K, g, ap, lambda c: c)
-                    for g in glob]
+            spec = [evaluate_at_X(K, g, ap, lambda c: c) for g in glob]
             if _is_cyclic(fs):
                 assert spec == fs, (inp, a)
             else:
