@@ -1,4 +1,4 @@
-"""Exact invariant factors of the p-curvature over F_q(x).
+"""Exact invariant factors of the p-curvature over F_p(x).
 
 The similarity class of the p-curvature of Y' = AY (or of a scalar
 operator through its companion system) is computed either naively in

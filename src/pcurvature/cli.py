@@ -239,16 +239,14 @@ def parse_polynomial(text, field):
 
 
 def make_field(p, ext):
+    """F_p, the field of every input; any extension degree ext other
+    than 1 is refused."""
     if not fields.is_prime(p):
         raise NonPrime(f"characteristic must be prime, got {p}")
-    if ext < 1:
+    if ext != 1:
         raise ExtensionDegreeOutOfRange(
-            f"extension degree must be at least 1, got {ext}")
-    K = fields.PrimeField(p)
-    if ext > 1:
-        from .extension import ExtensionField
-        K = ExtensionField(K, fields.find_irreducible(K, ext))
-    return K
+            f"inputs are over F_p: extension degree must be 1, got {ext}")
+    return fields.PrimeField(p)
 
 
 def _system_from_doc(doc, p):

@@ -66,7 +66,7 @@ class EpsilonOutOfRange(ValueError):
 
 
 class ExtensionDegreeOutOfRange(ValueError):
-    """The extension degree of the base field must be at least 1."""
+    """The base field of an input must be F_p itself: extension degree 1."""
 
 
 class NonPrime(ValueError):

@@ -1,20 +1,21 @@
-"""Extensions base[u]/(S) of a finite field, elements as fixed-width tuples.
+"""Extensions F_p[u]/(S) of a prime field, elements as fixed-width tuples.
 
-An ExtensionField element is a tuple of base-field elements of length
-exactly the extension degree, so equality and hashing are structural.
-It has the method surface of the fields in `fields` (add, mul, inv,
-polymul, ...) and is compared by its `key`.  Only library inputs over
-F_(p^k), k > 1, and points of degree k > 1 use it, so a solve whose
-points all lie in F_p never imports this module.
+An ExtensionField element is a tuple of residues mod p of length exactly
+the extension degree, so equality and hashing are structural.  It has the
+method surface of the fields in `fields` (add, mul, inv, polymul, ...)
+and is compared by its `key`.  Only points of degree k > 1 use it, as the
+field of the points and as the product ring of a batch of them, so a
+solve whose points all lie in F_p never imports this module.  Its base
+is always a PrimeField: every input of the fast path is over F_p.
 
 Products delay the modular reduction: a dot product of k element pairs
-costs k convolutions but a single reduction by S.  Over a prime base the
-ring is packed: an element's coordinates pack into integers, a matrix of
-polynomials in t is kept in row form (fields.MatrixRows), and it takes
-the row kernels of fields.PackedRing and fields._matpoly_mul, its blocks
-reduced by one integer sum of the packed rows u^(n+j) mod S.  Its
-chain packs only the nonzero values of its N x N steps, and sizes its
-slots for n m (p-1)^2, for n the degree and m <= N the most in a row:
+costs k convolutions but a single reduction by S, one integer sum of the
+packed rows u^(n+j) mod S.  The ring is packed: an element's coordinates
+pack into integers, and a matrix of polynomials in t is kept in row form
+(fields.MatrixRows) and takes the row kernels of fields.PackedRing and
+fields._matpoly_mul, its blocks reduced likewise.  Its chain packs only
+the nonzero values of its N x N steps, and sizes its slots for
+n m (p-1)^2, for n the degree and m <= N the most in a row:
 2 log2 p + log2 nm bits, within 8 bytes up to p = 2^28 at nm = 162.
 """
 
@@ -24,17 +25,19 @@ from .fields import (PackedRing, PrimeField, _matpoly_mul, _pack, _slot_bytes,
 
 
 class ExtensionField(PackedRing):
-    """base[u]/(modulus) with elements as width-`degree` tuples.
+    """F_p[u]/(modulus) with elements as width-`degree` tuples.
 
-    The modulus must be monic.  An irreducible one (callers build one with
-    fields.find_irreducible) gives a field.  A squarefree one gives the product
-    ring of the fields base[u]/(m_i), one per irreducible factor m_i:
-    every ring operation works as it does in a field, but `inv` raises
-    ZeroDivisionError on a zero divisor, which need not be zero.  The base
-    may itself be an extension.
+    The base must be a PrimeField (TypeError otherwise), and the modulus
+    monic.  An irreducible one (callers build one with
+    fields.find_irreducible) gives a field.  A squarefree one gives the
+    product ring of the fields F_p[u]/(m_i), one per irreducible factor
+    m_i: every ring operation works as it does in a field, but `inv` raises
+    ZeroDivisionError on a zero divisor, which need not be zero.
     """
 
     def __init__(self, base, modulus):
+        if not isinstance(base, PrimeField):
+            raise TypeError(f"an extension needs a prime base, not {base}")
         modulus = polys.trim(base, modulus)
         if len(modulus) < 2:
             raise ValueError("modulus must have degree at least 1")
@@ -47,12 +50,7 @@ class ExtensionField(PackedRing):
         self.zero = (base.zero,) * self.degree
         self.one = self._pad([base.one])
         self.key = ("ext", base.key, tuple(modulus))
-        # products over a prime base pack into integers (matpoly_mul)
-        self.packed = isinstance(base, PrimeField)
-        if self.packed:
-            self._init_reduction_rows()
-        else:
-            self._reducer = polys.MonicModReducer(base, modulus)
+        self._init_reduction_rows()
 
     def _pad(self, coeffs):
         n = self.degree
@@ -88,16 +86,6 @@ class ExtensionField(PackedRing):
             return []
         return self.base.polymul(fa, fb)
 
-    def reduce_product(self, c):
-        """Reduce a convolution (degree < 2*degree - 1) back to a tuple.
-
-        Over a prime base the coefficients may be any ints, reduced mod p
-        or not; over any other base the modulus's MonicModReducer divides.
-        """
-        if self.packed:
-            return self._reduce_ints(c)
-        return self._pad(self._reducer.rem(c))
-
     def _init_reduction_rows(self):
         """Pack row j = u^(degree + j) mod S for j < degree - 1, so that a
         remainder is one integer sum of rows weighted by high coefficients."""
@@ -112,9 +100,10 @@ class ExtensionField(PackedRing):
             rows.append(_pack([r], self._row_slot, n))
         self._rows = rows
 
-    def _reduce_ints(self, c):
-        """Remainder modulo S over F_p of a list of ints: coefficient
-        degree + j, reduced mod p, weights packed row j."""
+    def reduce_product(self, c):
+        """Reduce a convolution (degree < 2*degree - 1) back to a tuple:
+        its coefficients may be any ints, reduced mod p or not, and
+        coefficient degree + j, reduced mod p, weights packed row j."""
         p, n = self.base.p, self.degree
         acc = 0
         for h, row in zip(c[n:], self._rows):
@@ -198,44 +187,31 @@ class ExtensionField(PackedRing):
     def polymul(self, f, g):
         """Product in ℓ[t] with one reduction by S per output coefficient.
 
-        Over a prime base both factors pack into one integer each,
-        t-coefficient i in a block of 2 degree - 1 slots as matpoly_mul
-        packs an entry, so the product is one integer product."""
-        if self.packed:
-            n, W, p = self.degree, 2 * self.degree - 1, self.base.p
-            # a slot sums n products of residues per pair of coefficients
-            slot = _slot_bytes((p - 1) ** 2 * n * min(len(f), len(g)))
-            size = W * (len(f) + len(g) - 1)
-            conv = _unpack(_pack(f, slot, W) * _pack(g, slot, W), slot, size)
-            return polys.trim(self, [self.reduce_product(conv[i:i + W])
-                                     for i in range(0, size, W)])
-        base = self.base
-        stripped = [self._strip(b) for b in g]
-        accs = [[] for _ in range(len(f) + len(g) - 1)]
-        for i, a in enumerate(f):
-            fa = self._strip(a)
-            if not fa:
-                continue
-            for j, fb in enumerate(stripped):
-                if fb:
-                    accs[i + j] = polys.add(base, accs[i + j],
-                                            base.polymul(fa, fb))
+        Both factors pack into one integer each, t-coefficient i in a block
+        of 2 degree - 1 slots as matpoly_mul packs an entry, so the product
+        is one integer product."""
+        n, W, p = self.degree, 2 * self.degree - 1, self.base.p
+        # a slot sums n products of residues per pair of coefficients
+        slot = _slot_bytes((p - 1) ** 2 * n * min(len(f), len(g)))
+        size = W * (len(f) + len(g) - 1)
+        conv = _unpack(_pack(f, slot, W) * _pack(g, slot, W), slot, size)
         # over a product ring the top coefficient can vanish
-        return polys.trim(self, [self.reduce_product(c) for c in accs])
+        return polys.trim(self, [self.reduce_product(conv[i:i + W])
+                                 for i in range(0, size, W)])
 
     def matpoly_mul(self, A, B):
-        """Product of MatrixRows A and B over self, which needs a prime
-        base (`packed`): _matpoly_mul with one coordinate of degree rows
-        per entry, each block reduced by the modulus."""
-        if not self.packed:
-            raise TypeError(f"matpoly_mul needs a prime base, not {self.base}")
+        """Product of MatrixRows A and B over self: _matpoly_mul with one
+        coordinate of degree rows per entry, each block reduced by the
+        modulus."""
         return _matpoly_mul(A, B, self.base.p, 1, self.degree,
                             self.reduce_product)
 
     def chain(self, pattern, steps, acc):
-        """linalg.chain over a packed self: each value and entry of acc
-        packs into one integer, and an output entry is one integer sum of
-        products, unpacked and reduced by the modulus once."""
+        """M_g ... M_1 acc for M_j the matrix of steps[j - 1] = vals: vals[q]
+        in row i, column k for each pair (k, q) of pattern[i], else zero.
+        Each value and entry of acc packs into one integer, and an output
+        entry is one integer sum of products, unpacked and reduced by the
+        modulus once."""
         n, p = self.degree, self.base.p
         # a slot sums n products of residues per pair of a row (one at
         # least, to hold a residue of acc)

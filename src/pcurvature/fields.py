@@ -2,8 +2,10 @@
 
 A PrimeField element is an int in [0, p).  Field objects expose the same
 method surface (add, mul, inv, polymul, ...) and are compared by their
-`key`.  Extensions base[u]/(S), whose elements are tuples, live in
-`extension`; a solve whose points all lie in F_p never loads it.
+`key`.  Extensions F_p[u]/(S), whose elements are tuples, live in
+`extension`; a solve whose points all lie in F_p never loads it.  Every
+input of the solvers is over a PrimeField, and every ring the matrix
+factorial runs on is one of the two packed rings below.
 
 The polynomial product hooks are where the speed lives: over F_p the
 coefficients are packed into one big integer per operand (Kronecker
@@ -540,8 +542,6 @@ class SplitRing(PackedRing):
     one coordinate's polynomial.  z itself is `gen`, the tuple of roots.
     """
 
-    packed = True
-
     def __init__(self, base, roots):
         if not isinstance(base, PrimeField):
             raise TypeError(f"a split ring needs a prime base, not {base}")
@@ -595,9 +595,9 @@ class SplitRing(PackedRing):
         return _matpoly_mul(A, B, self.p, self.degree, 1)
 
     def chain(self, pattern, steps, acc):
-        """linalg.chain: a row of acc as one list of its entries' values,
-        an output row as one chain of pointwise products and sums,
-        reduced mod p once."""
+        """M_g ... M_1 acc, as ExtensionField.chain: a row of acc as one
+        list of its entries' values, an output row as one chain of
+        pointwise products and sums, reduced mod p once."""
         p, n, r = self.p, self.degree, len(acc[0])
         mul, add = operator.mul, operator.add
         rows = [[x for e in row for x in e] for row in acc]

@@ -1,9 +1,9 @@
 """Matrices over a field object: products, factorials, invariant factors.
 
-A matrix is a list of rows, each a list of field elements; a polynomial
-matrix has coefficient lists as entries.  invariant_factors_of reads the
-class of a square matrix off a cyclic vector, and falls back to the Smith
-form (smith), which it imports only for a derogatory matrix.
+A matrix is a list of rows, each a list of field elements.
+invariant_factors_of reads the class of a square matrix off a cyclic
+vector, and falls back to the Smith form (smith), which it imports only
+for a derogatory matrix.
 
 matrix_factorial is the square-root trick of Bostan, Gaudry and Schost:
 to multiply count consecutive values B(count-1)...B(1)B(0) of a polynomial
@@ -20,30 +20,25 @@ point's values as the tree gives them, with no step matrices.  A right
 factor of r columns (local_eval passes the r corner columns of the
 identity) makes each step an N x N by N x r product.
 
-The analysis balances s against count/s with quasi-linear products, which
-puts s near sqrt(count), and baby_step_length takes s = isqrt(count) over
-a ring that is not packed (local_eval: towers only).  Over a packed ring
-the baby steps multiply integers of a few dozen digits, which CPython
-multiplies by schoolbook, so the last doubling costs about N^3 n (s d)^2
-and the balance lies lower: there it picks the s of least estimated cost
-(_FactorialCost), which prices each layer as the code runs it, in fitted
-units, over the s near sqrt(count) with at most two set bits only.
+The factorial runs over a packed ring K: a split ring F_p^n
+(fields.SplitRing) or an extension F_p[u]/S (extension.ExtensionField),
+the product ring of a batch of points over F_p.  Its kernels are K.chain,
+and K.matpoly_mul for polynomial matrices, which it takes and returns in
+row form (fields.MatrixRows): one row over F_p per coordinate of each
+nonzero entry, kept column by column.  The baby steps stay in row form
+from B to P_s.  Each shift is one K.shift_rows of the whole matrix while
+its entries are no longer than p, the product packs its factors straight
+from the columns, and P_s goes down one subproduct tree over F_p
+(polys.SubproductTree, at the integers 0, s, ..., (g - 1)s) in one
+evaluate call as it is, and the leftover runs evaluate P_k by K.rows_at.
 
-Every inner product of field elements is one K.dot, which every field
-object has: matvec always, and chain unless K is `packed`.  A packed K
-is an extension F_p[u]/S or a split ring F_p^n (fields.SplitRing), and
-has its own kernels: K.chain, and K.matpoly_mul for polynomial matrices,
-which it takes and returns in row form (fields.MatrixRows): one row over
-F_p per coordinate of each nonzero entry, kept column by column.  Over a
-packed K the baby steps stay in row form from B to P_s.  Each shift is
-one K.shift_rows of the whole matrix while its entries are no longer
-than p, the product packs its factors straight from the columns, and P_s
-goes down one subproduct tree over F_p (polys.SubproductTree, at the
-integers 0, s, ..., (g - 1)s) in one evaluate call as it is, and the
-leftover runs evaluate P_k by K.rows_at.  Over any other field the baby
-steps are nested lists, with one polys.taylor_shift per entry and one
-polynomial product per pair of entries, and the entries of P_s go down
-the same tree as a list.
+The analysis balances s against count/s with quasi-linear products, which
+puts s near sqrt(count).  But the baby steps multiply integers of a few
+dozen digits, which CPython multiplies by schoolbook, so the last doubling
+costs about N^3 n (s d)^2 and the balance lies lower: baby_step_length
+picks the s of least estimated cost (_FactorialCost), which prices each
+layer as the code runs it, in fitted units, over the s near sqrt(count)
+with at most two set bits only.
 """
 
 import functools
@@ -59,27 +54,15 @@ def identity(K, n):
 
 
 def matmul(K, A, B):
-    """A B: one step of chain, on the pattern of A's nonzero entries."""
+    """A B over a packed K: one step of K.chain, on the pattern of A's
+    nonzero entries."""
     if len(B) != len(A[0]):
         raise DimensionMismatch(
             f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
     zero, m = K.zero, len(B)
     pattern = [[(k, i * m + k) for k, a in enumerate(row) if a != zero]
                for i, row in enumerate(A)]
-    return chain(K, pattern, [[a for row in A for a in row]], B)
-
-
-def chain(K, pattern, steps, acc):
-    """M_g ... M_1 acc for M_j the matrix of steps[j - 1] = vals: vals[q]
-    in row i, column k for each pair (k, q) of pattern[i], else zero.  A
-    packed K runs K.chain, any other ring one K.dot per output entry."""
-    if getattr(K, "packed", False):
-        return K.chain(pattern, steps, acc)
-    for vals in steps:
-        cols = list(zip(*acc))
-        acc = [[K.dot([vals[q] for _, q in row], [col[k] for k, _ in row])
-                for col in cols] for row in pattern]
-    return acc
+    return K.chain(pattern, [[a for row in A for a in row]], B)
 
 
 def matvec(K, A, v):
@@ -89,36 +72,16 @@ def matvec(K, A, v):
 
 
 def matpoly_mul(K, A, B):
-    """Product of matrices whose entries are polynomials over K.
-
-    Over a `packed` K the factors and the product are fields.MatrixRows,
-    multiplied in one pass of integer products; over any other field they
-    are nested lists, with one polynomial product per pair of entries.
-    """
-    if getattr(K, "packed", False):
-        return K.matpoly_mul(A, B)
-    if len(B) != len(A[0]):
-        raise DimensionMismatch("polynomial matrix sizes do not match")
-    cols = list(zip(*B))
-    out = []
-    for row in A:
-        orow = []
-        for col in cols:
-            acc = []
-            for a, b in zip(row, col):
-                if a and b:
-                    acc = polys.add(K, acc, polys.mul(K, a, b))
-            orow.append(acc)
-        out.append(orow)
-    return out
+    """K.matpoly_mul of MatrixRows A and B.  The baby steps call it by
+    this name, which perfbench's tracer wraps, as it wraps matmul."""
+    return K.matpoly_mul(A, B)
 
 
 def baby_step_length(K, B, count, r):
     """The s that matrix_factorial(K, B, count, right) uses, for count >= 16
-    and right of r columns: isqrt(count) unless K is packed, else the s of
-    least estimated cost (_FactorialCost), the smallest one on a tie, among
-    those in [sqrt(count) / 2, 2 sqrt(count) + 1] with at most two set
-    bits.
+    and right of r columns: the s of least estimated cost (_FactorialCost),
+    the smallest one on a tie, among those in [sqrt(count) / 2,
+    2 sqrt(count) + 1] with at most two set bits.
 
     The window keeps s = Theta(sqrt(count)), which the O~(sqrt p) bound
     needs: for a fixed s the multipoint evaluation's direct step grows like
@@ -136,8 +99,6 @@ def baby_step_length(K, B, count, r):
     longest entry of B, its zero pattern and the degree growth of its
     products (_degree_growth), and the ring's degree and characteristic."""
     w = math.isqrt(count)
-    if not getattr(K, "packed", False):
-        return w
     cost = _FactorialCost(K, B, r, count)
     lo, hi = max(w // 2, 1), 2 * w + 1
     return min((s for s in {1 << a | 1 << b for a in range(hi.bit_length())
@@ -224,8 +185,8 @@ class _Pattern:
 
 
 class _FactorialCost:
-    """Estimated cost of matrix_factorial(K, B, count, right) over a packed
-    K at baby-step length s, in microseconds of CPU time on the bench's
+    """Estimated cost of matrix_factorial(K, B, count, right) at baby-step
+    length s, in microseconds of CPU time on the bench's
     host (2-core x86-64, CPython 3.11).
 
     The estimate follows the code layer by layer.  P_k has entries of
@@ -394,24 +355,21 @@ class _FactorialCost:
 
 
 def _shifted(K, M, k):
-    """M(u + k) for a polynomial matrix M in the baby steps' form and an
-    integer k: over a packed K one shift_rows of the whole matrix while
-    its entries are no longer than p, else one polys.taylor_shift per
-    entry."""
-    packed = getattr(K, "packed", False)
-    if packed and len(M.cols) <= K.char:
+    """M(u + k) for MatrixRows M and an integer k: one shift_rows of the
+    whole matrix while its entries are no longer than p, else one
+    polys.taylor_shift per entry."""
+    if len(M.cols) <= K.char:
         return K.shift_rows(M, k % K.char)
     a = K.from_int(k)
-    shifted = [[polys.taylor_shift(K, e, a) for e in row]
-               for row in (K.matrix_of(M) if packed else M)]
-    return K.rows_of(shifted) if packed else shifted
+    return K.rows_of([[polys.taylor_shift(K, e, a) for e in row]
+                      for row in K.matrix_of(M)])
 
 
 def _baby_steps(K, B, s, keep=()):
     """P_s(u) = B(u+s-1) ... B(u+1) B(u), doubling along the bits of s:
     P_2k(u) = P_k(u+k) P_k(u) and P_(k+1)(u) = B(u+k) P_k(u).  Also
     returns {k: P_k} for each k in keep, a prefix s >> j of the chain.
-    B and the products are in matpoly_mul's form for K."""
+    B and the products are MatrixRows."""
     P, k = B, 1
     kept = {1: B} if 1 in keep else {}
     for bit in bin(s)[3:]:
@@ -426,7 +384,8 @@ def _baby_steps(K, B, s, keep=()):
 
 
 def matrix_factorial(K, B, count, right=None):
-    """B(count-1) ... B(1) B(0) right for a square polynomial matrix B(u).
+    """B(count-1) ... B(1) B(0) right for a square polynomial matrix B(u)
+    over a packed ring K.
 
     right is an N x r matrix and defaults to the identity; the giant steps
     and leftover factors then multiply N x N by N x r.  count may exceed
@@ -440,18 +399,18 @@ def matrix_factorial(K, B, count, right=None):
     if len(acc) != n:
         raise DimensionMismatch(
             f"cannot multiply {n}x{n} by {len(acc)} rows")
-    P = K.rows_of(B) if getattr(K, "packed", False) else B
+    P = K.rows_of(B)
     if count < 16:
         return _chain_at(K, P, range(count), acc)
     s = baby_step_length(K, B, count, len(acc[0]))
     g = count // s
     parts = _leftover_parts(s, count - g * s)
     baby, kept = _baby_steps(K, P, s, set(parts))
-    pattern, fs = _nonzero(K, baby)
-    steps = polys.SubproductTree(K, range(0, g * s, s)).evaluate(fs)
+    pattern = _nonzero(baby)
+    steps = polys.SubproductTree(K, range(0, g * s, s)).evaluate(baby)
     # only the values feed the giant steps; free the product
-    del baby, fs
-    acc = chain(K, pattern, steps, acc)
+    del baby
+    acc = K.chain(pattern, steps, acc)
     i = g * s
     for k in parts:
         # P_k(i) = B(i+k-1) ... B(i)
@@ -460,29 +419,20 @@ def matrix_factorial(K, B, count, right=None):
     return acc
 
 
-def _nonzero(K, P):
-    """The pattern, for chain, of a square P in the baby steps' form, and
-    the entries it indexes, as SubproductTree.evaluate takes them."""
-    if getattr(K, "packed", False):
-        n, fs, pairs = P.shape[1], P, enumerate(P.entries)
-    else:
-        n, fs = len(P), [e for row in P for e in row]
-        pairs = [(e, e) for e, f in enumerate(fs) if f]
+def _nonzero(P):
+    """The pattern, for K.chain, of a square MatrixRows P: row i lists
+    (k, q) for its q-th nonzero entry, in row i and column k."""
+    n = P.shape[1]
     pattern = [[] for _ in range(n)]
-    for q, e in pairs:
+    for q, e in enumerate(P.entries):
         pattern[e // n].append((e % n, q))
-    return pattern, fs
+    return pattern
 
 
 def _chain_at(K, P, points, acc):
-    """chain of the values of P, as _nonzero reads it, at each of points."""
-    pattern, fs = _nonzero(K, P)
-    if getattr(K, "packed", False):
-        steps = K.rows_at(fs.cols, [a % K.char for a in points])
-    else:
-        steps = [[polys.eval_at(K, f, K.from_int(a)) for f in fs]
-                 for a in points]
-    return chain(K, pattern, steps, acc)
+    """K.chain of the values of MatrixRows P at each of points."""
+    steps = K.rows_at(P.cols, [a % K.char for a in points])
+    return K.chain(_nonzero(P), steps, acc)
 
 
 def invariant_factors_of(K, A):

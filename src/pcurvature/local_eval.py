@@ -7,18 +7,19 @@ p steps collapses to the matrix factorial B(p-1)...B(0), which baby-step /
 giant-step evaluates in O~(sqrt(p)) ring operations; Y^{(p)}(0) sits in the
 bottom-right corner and is similar to -A_p(a).
 
-The factorial needs only ring operations once B is built, so several
-points a_1, ..., a_k share one: it runs at the generator z of F_q[z]/(m),
-with m the product of the distinct minimal polynomials of the a_i over
-F_q.  That ring is a product of fields, one per minimal polynomial, and
-sending z to a_i maps the corner onto the one at a_i; a single point is a
-batch of one.  When q = p and every a_i lies in F_p (det's points
-whenever F_p has enough of them, and mc's when s = 1), the ring is F_p^n
-and runs in value form (fields.SplitRing): its products are n small
-Kronecker products, not one packed product reduced mod m, and the corner
-at a_i is coordinate i.  Such points come in as elements of F_p itself
-(ell = F_p), so their minimal polynomials and Smith forms are F_p
-arithmetic.
+The input is over F_p: any other field raises FieldMismatch, as invariant
+factors over F_p(x) are what every caller needs.  The factorial needs only
+ring operations once B is built, so several points a_1, ..., a_k share
+one: it runs at the generator z of F_p[z]/(m), with m the product of the
+distinct minimal polynomials of the a_i over F_p.  That ring is a product
+of fields, one per minimal polynomial, and sending z to a_i maps the
+corner onto the one at a_i; a single point is a batch of one.  When every
+a_i lies in F_p (det's points whenever F_p has enough of them, and mc's
+when s = 1), the ring is F_p^n and runs in value form (fields.SplitRing):
+its products are n small Kronecker products, not one packed product
+reduced mod m, and the corner at a_i is coordinate i.  Such points come in
+as elements of F_p itself (ell = F_p), so their minimal polynomials and
+Smith forms are F_p arithmetic.
 
 A pole is found by the one inverse the recurrence builder takes, of
 f_A(a) or a_r(a): a zero divisor of the product ring, zero if it has one
@@ -35,7 +36,7 @@ The class at each point is the invariant factors of its r x r corner
 unit vectors is one, as r - 1 ones and the characteristic polynomial,
 else the Smith form of T - corner.  A cyclic class proves its point good
 (reconstruct), so both drivers first evaluate the D + 1 points of degree
-1 (when F_q has that many non-pole points) and stop there when every
+1 (when F_p has that many non-pole points) and stop there when every
 class is cyclic: one batch of 5 points of F_p on each bench workload.
 """
 
@@ -43,7 +44,8 @@ from collections import namedtuple
 
 from . import fields, linalg, polys
 from .diffop import DiffSystem, theta_rewrite
-from .errors import CharTooSmall, LeadingCoeffVanishes, PoleAtPoint
+from .errors import (CharTooSmall, FieldMismatch, LeadingCoeffVanishes,
+                     PoleAtPoint)
 
 
 class RecMatrix(namedtuple("RecMatrix", "entries corner")):
@@ -154,15 +156,15 @@ def build_B_operator(op, ell, a):
 def _product_ring(K, mins):
     """The ring of the batch and, per minimal polynomial, its coordinate.
 
-    When K is F_p and every minimal polynomial is z - a, the ring is split:
-    a SplitRing keeps each element as its values at the roots, coordinate
-    i the value at the root of the i-th distinct minimal polynomial.
-    Otherwise it is F_q[z]/(m) for m the product of the distinct minimal
-    polynomials, with no coordinates; m is squarefree, so repeated and
-    conjugate points share a factor.
+    When every minimal polynomial is z - a, the ring is split: a SplitRing
+    keeps each element as its values at the roots, coordinate i the value
+    at the root of the i-th distinct minimal polynomial.  Otherwise it is
+    F_p[z]/(m) for m the product of the distinct minimal polynomials, with
+    no coordinates; m is squarefree, so repeated and conjugate points
+    share a factor.
     """
     distinct = list(dict.fromkeys(mins.values()))
-    if isinstance(K, fields.PrimeField) and all(len(m) == 2 for m in distinct):
+    if all(len(m) == 2 for m in distinct):
         ring = fields.SplitRing(K, [K.neg(m[0]) for m in distinct])
         return ring, {m: i for i, m in enumerate(distinct)}
     from .extension import ExtensionField
@@ -172,22 +174,30 @@ def _product_ring(K, mins):
     return ExtensionField(K, m), None
 
 
+def require_prime_field(K):
+    """Refuse an input field other than F_p with FieldMismatch."""
+    if not isinstance(K, fields.PrimeField):
+        raise FieldMismatch(f"inputs must be over F_p, not {K}")
+
+
 def invariant_factors_at(inp, ell, points):
     """Invariant factors of A_p(a) at every point a of ell, one list each.
 
-    ell is the input's field K itself for points of degree 1, else an
-    extension of K, and p is its characteristic.  All the points, one or
-    many, share one matrix factorial of p terms over the product ring of
-    their minimal polynomials (z - a for a point of K), on the last r
-    columns of the identity: Y^{(p)}(0) sits in its bottom-right corner,
-    and A_p(a) is similar to its negation, so the invariant factors of the
-    negated corner are exactly the local similarity class.  When the
+    The input's field K is F_p (FieldMismatch otherwise), and ell is K
+    itself for points of degree 1, else an extension of K.  All the
+    points, one or many, share one matrix factorial of p terms over the
+    product ring of their minimal polynomials (z - a for a point of K), on
+    the last r columns of the identity: Y^{(p)}(0) sits in its
+    bottom-right corner, and A_p(a) is similar to its negation, so the
+    invariant factors of the negated corner are exactly the local
+    similarity class.  When the
     points all lie in F_p, the ring is split and kept in value form, so
     the corner at a_i is read off coordinate i.  Otherwise each entry of
-    its corner is a polynomial in z, reduced over F_q modulo the minimal
+    its corner is a polynomial in z, reduced over F_p modulo the minimal
     polynomial of a_i and then evaluated at a_i before its invariant
     factors are taken over ell.
     """
+    require_prime_field(inp.K)
     points = list(points)
     if not points:
         raise ValueError("need at least one point")

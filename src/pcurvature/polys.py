@@ -8,15 +8,15 @@ elements are in canonical form, so `==` on elements is exact equality.
 Multiplication dispatches to K.polymul, which lets each field supply a
 representation-specific fast path (Kronecker packing over a prime field,
 delayed modular reduction in extensions).  A multipoint evaluation
-(SubproductTree) is at integers, which lie in F_p, so on a packed ring it
-dispatches likewise to K.rows_rem and K.rows_at.  Everything else here is
+(SubproductTree) is at integers, which lie in F_p, over a packed ring,
+and dispatches to its K.rows_rem and K.rows_at.  Everything else here is
 generic; a whole matrix over a packed ring shifts in one kernel of its
 own (fields.PackedRing.shift_rows).
 
 Every division by a fixed monic modulus goes through MonicModReducer,
 which keeps the Newton inverse of the reversed modulus: powers modulo m,
-the reduction of an extension over a non-prime base, and each node of the
-subproduct tree that divides, whose inverse also feeds K.rows_rem.
+and each node of the subproduct tree that divides, whose inverse feeds
+K.rows_rem.
 """
 
 from .errors import InsufficientModuli, ModuliNotCoprime, NotMonic
@@ -313,31 +313,25 @@ def rem_monic_precomp(K, f, m, m_rev_inv):
 
 class SubproductTree:
     """Product tree over the moduli (x - a) for the integers a of points,
-    for batch evaluation.
+    for batch evaluation over a packed ring K: F_p^n in value form
+    (fields.SplitRing) or F_p[u]/S in the monomial basis
+    (extension.ExtensionField).
 
-    A polynomial goes down the tree from the root.  Node (level, i) holds
-    the points from i * 2**level on, at most 2**level of them; an odd node
-    at any level is carried up unchanged.  A node of more than BASE_CASE
-    points divides what it receives by the product of its points when that
-    input is longer than the product's degree, and otherwise hands it to
-    its children untouched; the first node of at most BASE_CASE points
-    evaluates what it receives at its points directly.  A node is built
-    only when it divides: its product comes from its children's, which
-    are kept for later nodes, and its MonicModReducer keeps the inverse of
-    its reversal at the precision its longest quotient needs.
-
-    Over a K that is not packed the tree is built over K, and evaluate
-    takes a list of polynomials: a division is one node.rem per
-    polynomial, and the direct step one Horner evaluation (eval_at) per
-    point and polynomial.  Over a `packed` K (F_p[u]/S in the monomial
-    basis, see extension.ExtensionField, or F_p^n in value form,
-    fields.SplitRing) the tree is built over F_p = K.base, and evaluate
-    takes fields.MatrixRows: the n coordinates of all its entries go down
-    the tree together, as rows over F_p kept column by column.  A node
-    divides all rows at once (K.rows_rem, with node.inverse(k) for
-    quotients of length k, linear in the number of rows), and the direct
-    step evaluates them all at once (K.rows_at), never mod S.  On every
-    ring the values come point by point, as the giant steps take them.
+    The tree is built over F_p = K.base, and evaluate takes
+    fields.MatrixRows: the n coordinates of all its entries go down the
+    tree together, as rows over F_p kept column by column.  Node
+    (level, i) holds the points from i * 2**level on, at most 2**level of
+    them; an odd node at any level is carried up unchanged.  A node of
+    more than BASE_CASE points divides all the rows it receives at once
+    (K.rows_rem, with node.inverse(k) for quotients of length k, linear in
+    the number of rows) when they are longer than its degree, and
+    otherwise hands them to its children untouched; the first node of at
+    most BASE_CASE points evaluates them all at its points at once
+    (K.rows_at), never mod S.  A node is built only when it divides: its
+    product comes from its children's, which are kept for later nodes,
+    and its MonicModReducer keeps the inverse of its reversal at the
+    precision its longest quotient needs.  The values come point by
+    point, as the giant steps take them.
     """
 
     BASE_CASE = 32
@@ -347,62 +341,42 @@ class SubproductTree:
         self.points = list(points)
         if not self.points:
             raise ValueError("need at least one evaluation point")
-        self.packed = getattr(K, "packed", False)
-        R = self._R = K.base if self.packed else K
-        self._pts = [R.from_int(a) for a in self.points]
+        self._pts = [K.base.from_int(a) for a in self.points]
         self._products, self._nodes = {}, {}
 
     def evaluate(self, fs):
-        """One list per point of the values there of the polynomials fs
-        holds: a list, or over a packed K a fields.MatrixRows, whose
-        values come in the order of its entries."""
-        K = self.K
-        if not self.packed:
-            return self._descend(
-                fs, lambda fs: max(map(len, fs), default=0),
-                lambda fs, node: [node.rem(f) for f in fs],
-                lambda fs, pts: [[eval_at(K, f, a) for f in fs]
-                                 for a in pts])
-        return self._descend(
-            fs.cols, len, lambda cols, node: K.rows_rem(
-                cols, node.m, node.inverse(len(cols) - node.dm)),
-            K.rows_at)
-
-    def _descend(self, state, length, divide, direct):
-        """The lists direct returns, one per point, in the order of the
-        points.  state goes down from the root: each node above BASE_CASE
-        points hands its children divide(state, node) when length(state)
-        exceeds its number of points, and state itself otherwise, and the
-        first node of at most BASE_CASE points gives direct(state, its
-        points)."""
-        total, nodes = len(self._pts), self._nodes
+        """One list per point of the values there of the entries of the
+        fields.MatrixRows fs, in the order of its entries."""
+        K, total, nodes = self.K, len(self._pts), self._nodes
         at = [None] * total
 
-        def descend(level, idx, state):
+        def descend(level, idx, cols):
             first = idx << level
             size = min(1 << level, total - first)
             if size <= self.BASE_CASE:
-                at[first:first + size] = direct(
-                    state, self._pts[first:first + size])
+                at[first:first + size] = K.rows_at(
+                    cols, self._pts[first:first + size])
                 return
-            if length(state) > size:
-                if (level, idx) not in nodes:
-                    nodes[level, idx] = MonicModReducer(
-                        self._R, self._product(level, idx))
-                state = divide(state, nodes[level, idx])
+            if len(cols) > size:
+                node = nodes.get((level, idx))
+                if node is None:
+                    node = nodes[level, idx] = MonicModReducer(
+                        K.base, self._product(level, idx))
+                cols = K.rows_rem(cols, node.m,
+                                  node.inverse(len(cols) - node.dm))
             lo = 2 * idx
-            descend(level - 1, lo, state)
+            descend(level - 1, lo, cols)
             if (lo + 1) << (level - 1) < total:
-                descend(level - 1, lo + 1, state)
+                descend(level - 1, lo + 1, cols)
 
-        descend((total - 1).bit_length(), 0, state)
+        descend((total - 1).bit_length(), 0, fs.cols)
         return at
 
     def _product(self, level, idx):
         """The product of the moduli of node (level, idx), memoised."""
         m = self._products.get((level, idx))
         if m is None:
-            R = self._R
+            R = self.K.base
             if not level:
                 m = [R.neg(self._pts[idx]), R.one]
             else:

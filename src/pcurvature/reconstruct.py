@@ -15,9 +15,9 @@ the first small points of total degree D + 1, which are glued when their
 classes are all cyclic.  The drivers differ only in their fallback
 points, used otherwise: all small classes up to total degree F + D + 1
 (deterministic), or random points of degree s (Monte Carlo, failure below
-epsilon).  Points of degree 1 are elements of F_q itself, so at degree 1
-every step, from the pole checks to the lifts, runs over F_q and no
-extension field is built.
+epsilon).  The input is over F_p (FieldMismatch otherwise).  Points of
+degree 1 are elements of F_p itself, so at degree 1 every step, from the
+pole checks to the lifts, runs over F_p and no extension field is built.
 """
 
 import itertools
@@ -235,6 +235,7 @@ def _reconstruct(inp, p, D, fallback):
     basis (polys.crt_basis) is built once for all coefficients.
     """
     K = inp.K
+    local_eval.require_prime_field(K)
     if p != K.char:
         raise ValueError(f"p = {p} differs from the characteristic {K.char}")
     q = K.q

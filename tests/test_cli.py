@@ -183,8 +183,8 @@ def test_main_exit_codes(tmp_path, capsys):
 
 
 def test_make_field_refuses_extension_degree_below_one():
-    # pcurv always solves over F_p; library callers may still ask for F_q
-    for ext in (0, -1):
+    # every input is over F_p: any extension degree other than 1 is refused
+    for ext in (0, -1, 2):
         with pytest.raises(ExtensionDegreeOutOfRange):
             cli.make_field(5, ext)
 

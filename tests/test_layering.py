@@ -73,8 +73,8 @@ def test_import_graph_runs_one_way():
 # Loaded by `import pcurvature` and `from pcurvature import cli` at start-up:
 # none of these serves a solve.  dataclasses pulls in inspect, ast, dis and
 # tokenize, and each decorated class execs generated source.  extension and
-# smith serve only towers, points of degree > 1, derogatory classes and the
-# oracle, and each is compiled from source when it loads.
+# smith serve only points of degree > 1, derogatory classes and the oracle,
+# and each is compiled from source when it loads.
 OFF_IMPORT_PATH = ("dataclasses", "inspect", "pcurvature.nilprofile",
                    "pcurvature.ratfunc", "pcurvature.extension",
                    "pcurvature.smith")
@@ -127,7 +127,7 @@ op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", fields.PrimeField(2003))
 plan = reconstruct.select_params(op, epsilon=0.1, seed=1)
 reconstruct.reconstruct_montecarlo(op, 2003, plan)
 loaded()
-cli.make_field(5, 2)
+reconstruct._point_field(fields.PrimeField(5), 2)
 loaded()
 K = fields.PrimeField(5)
 print(linalg.invariant_factors_of(K, [[1, 0], [0, 1]]))
@@ -165,3 +165,21 @@ def test_fixed_modulus_division_lives_in_one_class():
                     cutoffs.append(owner)
     assert cutoffs == ["polys.MonicModReducer"]
     assert callers == {"polys.MonicModReducer"}
+
+
+def test_one_factorial_engine_reads_no_packed_flag():
+    # every ring the factorial runs on is packed, so no source asks a ring
+    # whether it is: no read of an attribute named packed, by a dot or by
+    # getattr
+    reads = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "packed"
+                    and isinstance(node.ctx, ast.Load)
+                    or isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) in ("getattr",
+                                                           "hasattr")
+                    and any(isinstance(a, ast.Constant) and a.value == "packed"
+                            for a in node.args)):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert reads == []

@@ -16,6 +16,10 @@ from test_polys import tree_values
 
 F5 = fields.PrimeField(5)
 F101 = fields.PrimeField(101)
+# F_5 and F_101 as the one-root split rings that a single point of each
+# runs on: the factorial and the chain run on packed rings only
+S5 = fields.SplitRing(F5, [0])
+S101 = fields.SplitRing(F101, [0])
 
 mat3 = st.lists(
     st.lists(st.integers(0, 4), min_size=3, max_size=3),
@@ -70,20 +74,26 @@ def _companion(K, f):
     return C
 
 
+def _split(M):
+    """A matrix over F_5 as one over S5."""
+    return [[S5.embed(c) for c in row] for row in M]
+
+
 @given(mat3, mat3)
 def test_matmul_matches_schoolbook(A, B):
-    assert linalg.matmul(F5, A, B) == matmul_schoolbook(F5, A, B)
+    A, B = _split(A), _split(B)
+    assert linalg.matmul(S5, A, B) == matmul_schoolbook(S5, A, B)
 
 
 def test_matmul_dimension_check():
     with pytest.raises(Exception):
-        linalg.matmul(F5, [[F5.one]], [[F5.one], [F5.one]])
+        linalg.matmul(S5, [[S5.one]], [[S5.one], [S5.one]])
 
 
 @pytest.mark.parametrize("p", [5, 13, 101, 997])
 def test_wilson_factorial(p):
     # (p-1)! = -1 mod p, as the product of the 1x1 matrices [u+1]
-    K = fields.PrimeField(p)
+    K = fields.SplitRing(fields.PrimeField(p), [0])
     B = [[[K.one, K.one]]]
     got = linalg.matrix_factorial(K, B, p - 1)
     assert got == [[K.from_int(p - 1)]]
@@ -91,11 +101,11 @@ def test_wilson_factorial(p):
 
 @pytest.mark.parametrize("count", [0, 1, 2, 15, 16, 50, 97, 100])
 def test_matrix_factorial_matches_sequential(count, rng):
-    B = [[polys.trim(F101, [F101.from_int(rng.randrange(101))
+    B = [[polys.trim(S101, [S101.from_int(rng.randrange(101))
                             for _ in range(3)])
           for _ in range(2)] for _ in range(2)]
-    got = linalg.matrix_factorial(F101, B, count)
-    want = matrix_factorial_sequential(F101, B, count, polys.eval_at)
+    got = linalg.matrix_factorial(S101, B, count)
+    want = matrix_factorial_sequential(S101, B, count, polys.eval_at)
     assert got == want
 
 
@@ -147,18 +157,14 @@ _RINGS = {
     "F_(2^64+13)^2": lambda: _extension(_P65, 2),
     "split ring over F_(2^64+13)": lambda: fields.SplitRing(
         fields.PrimeField(_P65), [0, 5, _P65 - 1]),
-    # neither of these is packed: they keep the per-entry loop
-    "F_101": lambda: F101,
-    "F_81 over F_9": lambda: _extension_of(_extension(3, 2), 2),
+    "F_101": lambda: S101,
 }
 
 
 def _matpoly_mul(L, A, B):
-    """linalg.matpoly_mul of nested lists; a packed ring's product takes
-    and returns its row form."""
-    if getattr(L, "packed", False):
-        return L.matrix_of(linalg.matpoly_mul(L, L.rows_of(A), L.rows_of(B)))
-    return linalg.matpoly_mul(L, A, B)
+    """linalg.matpoly_mul of nested lists, through the row form that it
+    takes and returns."""
+    return L.matrix_of(linalg.matpoly_mul(L, L.rows_of(A), L.rows_of(B)))
 
 
 @pytest.mark.parametrize("ring", sorted(_RINGS))
@@ -199,11 +205,12 @@ def test_matpoly_mul_worst_case_fills_every_slot(monkeypatch):
 
 
 def test_matpoly_mul_kernel_needs_a_prime_base():
-    L = _RINGS["F_81 over F_9"]()
+    # both packed rings refuse a base other than F_p, here F_9
+    F9 = _extension(3, 2)
     with pytest.raises(TypeError):
-        L.matpoly_mul([[[L.one]]], [[[L.one]]])
+        _extension_of(F9, 2)
     with pytest.raises(TypeError):
-        fields.SplitRing(L.base, [L.base.one])
+        fields.SplitRing(F9, [F9.one])
 
 
 def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
@@ -258,7 +265,6 @@ def test_packed_multipoint_matches_pointwise(ring, rng):
     for count in (1, 2, 7, 8, 9, 31, 33, 64, 100, 257):
         xs = [rng.randrange(p) for _ in range(count)]
         tree = polys.SubproductTree(L, xs)
-        assert tree.packed
         # long (first, so that later entries reuse node inverses of more
         # precision than they need), zero, constant, zero coefficients
         # inside, and short (fewer coefficients than points) entries,
@@ -636,7 +642,6 @@ def test_taylor_shift_matches_halves(ring, rng):
     # (shift_rows), as long as its entries are no longer than p; every
     # other shift takes the halves algorithm
     L = _RINGS[ring]()
-    packed = getattr(L, "packed", False)
     for length in (2, 5, 9, 14, 40):
         f = [L.random_elem(rng) for _ in range(length - 1)] + [L.one]
         # a zero entry and entries of unequal length
@@ -646,7 +651,7 @@ def test_taylor_shift_matches_halves(ring, rng):
         for a in (L.from_int(c), L.random_elem(rng)):
             want = polys._shift_by_halves(L, f, a)
             assert polys.taylor_shift(L, f, a) == want
-            if packed and a == L.from_int(c) and length <= L.char:
+            if a == L.from_int(c) and length <= L.char:
                 got = L.shift_rows(L.rows_of(M), c)
                 assert L.matrix_of(got) == [
                     [polys._shift_by_halves(L, e, a) for e in row]
@@ -746,7 +751,7 @@ def test_packed_matmul_of_zero_divisors(monkeypatch):
 
 @pytest.mark.parametrize("ring", [
     "split ring over F_101", "product ring over F_13", "F_(2^64+13)^2",
-    "F_101", "F_81 over F_9"])
+    "F_101"])
 @pytest.mark.parametrize("r", [1, 4])
 def test_chain_matches_repeated_schoolbook_products(ring, r, rng):
     # 4 x 4 steps whose row 1 and column 2 are zero, the rest of the
@@ -767,10 +772,10 @@ def test_chain_matches_repeated_schoolbook_products(ring, r, rng):
             for (i, k), v in zip(cells, vals):
                 M[i][k] = v
             want = matmul_schoolbook(L, M, want)
-        assert linalg.chain(L, pattern, steps, acc) == want
+        assert L.chain(pattern, steps, acc) == want
     # no pair at all: every step is zero
     zero = [[L.zero] * r for _ in range(N)]
-    assert linalg.chain(L, [[] for _ in range(N)], [[]], acc) == zero
+    assert L.chain([[] for _ in range(N)], [[]], acc) == zero
 
 
 def test_det_solve_chains_the_giant_steps(monkeypatch):
@@ -798,7 +803,7 @@ def test_det_solve_chains_the_giant_steps(monkeypatch):
 
 def test_matrix_factorial_requires_square():
     with pytest.raises(NotSquare):
-        linalg.matrix_factorial(F5, [[[F5.one]], [[F5.one]]], 3)
+        linalg.matrix_factorial(S5, [[[S5.one]], [[S5.one]]], 3)
 
 
 def test_invariant_factors_zero_matrix():
@@ -935,7 +940,7 @@ def test_invariant_factors_similarity_invariant(M, seed):
         if smith.LinearSolver(F5, U).rank == 3:
             break
     Uinv = _inverse(F5, U)
-    conj = linalg.matmul(F5, U, linalg.matmul(F5, M, Uinv))
+    conj = matmul_schoolbook(F5, U, matmul_schoolbook(F5, M, Uinv))
     assert (linalg.invariant_factors_of(F5, conj)
             == linalg.invariant_factors_of(F5, M))
 

@@ -184,19 +184,6 @@ def test_batch_in_the_prime_field_matches_naive(rng):
                        for x in pts + pts[:1]]
 
 
-def test_batch_over_an_extension_base(rng):
-    # inputs over F_9, points in F_81: the product ring has base F_9
-    F9 = extension.ExtensionField(F3, fields.find_irreducible(F3, 2))
-    ell = extension.ExtensionField(F9, fields.find_irreducible(F9, 2))
-    for inp in (random_operator(F9, rng, 1, 2), random_system(F9, rng, 1, 2)):
-        a, b = _nonpoles(inp, ell, rng, 2, 2)
-        for pts in ([a, b], [a, ell.pow(a, 9), b, b]):
-            single = [local_eval.invariant_factors_at(inp, ell, [x])[0]
-                      for x in pts]
-            assert local_eval.invariant_factors_at(inp, ell, pts) == single
-            assert single[0] == naive_local_factors(inp, ell, a, 3)
-
-
 def test_pole_inside_a_batch_raises_the_one_point_error():
     # a_r = x(x - 1) vanishes at 0 and 1; f_A likewise for the system
     F49 = extension.ExtensionField(F7, fields.find_irreducible(F7, 2))
@@ -281,19 +268,6 @@ def test_baby_steps_double_and_leave_few_factors(monkeypatch):
     products = _factorial_calls(10007, "matpoly_mul", monkeypatch)
     assert products <= 2 * (s.bit_length() - 1), (s, products)
     assert _factorial_calls(1019, "_chain_at", monkeypatch) <= 5
-
-
-def test_baby_step_length_is_isqrt_count_off_packed_rings():
-    # only packed rings have a price model; elsewhere s is isqrt(count),
-    # over F_p itself and over a tower over F_9 alike
-    K = fields.PrimeField(10007)
-    rec = local_eval.build_B_operator(_c07_operator(K), K, K.from_int(2))
-    assert linalg.baby_step_length(K, rec.entries, 10007, rec.corner) == 100
-    F9 = extension.ExtensionField(F3, fields.find_irreducible(F3, 2))
-    tower = extension.ExtensionField(F9, fields.find_irreducible(F9, 2))
-    assert not tower.packed
-    rec = local_eval.build_B_operator(_c07_operator(F9), tower, tower.gen)
-    assert linalg.baby_step_length(tower, rec.entries, 400, rec.corner) == 20
 
 
 def _value_count(monkeypatch, run):

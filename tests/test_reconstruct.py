@@ -5,8 +5,8 @@ import pytest
 
 from pcurvature import (bivar, cli, diffop, extension, fields, linalg,
                         local_eval, polys, reconstruct, smith)
-from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange, PoleAtPoint,
-                               SelectionFailed)
+from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange,
+                               FieldMismatch, PoleAtPoint, SelectionFailed)
 from pcurvature.reconstruct import ReconParams
 from oracles import evaluate_at_X, sym2_system, verify_divisibility_lemma
 from test_diffop import (assert_frozen_record, random_operator,
@@ -445,13 +445,11 @@ def test_deterministic_skips_bad_candidates(p, top, bottom, bad):
 def test_deterministic_builds_no_large_extension(monkeypatch):
     F263, F1019 = fields.PrimeField(263), fields.PrimeField(1019)
     F2003 = fields.PrimeField(2003)
-    F25 = cli.make_field(5, 2)
     det_op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", F1019)
     mc_op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", F2003)
     m1 = F263.from_int(-1)
     det_sys = diffop.DiffSystem(F263, (1, 0, 1),
                                 (((), (1, 0, 1)), ((m1,), (0, m1))))
-    order3 = cli.parse_operator("Dx^3 + -(4 + x^2)*Dx^1 + -(3+x^2)", F25)
     seen, built, muls = [], [], [0]
     find = fields.find_irreducible
     init, mul = extension.ExtensionField.__init__, extension.ExtensionField.mul
@@ -488,13 +486,30 @@ def test_deterministic_builds_no_large_extension(monkeypatch):
         solve(inp, p, mode)
         assert seen == [1], (p, seen)
         assert (len(built), muls[0]) == (0, 0), (p, mode)
-    # the order-3 operator over F_25 certifies on points of F_25: the
-    # batch's product ring F_25[z]/(m) is built, but m is reducible, so
-    # no field extends F_25
-    solve(order3, 5, "det")
-    assert seen == [1], seen
-    assert built
-    assert not [L for L in built if fields.is_irreducible(L.base, L.modulus)]
+
+
+def test_inputs_over_an_extension_field_are_refused(monkeypatch):
+    # every input is over F_p: both drivers and the local evaluation
+    # refuse an operator over F_25, before any product ring is built
+    F25 = extension.ExtensionField(F5, fields.find_irreducible(F5, 2))
+    op = cli.parse_operator("Dx^3 + -(4 + x^2)*Dx^1 + -(3+x^2)", F25)
+    plan = reconstruct.select_params(op, epsilon=0.1, seed=1)
+    built = []
+    init = extension.ExtensionField.__init__
+
+    def recording_init(self, base, modulus):
+        built.append(modulus)
+        init(self, base, modulus)
+    monkeypatch.setattr(extension.ExtensionField, "__init__", recording_init)
+    monkeypatch.setattr(local_eval, "_product_ring",
+                        lambda *args: built.append(args))
+    for solve in (lambda: reconstruct.reconstruct_deterministic(op, 5),
+                  lambda: reconstruct.reconstruct_montecarlo(op, 5, plan),
+                  lambda: local_eval.invariant_factors_at(op, F25,
+                                                          [F25.gen])):
+        with pytest.raises(FieldMismatch):
+            solve()
+    assert built == []
 
 
 def test_bench_solve_classifies_by_cyclic_vectors_and_one_crt_basis(
