@@ -28,11 +28,12 @@ OP22 = "(x^2+x+1)*Dx^2 + Dx + x^2 + 1"
 TOWER3 = "Dx^3 + -(4 + x^2)*Dx^1 + -(3+x^2)"
 
 
-def _systems(p_sym2):
+def _systems(p_sym2, p_sym2_gauss):
     """System files by name: the companion system of L, diag(x, x),
     diag(x, x, x^2 + 3), diag(x, 0) and the constant diag(2, 2), none
-    holding p, and the symmetric square of the Gauss system at each p of
-    p_sym2."""
+    holding p, the symmetric square of the Gauss system at each p of
+    p_sym2, and it beside the Gauss system, block-diagonal, at each p of
+    p_sym2_gauss."""
     out = {
         "companion": {"f_A": "x^2+1", "A_tilde": [["0", "x^2+1"],
                                                   ["-1", "-x"]]},
@@ -43,12 +44,18 @@ def _systems(p_sym2):
         "diag_x_0": {"f_A": "1", "A_tilde": [["x", "0"], ["0", "0"]]},
         "const2": {"f_A": "1", "A_tilde": [["2", "0"], ["0", "2"]]},
     }
+    f = "(x - x^2)"
+
+    def sym2(p):
+        return [["0", f"2*{f}", "0"], [str(pow(4, -1, p)), "2*x - 1", f],
+                ["0", str(pow(2, -1, p)), "4*x - 2"]]
     for p in p_sym2:
-        f = "(x - x^2)"
-        out[f"sym2_{p}"] = {"p": p, "f_A": f, "A_tilde": [
-            ["0", f"2*{f}", "0"],
-            [str(pow(4, -1, p)), "2*x - 1", f],
-            ["0", str(pow(2, -1, p)), "4*x - 2"]]}
+        out[f"sym2_{p}"] = {"p": p, "f_A": f, "A_tilde": sym2(p)}
+    for p in p_sym2_gauss:
+        out[f"sym2_gauss_{p}"] = {"p": p, "f_A": f, "A_tilde": [
+            row + ["0", "0"] for row in sym2(p)] + [
+            ["0", "0", "0", "0", f],
+            ["0", "0", "0", str(pow(4, -1, p)), "2*x - 1"]]}
     return out
 
 
@@ -120,6 +127,10 @@ CORPUS = [
     _sys("const2", "--p", "1019", "--check"),
     _sys("const2", "--p", "1019", *_mc(1, "--check")),
     _op(65539, "Dx^3 + Dx + 5"),
+    # sym2 + Gauss, never cyclic: det's budget takes 126 points of degree
+    # 2, and mc at 101 draws 15 of degree 2
+    _sys("sym2_gauss_31", "--check"),
+    _sys("sym2_gauss_101", *_mc(1)),
 ]
 
 
@@ -149,7 +160,7 @@ def main():
     # argparse wraps the usage text of a refused flag to $COLUMNS
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in _systems((31, 37, 1009)).items():
+        for name, doc in _systems((31, 37, 1009), (31, 101)).items():
             with open(os.path.join(tmp, f"{name}.json"), "w") as fh:
                 json.dump(doc, fh)
         for argv in CORPUS[:args.first]:

@@ -1,38 +1,31 @@
-"""Extensions F_p[u]/(S) of a prime field, elements as fixed-width tuples.
+"""Extensions F_p[u]/(f) of a prime field, elements as fixed-width tuples.
 
 An ExtensionField element is a tuple of residues mod p of length exactly
 the extension degree, so equality and hashing are structural.  It has the
 method surface of the fields in `fields` (add, mul, inv, polymul, ...)
-and is compared by its `key`.  Only points of degree k > 1 use it, as the
-field of the points and as the product ring of a batch of them, so a
-solve whose points all lie in F_p never imports this module.  Its base
-is always a PrimeField: every input of the fast path is over F_p.
+and is compared by its `key`.  Only points of degree k > 1 use it, as
+their field ell, so a solve whose points all lie in F_p never imports
+this module.  Its base is always a PrimeField: every input of the fast
+path is over F_p.
 
 Products delay the modular reduction: a dot product of k element pairs
-costs k convolutions but a single reduction by S, one integer sum of the
-packed rows u^(n+j) mod S.  The ring is packed: an element's coordinates
-pack into integers, and a matrix of polynomials in t is kept in row form
-(fields.MatrixRows) and takes the row kernels of fields.PackedRing and
-fields._matpoly_mul, its blocks reduced likewise.  Its chain packs only
-the nonzero values of its N x N steps, and sizes its slots for
-n m (p-1)^2, for n the degree and m <= N the most in a row:
-2 log2 p + log2 nm bits, within 8 bytes up to p = 2^28 at nm = 162.
+costs k convolutions but a single reduction by f, one integer sum of the
+packed rows u^(k+j) mod f.  The batch ring of points of ell is
+fields.SplitRing, ell^n in value form, and its kernels at k > 1 live
+here: pack_values packs each coordinate into one integer, a block of
+2k - 1 slots, and reduce_blocks reduces every block of a product at once,
+one integer product per row u^(k+j) mod f.
 """
 
 from . import polys
-from .fields import (PackedRing, PrimeField, _matpoly_mul, _pack, _slot_bytes,
-                     _unpack)
+from .fields import PrimeField, _pack, _slot_bytes, _unpack, _unpack_bytes
 
 
-class ExtensionField(PackedRing):
+class ExtensionField:
     """F_p[u]/(modulus) with elements as width-`degree` tuples.
 
     The base must be a PrimeField (TypeError otherwise), and the modulus
-    monic.  An irreducible one (callers build one with
-    fields.find_irreducible) gives a field.  A squarefree one gives the
-    product ring of the fields F_p[u]/(m_i), one per irreducible factor
-    m_i: every ring operation works as it does in a field, but `inv` raises
-    ZeroDivisionError on a zero divisor, which need not be zero.
+    monic and irreducible: callers build one with fields.find_irreducible.
     """
 
     def __init__(self, base, modulus):
@@ -80,17 +73,17 @@ class ExtensionField(PackedRing):
         return tuple(base.neg(x) for x in a)
 
     def mul_unreduced(self, a, b):
-        """Plain convolution as a base-field list, no reduction by S."""
+        """Plain convolution as a base-field list, no reduction by f."""
         fa, fb = self._strip(a), self._strip(b)
         if not fa or not fb:
             return []
         return self.base.polymul(fa, fb)
 
     def _init_reduction_rows(self):
-        """Pack row j = u^(degree + j) mod S for j < degree - 1, so that a
+        """Pack row j = u^(degree + j) mod f for j < degree - 1, so that a
         remainder is one integer sum of rows weighted by high coefficients."""
         p, n, tail = self.base.p, self.degree, self.modulus[:-1]
-        # a u-coefficient of a product in F_p[u]/(S): n products of residues
+        # a u-coefficient of a product in F_p[u]/(f): n products of residues
         self._row_slot = _slot_bytes((p - 1) ** 2 * n)
         rows = []
         r = [0] * (n - 1) + [1]
@@ -124,7 +117,7 @@ class ExtensionField(PackedRing):
             return tuple([mul(c, x) for x in b])
         c = self.mul_unreduced(a, b)
         if len(c) <= self.degree:
-            # no reduction by S needed, and the base field has reduced the
+            # no reduction by f needed, and the base field has reduced the
             # coefficients already
             return self._pad(c)
         return self.reduce_product(c)
@@ -185,45 +178,61 @@ class ExtensionField(PackedRing):
         return polys.format_poly(self.base, self._strip(a), var=var)
 
     def polymul(self, f, g):
-        """Product in ℓ[t] with one reduction by S per output coefficient.
+        """Product in ℓ[t], its coefficients reduced by f together.
 
         Both factors pack into one integer each, t-coefficient i in a block
-        of 2 degree - 1 slots as matpoly_mul packs an entry, so the product
-        is one integer product."""
+        of 2 degree - 1 slots as pack_values packs a coordinate, so the
+        product is one integer product."""
         n, W, p = self.degree, 2 * self.degree - 1, self.base.p
         # a slot sums n products of residues per pair of coefficients
         slot = _slot_bytes((p - 1) ** 2 * n * min(len(f), len(g)))
         size = W * (len(f) + len(g) - 1)
-        conv = _unpack(_pack(f, slot, W) * _pack(g, slot, W), slot, size)
-        # over a product ring the top coefficient can vanish
-        return polys.trim(self, [self.reduce_product(conv[i:i + W])
-                                 for i in range(0, size, W)])
+        flat = self.reduce_blocks(_unpack(_pack(f, slot, W) * _pack(
+            g, slot, W), slot, size))
+        return polys.trim(self, [tuple(flat[i:i + n])
+                                 for i in range(0, len(flat), n)])
 
-    def matpoly_mul(self, A, B):
-        """Product of MatrixRows A and B over self: _matpoly_mul with one
-        coordinate of degree rows per entry, each block reduced by the
-        modulus."""
-        return _matpoly_mul(A, B, self.base.p, 1, self.degree,
-                            self.reduce_product)
+    def reduce_blocks(self, vals):
+        """The elements that the blocks of 2 degree - 1 slots filling vals
+        reduce to, each block an unreduced product of two packed elements:
+        their coefficients end to end, degree per block.  Coefficient
+        degree + i of every block, reduced mod p, packs at a stride of
+        degree slots into one integer, whose product with packed row i
+        adds that row to every block at once."""
+        p, k, slot = self.base.p, self.degree, self._row_slot
+        W, count = 2 * k - 1, len(vals) // (2 * k - 1)
+        acc, high, low = 0, [0] * (count * k), [0] * (count * k)
+        for i, row in enumerate(self._rows):
+            high[::k] = [x % p for x in vals[k + i::W]]
+            acc += _pack([high], slot, len(high)) * row
+        for j in range(k):
+            low[j::k] = vals[j::W]
+        return [(x + y) % p for x, y in zip(
+            low, _unpack(acc, slot, count * k))]
 
-    def chain(self, pattern, steps, acc):
-        """M_g ... M_1 acc for M_j the matrix of steps[j - 1] = vals: vals[q]
-        in row i, column k for each pair (k, q) of pattern[i], else zero.
-        Each value and entry of acc packs into one integer, and an output
-        entry is one integer sum of products, unpacked and reduced by the
-        modulus once."""
-        n, p = self.degree, self.base.p
-        # a slot sums n products of residues per pair of a row (one at
-        # least, to hold a residue of acc)
-        slot = _slot_bytes((p - 1) ** 2 * n * max(map(len, [[0], *pattern])))
-        for vals in steps:
-            left = [_pack([v], slot, n) for v in vals]
-            right = list(zip(*[[_pack([e], slot, n) for e in row]
-                               for row in acc]))
-            acc = [[self.reduce_product(_unpack(sum([
-                left[q] * col[k] for k, q in row]), slot, 2 * n - 1))
-                for col in right] for row in pattern]
-        return acc
+    def pack_values(self, seqs, slot):
+        """Per sequence of residues (degree per coordinate, as a
+        fields.SplitRing over self lays out its values) a list of one
+        integer per coordinate: its u-coefficients from the first of a
+        block of 2 degree - 1 slots, which a product of two fills."""
+        k, width = self.degree, 8 * slot
+        flat = [x for s in seqs for x in s]
+        ints = flat[k - 1::k]
+        for j in range(k - 2, -1, -1):
+            ints = [(a << width) + b for a, b in zip(ints, flat[j::k])]
+        m = len(seqs[0]) // k if seqs else 0
+        return [ints[i:i + m] for i in range(0, len(ints), m or 1)]
+
+    def values_of(self, rows, slot):
+        """The residues of rows of sums of products of pack_values
+        integers, reduced by reduce_blocks in one pass: one list per row,
+        degree per coordinate."""
+        k = self.degree
+        size = slot * (2 * k - 1)
+        flat = self.reduce_blocks(_unpack_bytes(b"".join([
+            x.to_bytes(size, "little") for row in rows for x in row]), slot))
+        m = k * len(rows[0]) if rows else 0
+        return [flat[i:i + m] for i in range(0, len(flat), m or 1)]
 
     def __eq__(self, other):
         return isinstance(other, ExtensionField) and other.key == self.key

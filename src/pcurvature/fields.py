@@ -1,63 +1,50 @@
-"""Finite fields: F_p on machine ints, and the kernels of the packed rings.
+"""Finite fields: F_p on machine ints, and the batch ring of the factorial.
 
 A PrimeField element is an int in [0, p).  Field objects expose the same
 method surface (add, mul, inv, polymul, ...) and are compared by their
-`key`.  Extensions F_p[u]/(S), whose elements are tuples, live in
+`key`.  Extensions F_p[u]/(f), whose elements are tuples, live in
 `extension`; a solve whose points all lie in F_p never loads it.  Every
-input of the solvers is over a PrimeField, and every ring the matrix
-factorial runs on is one of the two packed rings below.
+input of the solvers is over a PrimeField.
 
 The polynomial product hooks are where the speed lives: over F_p the
 coefficients are packed into one big integer per operand (Kronecker
 substitution) so the convolution happens inside CPython's long
 multiplication.
 
-Both packed rings, an ExtensionField over F_p and a SplitRing, keep a
-matrix of polynomials in t in row form (MatrixRows): one row over F_p per
-coordinate of each nonzero entry, kept column by column in arrays of
-machine integers.  Their kernels read and write that form without
-crossing into tuples.  One kernel, _matpoly_mul, multiplies matrices in
-both: each coordinate of an entry packs from the columns into one
-integer, a block of 2k - 1 slots per t-coefficient for k rows, each
-row-by-column inner product of m terms is m integer products summed,
-and each output block is reduced once, mod p in a SplitRing (k = 1) and
-over F_p[u]/S (k = n) by one integer sum of the packed rows u^(n+j) mod
-S.  shift_rows shifts the whole matrix in t by an F_p constant with no
-reduction mod S: shifted column j is one sum of the packed columns times
-F_p constants, for entries no longer than p.  Nor does the multipoint
-evaluation at F_p points (rows_rem, rows_at) reduce mod S.
-
-A SplitRing is F_p[z]/S for S a product of distinct linear factors z - a_i,
-kept in value form: an element is the tuple of its values at the a_i, so
-the ring is F_p^n and nothing is ever reduced mod S.  A product of matrices
-of polynomials in t is one Kronecker product over F_p per coordinate and
-pair of nonzero entries, on integers n times shorter than those of
-F_p[u]/S (whose blocks need 2n - 1 slots per t-coefficient), and constant
-matrices multiply pointwise.  The row form, shift_rows, rows_rem and
-rows_at act on each coordinate alone, so both rings take them from one
-base class, PackedRing.
+The matrix factorial runs on one ring, SplitRing: ell^n in value form for
+n points of a field ell, F_p or F_p[u]/(f) with f irreducible of degree
+k.  It keeps a matrix of polynomials in t in row form (MatrixRows): one
+row over F_p per u-coefficient of each coordinate of each nonzero entry,
+kept column by column in arrays of machine integers, which its kernels
+read and write without crossing into tuples.  matpoly_mul packs each
+coordinate from the columns into one integer, a block of 2k - 1 slots per
+t-coefficient; each row-by-column inner product of m terms is m integer
+products summed, and each output block is reduced once, mod p or, at
+k > 1, by f.  shift_rows shifts the whole matrix in t by an F_p
+constant: shifted column j is one sum of the packed columns times F_p
+constants, for entries no longer than p.  shift_rows and the multipoint
+evaluation at F_p points (rows_rem, rows_at) act on each row alone.
 
 Slot widths.  Every packed product sizes its slots for the largest sum a
 slot can hold.  A slot of up to 8 bytes packs and unpacks in one array
 pass; a wider one unpacks slot by slot in Python.  For entries of length
-L (la and lb for two factors), N x N matrices, a ring of degree n, and
-quotients of length k by an m over F_p, the bounds and the bits they
+L (la and lb for two factors), N x N matrices, points of degree k, and
+quotients of length k' by an m over F_p, the bounds and the bits they
 reached on the det and mc batches of the workload operator, its companion
 system and sym2 (N = 4, 6 and 9), at the planner's s, are:
 
-    kernel                       bound                    2^10 2^16 2^18 2^20
-    shift_rows                   L (p-1)^2                  24   39   44   49
-    _matpoly_mul, split ring     min(la, lb) N (p-1)^2      27   42   47   51
-    _matpoly_mul, F_p[u]/S       n min(la, lb) N (p-1)^2    log2 n bits more
-    rows_rem, first product      k (p-1)^2                   -   39   44   50
-    rows_rem, second product     min(k, deg m) (p-1)^2 + p-1 -  39   44   50
-    rows_at                      L (p-1)^2                  26   40   45   50
+    kernel                       bound                      2^10 2^16 2^18 2^20
+    shift_rows                   L (p-1)^2                    24   39   44   49
+    matpoly_mul                  k min(la, lb) N (p-1)^2      27   42   47   51
+    rows_rem, first product      k' (p-1)^2                    -   39   44   50
+    rows_rem, second product     min(k', deg m) (p-1)^2 + p-1  -   39   44   50
+    rows_at                      L (p-1)^2                    26   40   45   50
 
-(rows_rem shows the larger of its two products.)  They grow by about 2.5
-bits per doubling of p, as L and k grow like sqrt p, so they stay within
-8 bytes up to about p = 2^25 (2^26 for shift_rows, 2^23 for _matpoly_mul
-over F_p[u]/S at n = 18).  ExtensionField.chain has its own bound
-(extension).
+(rows_rem shows the larger of its two products, and matpoly_mul the bits
+at k = 1: log2 k more at k.)  They grow by about 2.5 bits per doubling of
+p, as L and k' grow like sqrt p, so they stay within 8 bytes up to about
+p = 2^25 (2^26 for shift_rows).  The chain's slots at k > 1 hold
+k m (p-1)^2, for m <= N the most in a row.
 """
 
 import array
@@ -296,8 +283,8 @@ class MatrixRows:
     kept column by column: the layout of every baby-step kernel.
 
     Only nonzero entries have rows.  entries[k] is the position
-    i * shape[1] + j of the k-th of them, and its coordinate c is row
-    n*k + c, for n the ring's degree; cols[i] holds coefficient i of
+    i * shape[1] + j of the k-th of them, and its rows are n*k to n*k +
+    n - 1, for n the ring's degree; cols[i] holds coefficient i of
     every row (built by _column), so there are as many columns as the
     longest entry has coefficients, and lengths[k] bounds the length of
     entry k.  A ring's rows_of and matrix_of convert from and to nested
@@ -368,59 +355,86 @@ def _entry_products(A, B, left, right, n):
     return (rows, width), entries, lengths, accs
 
 
-def _matpoly_mul(A, B, p, parts, k, reduce=None):
-    """Product of MatrixRows A and B whose entries hold `parts`
-    coordinates of k rows over F_p each: n values of a SplitRing (parts
-    n, k 1), or the n u-coefficients of F_p[u]/S (parts 1, k n).
+class SplitRing:
+    """ell[z]/((z - a_1)...(z - a_n)) for distinct a_i in a field ell over
+    F_p, kept in value form: the batch ring of the matrix factorial.
 
-    A coordinate packs into one integer, a block of 2k - 1 slots per
-    t-coefficient so that no convolution spills into the next block.  All
-    products are unpacked in one pass, and each block is reduced once: mod
-    p when k = 1, else by `reduce` (extension.ExtensionField.reduce_product).
+    ell is F_p, or F_p[u]/(f) for f irreducible of degree k
+    (extension.ExtensionField).  An element is the tuple of its values at
+    the a_i laid end to end, k u-coefficients each, so the ring is ell^n,
+    an entry has `degree` = n k rows over F_p, and z itself is `gen`.  add,
+    sub and neg act pointwise mod p; mul and inv coordinate by coordinate
+    through ell, inv raising ZeroDivisionError on a zero coordinate.
+    Nothing is ever reduced by the modulus of z.  At k > 1 mul, polymul,
+    chain and matpoly_mul pack each coordinate into one integer and reduce
+    by f in ell's kernels (extension), and inv inverts in ell.
     """
-    W = 2 * k - 1
-    # a slot sums k products of residues per pair of t-coefficients, and
-    # must hold a coefficient even when the other side is zero
-    slot = _slot_bytes((p - 1) ** 2 * k * _inner_terms(A, B))
 
-    def coord_ints(R):
-        width = W * len(R.cols)
-        return _split_ints(_pack_cols(R.cols, slot, width, p, k, W),
-                           slot * width)
-    shape, entries, lengths, accs = _entry_products(
-        A, B, coord_ints(A), coord_ints(B), parts)
-    top = max(lengths, default=0)
-    size = W * top
-    vals = _unpack_bytes(b"".join([
-        x.to_bytes(slot * size, "little") for acc in accs for x in acc]),
-        slot)
-    if k == 1:
-        vals = [x % p for x in vals]
-        return MatrixRows(shape, entries, lengths, [
-            _column(vals[i::top], p) for i in range(top)])
-    # product q, a coordinate of entry q // parts, is reduced up to the
-    # entry's length and zero after it
-    outs = [[reduce(vals[at:at + W]) for at in range(
-        size * q, size * q + W * lengths[q // parts], W)]
-        for q in range(len(entries) * parts)]
-    return MatrixRows(shape, entries, lengths, [
-        _column(itertools.chain.from_iterable(
-            out[i] if i < len(out) else (0,) * k for out in outs), p)
-        for i in range(top)])
+    def __init__(self, field, roots):
+        base = getattr(field, "base", field)
+        if not isinstance(base, PrimeField):
+            raise TypeError(f"points must lie in a field over F_p: {field}")
+        if field is base:
+            roots = [base.from_int(a) for a in roots]
+            gen = tuple(roots)
+        else:
+            roots = [tuple(a) for a in roots]
+            gen = tuple(itertools.chain.from_iterable(roots))
+        if not roots or len(set(roots)) != len(roots):
+            raise ValueError("need at least one root, all distinct")
+        self.field = field
+        self.base = base
+        self.p = base.p
+        self.char = base.char
+        self.degree = len(gen)
+        self.gen = gen
+        self.zero = (0,) * self.degree
+        self.one = self.embed(1)
+        self.key = ("split", field.key, gen)
 
+    def add(self, a, b):
+        p = self.p
+        return tuple([(x + y) % p for x, y in zip(a, b)])
 
-class PackedRing:
-    """The row-form kernels that both packed rings share: conversions
-    to and from MatrixRows, shift_rows, rows_rem and rows_at.  Each acts
-    on every row over F_p alone, so it serves the coordinates of
-    F_p[u]/S in the monomial basis (extension.ExtensionField over F_p)
-    and of F_p^n in value form (SplitRing) alike.  A subclass has
-    `degree` rows per entry, `zero` and the characteristic `char`.
-    """
+    def sub(self, a, b):
+        p = self.p
+        return tuple([(x - y) % p for x, y in zip(a, b)])
+
+    def neg(self, a):
+        p = self.p
+        return tuple([-x % p for x in a])
+
+    def mul(self, a, b):
+        if self.field.degree > 1:
+            # one step of the chain, [a] times [b]
+            return self.chain([[(0, 0)]], [[a]], [[b]])[0][0]
+        p = self.p
+        return tuple([x * y % p for x, y in zip(a, b)])
+
+    def inv(self, a):
+        k = self.field.degree
+        if k > 1:
+            inv = self.field.inv
+            return tuple(itertools.chain.from_iterable(
+                inv(a[i:i + k]) for i in range(0, self.degree, k)))
+        if not all(a):
+            raise ZeroDivisionError("element is a zero divisor")
+        p = self.p
+        return tuple([pow(x, -1, p) for x in a])
+
+    def from_int(self, n):
+        return self.embed(n % self.p)
+
+    def embed(self, c):
+        """A base-field element as a constant of the ring."""
+        k = self.field.degree
+        return ((c,) + (0,) * (k - 1)) * (self.degree // k)
+
+    def random_elem(self, rng):
+        return tuple([rng.randrange(self.p) for _ in range(self.degree)])
 
     def rows_of(self, M):
-        """M, a nested list of polynomials over a packed self, as
-        MatrixRows."""
+        """M, a nested list of polynomials over self, as MatrixRows."""
         entries, lengths, polys_ = [], [], []
         width = len(M[0]) if M else 0
         for i, row in enumerate(M):
@@ -443,6 +457,101 @@ class PackedRing:
             out[e // width][e % width] = polys.trim(self, [
                 tuple(col[k * n:k * n + n]) for col in R.cols[:length]])
         return out
+
+    def matpoly_mul(self, A, B):
+        """Product of MatrixRows A and B over self: a coordinate packs
+        into one integer, 2k - 1 slots per t-coefficient so that no
+        convolution spills into the next, and all products are unpacked in
+        one pass and reduced once, mod p or, at k > 1, all blocks together
+        by f (extension.ExtensionField.reduce_blocks)."""
+        p, k = self.p, self.field.degree
+        W = 2 * k - 1
+        # a slot sums k products of residues per pair of t-coefficients, and
+        # must hold a coefficient even when the other side is zero
+        slot = _slot_bytes((p - 1) ** 2 * k * _inner_terms(A, B))
+
+        def coord_ints(R):
+            width = W * len(R.cols)
+            return _split_ints(_pack_cols(R.cols, slot, width, p, k, W),
+                               slot * width)
+        shape, entries, lengths, accs = _entry_products(
+            A, B, coord_ints(A), coord_ints(B), self.degree // k)
+        top = max(lengths, default=0)
+        size = W * top
+        vals = _unpack_bytes(b"".join([
+            x.to_bytes(slot * size, "little") for acc in accs for x in acc]),
+            slot)
+        if k == 1:
+            vals = [x % p for x in vals]
+            return MatrixRows(shape, entries, lengths, [
+                _column(vals[i::top], p) for i in range(top)])
+        # block q top + i is t-coefficient i of product q, zero from the
+        # length of its entry on
+        flat = self.field.reduce_blocks(vals)
+        return MatrixRows(shape, entries, lengths, [
+            _column(itertools.chain.from_iterable(zip(*[
+                flat[i * k + j::top * k] for j in range(k)])), p)
+            for i in range(top)])
+
+    def chain(self, pattern, steps, acc):
+        """M_g ... M_1 acc for M_j the matrix of steps[j - 1] = vals: vals[q]
+        in row i, column k for each pair (k, q) of pattern[i], else zero.
+        A row of acc is one list of its entries' coordinates, and an output
+        row one chain of coordinatewise products and sums, reduced once
+        per step: mod p when k = 1; else each coordinate is one integer
+        (extension.ExtensionField.pack_values), and a step's products are
+        unpacked and reduced together."""
+        p, n, r = self.p, self.degree, len(acc[0])
+        k = self.field.degree
+        mul, add = operator.mul, operator.add
+        rows = [[x for e in row for x in e] for row in acc]
+        zeros = [0] * (n // k * r)
+        if k > 1:
+            # a slot sums k products of residues per pair of a row (one at
+            # least, to hold a residue of acc)
+            slot = _slot_bytes((p - 1) ** 2 * k
+                               * max(map(len, [[0], *pattern])))
+            pack, unpack = self.field.pack_values, self.field.values_of
+        for vals in steps:
+            if k > 1:
+                rows, vals = pack(rows, slot), pack(vals, slot)
+            out = []
+            for row in pattern:
+                s = None
+                for j, q in row:
+                    prods = map(mul, vals[q] * r, rows[j])
+                    s = prods if s is None else map(add, s, prods)
+                out.append(zeros if s is None else
+                           list(s) if k > 1 else [x % p for x in s])
+            rows = unpack(out, slot) if k > 1 else out
+        return [[tuple(row[j:j + n]) for j in range(0, n * r, n)]
+                for row in rows]
+
+    def polymul(self, f, g):
+        """Product of polynomials over self, coordinate by coordinate:
+        schoolbook on the tuples below PrimeField.KRONECKER_CUTOFF, with
+        one reduction mod p per value, else one Kronecker product over
+        F_p per coordinate.  At k > 1 always schoolbook, on coordinates
+        packed as the chain packs them."""
+        p, k = self.p, self.field.degree
+        if k == 1 and min(len(f), len(g)) >= PrimeField.KRONECKER_CUTOFF:
+            mul = self.base._polymul_kronecker
+            out = zip(*[mul(a, b) for a, b in zip(zip(*f), zip(*g))])
+        else:
+            if k > 1:
+                # a slot sums k products of residues per pair of coefficients
+                slot = _slot_bytes((p - 1) ** 2 * k * min(len(f), len(g)))
+                f, g = (self.field.pack_values(h, slot) for h in (f, g))
+            acc = [None] * (len(f) + len(g) - 1)
+            for i, a in enumerate(f):
+                for j, b in enumerate(g):
+                    prods = map(operator.mul, a, b)
+                    acc[i + j] = (prods if acc[i + j] is None
+                                  else map(operator.add, acc[i + j], prods))
+            out = (self.field.values_of(list(map(list, acc)), slot) if k > 1
+                   else ([x % p for x in c] for c in acc))
+        # over a product ring the top coefficient can vanish
+        return polys.trim(self, [tuple(c) for c in out])
 
     def shift_rows(self, R, c):
         """R(t + c) for c in F_p, of MatrixRows R whose entries are no
@@ -529,111 +638,6 @@ class PackedRing:
             out.append(list(zip(*[vals] * self.degree)))
         return out
 
-
-class SplitRing(PackedRing):
-    """F_p[z]/((z - a_1)...(z - a_n)) for distinct a_i in F_p, in value form.
-
-    An element is the tuple of its values at a_1, ..., a_n, so the ring is
-    F_p^n and every operation acts on each coordinate alone: add, mul and
-    inv pointwise (inv raises ZeroDivisionError on a zero divisor), chain
-    one sum per coordinate, and a product of polynomial matrices in t one
-    Kronecker product over F_p per coordinate and pair of entries.  No
-    product is ever reduced by the modulus, and integers stay as short as
-    one coordinate's polynomial.  z itself is `gen`, the tuple of roots.
-    """
-
-    def __init__(self, base, roots):
-        if not isinstance(base, PrimeField):
-            raise TypeError(f"a split ring needs a prime base, not {base}")
-        roots = tuple(base.from_int(a) for a in roots)
-        if not roots or len(set(roots)) != len(roots):
-            raise ValueError("need at least one root, all distinct")
-        self.base = base
-        self.p = base.p
-        self.char = base.char
-        self.degree = len(roots)
-        self.gen = roots
-        self.zero = (0,) * self.degree
-        self.one = (1,) * self.degree
-        self.key = ("split", base.key, roots)
-
-    def add(self, a, b):
-        p = self.p
-        return tuple([(x + y) % p for x, y in zip(a, b)])
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple([(x - y) % p for x, y in zip(a, b)])
-
-    def neg(self, a):
-        p = self.p
-        return tuple([-x % p for x in a])
-
-    def mul(self, a, b):
-        p = self.p
-        return tuple([x * y % p for x, y in zip(a, b)])
-
-    def inv(self, a):
-        if not all(a):
-            raise ZeroDivisionError("element is a zero divisor")
-        p = self.p
-        return tuple([pow(x, -1, p) for x in a])
-
-    def from_int(self, n):
-        return self.embed(n % self.p)
-
-    def embed(self, c):
-        """A base-field element as a constant of the ring."""
-        return (c,) * self.degree
-
-    def random_elem(self, rng):
-        return tuple([rng.randrange(self.p) for _ in range(self.degree)])
-
-    def matpoly_mul(self, A, B):
-        """Product of MatrixRows A and B over self: _matpoly_mul with
-        degree coordinates of one row per entry, reduced mod p."""
-        return _matpoly_mul(A, B, self.p, self.degree, 1)
-
-    def chain(self, pattern, steps, acc):
-        """M_g ... M_1 acc, as ExtensionField.chain: a row of acc as one
-        list of its entries' values, an output row as one chain of
-        pointwise products and sums, reduced mod p once."""
-        p, n, r = self.p, self.degree, len(acc[0])
-        mul, add = operator.mul, operator.add
-        rows = [[x for e in row for x in e] for row in acc]
-        zeros = [0] * (n * r)
-        for vals in steps:
-            out = []
-            for row in pattern:
-                s = None
-                for k, q in row:
-                    prods = map(mul, vals[q] * r, rows[k])
-                    s = prods if s is None else map(add, s, prods)
-                out.append(zeros if s is None else [x % p for x in s])
-            rows = out
-        return [[tuple(row[j:j + n]) for j in range(0, n * r, n)]
-                for row in rows]
-
-    def polymul(self, f, g):
-        """Product of polynomials over self, coordinate by coordinate:
-        schoolbook on the tuples below PrimeField.KRONECKER_CUTOFF, with
-        one reduction mod p per value, else one Kronecker product over
-        F_p per coordinate."""
-        p = self.p
-        if min(len(f), len(g)) >= PrimeField.KRONECKER_CUTOFF:
-            mul = self.base._polymul_kronecker
-            out = zip(*[mul(a, b) for a, b in zip(zip(*f), zip(*g))])
-        else:
-            acc = [None] * (len(f) + len(g) - 1)
-            for i, a in enumerate(f):
-                for j, b in enumerate(g):
-                    prods = map(operator.mul, a, b)
-                    acc[i + j] = (prods if acc[i + j] is None
-                                  else map(operator.add, acc[i + j], prods))
-            out = ([x % p for x in c] for c in acc)
-        # over a product ring the top coefficient can vanish
-        return polys.trim(self, [tuple(c) for c in out])
-
     def __eq__(self, other):
         return isinstance(other, SplitRing) and other.key == self.key
 
@@ -641,7 +645,7 @@ class SplitRing(PackedRing):
         return hash(self.key)
 
     def __repr__(self):
-        return f"GF({self.p})^{self.degree}"
+        return f"{self.field!r}^{self.degree // self.field.degree}"
 
 
 def _prime_factors(n):

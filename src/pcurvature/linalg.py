@@ -20,22 +20,22 @@ point's values as the tree gives them, with no step matrices.  A right
 factor of r columns (local_eval passes the r corner columns of the
 identity) makes each step an N x N by N x r product.
 
-The factorial runs over a packed ring K: a split ring F_p^n
-(fields.SplitRing) or an extension F_p[u]/S (extension.ExtensionField),
-the product ring of a batch of points over F_p.  Its kernels are K.chain,
-and K.matpoly_mul for polynomial matrices, which it takes and returns in
-row form (fields.MatrixRows): one row over F_p per coordinate of each
-nonzero entry, kept column by column.  The baby steps stay in row form
-from B to P_s.  Each shift is one K.shift_rows of the whole matrix while
-its entries are no longer than p, the product packs its factors straight
-from the columns, and P_s goes down one subproduct tree over F_p
-(polys.SubproductTree, at the integers 0, s, ..., (g - 1)s) in one
-evaluate call as it is, and the leftover runs evaluate P_k by K.rows_at.
+The factorial runs over the batch ring K of points of a field ell, ell^n
+in value form (fields.SplitRing; TypeError on any other ring).  Its
+kernels are K.chain, and K.matpoly_mul for polynomial matrices, which it
+takes and returns in row form (fields.MatrixRows): one row over F_p per
+u-coefficient of each coordinate of each nonzero entry, kept column by
+column.  The baby steps stay in row form from B to P_s.  Each shift is
+one K.shift_rows of the whole matrix while its entries are no longer
+than p, the product packs its factors straight from the columns, and P_s
+goes down one subproduct tree over F_p (polys.SubproductTree, at the
+integers 0, s, ..., (g - 1)s) in one evaluate call as it is, and the
+leftover runs evaluate P_k by K.rows_at.
 
 The analysis balances s against count/s with quasi-linear products, which
 puts s near sqrt(count).  But the baby steps multiply integers of a few
 dozen digits, which CPython multiplies by schoolbook, so the last doubling
-costs about N^3 n (s d)^2 and the balance lies lower: baby_step_length
+costs about N^3 n k (s d)^2 and the balance lies lower: baby_step_length
 picks the s of least estimated cost (_FactorialCost), which prices each
 layer as the code runs it, in fitted units, over the s near sqrt(count)
 with at most two set bits only.
@@ -53,9 +53,15 @@ def identity(K, n):
     return [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
 
 
+def _require_batch_ring(K):
+    if not isinstance(K, fields.SplitRing):
+        raise TypeError(f"need a batch ring (fields.SplitRing), not {K}")
+
+
 def matmul(K, A, B):
-    """A B over a packed K: one step of K.chain, on the pattern of A's
+    """A B over a batch ring K: one step of K.chain, on the pattern of A's
     nonzero entries."""
+    _require_batch_ring(K)
     if len(B) != len(A[0]):
         raise DimensionMismatch(
             f"cannot multiply {len(A)}x{len(A[0])} by {len(B)}x{len(B[0])}")
@@ -213,19 +219,24 @@ class _FactorialCost:
     (the rows of one layer of one factorial weighted by one over the
     square root of their number) to medians of 3-5 timed runs, each scaled
     by a fixed loop timed beside it, which cancels the host's drift.
-    Split rings: the doublings and odd steps along the chain, and the four
+    At k = 1: the doublings and odd steps along the chain, and the four
     layers, at 3-9 forced values of s each, of det's batches on the
     workload operator (29 points, p = 1019, 4099, 16411 and 65539), mc's
     on it (12 points, p = 2003 and 16411), det's on its companion system
     (29 points, p = 263 and 1019), det's on sym2, the symmetric square of
     the Gauss system (79 points, p = 1009), batches of 8 points on the
     operator at p = 10007, 40009 and 262147, and 2 x 2 and 3 x 3 matrices
-    of degree 9 over three points of F_1009 at count 100 and 400.  Over
-    F_p[u]/S the products have prices of their own, fitted likewise on
-    sym2's mc batch (degree 18, p = 1009) and on batches of points of
-    degree 2 on the operator (degree 12 at p = 1009, 18 at 4099).  The
+    of degree 9 over three points of F_1009 at count 100 and 400.  The
     steps were fitted to the chain alone at 240 shapes (N = 2-9, r = 1, 2
-    and N, ring degree 1-29).
+    and N, ring degree 1-29).  The terms that vanish at k = 1 (points of
+    degree k, n // k of them) were fitted by least squares to the time
+    at k = 2 scaled by the ratio of price to time at k = 1 of the same
+    product or step, timed in alternation, on 9 points of degree 2 of
+    sym2 (p = 1009) and of the operator (p = 4099), and on 6 of it
+    (p = 1009), at s = 8-64.  The products are priced within 0.68-1.38
+    of that time and the steps within 0.88-1.09; on the 15 points of
+    sym2 + Gauss at 1009, which the fit did not see, 0.94-1.35 and
+    1.01-1.04.
     """
 
     def __init__(self, K, B, r, count):
@@ -233,8 +244,8 @@ class _FactorialCost:
         self.N, self.r = N, r
         self.d = max(max(len(e) for row in B for e in row) - 1, 0)
         self.growth = _degree_growth(B)
-        self.split = isinstance(K, fields.SplitRing)
-        self.n = K.degree
+        # rows per entry, and per coordinate
+        self.n, self.k = K.degree, K.field.degree
         self.p = K.char
         self.q = (self.p - 1) ** 2
         self.base = polys.SubproductTree.BASE_CASE
@@ -272,19 +283,17 @@ class _FactorialCost:
     def _product(self, pairs, la, lb, ea, eb, out):
         """matpoly_mul of factors with ea and eb nonzero entries of lengths
         la and lb, multiplying that many pairs into out nonzero entries.
-        Over F_p[u]/S each pair is one product of whole entries, in blocks
-        of 2n - 1 slots per t-coefficient."""
-        n, lo = self.n, la + lb - 1
-        w = fields._slot_bytes(math.ceil(
-            self.q * min(la, lb) * self.N * (1 if self.split else n)))
-        if not self.split:
-            W = 2 * n - 1
-            return (pairs * 4.199e-05 * _product_bytes(la * W * w, lb * W * w)
-                    + 0.6066 * n * (ea * la + eb * lb))
-        return (n * (pairs * (0.09835 + 6.482e-05 * _product_bytes(
-            la * w, lb * w)) + 0.4712 * (ea + eb)
-            + 0.03586 * (ea * la + eb * lb + out * lo))
-            + 8.513 * out + 4.026 * lo)
+        Each pair is one product per coordinate, in blocks of 2k - 1
+        slots per t-coefficient, and at k > 1 every output block is
+        reduced by the modulus of the point field."""
+        n, k, lo = self.n, self.k, la + lb - 1
+        W = 2 * k - 1
+        w = fields._slot_bytes(math.ceil(self.q * min(la, lb) * self.N * k))
+        return (n // k * (pairs * (0.09835 + 6.482e-05 * _product_bytes(
+            la * W * w, lb * W * w)) + 0.4712 * (ea + eb)
+            + 0.03586 * (k * (ea * la + eb * lb) + out * lo))
+            + 8.513 * out + 4.026 * lo
+            + 0.138 * (k * k - 1) * (n // k) * out * lo)
 
     def doubling(self, k):
         """P_2k(u) = P_k(u+k) P_k(u): a shift and a product."""
@@ -300,16 +309,16 @@ class _FactorialCost:
             self.pattern.nonzero[k], self.pattern.nonzero[k + 1])
 
     def step(self, k):
-        """One step of the chain of P_k at a point, N x N, by N x r.  On a
-        split ring the fit is scaled by 1.44, the chain's median ratio of
-        time to price over the baby steps' on the planner's batches."""
-        N, r, n = self.N, self.r, self.n
+        """One step of the chain of P_k at a point, N x N, by N x r.  The
+        fit is scaled by 1.44, the chain's median ratio of time to price
+        over the baby steps' on the planner's batches.  At k > 1 a step
+        also packs its values and rows, and reduces its output blocks."""
+        N, r, m = self.N, self.r, self.n // self.k
         nz = self.pattern.nonzero[k]
-        if not self.split:
-            return (n * (0.2018 * N * r + 0.0696 * nz)
-                    + r * (0.3393 * nz + 3.364 * N))
-        return 1.44 * (n * r * (0.0546 * nz + 0.01041 * N) + 0.2542 * nz
-                       + 0.1635 * N)
+        return (1.44 * (m * r * (0.0546 * nz + 0.01041 * N) + 0.2542 * nz
+                        + 0.1635 * N)
+                + (self.k - 1) * (m * (0.3565 * nz + 0.2747 * self.k * N * r)
+                                  + 7.555))
 
     def leftover(self, k):
         """One leftover run of k factors: P_k evaluated at a point, then
@@ -392,6 +401,7 @@ def matrix_factorial(K, B, count, right=None):
     the characteristic: the evaluation points then repeat, and the baby
     steps shift entries longer than p, which polys.taylor_shift handles.
     """
+    _require_batch_ring(K)
     n = len(B)
     if any(len(row) != n for row in B):
         raise NotSquare("matrix factorial needs a square matrix")

@@ -9,23 +9,19 @@ bottom-right corner and is similar to -A_p(a).
 
 The input is over F_p: any other field raises FieldMismatch, as invariant
 factors over F_p(x) are what every caller needs.  The factorial needs only
-ring operations once B is built, so several points a_1, ..., a_k share
-one: it runs at the generator z of F_p[z]/(m), with m the product of the
-distinct minimal polynomials of the a_i over F_p.  That ring is a product
-of fields, one per minimal polynomial, and sending z to a_i maps the
-corner onto the one at a_i; a single point is a batch of one.  When every
-a_i lies in F_p (det's points whenever F_p has enough of them, and mc's
-when s = 1), the ring is F_p^n and runs in value form (fields.SplitRing):
-its products are n small Kronecker products, not one packed product
-reduced mod m, and the corner at a_i is coordinate i.  Such points come in
-as elements of F_p itself (ell = F_p), so their minimal polynomials and
-Smith forms are F_p arithmetic.
+ring operations once B is built, so the distinct points a_1, ..., a_n of
+a point field ell share one: it runs at the generator z of
+ell[z]/((z - a_1)...(z - a_n)), kept in value form as ell^n
+(fields.SplitRing), and the corner at a_i is coordinate i; a single point
+is a batch of one.  Points of F_p (det's whenever F_p has enough of them,
+and mc's when s = 1) come in as elements of F_p itself (ell = F_p), so
+their ring and Smith forms are F_p arithmetic.
 
 A pole is found by the one inverse the recurrence builder takes, of
-f_A(a) or a_r(a): a zero divisor of the product ring, zero if it has one
-point.  Every ring's inv raises ZeroDivisionError on it, which the
-builder turns into PoleAtPoint or LeadingCoeffVanishes, so a batch
-raises what its points raise alone, CharTooSmall first.
+f_A(a) or a_r(a): a zero coordinate of the batch ring.  Its inv raises
+ZeroDivisionError on it, which the builder turns into PoleAtPoint or
+LeadingCoeffVanishes, so a batch raises what its points raise alone,
+CharTooSmall first.
 
 Only the r corner columns of the factorial are ever read, so it runs on
 the last r columns of the identity: each giant step and leftover factor
@@ -153,27 +149,6 @@ def build_B_operator(op, ell, a):
     return RecMatrix(entries=_tidy(ell, rows), corner=r)
 
 
-def _product_ring(K, mins):
-    """The ring of the batch and, per minimal polynomial, its coordinate.
-
-    When every minimal polynomial is z - a, the ring is split: a SplitRing
-    keeps each element as its values at the roots, coordinate i the value
-    at the root of the i-th distinct minimal polynomial.  Otherwise it is
-    F_p[z]/(m) for m the product of the distinct minimal polynomials, with
-    no coordinates; m is squarefree, so repeated and conjugate points
-    share a factor.
-    """
-    distinct = list(dict.fromkeys(mins.values()))
-    if all(len(m) == 2 for m in distinct):
-        ring = fields.SplitRing(K, [K.neg(m[0]) for m in distinct])
-        return ring, {m: i for i, m in enumerate(distinct)}
-    from .extension import ExtensionField
-    m = [K.one]
-    for mp in distinct:
-        m = polys.mul(K, m, list(mp))
-    return ExtensionField(K, m), None
-
-
 def require_prime_field(K):
     """Refuse an input field other than F_p with FieldMismatch."""
     if not isinstance(K, fields.PrimeField):
@@ -186,25 +161,17 @@ def invariant_factors_at(inp, ell, points):
     The input's field K is F_p (FieldMismatch otherwise), and ell is K
     itself for points of degree 1, else an extension of K.  All the
     points, one or many, share one matrix factorial of p terms over the
-    product ring of their minimal polynomials (z - a for a point of K), on
-    the last r columns of the identity: Y^{(p)}(0) sits in its
-    bottom-right corner, and A_p(a) is similar to its negation, so the
-    invariant factors of the negated corner are exactly the local
-    similarity class.  When the
-    points all lie in F_p, the ring is split and kept in value form, so
-    the corner at a_i is read off coordinate i.  Otherwise each entry of
-    its corner is a polynomial in z, reduced over F_p modulo the minimal
-    polynomial of a_i and then evaluated at a_i before its invariant
-    factors are taken over ell.
+    value-form ring of the distinct ones, on the last r columns of the
+    identity: Y^{(p)}(0) sits in its bottom-right corner, and A_p(a) is
+    similar to its negation, so the invariant factors of coordinate a of
+    the negated corner are exactly the local similarity class at a.
     """
     require_prime_field(inp.K)
     points = list(points)
     if not points:
         raise ValueError("need at least one point")
-    # minimal polynomial over K of each distinct point
-    mins = {a: tuple(fields.minimal_polynomial(ell, a, inp.K.q))
-            for a in dict.fromkeys(points)}
-    ring, coord = _product_ring(inp.K, mins)
+    coord = {a: i for i, a in enumerate(dict.fromkeys(points))}
+    ring = fields.SplitRing(ell, coord)
     if isinstance(inp, DiffSystem):
         rec = build_B_system(inp, ring, ring.gen)
     else:
@@ -213,13 +180,12 @@ def invariant_factors_at(inp, ell, points):
     right = [row[n - r:] for row in linalg.identity(ring, n)]
     M = linalg.matrix_factorial(ring, rec.entries, ring.char, right)
     corner = [[ring.neg(e) for e in row] for row in M[n - r:]]
-    emb = fields.embedding(inp.K, ell)
+    # coordinate i is a residue, or the k u-coefficients of a value in ell
+    k = 0 if ell is ring.base else ell.degree
 
     def value(e, a):
-        if coord is not None:
-            return emb(e[coord[mins[a]]])
-        r = polys.rem(inp.K, list(e), mins[a])
-        return polys.eval_at(ell, [emb(c) for c in r], a)
+        i = coord[a]
+        return e[i * k:i * k + k] if k else e[i]
 
     return [linalg.invariant_factors_of(
         ell, [[value(e, a) for e in row] for row in corner])

@@ -8,10 +8,10 @@ elements are in canonical form, so `==` on elements is exact equality.
 Multiplication dispatches to K.polymul, which lets each field supply a
 representation-specific fast path (Kronecker packing over a prime field,
 delayed modular reduction in extensions).  A multipoint evaluation
-(SubproductTree) is at integers, which lie in F_p, over a packed ring,
+(SubproductTree) is at integers, which lie in F_p, over the batch ring,
 and dispatches to its K.rows_rem and K.rows_at.  Everything else here is
-generic; a whole matrix over a packed ring shifts in one kernel of its
-own (fields.PackedRing.shift_rows).
+generic; a whole matrix over the batch ring shifts in one kernel of its
+own (fields.SplitRing.shift_rows).
 
 Every division by a fixed monic modulus goes through MonicModReducer,
 which keeps the Newton inverse of the reversed modulus: powers modulo m,
@@ -313,21 +313,20 @@ def rem_monic_precomp(K, f, m, m_rev_inv):
 
 class SubproductTree:
     """Product tree over the moduli (x - a) for the integers a of points,
-    for batch evaluation over a packed ring K: F_p^n in value form
-    (fields.SplitRing) or F_p[u]/S in the monomial basis
-    (extension.ExtensionField).
+    for batch evaluation over the batch ring K of the matrix factorial,
+    ell^n in value form (fields.SplitRing), which acts on F_p rows.
 
-    The tree is built over F_p = K.base, and evaluate takes
-    fields.MatrixRows: the n coordinates of all its entries go down the
-    tree together, as rows over F_p kept column by column.  Node
-    (level, i) holds the points from i * 2**level on, at most 2**level of
-    them; an odd node at any level is carried up unchanged.  A node of
-    more than BASE_CASE points divides all the rows it receives at once
-    (K.rows_rem, with node.inverse(k) for quotients of length k, linear in
-    the number of rows) when they are longer than its degree, and
-    otherwise hands them to its children untouched; the first node of at
-    most BASE_CASE points evaluates them all at its points at once
-    (K.rows_at), never mod S.  A node is built only when it divides: its
+    The tree is built over F_p = K.base, not over ell, and evaluate takes
+    fields.MatrixRows: every u-coefficient of every coordinate of all its
+    entries goes down the tree together, as rows over F_p kept column by
+    column.  Node (level, i) holds the points from i * 2**level on, at
+    most 2**level of them; an odd node at any level is carried up
+    unchanged.  A node of more than BASE_CASE points divides all the rows
+    it receives at once (K.rows_rem, with node.inverse(k) for quotients
+    of length k, linear in the number of rows) when they are longer than
+    its degree, and otherwise hands them to its children untouched; the
+    first node of at most BASE_CASE points evaluates them all at its
+    points at once (K.rows_at).  A node is built only when it divides: its
     product comes from its children's, which are kept for later nodes,
     and its MonicModReducer keeps the inverse of its reversal at the
     precision its longest quotient needs.  The values come point by

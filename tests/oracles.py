@@ -178,6 +178,21 @@ def sym2_system(K):
     ))
 
 
+def sym2_gauss_system(K):
+    """sym2_system(K) beside the Gauss system, block-diagonal, f_A = x - x^2.
+
+    The application's shape: N = 15 at r = 5 and d = 2.  Its invariant
+    factors are 1, 1, 1, T^2 and T^3, so no local class is cyclic.
+    """
+    sym2 = sym2_system(K)
+    f_A = sym2.f_A
+    gauss = (((), f_A), ((K.inv(K.from_int(4)),),
+                         (K.from_int(-1), K.from_int(2))))
+    return DiffSystem(K, f_A, tuple(
+        [row + ((),) * 2 for row in sym2.A_tilde]
+        + [((),) * 3 + row for row in gauss]))
+
+
 def evaluate_at_X(L, bp, b, embed):
     """Specialize X to b in L, producing a T-polynomial over L."""
     return [polys.eval_at(L, [embed(c) for c in coeff], b) for coeff in bp]

@@ -314,25 +314,21 @@ def test_gen_is_a_root_of_the_modulus(modulus):
 
 
 def test_squarefree_modulus_gives_the_product_ring():
-    # F_13[u]/((u - 1)(u - 2)(u^2 + 2)) is F_13 x F_13 x F_169: reducing
-    # modulo each factor is a ring map, and inv refuses zero divisors
+    # F_13[u]/((u - 1)(u - 2)(u^2 + 2)) is F_13 x F_13 x F_169, kept as its
+    # value form over F_169 = F_13[u]/(u^2 + 2) at 1, 2 and u: the value at
+    # each point is a ring map, and inv refuses zero divisors
     K = F13
-    factors = [[K.neg(K.one), K.one], [K.from_int(-2), K.one],
-               [K.from_int(2), K.zero, K.one]]
-    m = [K.one]
-    for f in factors:
-        m = polys.mul(K, m, f)
-    R = extension.ExtensionField(K, m)
+    ell = extension.ExtensionField(K, [K.from_int(2), K.zero, K.one])
+    R = fields.SplitRing(ell, [ell.one, ell.from_int(2), ell.gen])
     rng = random.Random(3)
     for _ in range(50):
         a, b = R.random_elem(rng), R.random_elem(rng)
-        for f in factors:
-            def red(x):
-                return polys.rem(K, polys.trim(K, list(x)), f)
-            assert red(R.mul(a, b)) == polys.rem(
-                K, polys.mul(K, red(a), red(b)), f)
-            assert red(R.add(a, b)) == polys.add(K, red(a), red(b))
-        if all(polys.rem(K, polys.trim(K, list(a)), f) for f in factors):
+        for i in range(0, 6, 2):
+            def at(x):
+                return x[i:i + 2]
+            assert at(R.mul(a, b)) == ell.mul(at(a), at(b))
+            assert at(R.add(a, b)) == ell.add(at(a), at(b))
+        if all(a[i:i + 2] != ell.zero for i in range(0, 6, 2)):
             assert R.mul(a, R.inv(a)) == R.one
     with pytest.raises(ZeroDivisionError):
         R.inv(R.sub(R.gen, R.one))
@@ -381,28 +377,33 @@ _F1019 = fields.PrimeField(1019)
 _FWIDE = fields.PrimeField(10**9 + 7)
 
 
+def _value_form(K, modulus, with_zero=False):
+    """The value-form ring over K[u]/(modulus) at u, after 0 if asked."""
+    ell = extension.ExtensionField(K, modulus)
+    return fields.SplitRing(ell, [ell.zero] * with_zero + [ell.gen])
+
+
 @pytest.mark.parametrize("ring", [
     lambda: fields.SplitRing(_F1019, range(1, 30)),
     lambda: fields.SplitRing(_FWIDE, [2, 3, 5]),
-    lambda: extension.ExtensionField(
-        _F1019, fields.find_irreducible(_F1019, 3)),
-    lambda: extension.ExtensionField(fields.PrimeField(7), [0, 1, 0, 1]),
-    lambda: extension.ExtensionField(_FWIDE, [1, 0, 1])],
+    lambda: _value_form(_F1019, fields.find_irreducible(_F1019, 3)),
+    lambda: _value_form(fields.PrimeField(7), [1, 0, 1], with_zero=True),
+    lambda: _value_form(_FWIDE, [1, 0, 1])],
     ids=["split29", "split-wide", "ext3", "ext-product-ring", "ext-wide"])
 def test_packed_polymul_multiplies_directly(ring, monkeypatch):
-    # a product of two polynomials over a packed ring builds no row form:
-    # short factors, factors past the Kronecker cutoff, and a product
-    # ring whose top coefficient vanishes all match the schoolbook
+    # a product of two polynomials over a batch ring builds no row form:
+    # short factors, factors past the Kronecker cutoff, and a ring of
+    # several points, F_7 x F_49 at 0 and u for u^2 + 1 = 0 among them,
+    # whose top coefficient vanishes all match the schoolbook
     R = ring()
     for name in ("rows_of", "matrix_of", "matpoly_mul"):
         monkeypatch.setattr(type(R), name, None)
     rng = random.Random(7)
-    if isinstance(R, fields.SplitRing):
-        zero_top = tuple([0] + [1] * (R.degree - 1))
-        other_top = tuple([1] + [0] * (R.degree - 1))
-    elif not fields.is_irreducible(R.base, R.modulus):
-        # u and u^2 + 1 multiply to zero modulo u^3 + u
-        zero_top, other_top = R.gen, R.add(R.mul(R.gen, R.gen), R.one)
+    k = R.field.degree
+    if R.degree > k:
+        # zero at the first point, and zero at every other one
+        zero_top = (0,) * k + R.one[k:]
+        other_top = R.one[:k] + (0,) * (R.degree - k)
     else:
         zero_top = other_top = R.gen
     for lf, lg in ((1, 1), (2, 3), (3, 3), (5, 17), (16, 16), (20, 33)):

@@ -183,3 +183,17 @@ def test_one_factorial_engine_reads_no_packed_flag():
                             for a in node.args)):
                 reads.append(f"{path.name}:{node.lineno}")
     assert reads == []
+
+
+def test_one_class_holds_the_factorial_kernels():
+    # one product ring: a single class in the package defines both
+    # matpoly_mul and chain, the kernels the factorial runs on
+    owners = []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                methods = {f.name for f in node.body
+                           if isinstance(f, ast.FunctionDef)}
+                if {"matpoly_mul", "chain"} <= methods:
+                    owners.append(f"{path.stem}.{node.name}")
+    assert owners == ["fields.SplitRing"]

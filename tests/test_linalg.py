@@ -125,17 +125,20 @@ def _extension_of(K, degree):
 
 
 def _extension(p, degree):
-    return _extension_of(fields.PrimeField(p), degree)
+    """The ring that the point u of F_p[u]/(f) runs on, for a seeded
+    irreducible f of that degree: the value form of F_p^degree at one
+    point."""
+    ell = _extension_of(fields.PrimeField(p), degree)
+    return fields.SplitRing(ell, [ell.gen])
 
 
 def _product_ring():
-    # F_13[u]/((u - 1)(u - 2)(u^2 + 2)), squarefree, as the Monte Carlo
-    # driver builds from the minimal polynomials of its sample points
-    K = fields.PrimeField(13)
-    m = [K.one]
-    for f in ([12, 1], [11, 1], [2, 0, 1]):
-        m = polys.mul(K, m, f)
-    return extension.ExtensionField(K, m)
+    # the points 1, 2 and a root u of u^2 + 2 over F_13, in value form
+    # over F_169 = F_13[u]/(u^2 + 2): the ring F_13 x F_13 x F_169 that
+    # F_13[u]/((u - 1)(u - 2)(u^2 + 2)) is, as the Monte Carlo driver
+    # could draw them
+    ell = extension.ExtensionField(fields.PrimeField(13), [2, 0, 1])
+    return fields.SplitRing(ell, [ell.one, ell.from_int(2), ell.gen])
 
 
 def _split_ring():
@@ -192,8 +195,8 @@ def test_matpoly_mul_worst_case_fills_every_slot(monkeypatch):
         slots.append(slot)
         return unpack_bytes(buf, slot)
     monkeypatch.setattr(fields, "_unpack_bytes", recording)
-    # the split kernel's slots have no factor for the ring degree, so its
-    # entries are longer
+    # the slots at k = 1 have no factor for the point field's degree, so
+    # its entries are longer
     for L, length in ((_extension(p, 3), 4),
                       (fields.SplitRing(K, [1, 2, p - 1]), 8)):
         full = [tuple([top] * 3)] * length
@@ -205,12 +208,23 @@ def test_matpoly_mul_worst_case_fills_every_slot(monkeypatch):
 
 
 def test_matpoly_mul_kernel_needs_a_prime_base():
-    # both packed rings refuse a base other than F_p, here F_9
-    F9 = _extension(3, 2)
+    # a point field is F_p or an extension of it: F_81 over F_9 is refused
+    F9 = _extension_of(fields.PrimeField(3), 2)
     with pytest.raises(TypeError):
         _extension_of(F9, 2)
+
+
+@pytest.mark.parametrize("ring", [F101, _extension_of(F101, 2)], ids=str)
+def test_factorial_refuses_a_ring_that_is_not_a_batch_ring(ring,
+                                                            monkeypatch):
+    # a field is not a batch ring: a typed error before any work
+    monkeypatch.setattr(linalg, "baby_step_length", None)
+    monkeypatch.setattr(linalg, "identity", None)
+    one, zero = ring.one, ring.zero
     with pytest.raises(TypeError):
-        fields.SplitRing(F9, [F9.one])
+        linalg.matrix_factorial(ring, [[[one, one]]], 100)
+    with pytest.raises(TypeError):
+        linalg.matmul(ring, [[one, zero]], [[one], [one]])
 
 
 def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
@@ -220,17 +234,18 @@ def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
     B = [[[L.random_elem(rng) for _ in range(5)] for _ in range(3)]
          for _ in range(6)]
     calls = []
-    reduce_product = extension.ExtensionField.reduce_product
+    reduce_blocks = extension.ExtensionField.reduce_blocks
 
-    def counting(self, c):
-        calls.append(len(c))
-        return reduce_product(self, c)
-    monkeypatch.setattr(extension.ExtensionField, "reduce_product", counting)
+    def counting(self, vals):
+        # blocks of 2k - 1 slots, one per output coefficient reduced
+        calls.append(len(vals) // (2 * self.degree - 1))
+        return reduce_blocks(self, vals)
+    monkeypatch.setattr(extension.ExtensionField, "reduce_blocks", counting)
     out = _matpoly_mul(L, A, B)
     length = max(len(e) for row in out for e in row)
     assert length == 9
     # one product at a time would reduce 4 * 3 * 6 * 9 times
-    assert 0 < len(calls) <= 4 * 3 * length
+    assert 0 < sum(calls) <= 4 * 3 * length
 
 
 _PACKED = ["F_101^1", "F_101^3", "F_263^25", "product ring over F_13",
@@ -295,7 +310,7 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
     unpack = fields._unpack
 
     def kernel(name):
-        method = getattr(extension.ExtensionField, name)
+        method = getattr(fields.SplitRing, name)
 
         def recording(self, *args):
             def unpacking(x, slot, count):
@@ -306,7 +321,7 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
                 return method(self, *args)
             finally:
                 monkeypatch.setattr(fields, "_unpack", unpack)
-        monkeypatch.setattr(extension.ExtensionField, name, recording)
+        monkeypatch.setattr(fields.SplitRing, name, recording)
     kernel("rows_rem")
     kernel("rows_at")
     got = tree_values(polys.SubproductTree(L, xs), [f])
@@ -353,11 +368,12 @@ def _packed_multipoint_cost(count, monkeypatch):
     multiply-adds (a row's length per row and point) of one packed
     evaluation of a polynomial of length 2*count at count points."""
     K = CountingPrimeField(10007)
-    L = extension.ExtensionField(K, fields.find_irreducible(K, 4))
+    ell = extension.ExtensionField(K, fields.find_irreducible(K, 4))
+    L = fields.SplitRing(ell, [ell.gen])
     rng = random.Random(count)
     f = [L.random_elem(rng) for _ in range(2 * count)]
     cost = [0]
-    unpack, rows_at = fields._unpack, extension.ExtensionField.rows_at
+    unpack, rows_at = fields._unpack, fields.SplitRing.rows_at
 
     def counting(x, slot, n):
         cost[0] += n
@@ -367,7 +383,7 @@ def _packed_multipoint_cost(count, monkeypatch):
         cost[0] += len(cols) * len(cols[0]) * len(points)
         return rows_at(self, cols, points)
     monkeypatch.setattr(fields, "_unpack", counting)
-    monkeypatch.setattr(extension.ExtensionField, "rows_at", direct)
+    monkeypatch.setattr(fields.SplitRing, "rows_at", direct)
     K.ops = 0
     tree_values(polys.SubproductTree(L, range(0, 37 * count, 37)), [f])
     monkeypatch.undo()
@@ -475,14 +491,15 @@ def _bench_batch(system, p, points=range(1, 30), ring=None):
 
 
 def _quadratic_ring(p, n):
-    """The ring of a batch of n points of degree 2: F_p[u]/S of degree 2n,
-    for S the product of the irreducible u^2 - c over the first n
-    non-squares c."""
+    """The ring of a batch of n points of degree 2, roots of u^2 - c for
+    the first n non-squares c: its value form over F_p[u]/(u^2 - c_0), of
+    degree 2n, where t u is a root of u^2 - c for t^2 = c / c_0."""
     K = fields.PrimeField(p)
-    S = [K.one]
-    for c in [c for c in range(2, p) if pow(c, (p - 1) // 2, p) != 1][:n]:
-        S = polys.mul(K, S, [K.neg(K.from_int(c)), K.zero, K.one])
-    return extension.ExtensionField(K, S)
+    cs = [c for c in range(2, p) if pow(c, (p - 1) // 2, p) != 1][:n]
+    ell = extension.ExtensionField(K, [K.neg(cs[0]), K.zero, K.one])
+    ts = [next(t for t in range(p) if t * t * cs[0] % p == c) for c in cs]
+    return fields.SplitRing(ell, [ell.mul(ell.from_int(t), ell.gen)
+                                  for t in ts])
 
 
 def test_baby_step_length_prices_the_doubling():
@@ -564,7 +581,8 @@ def test_pruned_planner_returns_the_exhaustive_argmin(monkeypatch):
             (_bench_batch(False, 65539), 65539))]
     picks = [_planner_check(*batch) for batch in batches]
     assert picks == [32, 8, 32, 8, 24, 160]
-    # the same bound on the 5-point batch at large p, and over F_p[u]/S
+    # the same bound on the 5-point batch at large p, and on points of
+    # degree 2
     for p in _LARGE_PRIMES:
         ring, B, r = _bench_batch(False, p, range(1, 6))
         _planner_check(ring, B, p, r)

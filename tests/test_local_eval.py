@@ -208,25 +208,37 @@ def test_pole_inside_a_batch_raises_the_one_point_error():
 
 
 def test_split_batch_is_never_reduced_mod_the_modulus(monkeypatch, rng):
-    # points of F_89, some repeated, run in value form: no product is
-    # reduced by (z - a_1)...(z - a_n); the products of ell itself may be
+    # points of F_89, F_89^1 and F_89^2, some repeated, run in value form
+    # over their own field ell: no ring of the batch is built as an
+    # ExtensionField, so no product is reduced by (z - a_1)...(z - a_n),
+    # and only ell reduces products, its own and the batch's
     K = fields.PrimeField(89)
     inputs = (random_operator(K, rng, 2, 2), random_system(K, rng, 1, 2))
-    reduce_product = extension.ExtensionField.reduce_product
-    for ell in (K, extension.ExtensionField(K, fields.find_irreducible(K, 1))):
-        batches = [_nonpoles(inp, ell, rng, 1, 3) for inp in inputs]
+    init = extension.ExtensionField.__init__
+    reducers = [getattr(extension.ExtensionField, name)
+                for name in ("reduce_product", "reduce_blocks")]
+    for ell in (K, extension.ExtensionField(K, fields.find_irreducible(K, 1)),
+                extension.ExtensionField(K, fields.find_irreducible(K, 2))):
+        batches = [_nonpoles(inp, ell, rng, ell.degree, 3) for inp in inputs]
         batches = [pts + pts[::2] for pts in batches]
         single = [[local_eval.invariant_factors_at(inp, ell, [x])[0]
                    for x in pts] for inp, pts in zip(inputs, batches)]
+        built = []
 
-        def only_in_ell(self, c):
-            assert self == ell, "reduced a product of the batch ring"
-            return reduce_product(self, c)
-        monkeypatch.setattr(extension.ExtensionField, "reduce_product",
-                            only_in_ell)
+        def recording(self, *args):
+            built.append(args)
+            init(self, *args)
+        monkeypatch.setattr(extension.ExtensionField, "__init__", recording)
+        for reduce in reducers:
+            def only_in_ell(self, c, reduce=reduce):
+                assert self == ell, "reduced a product of the batch ring"
+                return reduce(self, c)
+            monkeypatch.setattr(extension.ExtensionField, reduce.__name__,
+                                only_in_ell)
         for inp, pts, want in zip(inputs, batches, single):
             assert local_eval.invariant_factors_at(inp, ell, pts) == want
         monkeypatch.undo()
+        assert built == [], ell
 
 
 def test_empty_batch_is_refused():

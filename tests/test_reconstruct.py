@@ -8,7 +8,8 @@ from pcurvature import (bivar, cli, diffop, extension, fields, linalg,
 from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange,
                                FieldMismatch, PoleAtPoint, SelectionFailed)
 from pcurvature.reconstruct import ReconParams
-from oracles import evaluate_at_X, sym2_system, verify_divisibility_lemma
+from oracles import (evaluate_at_X, sym2_gauss_system, sym2_system,
+                     verify_divisibility_lemma)
 from test_diffop import (assert_frozen_record, random_operator,
                          random_system)
 
@@ -442,6 +443,19 @@ def test_deterministic_skips_bad_candidates(p, top, bottom, bad):
     assert reconstruct.reconstruct_deterministic(sysv, p) == want
 
 
+@pytest.mark.parametrize("p", [31, 37])
+def test_sym2_gauss_matches_the_oracle(p):
+    # the application's shape, never cyclic: det's budget runs 126
+    # points of degree 2 in one batch, and mc draws 10 of degree 3; both
+    # glue the O(p) oracle's factors
+    sysv = sym2_gauss_system(fields.PrimeField(p))
+    want = diffop.naive_invariant_factors(sysv, p)
+    assert [bivar.deg_T(g) for g in want] == [0, 0, 0, 2, 3]
+    assert reconstruct.reconstruct_deterministic(sysv, p) == want
+    plan = reconstruct.select_params(sysv, epsilon=0.1, seed=1)
+    assert reconstruct.reconstruct_montecarlo(sysv, p, plan) == want
+
+
 def test_deterministic_builds_no_large_extension(monkeypatch):
     F263, F1019 = fields.PrimeField(263), fields.PrimeField(1019)
     F2003 = fields.PrimeField(2003)
@@ -488,6 +502,35 @@ def test_deterministic_builds_no_large_extension(monkeypatch):
         assert (len(built), muls[0]) == (0, 0), (p, mode)
 
 
+def test_degree_two_batches_build_only_their_point_field(monkeypatch):
+    # det on diag(x, x) at p = 11, whose budget evaluates 15 points of
+    # degree 2, and mc on sym2 + Gauss at p = 101, which draws 15: each
+    # batch runs in value form over the field of its points, and the only
+    # ExtensionField built is that field, of the points' degree
+    record = _Record(monkeypatch)
+    degrees = []
+    init = extension.ExtensionField.__init__
+
+    def recording_init(self, base, modulus):
+        init(self, base, modulus)
+        degrees.append(self.degree)
+    monkeypatch.setattr(extension.ExtensionField, "__init__", recording_init)
+    sym2_gauss = sym2_gauss_system(fields.PrimeField(101))
+    plan = reconstruct.select_params(sym2_gauss, epsilon=0.1, seed=1)
+    for solve in (
+            lambda: reconstruct.reconstruct_deterministic(
+                _fallback_system(11), 11),
+            lambda: reconstruct.reconstruct_montecarlo(sym2_gauss, 101,
+                                                       plan)):
+        record.clear()
+        degrees.clear()
+        solve()
+        assert [R.field.degree for R in record.rings] == [1, 2]
+        assert [len(points) for points, _ in record.batches][1] == 15
+        assert set(degrees) == {2}
+        assert all(type(R) is fields.SplitRing for R in record.rings)
+
+
 def test_inputs_over_an_extension_field_are_refused(monkeypatch):
     # every input is over F_p: both drivers and the local evaluation
     # refuse an operator over F_25, before any product ring is built
@@ -501,8 +544,7 @@ def test_inputs_over_an_extension_field_are_refused(monkeypatch):
         built.append(modulus)
         init(self, base, modulus)
     monkeypatch.setattr(extension.ExtensionField, "__init__", recording_init)
-    monkeypatch.setattr(local_eval, "_product_ring",
-                        lambda *args: built.append(args))
+    monkeypatch.setattr(fields, "SplitRing", lambda *args: built.append(args))
     for solve in (lambda: reconstruct.reconstruct_deterministic(op, 5),
                   lambda: reconstruct.reconstruct_montecarlo(op, 5, plan),
                   lambda: local_eval.invariant_factors_at(op, F25,
