@@ -8,24 +8,29 @@ their field ell, so a solve whose points all lie in F_p never imports
 this module.  Its base is always a PrimeField: every input of the fast
 path is over F_p.
 
-Products delay the modular reduction: a dot product of k element pairs
-costs k convolutions but a single reduction by f, one integer sum of the
-packed rows u^(k+j) mod f.  The batch ring of points of ell is
-fields.SplitRing, ell^n in value form, and its kernels at k > 1 live
-here: pack_values packs each coordinate into one integer, a block of
-2k - 1 slots, and reduce_blocks reduces every block of a product at once,
-one integer product per row u^(k+j) mod f.
+It is fields.QuotientRing for an irreducible f (ValueError on a reducible
+one), whose packed rows u^(k+j) mod f reduce its products.  Products
+delay the modular reduction: a dot product of k element pairs costs k
+convolutions but a single reduction by f.  The batch ring of points of
+ell is fields.SplitRing, ell^n in value form, and its kernels at k > 1
+live here: pack_values packs each coordinate into one integer, a block
+of 2k - 1 slots, and reduce_blocks reduces every block of a product at
+once, one integer product per row.
 """
 
 from . import polys
-from .fields import PrimeField, _pack, _slot_bytes, _unpack, _unpack_bytes
+from .fields import (PrimeField, QuotientRing, _pack, _slot_bytes, _unpack,
+                     _unpack_bytes, is_irreducible)
 
 
-class ExtensionField:
-    """F_p[u]/(modulus) with elements as width-`degree` tuples.
+class ExtensionField(QuotientRing):
+    """F_p[u]/(modulus) with elements as width-`degree` tuples: the
+    QuotientRing of an irreducible modulus, with the rest of a field's
+    method surface.
 
     The base must be a PrimeField (TypeError otherwise), and the modulus
-    monic and irreducible: callers build one with fields.find_irreducible.
+    monic and irreducible (ValueError otherwise): callers build one with
+    fields.find_irreducible.
     """
 
     def __init__(self, base, modulus):
@@ -35,21 +40,12 @@ class ExtensionField:
         if len(modulus) < 2:
             raise ValueError("modulus must have degree at least 1")
         polys.require_monic(base, modulus, "extension modulus")
-        self.base = base
-        self.modulus = modulus
-        self.degree = len(modulus) - 1
+        if not is_irreducible(base, modulus):
+            raise ValueError("extension modulus must be irreducible")
+        super().__init__(base, modulus)
         self.q = base.q ** self.degree
         self.char = base.char
-        self.zero = (base.zero,) * self.degree
-        self.one = self._pad([base.one])
         self.key = ("ext", base.key, tuple(modulus))
-        self._init_reduction_rows()
-
-    def _pad(self, coeffs):
-        n = self.degree
-        if len(coeffs) < n:
-            return tuple(coeffs) + (self.base.zero,) * (n - len(coeffs))
-        return tuple(coeffs[:n])
 
     def _strip(self, a):
         return polys.trim(self.base, list(a))
@@ -79,33 +75,6 @@ class ExtensionField:
             return []
         return self.base.polymul(fa, fb)
 
-    def _init_reduction_rows(self):
-        """Pack row j = u^(degree + j) mod f for j < degree - 1, so that a
-        remainder is one integer sum of rows weighted by high coefficients."""
-        p, n, tail = self.base.p, self.degree, self.modulus[:-1]
-        # a u-coefficient of a product in F_p[u]/(f): n products of residues
-        self._row_slot = _slot_bytes((p - 1) ** 2 * n)
-        rows = []
-        r = [0] * (n - 1) + [1]
-        for _ in range(n - 1):
-            top = r[-1]
-            r = [(a - top * m) % p for a, m in zip([0] + r[:-1], tail)]
-            rows.append(_pack([r], self._row_slot, n))
-        self._rows = rows
-
-    def reduce_product(self, c):
-        """Reduce a convolution (degree < 2*degree - 1) back to a tuple:
-        its coefficients may be any ints, reduced mod p or not, and
-        coefficient degree + j, reduced mod p, weights packed row j."""
-        p, n = self.base.p, self.degree
-        acc = 0
-        for h, row in zip(c[n:], self._rows):
-            acc += h % p * row
-        r = list(_unpack(acc, self._row_slot, n))
-        for k, x in enumerate(c[:n]):
-            r[k] += x
-        return tuple([x % p for x in r])
-
     def mul(self, a, b):
         # a product by an embedded base constant (or zero) scales the
         # coordinates of the other factor
@@ -120,14 +89,14 @@ class ExtensionField:
             # no reduction by f needed, and the base field has reduced the
             # coefficients already
             return self._pad(c)
-        return self.reduce_product(c)
+        return self.reduce(c)
 
     def dot(self, xs, ys):
         base = self.base
         acc = []
         for a, b in zip(xs, ys):
             acc = polys.add(base, acc, self.mul_unreduced(a, b))
-        return self.reduce_product(acc)
+        return self.reduce(acc)
 
     def inv(self, a):
         fa = self._strip(a)
@@ -199,10 +168,10 @@ class ExtensionField:
         degree + i of every block, reduced mod p, packs at a stride of
         degree slots into one integer, whose product with packed row i
         adds that row to every block at once."""
-        p, k, slot = self.base.p, self.degree, self._row_slot
+        p, k, slot = self.base.p, self.degree, self.slot
         W, count = 2 * k - 1, len(vals) // (2 * k - 1)
         acc, high, low = 0, [0] * (count * k), [0] * (count * k)
-        for i, row in enumerate(self._rows):
+        for i, row in enumerate(self.rows):
             high[::k] = [x % p for x in vals[k + i::W]]
             acc += _pack([high], slot, len(high)) * row
         for j in range(k):

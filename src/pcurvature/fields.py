@@ -11,6 +11,13 @@ coefficients are packed into one big integer per operand (Kronecker
 substitution) so the convolution happens inside CPython's long
 multiplication.
 
+QuotientRing, F_p[u]/(f) for any monic f, is the one reduction by a fixed
+modulus: the rows u^(deg f + j) mod f are packed once, and a remainder is
+one integer sum of them.  Rabin's test (is_irreducible, behind the seeded
+search find_irreducible) runs in it, and extension.ExtensionField is it
+for an irreducible f.  The test and the search refuse a base other than
+F_p (FieldMismatch).
+
 The matrix factorial runs on one ring, SplitRing: ell^n in value form for
 n points of a field ell, F_p or F_p[u]/(f) with f irreducible of degree
 k.  It keeps a matrix of polynomials in t in row form (MatrixRows): one
@@ -662,34 +669,77 @@ def _prime_factors(n):
     return out
 
 
-def _frobenius_columns(K, h, red, n):
-    """Columns of the Berlekamp matrix of f: row j is u^(jq) = h^j mod f.
+class QuotientRing:
+    """F_p[u]/(modulus) for a monic modulus of degree n >= 1 over the
+    PrimeField base, elements as tuples of n residues: the package's one
+    reduction by a fixed modulus.  The modulus may be reducible;
+    is_irreducible runs in this ring, and extension.ExtensionField is
+    this ring for an irreducible modulus.
 
-    Frobenius g -> g^q fixes K, so it is K-linear on K[u]/(f), and
-    coefficient k of g^q is the dot product of g with column k.
+    Row j = u^(n + j) mod the modulus, for j < n - 1, is packed once into
+    one integer of n slots (pack), so that the remainder of a product is
+    one integer sum of rows weighted by its high coefficients (combine).
     """
-    rows = [[K.one], h]
-    for _ in range(n - 2):
-        rows.append(red.rem(polys.mul(K, rows[-1], h)))
-    zero = K.zero
-    padded = [r + [zero] * (n - len(r)) for r in rows]
-    return [list(col) for col in zip(*padded)]
 
+    def __init__(self, base, modulus):
+        p, n, tail = base.p, len(modulus) - 1, modulus[:-1]
+        self.base = base
+        self.modulus = modulus
+        self.degree = n
+        self.zero = (0,) * n
+        self.one = self._pad([1])
+        # a slot sums n products of residues
+        self.slot = _slot_bytes((p - 1) ** 2 * n)
+        rows, r = [], [0] * (n - 1) + [1]
+        for _ in range(n - 1):
+            top = r[-1]
+            r = [(a - top * m) % p for a, m in zip([0] + r[:-1], tail)]
+            rows.append(self.pack(r))
+        self.rows = rows
 
-def _apply_frobenius(K, cols, g):
-    """g^q mod f from the Berlekamp columns; g is reduced modulo f."""
-    g = g + [K.zero] * (len(cols) - len(g))
-    return polys.trim(K, [K.dot(g, col) for col in cols])
+    def _pad(self, coeffs):
+        n = self.degree
+        if len(coeffs) < n:
+            return tuple(coeffs) + (0,) * (n - len(coeffs))
+        return tuple(coeffs[:n])
+
+    def pack(self, a):
+        """One integer of the n residues a, laid out as the rows are."""
+        return _pack([a], self.slot, self.degree)
+
+    def combine(self, weights, rows, low):
+        """The element sum_j weights[j] rows[j] + low, for rows packed by
+        pack and n ints low: weights and low may be any ints, reduced mod
+        p or not."""
+        p = self.base.p
+        acc = 0
+        for h, row in zip(weights, rows):
+            acc += h % p * row
+        return tuple([(x + y) % p for x, y in zip(
+            _unpack(acc, self.slot, self.degree), low)])
+
+    def reduce(self, c):
+        """The element a convolution c of degree < 2n - 1 reduces to: its
+        coefficient n + j weights row j."""
+        n = self.degree
+        if len(c) < n:
+            c = list(c) + [0] * (n - len(c))
+        return self.combine(c[n:], self.rows, c[:n])
 
 
 def is_irreducible(K, f):
-    """Rabin's test over F_q, with cheap low-degree factor screens first.
+    """Rabin's test over F_p, with cheap low-degree factor screens first.
 
-    h_i = u^(q^i) mod f.  h_1 comes from square and multiply; once f has
-    no linear factor, every further h_i is one product with the Berlekamp
-    matrix of f.
+    h_i = u^(p^i) in QuotientRing(K, f).  h_1 comes from square and
+    multiply from the top bit of p, where a product by u is a shift; once
+    f has no linear factor, every further h_i is h_(i-1) times the
+    Berlekamp matrix of f, whose rows h_1^j are packed as the ring packs
+    its own, so that one step is one integer sum.  Raises FieldMismatch
+    unless K is a PrimeField.
     """
-    f = polys.trim(K, f)
+    if not isinstance(K, PrimeField):
+        raise FieldMismatch(f"irreducibility is tested over F_p, not {K}")
+    f = polys.monic(K, polys.trim(K, f))
     n = len(f) - 1
     if n <= 0:
         return False
@@ -697,16 +747,24 @@ def is_irreducible(K, f):
         return True
     if f[0] == K.zero:
         return False
-    u = [K.zero, K.one]
-    red = polys.MonicModReducer(K, f)
-    h = polys.pow_mod(K, u, K.q, f, red)
+    R = QuotientRing(K, f)
+    u = h = R._pad([0, 1])
+    for bit in bin(K.p)[3:]:
+        h = R.reduce(K.polymul(h, h))
+        if bit == "1":
+            h = R.reduce((0,) + h)
     if len(polys.gcd(K, polys.sub(K, h, u), f)) != 1:
         return False
-    cols = _frobenius_columns(K, h, red, n)
+    # Frobenius g -> g^p is linear on K[u]/(f): row j of its matrix is
+    # u^(jp) = h^j
+    frobenius = [R.one, h]
+    for _ in range(n - 2):
+        frobenius.append(R.reduce(K.polymul(frobenius[-1], h)))
+    frobenius = [R.pack(r) for r in frobenius]
     screen_to = min(3, n // 2)
     critical = set(n // t for t in _prime_factors(n) if n // t > screen_to)
     for i in range(2, n + 1):
-        h = _apply_frobenius(K, cols, h)
+        h = R.combine(h, frobenius, R.zero)
         if i <= screen_to or i in critical:
             if len(polys.gcd(K, polys.sub(K, h, u), f)) != 1:
                 return False
@@ -728,14 +786,17 @@ def _seeded_irreducible(K, n):
 
 
 def find_irreducible(K, n):
-    """A monic irreducible of degree n over K, found by seeded trial.
+    """A monic irreducible of degree n over K = F_p, found by seeded trial.
 
     Candidates u^n + (random lower coefficients) come from a generator
-    seeded by q and n alone, so the result is deterministic for a given
+    seeded by p and n alone, so the result is deterministic for a given
     (field, degree) pair.  About one candidate in n is irreducible, so the
-    expected number of tries is about n, whatever q is.  Results are kept
-    in a bounded cache; each call returns a fresh list.
+    expected number of tries is about n, whatever p is.  Results are kept
+    in a bounded cache; each call returns a fresh list.  Raises
+    FieldMismatch unless K is a PrimeField.
     """
+    if not isinstance(K, PrimeField):
+        raise FieldMismatch(f"irreducibles are searched over F_p, not {K}")
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
     return list(_seeded_irreducible(K, n))

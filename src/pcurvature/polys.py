@@ -13,10 +13,10 @@ and dispatches to its K.rows_rem and K.rows_at.  Everything else here is
 generic; a whole matrix over the batch ring shifts in one kernel of its
 own (fields.SplitRing.shift_rows).
 
-Every division by a fixed monic modulus goes through MonicModReducer,
-which keeps the Newton inverse of the reversed modulus: powers modulo m,
-and each node of the subproduct tree that divides, whose inverse feeds
-K.rows_rem.
+Products modulo one fixed monic f over F_p are fields.QuotientRing's, by
+packed rows u^(deg f + j) mod f.  Here, division is by quorem, and each
+node of the subproduct tree that divides feeds K.rows_rem the Newton
+inverse of its reversed product (series_inv).
 """
 
 from .errors import InsufficientModuli, ModuliNotCoprime, NotMonic
@@ -180,58 +180,6 @@ def eval_at(K, f, a):
     return acc
 
 
-class MonicModReducer:
-    """Remainders by one fixed monic modulus m, the package's one division
-    by a fixed modulus.
-
-    From deg m = NEWTON_CUTOFF on, a remainder comes from the quotient by
-    the reversal trick (rem_monic_precomp), which needs the inverse of the
-    reversal of m to the quotient's length.  The reducer keeps that inverse
-    and grows it on demand to the longest quotient asked for (`inverse`).
-    rem asks for at least deg m, which serves every product of two reduced
-    operands, so a run of such products costs one Newton iteration.  Below
-    the cutoff, schoolbook division is faster.
-    """
-
-    NEWTON_CUTOFF = 24
-
-    def __init__(self, K, m):
-        self.K = K
-        self.m = monic(K, m)
-        self.dm = len(self.m) - 1
-        self._inv, self._prec = [], 0
-
-    def inverse(self, prec):
-        """inv(rev(m)) modulo x^prec, or to the higher precision kept."""
-        if prec > self._prec:
-            self._inv = series_inv(self.K, self.m[::-1], prec)
-            self._prec = prec
-        return self._inv
-
-    def rem(self, f):
-        K, m = self.K, self.m
-        excess = len(f) - self.dm
-        if excess <= 0:
-            return list(f)
-        if self.dm < self.NEWTON_CUTOFF:
-            return rem(K, f, m)
-        return rem_monic_precomp(K, f, m, self.inverse(max(excess, self.dm)))
-
-
-def pow_mod(K, f, e, m, reducer=None):
-    """f**e modulo m by square and multiply; e is a nonnegative int."""
-    red = reducer if reducer is not None else MonicModReducer(K, m)
-    result = red.rem(one(K))
-    base = red.rem(f)
-    while e:
-        if e & 1:
-            result = red.rem(mul(K, result, base))
-        e >>= 1
-        if e:
-            base = red.rem(mul(K, base, base))
-    return result
-
-
 def poly_pow(K, f, e):
     result = one(K)
     base = list(f)
@@ -289,28 +237,6 @@ def series_inv(K, f, n):
     return trim(K, g[:n])
 
 
-def rem_monic_precomp(K, f, m, m_rev_inv):
-    """Remainder of f modulo monic m, given inv(rev(m)) mod x^(len f - deg m).
-
-    Falls back gracefully to quotient recovery by the reversal trick; the
-    caller guarantees m_rev_inv has enough precision.
-    """
-    dm = len(m) - 1
-    df = len(f) - 1
-    if df < dm:
-        return list(f)
-    k = df - dm + 1
-    frev = f[::-1]
-    qrev = mul(K, frev[:k], m_rev_inv[:k])[:k]
-    while len(qrev) < k:
-        qrev.append(K.zero)
-    q = qrev[::-1]
-    qm = mul(K, q, m)
-    r = sub(K, f, qm)
-    assert len(r) <= dm, "fast reduction produced an oversized remainder"
-    return r
-
-
 class SubproductTree:
     """Product tree over the moduli (x - a) for the integers a of points,
     for batch evaluation over the batch ring K of the matrix factorial,
@@ -322,15 +248,15 @@ class SubproductTree:
     column.  Node (level, i) holds the points from i * 2**level on, at
     most 2**level of them; an odd node at any level is carried up
     unchanged.  A node of more than BASE_CASE points divides all the rows
-    it receives at once (K.rows_rem, with node.inverse(k) for quotients
-    of length k, linear in the number of rows) when they are longer than
-    its degree, and otherwise hands them to its children untouched; the
-    first node of at most BASE_CASE points evaluates them all at its
-    points at once (K.rows_at).  A node is built only when it divides: its
-    product comes from its children's, which are kept for later nodes,
-    and its MonicModReducer keeps the inverse of its reversal at the
-    precision its longest quotient needs.  The values come point by
-    point, as the giant steps take them.
+    it receives at once (K.rows_rem, linear in the number of rows) when
+    they are longer than its degree, and otherwise hands them to its
+    children untouched; the first node of at most BASE_CASE points
+    evaluates them all at its points at once (K.rows_at).  A node is
+    built only when it divides: its product comes from its children's,
+    which are kept for later nodes, and the inverse of its reversal, to
+    the length of the quotients, is computed there (series_inv), since
+    an evaluate divides at each node at most once.  The values come point
+    by point, as the giant steps take them.
     """
 
     BASE_CASE = 32
@@ -341,12 +267,12 @@ class SubproductTree:
         if not self.points:
             raise ValueError("need at least one evaluation point")
         self._pts = [K.base.from_int(a) for a in self.points]
-        self._products, self._nodes = {}, {}
+        self._products = {}
 
     def evaluate(self, fs):
         """One list per point of the values there of the entries of the
         fields.MatrixRows fs, in the order of its entries."""
-        K, total, nodes = self.K, len(self._pts), self._nodes
+        K, total = self.K, len(self._pts)
         at = [None] * total
 
         def descend(level, idx, cols):
@@ -357,12 +283,9 @@ class SubproductTree:
                     cols, self._pts[first:first + size])
                 return
             if len(cols) > size:
-                node = nodes.get((level, idx))
-                if node is None:
-                    node = nodes[level, idx] = MonicModReducer(
-                        K.base, self._product(level, idx))
-                cols = K.rows_rem(cols, node.m,
-                                  node.inverse(len(cols) - node.dm))
+                m = self._product(level, idx)
+                cols = K.rows_rem(cols, m, series_inv(
+                    K.base, m[::-1], len(cols) + 1 - len(m)))
             lo = 2 * idx
             descend(level - 1, lo, cols)
             if (lo + 1) << (level - 1) < total:

@@ -189,15 +189,20 @@ def test_degree_one_forms_match_a_degree_one_extension(K):
 
 
 def _general_product(L, a, b):
-    """a * b as a convolution reduced by the modulus, with no shortcut."""
-    return L.reduce_product(L.mul_unreduced(a, b))
+    """a * b as convolutions reduced by the modulus of the point field,
+    value by value, with no shortcut."""
+    ell = getattr(L, "field", L)
+    k = ell.degree
+    return sum((ell.reduce(ell.mul_unreduced(a[i:i + k], b[i:i + k]))
+                for i in range(0, len(a), k)), ())
 
 
 def _product_ring_13():
-    m = [F13.one]
-    for f in ([12, 1], [11, 1], [2, 0, 1]):
-        m = polys.mul(F13, m, f)
-    return extension.ExtensionField(F13, m)
+    # the points 1, 2 and a root u of u^2 + 2 over F_13, in value form
+    # over F_169 = F_13[u]/(u^2 + 2): the ring F_13 x F_13 x F_169 that
+    # F_13[u]/((u - 1)(u - 2)(u^2 + 2)) is
+    ell = extension.ExtensionField(F13, [2, 0, 1])
+    return fields.SplitRing(ell, [ell.one, ell.from_int(2), ell.gen])
 
 
 _CONSTANT_RINGS = {
@@ -249,8 +254,8 @@ def _gauss_count(q, n):
 
 
 @pytest.mark.parametrize("K, top", [(fields.PrimeField(2), 10),
-                                    (fields.PrimeField(3), 6), (F5, 4),
-                                    (F9, 3)], ids=["F2", "F3", "F5", "F9"])
+                                    (fields.PrimeField(3), 6), (F5, 4)],
+                         ids=["F2", "F3", "F5"])
 def test_is_irreducible_matches_gauss_count(K, top):
     # F_2 reaches degrees 8 and 10, where Rabin's gcd at n/t (4 and 5) is
     # not already one of the degree <= 3 screens
@@ -271,11 +276,9 @@ def _find_in_fresh_interpreter(code):
 
 
 def test_find_irreducible_is_reproducible():
-    code = ("from pcurvature import extension, fields\n"
+    code = ("from pcurvature import fields\n"
             "for p, n in ((263, 25), (5, 4), (3, 1)):\n"
-            "    print(fields.find_irreducible(fields.PrimeField(p), n))\n"
-            "L = extension.ExtensionField(fields.PrimeField(3), [2, 2, 1])\n"
-            "print(fields.find_irreducible(L, 3))\n")
+            "    print(fields.find_irreducible(fields.PrimeField(p), n))\n")
     first = _find_in_fresh_interpreter(code)
     assert first == _find_in_fresh_interpreter(code)
     here = fields.find_irreducible(fields.PrimeField(263), 25)
@@ -346,19 +349,72 @@ def test_squarefree_modulus_gives_the_product_ring():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 12, 22, 25, 73])
 def test_reduction_on_ints_matches_polynomial_remainder(n):
+    # any monic modulus: random ones are mostly reducible
     rng = random.Random(n)
     K = fields.PrimeField(2003)
     m = [K.random_elem(rng) for _ in range(n)] + [K.one]
-    R = extension.ExtensionField(K, m)
+    R = fields.QuotientRing(K, m)
     for _ in range(20):
         # a full-length input reaches the top row, u^(2n-2) mod S
         for length in (2 * n - 1, rng.randint(0, 2 * n - 1)):
             c = polys.trim(K, [K.random_elem(rng) for _ in range(length)])
             want = tuple(polys.rem(K, c, m) + [K.zero] * n)[:n]
-            assert R.reduce_product(c) == want
+            assert R.reduce(c) == want
             # any ints that are congruent mod p reduce alike
-            assert R.reduce_product([x + 2003 * rng.randrange(-9, 10**9)
-                                     for x in c]) == want
+            assert R.reduce([x + 2003 * rng.randrange(-9, 10**9)
+                             for x in c]) == want
+
+
+@pytest.mark.parametrize("p", [2, 263, 10**9 + 7])
+def test_quotient_ring_reduces_products_as_division_does(p):
+    # random monic moduli of degree 1 to 80, reducible ones (a product of
+    # two, or a zero constant term) among them; at 10^9 + 7 the slots are
+    # wider than a machine word
+    K = fields.PrimeField(p)
+    rng = random.Random(p)
+
+    def monic(n):
+        return [K.random_elem(rng) for _ in range(n)] + [K.one]
+    for trial in range(24):
+        n = rng.randint(1, 80)
+        m = monic(n)
+        if trial % 3 == 1 and n > 1:
+            d = rng.randint(1, n - 1)
+            m = polys.mul(K, monic(d), monic(n - d))
+        elif trial % 3 == 2:
+            m[0] = K.zero
+        R = fields.QuotientRing(K, m)
+        assert R.degree == n
+        for a, b in ((R.zero, monic(n - 1)), ([p - 1] * n, [p - 1] * n),
+                     ([K.random_elem(rng) for _ in range(n)],
+                      [K.random_elem(rng) for _ in range(n)])):
+            want = polys.rem(K, polys.mul(K, polys.trim(K, list(a)),
+                                          polys.trim(K, list(b))), m)
+            assert R.reduce(K.polymul(a, b)) == tuple(
+                want + [K.zero] * (n - len(want))), (n, m)
+
+
+@pytest.mark.parametrize("p", [263, 40009])
+def test_is_irreducible_at_degree_25(p):
+    K = fields.PrimeField(p)
+    assert fields.is_irreducible(K, fields.find_irreducible(K, 25))
+    f = polys.mul(K, fields.find_irreducible(K, 12),
+                  fields.find_irreducible(K, 13))
+    assert len(f) == 26 and not fields.is_irreducible(K, f)
+
+
+def test_extension_refuses_a_reducible_modulus():
+    K = F13
+    m = polys.mul(K, [K.neg(K.one), K.one], [K.from_int(-2), K.one])
+    with pytest.raises(ValueError):
+        extension.ExtensionField(K, m)
+
+
+def test_irreducible_search_refuses_a_non_prime_base():
+    for call in (lambda: fields.find_irreducible(F9, 2),
+                 lambda: fields.is_irreducible(F9, [F9.one, F9.zero, F9.one])):
+        with pytest.raises(FieldMismatch):
+            call()
 
 
 @pytest.mark.parametrize("p", [2, 1019, 10**9 + 7])

@@ -145,26 +145,39 @@ def test_fp_solves_load_neither_extension_nor_smith():
 
 
 def test_fixed_modulus_division_lives_in_one_class():
-    # NEWTON_CUTOFF is set once, and only MonicModReducer calls the Newton
-    # primitives, so every division by a fixed modulus shares one cutoff
-    # and one kind of inverse cache
-    newton = {"series_inv", "rem_monic_precomp"}
-    cutoffs, callers = [], set()
+    # one reduction by a fixed monic modulus over F_p: no module names the
+    # Newton reducer, its cutoff or its helpers; only a subproduct tree
+    # node takes a Newton inverse (series_inv); and one fields class
+    # builds the packed rows u^(n + j) mod f, which ExtensionField
+    # inherits rather than defines
+    gone = {"NEWTON_CUTOFF", "MonicModReducer", "rem_monic_precomp",
+            "pow_mod"}
+    named, newton, row_builders, extension_defs = [], set(), [], set()
     for path in sorted(PKG.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             owner = ".".join([path.stem] + (
                 [top.name] if hasattr(top, "name") else []))
             for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    f = node.func
-                    if getattr(f, "id", getattr(f, "attr", None)) in newton:
-                        callers.add(owner)
-                elif (isinstance(getattr(node, "ctx", None), ast.Store)
-                      and "NEWTON_CUTOFF" in (getattr(node, "id", None),
-                                              getattr(node, "attr", None))):
-                    cutoffs.append(owner)
-    assert cutoffs == ["polys.MonicModReducer"]
-    assert callers == {"polys.MonicModReducer"}
+                if {getattr(node, key, None)
+                        for key in ("id", "attr", "name")} & gone:
+                    named.append(f"{path.name}:{node.lineno}")
+                if isinstance(node, ast.Call) and getattr(
+                        node.func, "id",
+                        getattr(node.func, "attr", None)) == "series_inv":
+                    newton.add(owner)
+                if isinstance(node, ast.ClassDef) and any(
+                        isinstance(sub, ast.Attribute)
+                        and isinstance(sub.ctx, ast.Store)
+                        and getattr(sub.value, "id", None) == "self"
+                        and "rows" in sub.attr for sub in ast.walk(node)):
+                    row_builders.append(f"{path.stem}.{node.name}")
+                if path.stem == "extension" and isinstance(
+                        node, ast.FunctionDef):
+                    extension_defs.add(node.name)
+    assert named == []
+    assert newton == {"polys.SubproductTree"}
+    assert row_builders == ["fields.QuotientRing"]
+    assert not {"_init_reduction_rows", "reduce_product"} & extension_defs
 
 
 def test_one_factorial_engine_reads_no_packed_flag():

@@ -216,7 +216,7 @@ def test_split_batch_is_never_reduced_mod_the_modulus(monkeypatch, rng):
     inputs = (random_operator(K, rng, 2, 2), random_system(K, rng, 1, 2))
     init = extension.ExtensionField.__init__
     reducers = [getattr(extension.ExtensionField, name)
-                for name in ("reduce_product", "reduce_blocks")]
+                for name in ("reduce", "reduce_blocks")]
     for ell in (K, extension.ExtensionField(K, fields.find_irreducible(K, 1)),
                 extension.ExtensionField(K, fields.find_irreducible(K, 2))):
         batches = [_nonpoles(inp, ell, rng, ell.degree, 3) for inp in inputs]

@@ -113,15 +113,24 @@ def test_poly_pow_matches_repeated_mul(f, e):
     assert polys.poly_pow(F13, fe, e) == acc
 
 
+def _residues(K, f, m):
+    """f mod m as the tuple of deg m residues of fields.QuotientRing."""
+    r = polys.rem(K, f, m)
+    return tuple(r + [K.zero] * (len(m) - 1 - len(r)))
+
+
 @given(int_polys, st.integers(0, 30), small_polys)
 def test_pow_mod_matches_plain_power(f, e, m):
+    # powers modulo m as products reduced in fields.QuotientRing
     fe, me = _lift(F13, f), _lift(F13, m)
     if polys.deg(me) < 1:
         return
     me = polys.monic(F13, me)
-    got = polys.pow_mod(F13, fe, e, me)
-    want = polys.rem(F13, polys.poly_pow(F13, fe, e), me)
-    assert got == want
+    R = fields.QuotientRing(F13, me)
+    a, got = _residues(F13, fe, me), R.one
+    for _ in range(e):
+        got = R.reduce(F13.polymul(got, a))
+    assert got == _residues(F13, polys.poly_pow(F13, fe, e), me)
 
 
 @given(st.lists(st.integers(0, 12), min_size=1, max_size=8), st.integers(1, 6))
@@ -136,21 +145,27 @@ def test_series_inverse(f, n):
 
 
 @pytest.mark.parametrize("dm", [23, 24])
-def test_reducer_grows_its_inverse_for_long_inputs(dm):
-    # schoolbook below the Newton cutoff (deg m = 23), Newton from it on
-    # (24).  A short input first caches a lower precision; inputs longer
-    # than 2 deg m then need more, and a later shorter one reuses it
+def test_reduction_and_series_inverse_match_division(dm):
+    # a product of two reduced operands reduces by fields.QuotientRing's
+    # rows, and a quotient of any length k comes from the inverse of the
+    # reversed modulus to k terms (series_inv), as a node of a subproduct
+    # tree divides, even for inputs longer than twice the modulus
     K = fields.PrimeField(1019)
     rng = random.Random(dm)
     m = [K.random_elem(rng) for _ in range(dm)] + [K.one]
-    red = polys.MonicModReducer(K, m)
+    R = fields.QuotientRing(K, m)
+    for _ in range(4):
+        a, b = ([K.random_elem(rng) for _ in range(dm)] for _ in range(2))
+        assert R.reduce(K.polymul(a, b)) == _residues(
+            K, polys.mul(K, a, b), m)
     for length in (dm + 3, 2 * dm + 1, 5 * dm, 3 * dm):
         f = [K.random_elem(rng) for _ in range(length - 1)] + [K.one]
-        assert red.rem(f) == polys.rem(K, f, m)
-    for prec in (5, 2 * dm, 3):
-        inv = red.inverse(prec)
-        assert polys.mul(K, m[::-1], inv)[:prec] == [K.one] + [K.zero] * (
-            prec - 1)
+        k = length - dm
+        inv = polys.series_inv(K, m[::-1], k)
+        assert polys.mul(K, m[::-1], inv)[:k] == [K.one] + [K.zero] * (k - 1)
+        quo = polys.mul(K, f[::-1][:k], inv)[:k]
+        quo = quo + [K.zero] * (k - len(quo))
+        assert polys.trim(K, quo[::-1]) == polys.quorem(K, f, m)[0]
 
 
 def test_multipoint_eval_matches_pointwise(rng):
@@ -203,15 +218,15 @@ def test_tree_builds_only_the_nodes_it_divides_by(count, divisors, ring,
     # BASE_CASE points directly, and a larger node divides, and is built,
     # only when its input is longer than its degree: none before
     # evaluate, none for an input of fewer than 33 coefficients, and one
-    # reducer for each larger node an input of 2 * count coefficients
-    # reaches (100 = 64 + 36 points)
+    # series inverse of its reversed product for each larger node an
+    # input of 2 * count coefficients reaches (100 = 64 + 36 points)
     built = []
-    reducer = polys.MonicModReducer
+    series_inv = polys.series_inv
 
-    def recording(K, m):
-        built.append(len(m) - 1)
-        return reducer(K, m)
-    monkeypatch.setattr(polys, "MonicModReducer", recording)
+    def recording(K, f, n):
+        built.append(len(f) - 1)
+        return series_inv(K, f, n)
+    monkeypatch.setattr(polys, "series_inv", recording)
     L = _TREE_RINGS[ring]()
     pts = range(0, 3 * count, 3)
     tree = polys.SubproductTree(L, pts)
@@ -411,27 +426,25 @@ class _LoggedField(fields.PrimeField):
         return super().polymul(f, g)
 
 
-def _power_of_x_plus_2(K, name, e):
-    """(x + 2)^e by one of the three square-and-multiply loops."""
-    # a reducible modulus is fine here: powers only multiply, and degree 48
-    # stays above every power computed, so nothing is ever reduced
-    m = [K.one] + [K.zero] * 47 + [K.one]
+def _power_of_x_plus_2(K, L, name, e):
+    """(x + 2)^e by one of the two square-and-multiply loops: poly_pow
+    over K, or ExtensionField.pow in L."""
     base = [K.from_int(2), K.one]
     if name == "poly_pow":
         return polys.poly_pow(K, base, e)
-    if name == "pow_mod":
-        return polys.pow_mod(K, base, e, m)
-    L = extension.ExtensionField(K, m)
     return polys.trim(K, list(L.pow(L._pad(base), e)))
 
 
-@pytest.mark.parametrize("name", ["poly_pow", "pow_mod", "ExtensionField.pow"])
+@pytest.mark.parametrize("name", ["poly_pow", "ExtensionField.pow"])
 def test_square_and_multiply_stops_at_top_bit(name):
     K = _LoggedField(3)
+    # degree 48 stays above every power computed, so nothing is reduced
+    L = extension.ExtensionField(
+        K, fields.find_irreducible(fields.PrimeField(3), 48))
     expect = [K.one]
     for e in range(41):
         K.product_lengths.clear()
-        assert _power_of_x_plus_2(K, name, e) == expect, e
+        assert _power_of_x_plus_2(K, L, name, e) == expect, e
         # the longest product is the result itself, never a square beyond
         assert max(K.product_lengths, default=0) <= len(expect), e
         expect = polys.mul_schoolbook(K, expect, [K.from_int(2), K.one])
