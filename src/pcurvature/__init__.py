@@ -13,7 +13,7 @@ unpack and compare as tuples.  The rank profile tools of nilprofile and
 the rational functions of ratfunc, which no solve uses, are imported on
 first use, so that importing the package loads only the engine.  So are
 the extension fields (extension, ExtensionField included) and the Smith
-form (smith), which a solve over F_p whose points are cyclic never runs.
+form (smith), which a solve over F_p runs only for a derogatory class.
 """
 
 from .diffop import (DiffOperator, DiffSystem, companion_of_operator,

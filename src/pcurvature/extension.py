@@ -92,10 +92,10 @@ class ExtensionField(QuotientRing):
         return self.reduce(c)
 
     def dot(self, xs, ys):
-        base = self.base
-        acc = []
+        base, zero, acc = self.base, self.zero, []
         for a, b in zip(xs, ys):
-            acc = polys.add(base, acc, self.mul_unreduced(a, b))
+            if a != zero and b != zero:
+                acc = polys.add(base, acc, self.mul_unreduced(a, b))
         return self.reduce(acc)
 
     def inv(self, a):

@@ -1,9 +1,9 @@
 """Matrices over a field object: products, factorials, invariant factors.
 
 A matrix is a list of rows, each a list of field elements.
-invariant_factors_of reads the class of a square matrix off a cyclic
-vector, and falls back to the Smith form (smith), which it imports only
-for a derogatory matrix.
+invariant_factors_of reads the class of a square matrix off one Krylov
+decomposition, and imports smith only for a derogatory matrix, for the
+Smith form of its m x m matrix of Krylov relations.
 
 matrix_factorial is the square-root trick of Bostan, Gaudry and Schost:
 to multiply count consecutive values B(count-1)...B(1)B(0) of a polynomial
@@ -447,49 +447,49 @@ def _chain_at(K, P, points, acc):
 
 def invariant_factors_of(K, A):
     """Invariant factors of a square matrix, as smith.smith_form(K,
-    smith.char_matrix(K, A)) gives them.
-
-    When a unit vector e_j is cyclic for A (its Krylov vectors e_j, A e_j,
-    ..., A^(r-1) e_j span K^r), A is similar to the companion matrix of
-    its characteristic polynomial: the factors are r - 1 ones and that
-    polynomial, read off the linear relation of A^r e_j to the others
-    (Giesbrecht 1995).  Otherwise they come from the Smith form of T*I - A.
+    smith.char_matrix(K, A)) gives them, from one Krylov decomposition
+    (Storjohann 1998): block i runs v_i, A v_i, ... from v_1 = e_1, then
+    the first unit vector off the pivots so far, until A^(d_i) v_i gives a
+    relation g_i(A) v_i = sum over j < i of h_ij(A) v_j, g_i monic of
+    degree d_i.  As sum d_i = r, the m relations generate all: the factors
+    are r - m ones and the Smith form of their matrix over K[T], which is
+    [g_1], the characteristic polynomial, when A is cyclic (Giesbrecht's
+    cyclic vector), and then smith is not imported.  Each basis vector is
+    1 at its pivot, 0 at earlier ones, and carries its coordinates over
+    the Krylov vectors (its own last), which the same subtractions reduce.
     """
     r = len(A)
     if any(len(row) != r for row in A):
         raise NotSquare("characteristic matrix needs a square input")
-    for j in range(r):
-        charpoly = _cyclic_charpoly(K, A, j)
-        if charpoly is not None:
-            return [[K.one] for _ in range(r - 1)] + [charpoly]
+    zero, one, sub, mul = K.zero, K.one, K.sub, K.mul
+    zeros, free, basis, starts, R = [zero] * r, list(range(r)), [], [], []
+    while free:
+        v = [one if i == free[0] else zero for i in range(r)]
+        starts.append(len(basis))
+        while True:
+            w = v + [zero] * len(basis)
+            for piv, b in basis:
+                c = w[piv]
+                if c != zero:
+                    w[:len(b)] = [sub(x, mul(c, y)) if y != zero else x
+                                  for x, y in zip(w, b)]
+            if w[:r] == zeros:
+                break
+            piv = 0
+            while w[piv] == zero:
+                piv += 1
+            free.remove(piv)
+            c = w[piv]
+            if c != one:
+                c = K.inv(c)
+                w = [mul(c, x) for x in w]
+            basis.append((piv, w + [c]))
+            v = matvec(K, A, v)
+        rel = w[r:] + [one]
+        R.append([rel[a:b] for a, b in zip(starts, starts[1:] + [len(rel)])])
+    ones = [[one] for _ in range(r - len(R))]
+    if len(R) < 2:
+        return ones + [row[0] for row in R]
     from . import smith
-    return smith.smith_form(K, smith.char_matrix(K, A))
-
-
-def _cyclic_charpoly(K, A, j):
-    """The characteristic polynomial of the r x r matrix A when e_j is
-    cyclic for A, else None.
-
-    With v_i = A^i e_j, Gauss-Jordan elimination on the columns v_0, ...,
-    v_(r-1) | v_r finds a pivot in every column exactly when e_j is
-    cyclic, and then leaves the c with v_r = sum c_i v_i in the last
-    column: the characteristic polynomial is T^r - sum c_i T^i."""
-    r, zero = len(A), K.zero
-    v = [K.one if i == j else zero for i in range(r)]
-    krylov = [v]
-    for _ in range(r):
-        v = matvec(K, A, v)
-        krylov.append(v)
-    M = [list(row) for row in zip(*krylov)]
-    for k in range(r):
-        piv = next((i for i in range(k, r) if M[i][k] != zero), None)
-        if piv is None:
-            return None
-        M[k], M[piv] = M[piv], M[k]
-        c = K.inv(M[k][k])
-        top = M[k] = [K.mul(c, a) for a in M[k]]
-        for i, row in enumerate(M):
-            c = row[k]
-            if i != k and c != zero:
-                M[i] = [K.sub(a, K.mul(c, b)) for a, b in zip(row, top)]
-    return [K.neg(row[r]) for row in M] + [K.one]
+    return ones + smith.smith_form(K, [row + [[]] * (len(R) - len(row))
+                                       for row in R])

@@ -27,13 +27,13 @@ Only the r corner columns of the factorial are ever read, so it runs on
 the last r columns of the identity: each giant step and leftover factor
 multiplies N x N by N x r, not N x N by N x N.
 
-The class at each point is the invariant factors of its r x r corner
-(linalg.invariant_factors_of): read off a cyclic vector when one of the
-unit vectors is one, as r - 1 ones and the characteristic polynomial,
-else the Smith form of T - corner.  A cyclic class proves its point good
-(reconstruct), so both drivers first evaluate the D + 1 points of degree
-1 (when F_p has that many non-pole points) and stop there when every
-class is cyclic: one batch of 5 points of F_p on each bench workload.
+The class at each point is the invariant factors of its r x r corner,
+from one Krylov decomposition (linalg.invariant_factors_of): r - 1 ones
+and the characteristic polynomial when the corner is cyclic.  A cyclic
+class proves its point good (reconstruct), so both drivers first
+evaluate the D + 1 points of degree 1 (when F_p has that many non-pole
+points) and stop there when every class is cyclic: one batch of 5
+points of F_p on each bench workload.
 """
 
 from collections import namedtuple

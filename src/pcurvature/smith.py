@@ -1,13 +1,13 @@
-"""Exact linear algebra that no certified solve over F_p runs: the Smith
-form, the characteristic matrix and a linear solver.
+"""Exact linear algebra that a solve over F_p with cyclic classes never
+runs: the Smith form, the characteristic matrix and a linear solver.
 
-The Smith form classifies a derogatory matrix (linalg.invariant_factors_of
-falls back to it when no unit vector is cyclic) and the O(p) oracle's
-p-curvature over F_q(x) (diffop.rational_invariant_factors); the linear
-solver lifts values at points of degree k > 1 back to polynomials
-(interp.power_basis_solver).  Each caller imports this module where it
-needs it.  Nothing here assumes the field is finite, so the Smith form
-also runs over K(x).
+The Smith form reads the class of a derogatory matrix from its m x m
+Krylov relation matrix (linalg.invariant_factors_of), and the O(p)
+oracle's p-curvature over F_q(x) from T - A_p itself (char_matrix, for
+diffop.rational_invariant_factors only); the linear solver lifts values
+at points of degree k > 1 back to polynomials (interp.power_basis_solver).
+Each caller imports this module where it needs it.  Nothing here assumes
+the field is finite, so the Smith form also runs over K(x).
 """
 
 from . import polys

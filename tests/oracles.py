@@ -4,9 +4,9 @@ Everything here favors obviousness over speed: schoolbook products,
 cofactor expansion, one-factor-at-a-time matrix products.  None of it
 shares code with the library paths under test, except the operation
 counter, which wraps the library's prime field, the input record that
-sym2_system returns, and the divisibility check, which holds the
-library's local factors against its O(p) oracle, with evaluate_at_X and
-divides, thin helpers over the library's evaluation and remainder.
+the Gauss systems are built as, and the divisibility check, which holds
+the library's local factors against its O(p) oracle, with evaluate_at_X
+and divides, thin helpers over the library's evaluation and remainder.
 """
 
 from pcurvature import fields, polys, reconstruct
@@ -178,19 +178,48 @@ def sym2_system(K):
     ))
 
 
+def symk_system(K, k):
+    """The k-th symmetric power of the Gauss system over K (p > 2).
+
+    Row m of A~ is the derivative of w_m = y1^(k-m) y2^m by the product
+    rule: f_A w_m' = (k - m) f_A w_(m+1) + m/4 w_(m-1) + m (2x - 1) w_m.
+    At k = 1 it is the Gauss system itself, and at k = 2 sym2_system.
+    """
+    f_A = tuple(K.from_int(i) for i in (0, 1, -1))
+    quarter = K.inv(K.from_int(4))
+
+    def entry(m, j):
+        if j == m + 1:
+            return tuple(K.mul(K.from_int(k - m), c) for c in f_A)
+        if j == m - 1:
+            return (K.mul(K.from_int(m), quarter),)
+        if j == m:
+            return (K.from_int(-m), K.from_int(2 * m))
+        return ()
+
+    return DiffSystem(K, f_A, tuple(
+        tuple(entry(m, j) for j in range(k + 1)) for m in range(k + 1)))
+
+
+def block_sum(*systems):
+    """Block-diagonal sum of systems over one field with one f_A."""
+    K, f_A = systems[0].K, systems[0].f_A
+    assert all(s.K == K and s.f_A == f_A for s in systems)
+    n, rows, at = sum(s.size for s in systems), [], 0
+    for s in systems:
+        for row in s.A_tilde:
+            rows.append(((),) * at + row + ((),) * (n - at - s.size))
+        at += s.size
+    return DiffSystem(K, f_A, tuple(rows))
+
+
 def sym2_gauss_system(K):
     """sym2_system(K) beside the Gauss system, block-diagonal, f_A = x - x^2.
 
     The application's shape: N = 15 at r = 5 and d = 2.  Its invariant
     factors are 1, 1, 1, T^2 and T^3, so no local class is cyclic.
     """
-    sym2 = sym2_system(K)
-    f_A = sym2.f_A
-    gauss = (((), f_A), ((K.inv(K.from_int(4)),),
-                         (K.from_int(-1), K.from_int(2))))
-    return DiffSystem(K, f_A, tuple(
-        [row + ((),) * 2 for row in sym2.A_tilde]
-        + [((),) * 3 + row for row in gauss]))
+    return block_sum(sym2_system(K), symk_system(K, 1))
 
 
 def evaluate_at_X(L, bp, b, embed):

@@ -95,7 +95,7 @@ def test_c02_local_factors_match_specialized_curvature(corpus, capsys):
             emb = fields.embedding(K, ell)
             a = _point_avoiding_poles(sysform, ell, rng)
             [got] = local_eval.invariant_factors_at(inp, ell, [a])
-            # the Smith form itself, not the cyclic-vector path under test
+            # the Smith form itself, not the Krylov decomposition under test
             M = [[R.evaluate(e, a, ell, emb) for e in row] for row in Ap]
             ref = smith.smith_form(ell, smith.char_matrix(ell, M))
             pairs += 1

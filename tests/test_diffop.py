@@ -155,7 +155,7 @@ def test_naive_p_curvature_matches_the_rational_recurrence(rng):
 
 def test_oracle_shares_no_shortcut_with_the_local_classes(monkeypatch):
     # the oracle's invariant factors come from the Smith form of T - A_p,
-    # never from the cyclic-vector path of linalg.invariant_factors_of
+    # never from the Krylov decomposition of linalg.invariant_factors_of
     def refused(K, A):
         raise AssertionError("the oracle called invariant_factors_of")
     monkeypatch.setattr(linalg, "invariant_factors_of", refused)

@@ -72,9 +72,10 @@ def test_import_graph_runs_one_way():
 
 # Loaded by `import pcurvature` and `from pcurvature import cli` at start-up:
 # none of these serves a solve.  dataclasses pulls in inspect, ast, dis and
-# tokenize, and each decorated class execs generated source.  extension and
-# smith serve only points of degree > 1, derogatory classes and the oracle,
-# and each is compiled from source when it loads.
+# tokenize, and each decorated class execs generated source.  extension
+# serves only points of degree > 1, and smith those, the Krylov relations
+# of derogatory classes and the oracle; each is compiled from source when
+# it loads.
 OFF_IMPORT_PATH = ("dataclasses", "inspect", "pcurvature.nilprofile",
                    "pcurvature.ratfunc", "pcurvature.extension",
                    "pcurvature.smith")
@@ -210,3 +211,21 @@ def test_one_class_holds_the_factorial_kernels():
                 if {"matpoly_mul", "chain"} <= methods:
                     owners.append(f"{path.stem}.{node.name}")
     assert owners == ["fields.SplitRing"]
+
+
+def test_one_class_routine_builds_no_characteristic_matrix():
+    # one Krylov decomposition classifies every matrix: no module defines
+    # the cyclic-vector retry, and only the O(p) oracle in diffop builds
+    # T*I - A (smith.char_matrix) for the Smith form
+    retry, callers = [], set()
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name == "_cyclic_charpoly"):
+                retry.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(
+                    node.func, "id",
+                    getattr(node.func, "attr", None)) == "char_matrix":
+                callers.add(path.stem)
+    assert retry == []
+    assert callers == {"diffop"}

@@ -844,7 +844,7 @@ def test_invariant_factors_of_companion_matrix(rng):
         assert facs == [[F5.one]] * 3 + [f]
 
 
-F7 = fields.PrimeField(7)
+F2, F7 = fields.PrimeField(2), fields.PrimeField(7)
 F49 = extension.ExtensionField(F7, fields.find_irreducible(F7, 2))
 
 
@@ -854,27 +854,14 @@ def _smith_factors(K, A):
 
 def _counting_smith(monkeypatch):
     # invariant_factors_of looks smith_form up on the smith module
-    calls = [0]
+    calls = []
     smith_form = smith.smith_form
 
-    def counting(*args):
-        calls[0] += 1
-        return smith_form(*args)
+    def counting(K, M):
+        calls.append(M)
+        return smith_form(K, M)
     monkeypatch.setattr(smith, "smith_form", counting)
     return calls
-
-
-@pytest.mark.parametrize("K", [F5, F7, F49], ids=str)
-def test_invariant_factors_by_cyclic_vector_match_smith_form(K, rng):
-    # dense and sparse random matrices of size 0 to 4; sparse ones are
-    # often derogatory and take the Smith form fallback
-    for r in range(5):
-        for density in (1.0, 0.3):
-            for _ in range(40):
-                A = [[K.elem(rng.randrange(K.q)) if rng.random() < density
-                      else K.zero for _ in range(r)] for _ in range(r)]
-                assert (linalg.invariant_factors_of(K, A)
-                        == _smith_factors(K, A)), A
 
 
 def _block_sum(K, *blocks):
@@ -892,9 +879,71 @@ def _jordan(K, a, n):
              for j in range(n)] for i in range(n)]
 
 
+def _jordan_sum(K, r, rng):
+    # blocks of sizes summing to r over at most two eigenvalues, so the
+    # eigenvalues repeat
+    eigen = [K.elem(rng.randrange(K.q)) for _ in range(2)]
+    blocks, left = [], r
+    while left:
+        n = rng.randint(1, left)
+        blocks.append(_jordan(K, rng.choice(eigen), n))
+        left -= n
+    return _block_sum(K, *blocks)
+
+
+def _conjugate(K, A, rng):
+    """U A U^-1 for a random invertible U."""
+    r = len(A)
+    while True:
+        U = [[K.elem(rng.randrange(K.q)) for _ in range(r)]
+             for _ in range(r)]
+        if smith.LinearSolver(K, U).rank == r:
+            return matmul_schoolbook(K, U, matmul_schoolbook(
+                K, A, _inverse(K, U)))
+
+
+def _class_test_matrices(K, r, rng):
+    """(kind, A, B) with B similar to A, whose Smith form is the
+    reference: B is A, except for a conjugated Jordan sum, where it is
+    the Jordan sum itself.  The Smith form of T*I - A takes up to
+    seconds on some dense random matrices from r = 11 on (minutes over
+    F_49), so the dense random case stops at r = 10; the conjugated
+    Jordan sums are dense at every size."""
+    def rand(keep):
+        return [[K.elem(rng.randrange(K.q)) if keep(i, j) else K.zero
+                 for j in range(r)] for i in range(r)]
+    c = K.elem(rng.randrange(K.q))
+    mats = [("sparse", rand(lambda i, j: rng.random() < 0.25)),
+            ("strictly upper", rand(
+                lambda i, j: j > i and rng.random() < 0.4)),
+            ("scalar", [[c if i == j else K.zero for j in range(r)]
+                        for i in range(r)]),
+            ("zero", [[K.zero] * r for _ in range(r)])]
+    if r <= 10:
+        mats.append(("dense", rand(lambda i, j: True)))
+    for kind, A in mats:
+        yield kind, A, A
+    if r:
+        J = _jordan_sum(K, r, rng)
+        yield "conjugated Jordan sum", _conjugate(K, J, rng), J
+
+
+@pytest.mark.parametrize("K", [F2, F5, F7, F49], ids=str)
+def test_invariant_factors_by_cyclic_vector_match_smith_form(K, rng):
+    # the one class routine against the Smith form of T*I - A, at every
+    # size 0 to 12: random dense and sparse matrices, strictly upper ones
+    # (nilpotent, often with several Jordan blocks), scalar and zero
+    # matrices, and Jordan sums with repeated eigenvalues in a random basis
+    for r in [r for r in range(13) for _ in range(2)]:
+        for kind, A, B in _class_test_matrices(K, r, rng):
+            assert (linalg.invariant_factors_of(K, A)
+                    == _smith_factors(K, B)), (kind, A)
+
+
 @pytest.mark.parametrize("K", [F5, F49], ids=str)
 def test_invariant_factors_of_derogatory_matrices(K, monkeypatch):
-    # no vector is cyclic, so every one of these takes the Smith form
+    # no vector is cyclic, so every one of these has a Krylov relation
+    # matrix of two blocks or more for the Smith form
     a, b = K.from_int(2), K.from_int(3)
     f = [K.from_int(1), K.from_int(4), K.one]   # a square-free quadratic
     g = polys.mul(K, f, [K.neg(b), K.one])
@@ -910,31 +959,40 @@ def test_invariant_factors_of_derogatory_matrices(K, monkeypatch):
         got = linalg.invariant_factors_of(K, A)
         assert sum(1 for e in got if len(e) > 1) > 1, got
         assert got == _smith_factors(K, A)
-    # one fallback per matrix, and none for _smith_factors' own calls
-    assert calls[0] == 2 * len(cases)
+    # one Smith form per matrix from the class routine, one from
+    # _smith_factors, and none for a cyclic matrix
+    assert len(calls) == 2 * len(cases)
     assert linalg.invariant_factors_of(K, _companion(K, g)) == [
         [K.one], [K.one], g]
-    assert calls[0] == 2 * len(cases)
+    assert len(calls) == 2 * len(cases)
 
 
-def test_cyclic_vector_may_be_a_later_unit_vector(monkeypatch):
-    # e_1 is an eigenvector of A, so its Krylov vectors span a line; e_2
-    # is cyclic, and the Smith form never runs
-    A = [[F5.one, F5.one], [F5.zero, F5.from_int(2)]]
-    tried = []
-    cyclic = linalg._cyclic_charpoly
+def test_one_krylov_decomposition_per_class(monkeypatch):
+    # companion(f) + companion(g) at r = 6 with f | g: one Krylov vector
+    # per dimension of each of its m = 2 blocks, at most r + m products
+    # by A, and one Smith form of the 2 x 2 relation matrix, whose
+    # diagonal degrees sum to r
+    K = F5
+    f = [K.from_int(1), K.from_int(4), K.one]
+    g = polys.mul(K, polys.mul(K, f, [K.from_int(3), K.one]),
+                  [K.from_int(2), K.one])
+    A = _block_sum(K, _companion(K, f), _companion(K, g))
+    r = len(A)
+    products = [0]
+    matvec = linalg.matvec
 
-    def recording(K, M, j):
-        out = cyclic(K, M, j)
-        tried.append((j, out))
-        return out
-    monkeypatch.setattr(linalg, "_cyclic_charpoly", recording)
+    def counting(*args):
+        products[0] += 1
+        return matvec(*args)
+    monkeypatch.setattr(linalg, "matvec", counting)
     calls = _counting_smith(monkeypatch)
-    charpoly = polys.mul(F5, [F5.neg(F5.one), F5.one],
-                         [F5.from_int(-2), F5.one])
-    assert linalg.invariant_factors_of(F5, A) == [[F5.one], charpoly]
-    assert tried == [(0, None), (1, charpoly)]
-    assert calls[0] == 0
+    got = linalg.invariant_factors_of(K, A)
+    monkeypatch.undo()
+    assert got == [[K.one]] * 4 + [f, g] == _smith_factors(K, A)
+    assert products[0] <= r + 2
+    [M] = calls
+    assert len(M) == 2 and all(len(row) == 2 for row in M)
+    assert sum(len(polys.trim(K, M[i][i])) - 1 for i in range(2)) == r
 
 
 @given(mat3)

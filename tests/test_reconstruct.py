@@ -8,8 +8,8 @@ from pcurvature import (bivar, cli, diffop, extension, fields, linalg,
 from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange,
                                FieldMismatch, PoleAtPoint, SelectionFailed)
 from pcurvature.reconstruct import ReconParams
-from oracles import (evaluate_at_X, sym2_gauss_system, sym2_system,
-                     verify_divisibility_lemma)
+from oracles import (block_sum, evaluate_at_X, sym2_gauss_system,
+                     sym2_system, symk_system, verify_divisibility_lemma)
 from test_diffop import (assert_frozen_record, random_operator,
                          random_system)
 
@@ -451,6 +451,35 @@ def test_sym2_gauss_matches_the_oracle(p):
     sysv = sym2_gauss_system(fields.PrimeField(p))
     want = diffop.naive_invariant_factors(sysv, p)
     assert [bivar.deg_T(g) for g in want] == [0, 0, 0, 2, 3]
+    assert reconstruct.reconstruct_deterministic(sysv, p) == want
+    plan = reconstruct.select_params(sysv, epsilon=0.1, seed=1)
+    assert reconstruct.reconstruct_montecarlo(sysv, p, plan) == want
+
+
+def test_symk_system_extends_sym2_and_gauss():
+    # Sym^k of the Gauss system from the product rule: Sym^1 is the Gauss
+    # system, Sym^2 the hand-written sym2_system, and their block sum
+    # the application's input
+    K = fields.PrimeField(31)
+    quarter = K.inv(K.from_int(4))
+    gauss = ((), (0, 1, 30)), ((quarter,), (30, 2))
+    assert symk_system(K, 1) == diffop.DiffSystem(K, (0, 1, 30), gauss)
+    assert symk_system(K, 2) == sym2_system(K)
+    assert block_sum(symk_system(K, 2), symk_system(K, 1)) == (
+        sym2_gauss_system(K))
+    assert symk_system(K, 5).size == 6
+
+
+@pytest.mark.parametrize("k, p, degrees", [(3, 31, [0] * 4 + [2, 4]),
+                                           (5, 37, [0] * 6 + [2, 6])],
+                         ids=["sym3-gauss-31", "sym5-gauss-37"])
+def test_symk_gauss_matches_the_oracle(k, p, degrees):
+    # Sym^k + Gauss at r = 6 and 8, toward the paper's order and never
+    # cyclic: det and mc glue the O(p) oracle's factors
+    K = fields.PrimeField(p)
+    sysv = block_sum(symk_system(K, k), symk_system(K, 1))
+    want = diffop.naive_invariant_factors(sysv, p)
+    assert [bivar.deg_T(g) for g in want] == degrees
     assert reconstruct.reconstruct_deterministic(sysv, p) == want
     plan = reconstruct.select_params(sysv, epsilon=0.1, seed=1)
     assert reconstruct.reconstruct_montecarlo(sysv, p, plan) == want
