@@ -38,20 +38,21 @@ pass; a wider one unpacks slot by slot in Python.  For entries of length
 L (la and lb for two factors), N x N matrices, points of degree k, and
 quotients of length k' by an m over F_p, the bounds and the bits they
 reached on the det and mc batches of the workload operator, its companion
-system and sym2 (N = 4, 6 and 9), at the planner's s, are:
+system and sym2 (N = 4, 6 and 9), at s the largest power of two whose
+square is at most p, are:
 
     kernel                       bound                      2^10 2^16 2^18 2^20
-    shift_rows                   L (p-1)^2                    24   39   44   49
-    matpoly_mul                  k min(la, lb) N (p-1)^2      27   42   47   51
-    rows_rem, first product      k' (p-1)^2                    -   39   44   50
-    rows_rem, second product     min(k', deg m) (p-1)^2 + p-1  -   39   44   50
-    rows_at                      L (p-1)^2                    26   40   45   50
+    shift_rows                   L (p-1)^2                    24   40   45   50
+    matpoly_mul                  k min(la, lb) N (p-1)^2      27   43   48   53
+    rows_rem, first product      k' (p-1)^2                    -   40   45   50
+    rows_rem, second product     min(k', deg m) (p-1)^2 + p-1  -   40   45   50
+    rows_at                      L (p-1)^2                    25   39   43   47
 
 (rows_rem shows the larger of its two products, and matpoly_mul the bits
 at k = 1: log2 k more at k.)  They grow by about 2.5 bits per doubling of
 p, as L and k' grow like sqrt p, so they stay within 8 bytes up to about
-p = 2^25 (2^26 for shift_rows).  The chain's slots at k > 1 hold
-k m (p-1)^2, for m <= N the most in a row.
+p = 2^24 (2^25 for shift_rows and rows_rem).  The chain's slots at k > 1
+hold k m (p-1)^2, for m <= N the most in a row.
 """
 
 import array
@@ -468,9 +469,10 @@ class SplitRing:
     def matpoly_mul(self, A, B):
         """Product of MatrixRows A and B over self: a coordinate packs
         into one integer, 2k - 1 slots per t-coefficient so that no
-        convolution spills into the next, and all products are unpacked in
-        one pass and reduced once, mod p or, at k > 1, all blocks together
-        by f (extension.ExtensionField.reduce_blocks)."""
+        convolution spills into the next, and the products are unpacked
+        and reduced once: mod p, all in one pass, or at k > 1 by f
+        (extension.ExtensionField.reduce_blocks), one row of the product
+        at a time, so that only that row's values are lists of ints."""
         p, k = self.p, self.field.degree
         W = 2 * k - 1
         # a slot sums k products of residues per pair of t-coefficients, and
@@ -485,20 +487,25 @@ class SplitRing:
             A, B, coord_ints(A), coord_ints(B), self.degree // k)
         top = max(lengths, default=0)
         size = W * top
-        vals = _unpack_bytes(b"".join([
-            x.to_bytes(slot * size, "little") for acc in accs for x in acc]),
-            slot)
+
+        def unpacked(accs):
+            return _unpack_bytes(b"".join([
+                x.to_bytes(slot * size, "little")
+                for acc in accs for x in acc]), slot)
         if k == 1:
-            vals = [x % p for x in vals]
+            vals = [x % p for x in unpacked(accs)]
             return MatrixRows(shape, entries, lengths, [
                 _column(vals[i::top], p) for i in range(top)])
-        # block q top + i is t-coefficient i of product q, zero from the
-        # length of its entry on
-        flat = self.field.reduce_blocks(vals)
-        return MatrixRows(shape, entries, lengths, [
-            _column(itertools.chain.from_iterable(zip(*[
-                flat[i * k + j::top * k] for j in range(k)])), p)
-            for i in range(top)])
+        # the reduction by f lists every value: a row's worth of entries at
+        # a time keeps fewer of them alive.  Block q top + i is
+        # t-coefficient i of product q, zero from the length of its entry on
+        cols = [_column((), p) for _ in range(top)]
+        for q in range(0, len(accs), shape[1]):
+            flat = self.field.reduce_blocks(unpacked(accs[q:q + shape[1]]))
+            for i, col in enumerate(cols):
+                col.extend(itertools.chain.from_iterable(zip(*[
+                    flat[i * k + j::top * k] for j in range(k)])))
+        return MatrixRows(shape, entries, lengths, cols)
 
     def chain(self, pattern, steps, acc):
         """M_g ... M_1 acc for M_j the matrix of steps[j - 1] = vals: vals[q]

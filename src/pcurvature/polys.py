@@ -272,27 +272,28 @@ class SubproductTree:
     def evaluate(self, fs):
         """One list per point of the values there of the entries of the
         fields.MatrixRows fs, in the order of its entries."""
-        K, total = self.K, len(self._pts)
-        at = [None] * total
-
-        def descend(level, idx, cols):
-            first = idx << level
-            size = min(1 << level, total - first)
-            if size <= self.BASE_CASE:
-                at[first:first + size] = K.rows_at(
-                    cols, self._pts[first:first + size])
-                return
-            if len(cols) > size:
-                m = self._product(level, idx)
-                cols = K.rows_rem(cols, m, series_inv(
-                    K.base, m[::-1], len(cols) + 1 - len(m)))
-            lo = 2 * idx
-            descend(level - 1, lo, cols)
-            if (lo + 1) << (level - 1) < total:
-                descend(level - 1, lo + 1, cols)
-
-        descend((total - 1).bit_length(), 0, fs.cols)
+        at = [None] * len(self._pts)
+        self._descend((len(at) - 1).bit_length(), 0, fs.cols, at)
         return at
+
+    def _descend(self, level, idx, cols, at):
+        """Fill the values at the points of node (level, idx) of the rows
+        cols that it receives."""
+        K, total = self.K, len(at)
+        first = idx << level
+        size = min(1 << level, total - first)
+        if size <= self.BASE_CASE:
+            at[first:first + size] = K.rows_at(
+                cols, self._pts[first:first + size])
+            return
+        if len(cols) > size:
+            m = self._product(level, idx)
+            cols = K.rows_rem(cols, m, series_inv(
+                K.base, m[::-1], len(cols) + 1 - len(m)))
+        lo = 2 * idx
+        self._descend(level - 1, lo, cols, at)
+        if (lo + 1) << (level - 1) < total:
+            self._descend(level - 1, lo + 1, cols, at)
 
     def _product(self, level, idx):
         """The product of the moduli of node (level, idx), memoised."""

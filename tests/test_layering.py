@@ -229,3 +229,22 @@ def test_one_class_routine_builds_no_characteristic_matrix():
                 callers.add(path.stem)
     assert retry == []
     assert callers == {"diffop"}
+
+
+def test_baby_step_length_is_a_rule_not_a_fitted_model():
+    # s is the largest power of two whose square is at most count: no
+    # module defines the fitted planner's cost model, zero pattern, degree
+    # growth or product pricing, and linalg holds no float literal, so no
+    # fitted price can come back
+    gone = {"_FactorialCost", "_Pattern", "_degree_growth", "_product_bytes"}
+    defined, floats = [], []
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and (
+                    node.name in gone):
+                defined.append(f"{path.name}:{node.name}")
+            if path.stem == "linalg" and isinstance(
+                    node, ast.Constant) and isinstance(node.value, float):
+                floats.append(f"{path.name}:{node.lineno}")
+    assert defined == []
+    assert floats == []

@@ -1,6 +1,4 @@
 import functools
-import math
-import operator
 import random
 
 import pytest
@@ -244,8 +242,10 @@ def test_matpoly_mul_reduces_once_per_output_coefficient(monkeypatch, rng):
     out = _matpoly_mul(L, A, B)
     length = max(len(e) for row in out for e in row)
     assert length == 9
-    # one product at a time would reduce 4 * 3 * 6 * 9 times
+    # one product at a time would reduce 4 * 3 * 6 * 9 times; a row of
+    # the product at a time keeps the values of 3 entries alive, not 12
     assert 0 < sum(calls) <= 4 * 3 * length
+    assert calls == [3 * length] * 4
 
 
 _PACKED = ["F_101^1", "F_101^3", "F_263^25", "product ring over F_13",
@@ -428,6 +428,27 @@ def test_matrix_factorial_over_packed_rings_matches_sequential(
     assert got == matrix_factorial_sequential(L, B, count, polys.eval_at)
 
 
+@pytest.mark.parametrize("ring", ["split ring over F_101", "F_101^3"])
+def test_matrix_factorial_evaluates_a_node_at_a_time(ring, rng,
+                                                     monkeypatch):
+    # count = 4000: s = 32, g = 125, and P_s of degree-1 B has entries of
+    # 33 coefficients, which no node of 64 points or more divides, so the
+    # giant steps take the values of 64 points at a time, each point once
+    L = _RINGS[ring]()
+    B = [[[L.random_elem(rng), L.one] for _ in range(2)] for _ in range(2)]
+    trees = []
+    evaluate = polys.SubproductTree.evaluate
+    monkeypatch.setattr(polys.SubproductTree, "evaluate",
+                        lambda self, fs: trees.append(self.points)
+                        or evaluate(self, fs))
+    got = linalg.matrix_factorial(L, B, 4000)
+    monkeypatch.undo()
+    assert [len(points) for points in trees] == [64, 61]
+    assert [a for points in trees for a in points] == list(
+        range(0, 4000 - 4000 % 32, 32))
+    assert got == matrix_factorial_sequential(L, B, 4000, polys.eval_at)
+
+
 @pytest.mark.parametrize("ring", sorted(_RINGS))
 @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 100])
 def test_matrix_factorial_times_right_columns(ring, count, rng):
@@ -469,171 +490,56 @@ def test_matrix_factorial_of_entries_longer_than_p(ring, rng, monkeypatch):
     assert max(lengths) > L.char
 
 
-def _bench_batch(system, p, points=range(1, 30), ring=None):
-    """Ring, recurrence matrix and corner of a batch of points of F_p, by
-    default the 29 of det's budget F + D + 1 (all evaluated when its first
-    5 points are not all cyclic), as local_eval builds them for the
-    workload operator (x^2 + 1) Dx^2 + x Dx + 1 or for its companion
-    system.  A ring given replaces the split ring of the points."""
-    K = fields.PrimeField(p)
-    if ring is None:
-        ring = fields.SplitRing(K, points)
+def _det_sys_batch():
+    """Ring, recurrence matrix and corner of det-sys's batch: the 29 points
+    1 ... 29 of F_263 of det's budget F + D + 1 (all evaluated when its
+    first 5 points are not all cyclic), as local_eval builds them for the
+    companion system of the workload operator (x^2 + 1) Dx^2 + x Dx + 1."""
+    K = fields.PrimeField(263)
+    ring = fields.SplitRing(K, range(1, 30))
     x2p1 = (K.one, K.zero, K.one)
-    if system:
-        inp = diffop.DiffSystem(K, x2p1, (((), x2p1),
-                                          ((K.neg(K.one),), (K.zero,
-                                                             K.neg(K.one)))))
-        rec = local_eval.build_B_system(inp, ring, ring.gen)
-    else:
-        inp = diffop.DiffOperator(K, ((K.one,), (K.zero, K.one), x2p1))
-        rec = local_eval.build_B_operator(inp, ring, ring.gen)
+    inp = diffop.DiffSystem(K, x2p1, (((), x2p1),
+                                      ((K.neg(K.one),), (K.zero,
+                                                         K.neg(K.one)))))
+    rec = local_eval.build_B_system(inp, ring, ring.gen)
     return ring, rec.entries, rec.corner
 
 
-def _quadratic_ring(p, n):
-    """The ring of a batch of n points of degree 2, roots of u^2 - c for
-    the first n non-squares c: its value form over F_p[u]/(u^2 - c_0), of
-    degree 2n, where t u is a root of u^2 - c for t^2 = c / c_0."""
-    K = fields.PrimeField(p)
-    cs = [c for c in range(2, p) if pow(c, (p - 1) // 2, p) != 1][:n]
-    ell = extension.ExtensionField(K, [K.neg(cs[0]), K.zero, K.one])
-    ts = [next(t for t in range(p) if t * t * cs[0] % p == c) for c in cs]
-    return fields.SplitRing(ell, [ell.mul(ell.from_int(t), ell.gen)
-                                  for t in ts])
-
-
-def test_baby_step_length_prices_the_doubling():
-    # det-sys's shape (N = 6, d = 2, r = 2, count = 263): once the
-    # doubling's products are priced, s falls below the 20 of the window
-    # around sqrt(count), which weighed only giant steps and leftovers
-    ring, B, r = _bench_batch(True, 263)
+def test_baby_step_length_is_the_largest_power_of_two_square(monkeypatch):
+    # the picks at sym2 + Gauss's det prime 31, the bench's primes (det-sys
+    # 263, det-op 1019, mc-op 2003), c07's 10007 and the ladder's ends
+    picks = {31: 4, 263: 16, 1019: 16, 2003: 32, 10007: 64, 65539: 256,
+             2 ** 24 + 43: 4096}
+    assert {count: linalg.baby_step_length(count)
+            for count in picks} == picks
+    for count in range(16, 5000):
+        s = linalg.baby_step_length(count)
+        assert s.bit_count() == 1 and s * s <= count < 4 * s * s, count
+    # no clock: det-sys's factorial (N = 6, r = 2, count = 263, s = 16)
+    # takes log2(s) = 4 products and one leftover evaluation per set bit
+    # of 263 mod 16 = 7, three in all
+    ring, B, r = _det_sys_batch()
     assert (len(B), len(ring.gen), r) == (6, 29, 2)
-    assert max(len(e) for row in B for e in row) == 3
-    s = linalg.baby_step_length(ring, B, 263, r)
-    assert s < 16, s
-    # a pure function of the shape: the same s again, and from equal inputs
-    assert linalg.baby_step_length(ring, B, 263, r) == s
-    assert linalg.baby_step_length(*_bench_batch(True, 263)[:2], 263, r) == s
-    # det-op's shape: the leftover factors take at most 5 evaluations
-    ring, B, r = _bench_batch(False, 1019)
-    s = linalg.baby_step_length(ring, B, 1019, r)
-    assert len(linalg._leftover_parts(s, 1019 % s)) <= 5, s
+    calls = {"matpoly_mul": 0, "_chain_at": 0}
+    for name in calls:
+        fn = getattr(linalg, name)
 
-
-@pytest.mark.parametrize("system, p", [(True, 263), (False, 1019)])
-def test_baby_step_length_counts_the_entries_that_run(system, p):
-    # the planner's zero pattern is the one the kernels keep: the nonzero
-    # entries of P_k, and the pairs of the doubling that forms P_2k
-    ring, B, r = _bench_batch(system, p)
-    pattern = linalg._Pattern(B, 40)
-    N = len(B)
-    for k in range(1, 21):
-        P = linalg._baby_steps(ring, ring.rows_of(B), k)[0]
-        assert len(P.entries) == pattern.nonzero[k], k
-        rows, cols = [0] * N, [0] * N
-        for e in P.entries:
-            rows[e // N] += 1
-            cols[e % N] += 1
-        assert sum(map(operator.mul, cols, rows)) == pattern.squares[k], k
-    # the operator's matrix keeps two zero columns, the system's one
-    assert pattern.nonzero[20] == (30 if system else 8)
-
-
-def _solved_batches(monkeypatch):
-    """The (ring, B, count, r) of each planner call in the bench's three
-    solves: det on the workload operator at p = 1019 and on its companion
-    system at 263, and mc on the operator at 2003 (seed 1)."""
-    batches = []
-    plan = linalg.baby_step_length
-
-    def recording(K, B, count, r):
-        batches.append((K, B, count, r))
-        return plan(K, B, count, r)
-    monkeypatch.setattr(linalg, "baby_step_length", recording)
-    text = "(x^2+1)*Dx^2 + x*Dx + 1"
-    op = cli.parse_operator(text, fields.PrimeField(1019))
-    reconstruct.reconstruct_deterministic(op, 1019)
-    op = cli.parse_operator(text, fields.PrimeField(263))
-    reconstruct.reconstruct_deterministic(
-        diffop.companion_of_operator(op), 263)
-    op = cli.parse_operator(text, fields.PrimeField(2003))
-    reconstruct.reconstruct_montecarlo(
-        op, 2003, reconstruct.select_params(op, epsilon=0.1, seed=1))
-    monkeypatch.undo()
-    return batches
-
-
-_LARGE_PRIMES = (65539, 262147, 1048583, 4194319)
-
-
-def test_pruned_planner_returns_the_exhaustive_argmin(monkeypatch):
-    # the bench's batches, the batches of the baby_step_length tests above,
-    # and det's batch of the workload operator at p = 65539: the planner
-    # picks the s of least estimated cost among the s of the window with
-    # at most two set bits, the smallest on a tie, and its estimate is
-    # within 1% of the best over the whole window.  The picks are pinned:
-    # det-op's solved batch holds its k_sel = 5 certified points and takes
-    # 32, and the 29 points at 65539 take 160 (152 over the whole window,
-    # 0.3% cheaper by the estimate)
-    batches = _solved_batches(monkeypatch) + [
-        (ring, B, p, r) for (ring, B, r), p in (
-            (_bench_batch(True, 263), 263), (_bench_batch(False, 1019), 1019),
-            (_bench_batch(False, 65539), 65539))]
-    picks = [_planner_check(*batch) for batch in batches]
-    assert picks == [32, 8, 32, 8, 24, 160]
-    # the same bound on the 5-point batch at large p, and on points of
-    # degree 2
-    for p in _LARGE_PRIMES:
-        ring, B, r = _bench_batch(False, p, range(1, 6))
-        _planner_check(ring, B, p, r)
-    ring, B, r = _bench_batch(False, 1009, ring=_quadratic_ring(1009, 6))
-    assert ring.degree == 12
-    _planner_check(ring, B, 1009, r)
-
-
-def _planner_check(ring, B, count, r):
-    """baby_step_length's pick, checked against the candidates it prices
-    and against the whole window."""
-    cost = linalg._FactorialCost(ring, B, r, count)
-    w = math.isqrt(count)
-    window = range(max(w // 2, 1), 2 * w + 2)
-    want = min((s for s in window if s.bit_count() <= 2),
-               key=lambda s: (cost.total(s, count), s))
-    best = min(cost.total(s, count) for s in window)
-    got = linalg.baby_step_length(ring, B, count, r)
-    assert got == want, (count, got, want)
-    assert cost.total(got, count) <= 1.01 * best, (count, got)
-    return got
-
-
-def test_planner_work_grows_like_log_squared_count(monkeypatch):
-    # the planner's own work, with no clock: the price evaluations of one
-    # baby_step_length call on the operator's 5-point batch.  From
-    # p = 65539 to 4194319 sqrt(p) grows 8x and log(p)^2 about 1.9x; a
-    # planner that prices the whole window would give 8x
-    def price_calls(p):
-        ring, B, r = _bench_batch(False, p, range(1, 6))
-        calls = [0]
-        for name in ("total", "doubling", "odd"):
-            fn = getattr(linalg._FactorialCost, name)
-
-            def counting(*args, fn=fn):
-                calls[0] += 1
-                return fn(*args)
-            monkeypatch.setattr(linalg._FactorialCost, name, counting)
-        linalg.baby_step_length(ring, B, p, r)
-        monkeypatch.undo()
-        return calls[0]
-    small, large = price_calls(_LARGE_PRIMES[0]), price_calls(_LARGE_PRIMES[-1])
-    assert large <= 2 * small, (small, large)
+        def counting(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(linalg, name, counting)
+    n = len(B)
+    right = [row[n - r:] for row in linalg.identity(ring, n)]
+    linalg.matrix_factorial(ring, B, 263, right)
+    assert calls == {"matpoly_mul": 4, "_chain_at": 3}
 
 
 @pytest.mark.parametrize("ring", sorted(_RINGS))
-@pytest.mark.parametrize("s, count", [(13, 100), (6, 23), (1, 16)])
+@pytest.mark.parametrize("s, count", [(16, 111), (8, 23), (1, 16)])
 def test_matrix_factorial_leftovers_as_chain_prefixes(ring, s, count, rng,
                                                       monkeypatch):
-    # at a forced s the leftover factors go as evaluations of P_6 and P_3,
-    # of P_3 and twice B, and not at all
+    # at a forced s the leftover factors go as evaluations of P_8, P_4, P_2
+    # and B, of P_4, P_2 and B, and not at all
     L = _RINGS[ring]()
     B = [[polys.trim(L, [L.random_elem(rng) for _ in range(3)])
           for _ in range(2)] for _ in range(2)]
@@ -642,16 +548,16 @@ def test_matrix_factorial_leftovers_as_chain_prefixes(ring, s, count, rng,
     assert got == matrix_factorial_sequential(L, B, count, polys.eval_at)
 
 
-@pytest.mark.parametrize("s", [1, 2, 5, 16, 37, 64, 100])
+@pytest.mark.parametrize("s", [1, 2, 4, 16, 32, 64, 128])
 def test_leftover_parts_are_chain_prefixes(s):
-    # every t < s splits into prefixes s >> j of the doubling chain, at
-    # most two of each
+    # every t < s splits into distinct prefixes s >> j of the doubling
+    # chain, largest first: its set bits
     prefixes = {s >> j for j in range(1, s.bit_length())}
     for t in range(s):
-        parts = linalg._leftover_parts(s, t)
+        parts = linalg._leftover_parts(t)
         assert sum(parts) == t
         assert set(parts) <= prefixes
-        assert all(parts.count(k) <= 2 for k in parts)
+        assert parts == sorted(set(parts), reverse=True)
 
 
 @pytest.mark.parametrize("ring", sorted(_RINGS))
@@ -706,10 +612,10 @@ def test_packed_taylor_shift_worst_case_is_wider_than_a_machine_word(
 
 
 def test_baby_steps_shift_each_matrix_once(monkeypatch):
-    # det-sys's batch: one whole-matrix shift per doubling and per odd
-    # step, and no shift of a single entry
-    ring, B, r = _bench_batch(True, 263)
-    s = linalg.baby_step_length(ring, B, 263, r)
+    # det-sys's batch: one whole-matrix shift per doubling, and no shift
+    # of a single entry
+    ring, B, r = _det_sys_batch()
+    s = linalg.baby_step_length(263)
     calls, singles = [], []
     shift_rows = fields.SplitRing.shift_rows
     taylor_shift = polys.taylor_shift
@@ -726,7 +632,7 @@ def test_baby_steps_shift_each_matrix_once(monkeypatch):
     n = len(B)
     right = [row[n - r:] for row in linalg.identity(ring, n)]
     linalg.matrix_factorial(ring, B, 263, right)
-    assert len(calls) == s.bit_length() - 1 + bin(s).count("1") - 1, s
+    assert len(calls) == s.bit_length() - 1, s
     assert singles == []
     # the per-entry kernels are gone, and a packed ring's polys.taylor_shift
     # by a constant takes the halves algorithm
@@ -797,12 +703,14 @@ def test_chain_matches_repeated_schoolbook_products(ring, r, rng):
 
 
 def test_det_solve_chains_the_giant_steps(monkeypatch):
-    # det-op's solve: its one factorial evaluates P_s in one evaluate
-    # call, and neither the giant steps nor the leftover runs go through
-    # linalg.matmul
+    # det-op's solve: its one factorial (s = 16, g = 63, entries of P_s
+    # shorter than 32) evaluates P_s at the giant-step points in order,
+    # each once, one tree per base case of 32 points, and neither the
+    # giant steps nor the leftover runs go through linalg.matmul
     K = fields.PrimeField(1019)
     op = cli.parse_operator("(x^2+1)*Dx^2 + x*Dx + 1", K)
-    calls = {"matrix_factorial": 0, "matmul": 0, "evaluate": 0}
+    calls = {"matrix_factorial": 0, "matmul": 0}
+    trees = []
 
     def counting(owner, name):
         fn = getattr(owner, name)
@@ -813,10 +721,16 @@ def test_det_solve_chains_the_giant_steps(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
     counting(linalg, "matrix_factorial")
     counting(linalg, "matmul")
-    counting(polys.SubproductTree, "evaluate")
+    evaluate = polys.SubproductTree.evaluate
+    monkeypatch.setattr(polys.SubproductTree, "evaluate",
+                        lambda self, fs: trees.append(self.points)
+                        or evaluate(self, fs))
     reconstruct.reconstruct_deterministic(op, 1019)
     monkeypatch.undo()
-    assert calls == {"matrix_factorial": 1, "matmul": 0, "evaluate": 1}
+    assert calls == {"matrix_factorial": 1, "matmul": 0}
+    assert [len(points) for points in trees] == [32, 31]
+    assert [a for points in trees for a in points] == list(
+        range(0, 63 * 16, 16))
 
 
 def test_matrix_factorial_requires_square():

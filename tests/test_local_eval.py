@@ -269,17 +269,15 @@ def _factorial_calls(p, name, monkeypatch):
 
 
 def test_baby_steps_double_and_leave_few_factors(monkeypatch):
-    # at most two polynomial-matrix products per bit of s, and few
-    # leftover evaluations (one _chain_at call per run) at p = 1019; s
-    # is chosen as matrix_factorial chooses it, for the one-root split
-    # ring, recurrence matrix and corner of this evaluation
-    K = fields.PrimeField(10007)
-    ring = fields.SplitRing(K, [K.from_int(2)])
-    rec = local_eval.build_B_operator(_c07_operator(K), ring, ring.gen)
-    s = linalg.baby_step_length(ring, rec.entries, 10007, rec.corner)
+    # log2(s) polynomial-matrix products at p = 10007 (s = 64), and one
+    # leftover evaluation (one _chain_at call) per set bit of p mod s at
+    # p = 1019 (s = 16, 1019 mod 16 = 11: three)
+    s = linalg.baby_step_length(10007)
     products = _factorial_calls(10007, "matpoly_mul", monkeypatch)
-    assert products <= 2 * (s.bit_length() - 1), (s, products)
-    assert _factorial_calls(1019, "_chain_at", monkeypatch) <= 5
+    assert products == s.bit_length() - 1, (s, products)
+    leftover = 1019 % linalg.baby_step_length(1019)
+    calls = _factorial_calls(1019, "_chain_at", monkeypatch)
+    assert calls == leftover.bit_count() == 3
 
 
 def _value_count(monkeypatch, run):

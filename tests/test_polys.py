@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -180,6 +181,23 @@ def test_multipoint_eval_matches_pointwise(rng):
         want = [polys.eval_at(S13, f, S13.from_int(a)) for a in pts]
         # one list per point, of one value per polynomial
         assert got == [[w] for w in want]
+
+
+def test_evaluate_leaves_no_reference_cycle():
+    # the values are freed with the last reference to them, not at the
+    # next cyclic collection: an evaluate, a divided node included, makes
+    # no garbage that only the collector finds
+    S = fields.SplitRing(fields.PrimeField(1019), range(1, 4))
+    tree = polys.SubproductTree(S, range(0, 300, 3))
+    rows = S.rows_of([[[S.from_int(j + 1) for j in range(150)]]])
+    gc.collect()
+    gc.disable()
+    try:
+        tree.evaluate(rows)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 def tree_values(tree, fs):
