@@ -11,16 +11,18 @@ path is over F_p.
 It is fields.QuotientRing for an irreducible f (ValueError on a reducible
 one), whose packed rows u^(k+j) mod f reduce its products.  Products
 delay the modular reduction: a dot product of k element pairs costs k
-convolutions but a single reduction by f.  The batch ring of points of
-ell is fields.SplitRing, ell^n in value form, and its kernels at k > 1
-live here: pack_values packs each coordinate into one integer, a block
-of 2k - 1 slots, and reduce_blocks reduces every block of a product at
-once, one integer product per row.
+convolutions but a single reduction by f.  A product of polynomials over
+ell (polymul) is the schoolbook on elements: the drivers form only
+short ones there, minimal polynomials of points of degree k.  The batch
+ring of points of ell is fields.SplitRing, ell^n in value form, and its
+kernels at k > 1 live here: pack_values packs each coordinate into one
+integer, a block of 2k - 1 slots, and reduce_blocks reduces every block
+of a product at once, one integer product per row.
 """
 
 from . import polys
-from .fields import (PrimeField, QuotientRing, _pack, _slot_bytes, _unpack,
-                     _unpack_bytes, is_irreducible)
+from .fields import (PrimeField, QuotientRing, _pack, _unpack, _unpack_bytes,
+                     is_irreducible)
 
 
 class ExtensionField(QuotientRing):
@@ -147,19 +149,9 @@ class ExtensionField(QuotientRing):
         return polys.format_poly(self.base, self._strip(a), var=var)
 
     def polymul(self, f, g):
-        """Product in ℓ[t], its coefficients reduced by f together.
-
-        Both factors pack into one integer each, t-coefficient i in a block
-        of 2 degree - 1 slots as pack_values packs a coordinate, so the
-        product is one integer product."""
-        n, W, p = self.degree, 2 * self.degree - 1, self.base.p
-        # a slot sums n products of residues per pair of coefficients
-        slot = _slot_bytes((p - 1) ** 2 * n * min(len(f), len(g)))
-        size = W * (len(f) + len(g) - 1)
-        flat = self.reduce_blocks(_unpack(_pack(f, slot, W) * _pack(
-            g, slot, W), slot, size))
-        return polys.trim(self, [tuple(flat[i:i + n])
-                                 for i in range(0, len(flat), n)])
+        """Product in ell[t], schoolbook on the elements (see the module
+        docstring)."""
+        return polys.mul_schoolbook(self, f, g)
 
     def reduce_blocks(self, vals):
         """The elements that the blocks of 2 degree - 1 slots filling vals

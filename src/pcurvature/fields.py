@@ -13,10 +13,10 @@ multiplication.
 
 QuotientRing, F_p[u]/(f) for any monic f, is the one reduction by a fixed
 modulus: the rows u^(deg f + j) mod f are packed once, and a remainder is
-one integer sum of them.  Rabin's test (is_irreducible, behind the seeded
-search find_irreducible) runs in it, and extension.ExtensionField is it
-for an irreducible f.  The test and the search refuse a base other than
-F_p (FieldMismatch).
+one integer sum of them.  Ben-Or's test (is_irreducible, behind the
+seeded search find_irreducible) runs in it, one gcd per degree up to
+deg f / 2, and extension.ExtensionField is it for an irreducible f.  The
+test and the search refuse a base other than F_p (FieldMismatch).
 
 The matrix factorial runs on one ring, SplitRing: ell^n in value form for
 n points of a field ell, F_p or F_p[u]/(f) with f irreducible of degree
@@ -662,20 +662,6 @@ class SplitRing:
         return f"{self.field!r}^{self.degree // self.field.degree}"
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class QuotientRing:
     """F_p[u]/(modulus) for a monic modulus of degree n >= 1 over the
     PrimeField base, elements as tuples of n residues: the package's one
@@ -684,8 +670,8 @@ class QuotientRing:
     this ring for an irreducible modulus.
 
     Row j = u^(n + j) mod the modulus, for j < n - 1, is packed once into
-    one integer of n slots (pack), so that the remainder of a product is
-    one integer sum of rows weighted by its high coefficients (combine).
+    one integer of n slots, so that the remainder of a product is one
+    integer sum of rows weighted by its high coefficients.
     """
 
     def __init__(self, base, modulus):
@@ -701,7 +687,7 @@ class QuotientRing:
         for _ in range(n - 1):
             top = r[-1]
             r = [(a - top * m) % p for a, m in zip([0] + r[:-1], tail)]
-            rows.append(self.pack(r))
+            rows.append(_pack([r], self.slot, n))
         self.rows = rows
 
     def _pad(self, coeffs):
@@ -710,72 +696,49 @@ class QuotientRing:
             return tuple(coeffs) + (0,) * (n - len(coeffs))
         return tuple(coeffs[:n])
 
-    def pack(self, a):
-        """One integer of the n residues a, laid out as the rows are."""
-        return _pack([a], self.slot, self.degree)
-
-    def combine(self, weights, rows, low):
-        """The element sum_j weights[j] rows[j] + low, for rows packed by
-        pack and n ints low: weights and low may be any ints, reduced mod
-        p or not."""
-        p = self.base.p
-        acc = 0
-        for h, row in zip(weights, rows):
-            acc += h % p * row
-        return tuple([(x + y) % p for x, y in zip(
-            _unpack(acc, self.slot, self.degree), low)])
-
     def reduce(self, c):
         """The element a convolution c of degree < 2n - 1 reduces to: its
-        coefficient n + j weights row j."""
-        n = self.degree
+        coefficient n + j, reduced mod p, weights row j, and its low n
+        coefficients add to the sum.  c may hold any ints."""
+        p, n = self.base.p, self.degree
         if len(c) < n:
             c = list(c) + [0] * (n - len(c))
-        return self.combine(c[n:], self.rows, c[:n])
+        acc = 0
+        for h, row in zip(c[n:], self.rows):
+            acc += h % p * row
+        return tuple([(x + y) % p for x, y in zip(
+            _unpack(acc, self.slot, n), c)])
 
 
 def is_irreducible(K, f):
-    """Rabin's test over F_p, with cheap low-degree factor screens first.
+    """Ben-Or's test over F_p: f of degree n is irreducible if and only
+    if gcd(u^(p^i) - u, f) = 1 for i = 1, ..., n // 2, since u^(p^i) - u
+    is the product of the monic irreducibles of degree dividing i.
 
-    h_i = u^(p^i) in QuotientRing(K, f).  h_1 comes from square and
-    multiply from the top bit of p, where a product by u is a shift; once
-    f has no linear factor, every further h_i is h_(i-1) times the
-    Berlekamp matrix of f, whose rows h_1^j are packed as the ring packs
-    its own, so that one step is one integer sum.  Raises FieldMismatch
+    h = u^(p^i) in QuotientRing(K, f) is h_(i-1)^p, by square and
+    multiply.  The test stops at the first i with a common factor, which
+    for a random reducible f is most often a small i, and refuses an f
+    that u divides before it builds the ring.  Raises FieldMismatch
     unless K is a PrimeField.
     """
     if not isinstance(K, PrimeField):
         raise FieldMismatch(f"irreducibility is tested over F_p, not {K}")
     f = polys.monic(K, polys.trim(K, f))
     n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    if f[0] == K.zero:
-        return False
+    if n <= 1 or not f[0]:
+        # of degree 2 or more, f is reducible if u divides it
+        return n == 1
     R = QuotientRing(K, f)
     u = h = R._pad([0, 1])
-    for bit in bin(K.p)[3:]:
-        h = R.reduce(K.polymul(h, h))
-        if bit == "1":
-            h = R.reduce((0,) + h)
-    if len(polys.gcd(K, polys.sub(K, h, u), f)) != 1:
-        return False
-    # Frobenius g -> g^p is linear on K[u]/(f): row j of its matrix is
-    # u^(jp) = h^j
-    frobenius = [R.one, h]
-    for _ in range(n - 2):
-        frobenius.append(R.reduce(K.polymul(frobenius[-1], h)))
-    frobenius = [R.pack(r) for r in frobenius]
-    screen_to = min(3, n // 2)
-    critical = set(n // t for t in _prime_factors(n) if n // t > screen_to)
-    for i in range(2, n + 1):
-        h = R.combine(h, frobenius, R.zero)
-        if i <= screen_to or i in critical:
-            if len(polys.gcd(K, polys.sub(K, h, u), f)) != 1:
-                return False
-    return h == u
+    for _ in range(n // 2):
+        g = h
+        for bit in bin(K.p)[3:]:
+            h = R.reduce(K.polymul(h, h))
+            if bit == "1":
+                h = R.reduce(K.polymul(g, h))
+        if len(polys.gcd(K, polys.sub(K, h, u), f)) != 1:
+            return False
+    return True
 
 
 # Moduli kept per (field, degree); like interp.power_basis_solver, the

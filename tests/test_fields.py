@@ -239,12 +239,15 @@ def test_embedding_identity_and_constant():
 
 
 def _mobius(n):
-    out = 1
-    for t in fields._prime_factors(n):
-        if (n // t) % t == 0:
-            return 0
-        out = -out
-    return out
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
 
 
 def _gauss_count(q, n):
@@ -257,14 +260,44 @@ def _gauss_count(q, n):
                                     (fields.PrimeField(3), 6), (F5, 4)],
                          ids=["F2", "F3", "F5"])
 def test_is_irreducible_matches_gauss_count(K, top):
-    # F_2 reaches degrees 8 and 10, where Rabin's gcd at n/t (4 and 5) is
-    # not already one of the degree <= 3 screens
+    # every monic candidate of each degree, so each irreducible runs Ben-Or's
+    # gcds up to i = n // 2, 5 at F_2's degree 10
     elems = list(K.elements())
     for n in range(1, top + 1):
         count = sum(
             fields.is_irreducible(K, list(low) + [K.one])
             for low in itertools.product(elems, repeat=n))
         assert count == _gauss_count(K.q, n), n
+
+
+def _shift(K, g):
+    """g(u + 1), by Horner's rule."""
+    h = []
+    for c in reversed(g):
+        h = polys.add(K, polys.mul(K, h, [K.one, K.one]), [c])
+    return h
+
+
+@pytest.mark.parametrize("p", [2, 263, 10**9 + 7])
+def test_is_irreducible_at_the_last_gcd(p):
+    # Ben-Or's last gcd is at i = n // 2: g^2 and g h have a factor of that
+    # degree and none below it.  h = g(u + 1) is irreducible, and another
+    # factor than g unless the shift fixes g, as it does u^2 + u + 1, the
+    # one irreducible quadratic over F_2.  At 10^9 + 7 the ring's slots
+    # are wider than a machine word
+    K = fields.PrimeField(p)
+    rng = random.Random(p)
+    for n in range(2, 9):
+        g = fields.find_irreducible(K, n // 2)
+        h = fields.find_irreducible(K, n - n // 2)
+        if h == g:
+            h = _shift(K, g)
+        linear = [K.random_elem(rng), K.one]
+        for f in (polys.mul(K, g, g), polys.mul(K, g, h),
+                  polys.mul(K, fields.find_irreducible(K, n - 1), linear)):
+            assert len(f) - 1 in (n - 1, n)
+            assert not fields.is_irreducible(K, f), (n, f)
+        assert fields.is_irreducible(K, fields.find_irreducible(K, n)), n
 
 
 def _find_in_fresh_interpreter(code):

@@ -248,3 +248,30 @@ def test_baby_step_length_is_a_rule_not_a_fitted_model():
                 floats.append(f"{path.name}:{node.lineno}")
     assert defined == []
     assert floats == []
+
+
+def test_irreducibility_and_extension_products_are_plain():
+    # Ben-Or's test needs no factorization of the degree and no Frobenius
+    # matrix: no module defines _prime_factors, and QuotientRing keeps its
+    # rows and reduction only.  ExtensionField.polymul is the schoolbook,
+    # not a packed product
+    factorizers, ring_defs, polymul_calls = [], set(), set()
+    for path in sorted(PKG.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and (
+                    node.name == "_prime_factors"):
+                factorizers.append(f"{path.name}:{node.lineno}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            defs = [f for f in node.body if isinstance(f, ast.FunctionDef)]
+            if (path.stem, node.name) == ("fields", "QuotientRing"):
+                ring_defs = {f.name for f in defs}
+            if (path.stem, node.name) == ("extension", "ExtensionField"):
+                for f in defs:
+                    if f.name == "polymul":
+                        polymul_calls = {
+                            getattr(c.func, "id", getattr(c.func, "attr", None))
+                            for c in ast.walk(f) if isinstance(c, ast.Call)}
+    assert factorizers == []
+    assert ring_defs == {"__init__", "_pad", "reduce"}
+    assert polymul_calls == {"mul_schoolbook"}
