@@ -416,7 +416,7 @@ def main(argv=None):
     except (ZeroOperator, ZeroLeadingCoefficient) as e:
         _emit_error("bad-input", e)
         return 2
-    except (json.JSONDecodeError, KeyError, OSError, SystemFileError) as e:
+    except (json.JSONDecodeError, OSError, SystemFileError) as e:
         _emit_error("bad-system-file", e)
         return 2
     except (NonPrime, CharTooSmall, EpsilonOutOfRange) as e:

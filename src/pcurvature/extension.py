@@ -16,13 +16,14 @@ ell (polymul) is the schoolbook on elements: the drivers form only
 short ones there, minimal polynomials of points of degree k.  The batch
 ring of points of ell is fields.SplitRing, ell^n in value form, and its
 kernels at k > 1 live here: pack_values packs each coordinate into one
-integer, a block of 2k - 1 slots, and reduce_blocks reduces every block
-of a product at once, one integer product per row.
+integer, a block of 2k - 1 slots, by shift and add, which is faster than
+fields._pack for many short integers; values_of reads them back with
+fields._unpack, and reduce_blocks reduces every block of a product at
+once, one integer product per row.
 """
 
 from . import polys
-from .fields import (PrimeField, QuotientRing, _pack, _unpack, _unpack_bytes,
-                     is_irreducible)
+from .fields import PrimeField, QuotientRing, _pack, _unpack, is_irreducible
 
 
 class ExtensionField(QuotientRing):
@@ -165,11 +166,11 @@ class ExtensionField(QuotientRing):
         acc, high, low = 0, [0] * (count * k), [0] * (count * k)
         for i, row in enumerate(self.rows):
             high[::k] = [x % p for x in vals[k + i::W]]
-            acc += _pack([high], slot, len(high)) * row
+            acc += _pack(high, slot, p) * row
         for j in range(k):
             low[j::k] = vals[j::W]
         return [(x + y) % p for x, y in zip(
-            low, _unpack(acc, slot, count * k))]
+            low, _unpack([acc], slot, count * k))]
 
     def pack_values(self, seqs, slot):
         """Per sequence of residues (degree per coordinate, as a
@@ -189,9 +190,8 @@ class ExtensionField(QuotientRing):
         integers, reduced by reduce_blocks in one pass: one list per row,
         degree per coordinate."""
         k = self.degree
-        size = slot * (2 * k - 1)
-        flat = self.reduce_blocks(_unpack_bytes(b"".join([
-            x.to_bytes(size, "little") for row in rows for x in row]), slot))
+        flat = self.reduce_blocks(_unpack(
+            (x for row in rows for x in row), slot, 2 * k - 1))
         m = k * len(rows[0]) if rows else 0
         return [flat[i:i + m] for i in range(0, len(flat), m or 1)]
 

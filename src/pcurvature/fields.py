@@ -9,7 +9,8 @@ input of the solvers is over a PrimeField.
 The polynomial product hooks are where the speed lives: over F_p the
 coefficients are packed into one big integer per operand (Kronecker
 substitution) so the convolution happens inside CPython's long
-multiplication.
+multiplication.  One sequence of residues packs by _pack, one column of
+_pack_cols, and every packed integer is read back by _unpack.
 
 QuotientRing, F_p[u]/(f) for any monic f, is the one reduction by a fixed
 modulus: the rows u^(deg f + j) mod f are packed once, and a remainder is
@@ -151,23 +152,20 @@ class PrimeField:
         return sum(a * b for a, b in zip(xs, ys)) % self.p
 
     def polymul(self, f, g):
-        """Product of canonical coefficient lists; result needs no trim."""
+        """Product of canonical coefficient lists; result needs no trim.
+        The schoolbook below KRONECKER_CUTOFF, else one packed product."""
+        p = self.p
         if min(len(f), len(g)) < self.KRONECKER_CUTOFF:
-            p = self.p
             out = [0] * (len(f) + len(g) - 1)
             for i, a in enumerate(f):
                 if a:
                     for j, b in enumerate(g):
                         out[i + j] += a * b
             return [c % p for c in out]
-        return self._polymul_kronecker(f, g)
-
-    def _polymul_kronecker(self, f, g):
-        p = self.p
         # a slot sums min(len f, len g) products of residues
         slot = _slot_bytes((p - 1) ** 2 * min(len(f), len(g)))
-        prod = _pack([f], slot, len(f)) * _pack([g], slot, len(g))
-        return [c % p for c in _unpack(prod, slot, len(f) + len(g) - 1)]
+        prod = _pack(f, slot, p) * _pack(g, slot, p)
+        return [c % p for c in _unpack([prod], slot, len(f) + len(g) - 1)]
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -195,35 +193,6 @@ _TYPECODES = {array.array(c).itemsize: c for c in "BHIQ"}
 _SWAP = sys.byteorder != "little"
 
 
-def _pack_bytes(blocks, slot, width):
-    """Lists of ints in [0, 256**slot) as little-endian bytes: list i fills
-    the slots from i*width on, least significant first, and the rest of
-    its `width` slots are zero."""
-    code = _TYPECODES.get(slot)
-    if code is None:
-        parts = []
-        for xs in blocks:
-            parts.extend(x.to_bytes(slot, "little") for x in xs)
-            parts.append(bytes(slot * (width - len(xs))))
-        return b"".join(parts)
-    if len(blocks) == 1 and len(blocks[0]) == width:
-        flat = blocks[0]
-    else:
-        zeros, flat = [0] * width, []
-        for xs in blocks:
-            flat.extend(xs)
-            flat.extend(zeros[len(xs):])
-    a = array.array(code, flat)
-    if _SWAP:
-        a.byteswap()
-    return a.tobytes()
-
-
-def _pack(blocks, slot, width):
-    """One integer from lists of ints, laid out as _pack_bytes does."""
-    return int.from_bytes(_pack_bytes(blocks, slot, width), "little")
-
-
 def _unpack_bytes(buf, slot):
     """Every slot of little-endian bytes, as a sequence of ints: an array
     of machine integers when they fit one, so that slicing it creates no
@@ -231,17 +200,18 @@ def _unpack_bytes(buf, slot):
     code = _TYPECODES.get(slot)
     if code is None:
         return [int.from_bytes(buf[k:k + slot], "little")
-                for k in range(0, len(buf), slot)]
+                for k in range(0, len(buf), slot or 1)]
     a = array.array(code, buf)
     if _SWAP:
         a.byteswap()
     return a
 
 
-def _unpack(x, slot, count):
-    """The first `count` slots of a packed integer, as _unpack_bytes
-    gives them."""
-    return _unpack_bytes(x.to_bytes(slot * count, "little"), slot)
+def _unpack(ints, slot, count):
+    """The first `count` slots of each of the packed integers ints, end to
+    end, as _unpack_bytes gives them: every packed integer is read here."""
+    return _unpack_bytes(b"".join([
+        x.to_bytes(slot * count, "little") for x in ints]), slot)
 
 
 def _column(values, p):
@@ -252,7 +222,10 @@ def _column(values, p):
 
 
 def _column_bytes(col, p):
-    """A column's residues as little-endian bytes, and the bytes each."""
+    """A column's residues as little-endian bytes, and the bytes each.
+    Anything but an array becomes a column first."""
+    if not isinstance(col, array.array):
+        col = _column(col, p)
     if isinstance(col, list):
         item = _slot_bytes(p - 1)
         return b"".join([x.to_bytes(item, "little") for x in col]), item
@@ -266,9 +239,9 @@ def _pack_cols(cols, slot, width, p, n=1, block=1):
     """Little-endian bytes of rows over F_p given column by column (see
     MatrixRows): row r = n*e + c of column i fills slot
     e*width + i*block + c, and every other slot is zero.  With n = block
-    = 1, row r takes the slots from r*width on, as _pack lays out one
-    block per row.  Residues move byte by byte, so no int is created and
-    a slot of any width packs in one pass per byte."""
+    = 1, row r takes the slots from r*width on.  Residues move byte by
+    byte, so no int is created and a slot of any width packs in one pass
+    per byte."""
     out = bytearray(slot * width * (len(cols[0]) // n if cols else 0))
     step = slot * width
     for i, col in enumerate(cols):
@@ -280,10 +253,10 @@ def _pack_cols(cols, slot, width, p, n=1, block=1):
     return out
 
 
-def _split_ints(buf, width):
-    """The integers of consecutive little-endian blocks of width bytes."""
-    return [int.from_bytes(buf[k:k + width], "little")
-            for k in range(0, len(buf), width or 1)]
+def _pack(xs, slot, p):
+    """One integer whose slot i holds the residue xs[i] mod p: every
+    packed integer of one sequence is made here."""
+    return int.from_bytes(_pack_cols([xs], slot, 1, p), "little")
 
 
 class MatrixRows:
@@ -373,9 +346,10 @@ class SplitRing:
     an entry has `degree` = n k rows over F_p, and z itself is `gen`.  add,
     sub and neg act pointwise mod p; mul and inv coordinate by coordinate
     through ell, inv raising ZeroDivisionError on a zero coordinate.
-    Nothing is ever reduced by the modulus of z.  At k > 1 mul, polymul,
-    chain and matpoly_mul pack each coordinate into one integer and reduce
-    by f in ell's kernels (extension), and inv inverts in ell.
+    Nothing is ever reduced by the modulus of z.  At k > 1 mul is one
+    step of chain, and polymul is one at every k; chain and matpoly_mul
+    pack each coordinate into one integer and reduce by f in ell's
+    kernels (extension), and inv inverts in ell.
     """
 
     def __init__(self, field, roots):
@@ -481,17 +455,15 @@ class SplitRing:
 
         def coord_ints(R):
             width = W * len(R.cols)
-            return _split_ints(_pack_cols(R.cols, slot, width, p, k, W),
-                               slot * width)
+            return _unpack_bytes(_pack_cols(R.cols, slot, width, p, k, W),
+                                 slot * width)
         shape, entries, lengths, accs = _entry_products(
             A, B, coord_ints(A), coord_ints(B), self.degree // k)
         top = max(lengths, default=0)
         size = W * top
 
         def unpacked(accs):
-            return _unpack_bytes(b"".join([
-                x.to_bytes(slot * size, "little")
-                for acc in accs for x in acc]), slot)
+            return _unpack(itertools.chain.from_iterable(accs), slot, size)
         if k == 1:
             vals = [x % p for x in unpacked(accs)]
             return MatrixRows(shape, entries, lengths, [
@@ -542,30 +514,15 @@ class SplitRing:
                 for row in rows]
 
     def polymul(self, f, g):
-        """Product of polynomials over self, coordinate by coordinate:
-        schoolbook on the tuples below PrimeField.KRONECKER_CUTOFF, with
-        one reduction mod p per value, else one Kronecker product over
-        F_p per coordinate.  At k > 1 always schoolbook, on coordinates
-        packed as the chain packs them."""
-        p, k = self.p, self.field.degree
-        if k == 1 and min(len(f), len(g)) >= PrimeField.KRONECKER_CUTOFF:
-            mul = self.base._polymul_kronecker
-            out = zip(*[mul(a, b) for a, b in zip(zip(*f), zip(*g))])
-        else:
-            if k > 1:
-                # a slot sums k products of residues per pair of coefficients
-                slot = _slot_bytes((p - 1) ** 2 * k * min(len(f), len(g)))
-                f, g = (self.field.pack_values(h, slot) for h in (f, g))
-            acc = [None] * (len(f) + len(g) - 1)
-            for i, a in enumerate(f):
-                for j, b in enumerate(g):
-                    prods = map(operator.mul, a, b)
-                    acc[i + j] = (prods if acc[i + j] is None
-                                  else map(operator.add, acc[i + j], prods))
-            out = (self.field.values_of(list(map(list, acc)), slot) if k > 1
-                   else ([x % p for x in c] for c in acc))
+        """Product of polynomials over self: one step of the chain, whose
+        row m sums f[m - j] g[j].  So it is the schoolbook on coordinates,
+        reduced once per value, mod p or, at k > 1, by f."""
+        pattern = [[(j, m - j) for j in range(max(0, m - len(f) + 1),
+                                             min(m + 1, len(g)))]
+                   for m in range(len(f) + len(g) - 1)]
+        out = self.chain(pattern, [f], [[c] for c in g])
         # over a product ring the top coefficient can vanish
-        return polys.trim(self, [tuple(c) for c in out])
+        return polys.trim(self, [row[0] for row in out])
 
     def shift_rows(self, R, c):
         """R(t + c) for c in F_p, of MatrixRows R whose entries are no
@@ -588,13 +545,11 @@ class SplitRing:
             x = x * c % p
         # a slot sums at most L products of residues
         slot, count = _slot_bytes(L * (p - 1) ** 2), len(R.cols[0])
-        C = [int.from_bytes(_pack_cols([col], slot, 1, p), "little")
-             for col in R.cols]
+        C = [_pack(col, slot, p) for col in R.cols]
         # C(i, j) c^(i - j) = i! (1/j!) (c^(i - j) / (i - j)!)
-        vals = _unpack_bytes(b"".join([sum(map(operator.mul, [
+        vals = _unpack([sum(map(operator.mul, [
             x * inv_fact[j] % p for x in map(operator.mul, fact[j:], powers)],
-            C[j:])).to_bytes(slot * count, "little") for j in range(L)]),
-            slot)
+            C[j:])) for j in range(L)], slot, count)
         vals = [x % p for x in vals]
         return MatrixRows(R.shape, R.entries, R.lengths, [
             _column(vals[j:j + count], p) for j in range(0, L * count, count)])
@@ -619,7 +574,7 @@ class SplitRing:
         mu = m_rev_inv[k - 1::-1]
         # each buffer is freed once used, for a lower peak memory
         prod = int.from_bytes(_pack_cols(cols[d:], slot, W, p), "little")
-        prod = _unpack(prod * _pack([[0] * (k - len(mu)) + mu], slot, k),
+        prod = _unpack([prod * _pack([0] * (k - len(mu)) + mu, slot, p)],
                        slot, count * W)
         quo = [_column([x % p for x in prod[k - 1 + i::W]], p)
                for i in range(top)]
@@ -628,7 +583,7 @@ class SplitRing:
         neg_m = [p - c if c else 0 for c in m[:d]]
         low = int.from_bytes(_pack_cols(quo, slot, V, p), "little")
         del quo
-        low = _unpack(low * _pack([neg_m], slot, d), slot, count * V)
+        low = _unpack([low * _pack(neg_m, slot, p)], slot, count * V)
         return [_column([(x + y) % p for x, y in zip(low[j::V], col)], p)
                 for j, col in enumerate(cols[:d])]
 
@@ -640,15 +595,14 @@ class SplitRing:
         p, count = self.char, len(cols[0]) if cols else 0
         # a slot sums len(cols) products of residues
         slot = _slot_bytes(len(cols) * (p - 1) ** 2)
-        C = [int.from_bytes(_pack_cols([col], slot, 1, p), "little")
-             for col in cols]
+        C = [_pack(col, slot, p) for col in cols]
         out = []
         for a in points:
             acc, x = C[0] if C else 0, 1
             for c in C[1:]:
                 x = x * a % p
                 acc += x * c
-            vals = iter([v % p for v in _unpack(acc, slot, count)])
+            vals = iter([v % p for v in _unpack([acc], slot, count)])
             out.append(list(zip(*[vals] * self.degree)))
         return out
 
@@ -687,7 +641,7 @@ class QuotientRing:
         for _ in range(n - 1):
             top = r[-1]
             r = [(a - top * m) % p for a, m in zip([0] + r[:-1], tail)]
-            rows.append(_pack([r], self.slot, n))
+            rows.append(_pack(r, self.slot, p))
         self.rows = rows
 
     def _pad(self, coeffs):
@@ -707,7 +661,7 @@ class QuotientRing:
         for h, row in zip(c[n:], self.rows):
             acc += h % p * row
         return tuple([(x + y) % p for x, y in zip(
-            _unpack(acc, self.slot, n), c)])
+            _unpack([acc], self.slot, n), c)])
 
 
 def is_irreducible(K, f):

@@ -6,8 +6,8 @@ take the coefficient field K as their first argument and trust that field
 elements are in canonical form, so `==` on elements is exact equality.
 
 Multiplication dispatches to K.polymul, which lets each field supply a
-representation-specific fast path (Kronecker packing over a prime field,
-delayed modular reduction in extensions).  A multipoint evaluation
+representation-specific path: Kronecker packing over a prime field, one
+chain step over the batch ring, and the schoolbook in an extension.  A multipoint evaluation
 (SubproductTree) is at integers, which lie in F_p, over the batch ring,
 and dispatches to its K.rows_rem and K.rows_at.  Everything else here is
 generic; a whole matrix over the batch ring shifts in one kernel of its

@@ -335,6 +335,18 @@ def test_write_failure_is_not_a_system_file_error(monkeypatch, capsys):
     assert "bad-system-file" not in capsys.readouterr().err
 
 
+def test_internal_key_error_is_not_a_system_file_error(monkeypatch, capsys):
+    # load_system checks every key it reads, so a KeyError from a run is a
+    # fault of the program, not of an input file: it propagates
+    def boom(*args, **kwargs):
+        raise KeyError("forced inside the det driver")
+
+    monkeypatch.setattr(cli.reconstruct, "reconstruct_deterministic", boom)
+    with pytest.raises(KeyError):
+        cli.main(["--p", "5", "--op", "Dx + x"])
+    assert "bad-system-file" not in capsys.readouterr().err
+
+
 def test_selection_failure_maps_to_exit_4(monkeypatch, capsys):
     from pcurvature.errors import SelectionFailed
 

@@ -462,6 +462,26 @@ def test_kronecker_product_matches_schoolbook(p):
             assert K.polymul(f, g) == polys.mul_schoolbook(K, f, g)
 
 
+@pytest.mark.parametrize("p", [2, 263, 2**64 + 13])
+def test_pack_and_unpack_round_trip(p):
+    # every slot width that holds p - 1 up to 9 bytes, and 17: word widths
+    # unpack through arrays, the others slot by slot; at 2^64 + 13 a
+    # residue is wider than a machine word, so its column is a list
+    rng = random.Random(p)
+    for slot in [w for w in range(1, 10) if 256 ** w > p - 1] + [17]:
+        xs = [rng.randrange(p) for _ in range(11)] + [p - 1, 0]
+        column = fields._column(xs, p)
+        for seq in ([], xs, tuple(xs), column):
+            packed = fields._pack(seq, slot, p)
+            assert packed == sum(x << (8 * slot * i)
+                                 for i, x in enumerate(seq)), (slot, seq)
+            assert list(fields._unpack([packed], slot, len(seq))) == list(seq)
+        # several integers read end to end, each to its first count slots
+        packed = [fields._pack(xs, slot, p), 0, fields._pack(xs[:3], slot, p)]
+        assert list(fields._unpack(packed, slot, len(xs))) == (
+            xs + [0] * len(xs) + xs[:3] + [0] * (len(xs) - 3))
+
+
 _F1019 = fields.PrimeField(1019)
 _FWIDE = fields.PrimeField(10**9 + 7)
 
@@ -480,10 +500,11 @@ def _value_form(K, modulus, with_zero=False):
     lambda: _value_form(_FWIDE, [1, 0, 1])],
     ids=["split29", "split-wide", "ext3", "ext-product-ring", "ext-wide"])
 def test_packed_polymul_multiplies_directly(ring, monkeypatch):
-    # a product of two polynomials over a batch ring builds no row form:
-    # short factors, factors past the Kronecker cutoff, and a ring of
-    # several points, F_7 x F_49 at 0 and u for u^2 + 1 = 0 among them,
-    # whose top coefficient vanishes all match the schoolbook
+    # a product of two polynomials over a batch ring is one chain step and
+    # builds no row form: short factors, long ones ((16, 16) and (20, 33),
+    # many pairs per output row), and a ring of several points, F_7 x F_49
+    # at 0 and u for u^2 + 1 = 0 among them, whose top coefficient
+    # vanishes all match the schoolbook
     R = ring()
     for name in ("rows_of", "matrix_of", "matpoly_mul"):
         monkeypatch.setattr(type(R), name, None)

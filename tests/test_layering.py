@@ -275,3 +275,39 @@ def test_irreducibility_and_extension_products_are_plain():
     assert factorizers == []
     assert ring_defs == {"__init__", "_pad", "reduce"}
     assert polymul_calls == {"mul_schoolbook"}
+
+
+def test_one_packer_one_unpacker_and_polymul_as_a_chain_step():
+    # every packed integer of one sequence is made by _pack (one column of
+    # _pack_cols) and read by _unpack, so no module defines another packer
+    # or splitter, and in fields and extension only _unpack (and
+    # _column_bytes, the bytes of a list column) turns ints into bytes.
+    # SplitRing.polymul is one step of the chain, with no product of its own
+    packers, to_bytes, polymul_calls = [], [], set()
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "_pack_bytes", "_split_ints"):
+                packers.append(f"{path.name}:{node.lineno}")
+        if path.stem not in ("fields", "extension"):
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)]
+            if node.name not in ("_unpack", "_column_bytes"):
+                to_bytes += [f"{path.name}:{c.lineno}" for c in calls
+                             if getattr(c.func, "attr", None) == "to_bytes"]
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and (
+                    path.stem, node.name) == ("fields", "SplitRing"):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef) and f.name == "polymul":
+                        polymul_calls = {
+                            getattr(c.func, "id", getattr(c.func, "attr", None))
+                            for c in ast.walk(f) if isinstance(c, ast.Call)}
+    assert packers == []
+    assert to_bytes == []
+    assert "chain" in polymul_calls
+    assert not polymul_calls & {"_polymul_kronecker", "pack_values"}

@@ -313,9 +313,9 @@ def test_packed_multipoint_worst_case_is_wider_than_a_machine_word(
         method = getattr(fields.SplitRing, name)
 
         def recording(self, *args):
-            def unpacking(x, slot, count):
+            def unpacking(ints, slot, count):
                 slots.setdefault(name, []).append(slot)
-                return unpack(x, slot, count)
+                return unpack(ints, slot, count)
             monkeypatch.setattr(fields, "_unpack", unpacking)
             try:
                 return method(self, *args)
@@ -350,9 +350,9 @@ def test_rows_rem_second_product_is_wider_than_a_machine_word(
     slots = []
     unpack = fields._unpack
 
-    def recording(x, slot, count):
+    def recording(ints, slot, count):
         slots.append(slot)
-        return unpack(x, slot, count)
+        return unpack(ints, slot, count)
     inverse = polys.series_inv(K, m[::-1], k)
     monkeypatch.setattr(fields, "_unpack", recording)
     got = L.rows_rem(cols, m, inverse)
@@ -375,9 +375,10 @@ def _packed_multipoint_cost(count, monkeypatch):
     cost = [0]
     unpack, rows_at = fields._unpack, fields.SplitRing.rows_at
 
-    def counting(x, slot, n):
-        cost[0] += n
-        return unpack(x, slot, n)
+    def counting(ints, slot, n):
+        ints = list(ints)
+        cost[0] += n * len(ints)
+        return unpack(ints, slot, n)
 
     def direct(self, cols, points):
         cost[0] += len(cols) * len(cols[0]) * len(points)
