@@ -104,7 +104,14 @@ class _OpParser:
         return t
 
     def parse(self):
-        v = self._sum()
+        try:
+            v = self._sum()
+        except RecursionError:
+            # the descent recurses once per parenthesis level; the limit
+            # may fall just after the end token was read
+            pos = self.toks[min(self.i, len(self.toks) - 1)][2]
+            raise OperatorSyntaxError("expression nested too deeply",
+                                      pos) from None
         kind, _, pos = self._next()
         if kind != "end":
             raise OperatorSyntaxError("unexpected trailing input", pos)
@@ -260,7 +267,10 @@ def _system_from_doc(doc, p):
 def load_system(path, p=None):
     """DiffSystem from the JSON file; --p may repeat it but not contradict."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise SystemFileError("the system file nests too deeply") from None
     if not isinstance(doc, dict):
         raise SystemFileError("the system file must hold a JSON object")
     if "ext" in doc:

@@ -174,32 +174,3 @@ def naive_invariant_factors(sys, p):
             comp.append(bivar.compress_xp(K, R.to_poly(coeff), p))
         out.append(comp)
     return out
-
-
-def theta_rewrite(L, a, ell, embed):
-    """Coefficients b_0(theta), ..., b_(d+r)(theta) of L*d^d recentred at a.
-
-    Uses t^j d^j = theta (theta - 1) ... (theta - j + 1) on each monomial
-    of the shifted coefficients, valid in L*d^d because every t-power j is
-    at most d and so at most the attached d-power.  Returns polynomials in
-    theta over ell of degree <= d, the last one the constant a_r(a), empty
-    at a pole: the recurrence builder refuses it when it inverts a_r(a).
-    """
-    K = L.K
-    d, r = L.bidegree
-    shifted = []
-    for c in L.coeffs:
-        ce = [embed(x) for x in c]
-        shifted.append(polys.taylor_shift(ell, ce, a))
-    falling = [[ell.one]]
-    for j in range(1, d + 1):
-        falling.append(polys.mul(
-            ell, falling[-1], [ell.from_int(-(j - 1)), ell.one]))
-    b = [[] for _ in range(d + r + 1)]
-    for i in range(r + 1):
-        for j, c in enumerate(shifted[i]):
-            if c != ell.zero:
-                e = i + d - j
-                b[e] = polys.add(ell, b[e],
-                                 polys.scale(ell, c, falling[j]))
-    return b

@@ -7,6 +7,11 @@ p steps collapses to the matrix factorial B(p-1)...B(0), which baby-step /
 giant-step evaluates in O~(sqrt(p)) ring operations; Y^{(p)}(0) sits in the
 bottom-right corner and is similar to -A_p(a).
 
+A system f_A Y' = A~ Y and an operator are both sum C_i(x) d^i with
+m x m coefficients: a system has m = r, order 1, C_1 = f_A I and
+C_0 = -A~; an operator has m = 1 and order r.  So B comes from one
+theta-rewrite of (sum C_i d^i) d^d recentred at a, for either input.
+
 The input is over F_p: any other field raises FieldMismatch, as invariant
 factors over F_p(x) are what every caller needs.  The factorial needs only
 ring operations once B is built, so the distinct points a_1, ..., a_n of
@@ -39,7 +44,7 @@ points of F_p on each bench workload.
 from collections import namedtuple
 
 from . import fields, linalg, polys
-from .diffop import DiffSystem, theta_rewrite
+from .diffop import DiffSystem
 from .errors import (CharTooSmall, FieldMismatch, LeadingCoeffVanishes,
                      PoleAtPoint)
 
@@ -58,95 +63,86 @@ class RecMatrix(namedtuple("RecMatrix", "entries corner")):
         return len(self.entries)
 
 
-def _tidy(ell, rows):
-    return tuple(tuple(tuple(polys.trim(ell, e)) for e in row)
-                 for row in rows)
+def _theta_rewrite(K, ell, coeffs, a):
+    """Coefficients b_0(theta), ..., b_(d+o)(theta) of (sum C_i d^i) d^d at a.
+
+    coeffs lists C_0, ..., C_o, m x m matrices of polynomials over K of
+    degree at most d.  Each is recentred at a in ell, and each monomial
+    t^j d^(i+d) becomes theta (theta - 1) ... (theta - j + 1) d^(i+d-j),
+    valid as j <= d.  The b_e are m x m matrices of polynomials in theta
+    of degree <= d; b_(d+o) is the constant C_o(a).
+    """
+    emb = fields.embedding(K, ell)
+    m, o = len(coeffs[0]), len(coeffs) - 1
+    d = max(len(e) for C in coeffs for row in C for e in row) - 1
+    falling = [[ell.one]]
+    for j in range(1, d + 1):
+        falling.append(polys.mul(ell, falling[-1],
+                                 [ell.from_int(1 - j), ell.one]))
+    b = [[[[] for _ in range(m)] for _ in range(m)]
+         for _ in range(d + o + 1)]
+    for i, C in enumerate(coeffs):
+        for row, C_row in enumerate(C):
+            for col, e in enumerate(C_row):
+                shifted = polys.taylor_shift(ell, [emb(c) for c in e], a)
+                for j, c in enumerate(shifted):
+                    if c != ell.zero:
+                        be = b[i + d - j][row]
+                        be[col] = polys.add(ell, be[col],
+                                            polys.scale(ell, c, falling[j]))
+    return b
+
+
+def _recurrence(K, ell, coeffs, a, pole_error):
+    """Recurrence matrix at a of the operator sum C_i(x) d^i, C_o = c I.
+
+    Z_n stacks the m-blocks Y^{(n-d)}(0), ..., Y^{(n+o-1)}(0) of a solution
+    Y; the block companion has size (d + o) m, corner m o, and last block
+    row -b_e(n) / c(a) from the theta-rewrite.  p <= m o raises
+    CharTooSmall before anything else, and c(a) = 0 raises pole_error.
+    """
+    m, o = len(coeffs[0]), len(coeffs) - 1
+    r = m * o
+    if ell.char <= r:
+        raise CharTooSmall(f"need p > r, got p = {ell.char} and r = {r}")
+    b = _theta_rewrite(K, ell, coeffs, a)
+    top = b.pop()[0][0]
+    try:
+        lead = ell.neg(ell.inv(top[0] if top else ell.zero))
+    except ZeroDivisionError:
+        raise pole_error from None
+    n = len(b) * m
+    rows = [[()] * n for _ in range(n - m)]
+    for i, row in enumerate(rows):
+        row[i + m] = (ell.one,)
+    rows += [[tuple(polys.scale(ell, lead, x)) for be in b for x in be[j]]
+             for j in range(m)]
+    return RecMatrix(entries=tuple(map(tuple, rows)), corner=r)
 
 
 def build_B_system(sys, ell, a):
     """Recurrence matrix at a for the system f_A Y' = A~ Y.
 
-    Z_n stacks Y^{(n-d)}(0), ..., Y^{(n)}(0) in blocks of size r; the last
-    block row implements
-
-        f_0 Y^{(n+1)} = sum_i n(n-1)...(n-i+1) (A~_i - (n-i) f_{i+1}) Y^{(n-i)}
-
-    where f_i and A~_i are the Taylor coefficients at a and f_{d+1} = 0.
-    Entries have degree at most d in the index variable.
+    The system is the operator f_A I d - A~ of order 1 with r x r
+    coefficients, so Z_n stacks Y^{(n-d)}(0), ..., Y^{(n)}(0) in blocks of
+    size r and the matrix has size (d + 1) r, entries of degree <= d.
     """
-    r = sys.size
-    if ell.char <= r:
-        raise CharTooSmall(f"need p > r, got p = {ell.char} and r = {r}")
-    emb = fields.embedding(sys.K, ell)
-    d = sys.degree
-    f = polys.taylor_shift(ell, [emb(c) for c in sys.f_A], a)
-    f = list(f) + [ell.zero] * (d + 2 - len(f))
-    try:
-        f0_inv = ell.inv(f[0])
-    except ZeroDivisionError:
-        raise PoleAtPoint("f_A vanishes at the expansion point") from None
-
-    shifted = [[polys.taylor_shift(ell, [emb(c) for c in e], a)
-                for e in row] for row in sys.A_tilde]
-
-    def taylor_block(i):
-        return [[e[i] if i < len(e) else ell.zero for e in row]
-                for row in shifted]
-
-    blocks = []
-    fall = [ell.one]
-    for i in range(d + 1):
-        At = taylor_block(i)
-        blk = []
-        for j in range(r):
-            row = []
-            for k in range(r):
-                e = [At[j][k]]
-                if j == k and f[i + 1] != ell.zero:
-                    e = polys.sub(ell, e, [ell.neg(ell.mul(
-                        ell.from_int(i), f[i + 1])), f[i + 1]])
-                row.append(polys.scale(ell, f0_inv,
-                                       polys.mul(ell, fall, e)))
-            blk.append(row)
-        blocks.append(blk)
-        fall = polys.mul(ell, fall, [ell.neg(ell.from_int(i)), ell.one])
-
-    n = (d + 1) * r
-    rows = [[[] for _ in range(n)] for _ in range(n)]
-    for i in range(n - r):
-        rows[i][i + r] = [ell.one]
-    for j in range(d + 1):
-        blk = blocks[d - j]
-        for jj in range(r):
-            for kk in range(r):
-                rows[d * r + jj][j * r + kk] = blk[jj][kk]
-    return RecMatrix(entries=_tidy(ell, rows), corner=r)
+    K, r = sys.K, sys.size
+    f = [[sys.f_A if j == k else () for k in range(r)] for j in range(r)]
+    minus_A = [[polys.neg(K, e) for e in row] for row in sys.A_tilde]
+    return _recurrence(K, ell, [minus_A, f], a,
+                       PoleAtPoint("f_A vanishes at the expansion point"))
 
 
 def build_B_operator(op, ell, a):
     """Companion recurrence matrix at a for an operator of bidegree (d, r).
 
-    Z_n stacks y^{(n-d)}(0), ..., y^{(n+r-1)}(0); the last row carries
-    -b_e(n)/a_r(a) from the falling-factorial rewrite of the operator, so
-    the matrix has size d + r and entries of degree at most d.
+    The operator has 1 x 1 coefficients, so Z_n stacks y^{(n-d)}(0), ...,
+    y^{(n+r-1)}(0) and the matrix has size d + r, entries of degree <= d.
     """
-    r = op.order
-    if ell.char <= r:
-        raise CharTooSmall(f"need p > r, got p = {ell.char} and r = {r}")
-    emb = fields.embedding(op.K, ell)
-    b = theta_rewrite(op, a, ell, emb)
-    n = op.degree + r
-    try:
-        lead = ell.neg(ell.inv(b[n][0] if b[n] else ell.zero))
-    except ZeroDivisionError:
-        raise LeadingCoeffVanishes(
-            "a_r vanishes at the expansion point") from None
-    rows = [[[] for _ in range(n)] for _ in range(n)]
-    for i in range(n - 1):
-        rows[i][i + 1] = [ell.one]
-    for e in range(n):
-        rows[n - 1][e] = polys.scale(ell, lead, b[e])
-    return RecMatrix(entries=_tidy(ell, rows), corner=r)
+    return _recurrence(op.K, ell, [[[c]] for c in op.coeffs], a,
+                       LeadingCoeffVanishes(
+                           "a_r vanishes at the expansion point"))
 
 
 def require_prime_field(K):

@@ -9,7 +9,6 @@ multiplying to slow the degree growth down.
 """
 
 from . import polys
-from .errors import PoleAtPoint
 
 
 class RatFuncField:
@@ -109,22 +108,6 @@ class RatFuncField:
         for a, b in zip(xs, ys):
             acc = self.add(acc, self.mul(a, b))
         return acc
-
-    def evaluate(self, r, a, L=None, embed=None):
-        """Value at x = a, with a in L (default: the coefficient field).
-
-        embed maps coefficients into L; PoleAtPoint signals a zero
-        denominator, which normalization guarantees is a genuine pole.
-        """
-        K = self.coeff
-        if L is None:
-            L, embed = K, lambda c: c
-        num = [embed(c) for c in r[0]]
-        den = [embed(c) for c in r[1]]
-        dv = polys.eval_at(L, den, a)
-        if dv == L.zero:
-            raise PoleAtPoint("denominator vanishes at the evaluation point")
-        return L.mul(polys.eval_at(L, num, a), L.inv(dv))
 
     def format_elem(self, r):
         K = self.coeff

@@ -5,13 +5,15 @@ cofactor expansion, one-factor-at-a-time matrix products.  None of it
 shares code with the library paths under test, except the operation
 counter, which wraps the library's prime field, the input record that
 the Gauss systems are built as, and the divisibility check, which holds
-the library's local factors against its O(p) oracle, with evaluate_at_X
-and divides, thin helpers over the library's evaluation and remainder.
+the library's local factors against its O(p) oracle, with
+rational_value (the O(p) oracle's A_p at a point), evaluate_at_X and
+divides, thin helpers over the library's evaluation and remainder.
 """
 
 from pcurvature import fields, polys, reconstruct
 from pcurvature.diffop import (DiffSystem, companion_of_operator,
                                naive_invariant_factors)
+from pcurvature.errors import PoleAtPoint
 from pcurvature.fields import PrimeField
 
 
@@ -220,6 +222,15 @@ def sym2_gauss_system(K):
     factors are 1, 1, 1, T^2 and T^3, so no local class is cyclic.
     """
     return block_sum(sym2_system(K), symk_system(K, 1))
+
+
+def rational_value(r, a, L, embed):
+    """Value at x = a in L of r = (num, den) in K(x), embed mapping K into
+    L; a zero denominator is a genuine pole, since den is coprime to num."""
+    dv = polys.eval_at(L, [embed(c) for c in r[1]], a)
+    if dv == L.zero:
+        raise PoleAtPoint("denominator vanishes at the evaluation point")
+    return L.mul(polys.eval_at(L, [embed(c) for c in r[0]], a), L.inv(dv))
 
 
 def evaluate_at_X(L, bp, b, embed):

@@ -182,6 +182,39 @@ def test_main_exit_codes(tmp_path, capsys):
     assert json.loads(err)["error"] == "bad-system-file"
 
 
+def test_deep_nesting_is_a_syntax_error(tmp_path, capsys):
+    # the parser recurses once per parenthesis: 3,000 levels, in operator
+    # text or in a system file's polynomial, are a typed syntax error
+    deep = "(" * 3000 + "x" + ")" * 3000
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps({"p": 5, "f_A": deep, "A_tilde": [["x"]]}))
+    for argv in (["--p", "5", "--op", deep + "*Dx"], ["--system", str(path)]):
+        code, _, err = _run(argv, capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "syntax"
+    # unclosed, at every depth and from 0-4 extra frames, so that the
+    # limit falls on each frame of a level, the end token's read included
+    def parse_below(frames, text):
+        if frames:
+            return parse_below(frames - 1, text)
+        return cli.parse_operator(text, F5)
+
+    for frames in range(5):
+        # a level is 5 frames, so the limit falls within this many levels
+        for n in range(1, sys.getrecursionlimit() // 5 + 2):
+            with pytest.raises(OperatorSyntaxError):
+                parse_below(frames, "(" * n)
+
+
+def test_deeply_nested_system_file_is_a_system_file_error(tmp_path,
+                                                          capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000)
+    code, _, err = _run(["--system", str(path)], capsys)
+    assert code == 2
+    assert json.loads(err)["error"] == "bad-system-file"
+
+
 def test_make_field_refuses_extension_degree_below_one():
     # every input is over F_p: any extension degree other than 1 is refused
     for ext in (0, -1, 2):

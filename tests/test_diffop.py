@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from pcurvature import bivar, diffop, extension, fields, linalg, polys
+from pcurvature import (bivar, diffop, extension, fields, linalg, local_eval,
+                        polys)
 from pcurvature.errors import ZeroLeadingCoefficient
 from pcurvature.ratfunc import RatFuncField
 
@@ -214,18 +215,31 @@ def test_naive_factors_are_monic_descending_chain(rng):
 
 
 def test_theta_rewrite_structure(rng):
-    # coefficients after recentering: length d+r+1, theta-degree <= d,
-    # top entry the constant a_r(a), low entries vanishing at 0
+    # coefficients after recentering: d + o + 1 of them, theta-degree
+    # <= d, the top one the constant C_o(a), low ones vanishing at 0.  An
+    # operator has 1 x 1 coefficients and o = r; a system is f_A I d - A~,
+    # r x r coefficients with o = 1 and top coefficient f_A(a) I
     for _ in range(10):
         d, r = rng.randint(0, 3), rng.randint(1, 3)
-        L = random_operator(F7, rng, d, r)
         a = F7.from_int(rng.randrange(7))
-        b = diffop.theta_rewrite(L, a, F7, lambda c: c)
-        d_eff = L.degree
-        assert len(b) == d_eff + r + 1
-        assert all(polys.deg(be) <= d_eff for be in b)
-        lead_at_a = polys.eval_at(F7, L.coeffs[-1], a)
-        assert list(b[d_eff + r]) == ([lead_at_a]
-                                      if lead_at_a != F7.zero else [])
-        for e in range(d_eff):
-            assert not b[e] or b[e][0] == F7.zero
+        L = random_operator(F7, rng, d, r)
+        sysv = random_system(F7, rng, d, r)
+        f = [[sysv.f_A if j == k else () for k in range(r)]
+             for j in range(r)]
+        minus_A = [[polys.neg(F7, e) for e in row] for row in sysv.A_tilde]
+        for coeffs, d_eff, lead in (
+                ([[[c]] for c in L.coeffs], L.degree, L.coeffs[-1]),
+                ([minus_A, f], sysv.degree, sysv.f_A)):
+            m, o = len(coeffs[0]), len(coeffs) - 1
+            b = local_eval._theta_rewrite(F7, F7, coeffs, a)
+            assert len(b) == d_eff + o + 1
+            assert all(len(be) == m and all(
+                len(row) == m and all(polys.deg(e) <= d_eff for e in row)
+                for row in be) for be in b)
+            lead_at_a = polys.eval_at(F7, lead, a)
+            top = [lead_at_a] if lead_at_a != F7.zero else []
+            assert b[d_eff + o] == [[top if j == k else [] for k in range(m)]
+                                    for j in range(m)]
+            for e in range(d_eff):
+                assert all(not x or x[0] == F7.zero
+                           for row in b[e] for x in row)

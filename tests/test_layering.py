@@ -311,3 +311,30 @@ def test_one_packer_one_unpacker_and_polymul_as_a_chain_step():
     assert to_bytes == []
     assert "chain" in polymul_calls
     assert not polymul_calls & {"_polymul_kronecker", "pack_values"}
+
+
+def test_one_recurrence_builder():
+    # a system and an operator are both sum C_i(x) d^i, so B(n) has one
+    # derivation: diffop keeps no theta-rewrite of its own, local_eval no
+    # hand block formula, and in local_eval only the builder's
+    # theta-rewrite recentres (polys.taylor_shift), only the builder
+    # calls it, and both entry points call the builder
+    def calls(fn):
+        return {getattr(c.func, "id", getattr(c.func, "attr", None))
+                for c in ast.walk(fn) if isinstance(c, ast.Call)}
+
+    defs = {}
+    for stem in ("diffop", "local_eval"):
+        tree = ast.parse((PKG / f"{stem}.py").read_text())
+        defs[stem] = {node.name: node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef)}
+    assert "theta_rewrite" not in defs["diffop"]
+    local = defs["local_eval"]
+    assert "taylor_block" not in local
+    callers = {name: calls(fn) for name, fn in local.items()}
+    assert {n for n, c in callers.items() if "taylor_shift" in c} == {
+        "_theta_rewrite"}
+    assert {n for n, c in callers.items() if "_theta_rewrite" in c} == {
+        "_recurrence"}
+    assert {n for n, c in callers.items() if "_recurrence" in c} == {
+        "build_B_system", "build_B_operator"}

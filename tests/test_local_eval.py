@@ -3,7 +3,7 @@ import pytest
 from pcurvature import (diffop, extension, fields, linalg, local_eval, polys,
                         reconstruct, smith)
 from pcurvature.errors import CharTooSmall, LeadingCoeffVanishes, PoleAtPoint
-from pcurvature.ratfunc import RatFuncField
+from oracles import rational_value
 from test_diffop import (assert_frozen_record, random_operator,
                          random_system)
 
@@ -17,10 +17,9 @@ def naive_local_factors(inp, ell, a, p):
     the Smith form."""
     sysv = (diffop.companion_of_operator(inp)
             if isinstance(inp, diffop.DiffOperator) else inp)
-    R = RatFuncField(sysv.K)
     Ap = diffop.naive_p_curvature(sysv, p)
     emb = fields.embedding(sysv.K, ell)
-    M = [[R.evaluate(e, a, ell, emb) for e in row] for row in Ap]
+    M = [[rational_value(e, a, ell, emb) for e in row] for row in Ap]
     return smith.smith_form(ell, smith.char_matrix(ell, M))
 
 
@@ -78,6 +77,46 @@ def _nonpole_op(L):
         if polys.eval_at(K, L.coeffs[-1], K.from_int(c)) != K.zero:
             return c
     raise AssertionError("no non-pole point")
+
+
+def test_system_and_operator_share_the_recurrence(rng):
+    # f y' = g y and the operator f d - g are one equation: the two entry
+    # points give equal matrices at non-pole points of F_p and of batch
+    # rings over F_p and F_(p^2), and raise their own error at a pole
+    F49 = extension.ExtensionField(F7, fields.find_irreducible(F7, 2))
+    for i in range(8):
+        d = rng.randint(0, 3)
+        f = random_system(F7, rng, d, 1).f_A
+        if i % 2:
+            f = tuple(polys.mul(F7, f, [F7.from_int(-i), F7.one]))
+        g = random_system(F7, rng, d, 1).A_tilde[0][0]
+        sysv = diffop.DiffSystem(F7, f, ((g,),))
+        L = diffop.DiffOperator(F7, (polys.neg(F7, g), f))
+        roots = [c for c in range(7)
+                 if polys.eval_at(F7, f, F7.from_int(c)) == F7.zero]
+        good = [c for c in range(7) if c not in roots]
+        up = [F49.embed(c) for c in f]
+        far = [x for x in (F49.gen, F49.add(F49.gen, F49.one),
+                           F49.mul(F49.gen, F49.gen))
+               if polys.eval_at(F49, up, x) != F49.zero]
+        rings = [(F7, F7.from_int(c)) for c in good[:2]]
+        for ell, pts in ((F7, good[:3]), (F49, far)):
+            if pts:
+                ring = fields.SplitRing(ell, pts)
+                rings.append((ring, ring.gen))
+        for ell, a in rings:
+            assert (local_eval.build_B_system(sysv, ell, a)
+                    == local_eval.build_B_operator(L, ell, a))
+        poles = [(F7, F7.from_int(c)) for c in roots]
+        if roots:
+            batch = fields.SplitRing(F7, good[:1] + roots[:1])
+            poles.append((batch, batch.gen))
+        assert poles or not i % 2
+        for ell, a in poles:
+            with pytest.raises(PoleAtPoint):
+                local_eval.build_B_system(sysv, ell, a)
+            with pytest.raises(LeadingCoeffVanishes):
+                local_eval.build_B_operator(L, ell, a)
 
 
 def test_pole_raises():
