@@ -131,6 +131,11 @@ CORPUS = [
     # 2, and mc at 101 draws 15 of degree 2
     _sys("sym2_gauss_31", "--check"),
     _sys("sym2_gauss_101", *_mc(1)),
+    # lifts from points of degree 3 at p = 2 (the plan's s = 4 is never
+    # drawn: the certified pass is cyclic), and from points of degree 4,
+    # each one 4 x 4 elimination
+    _op(2, "x^3*Dx+1", *_mc(3)),
+    _sys("diag_x_0", "--p", "3", *_mc(3)),
 ]
 
 

@@ -30,6 +30,10 @@ from .errors import (CharTooSmall, EpsilonOutOfRange,
 # Largest x-degree or Dx-order a parsed expression may reach; the parser
 # refuses a power or product above it before building the dense result.
 MAX_PARSED_DEGREE = 10 ** 5
+# Deepest parenthesis nesting the parser accepts.  It descends five frames
+# a level, so this stays far inside the interpreter's recursion limit from
+# any caller.
+MAX_PARSED_DEPTH = 100
 
 
 class InputSpec(namedtuple("InputSpec", "p kind payload")):
@@ -94,6 +98,7 @@ class _OpParser:
         self.K = K
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def _peek(self):
         return self.toks[self.i][0]
@@ -104,14 +109,7 @@ class _OpParser:
         return t
 
     def parse(self):
-        try:
-            v = self._sum()
-        except RecursionError:
-            # the descent recurses once per parenthesis level; the limit
-            # may fall just after the end token was read
-            pos = self.toks[min(self.i, len(self.toks) - 1)][2]
-            raise OperatorSyntaxError("expression nested too deeply",
-                                      pos) from None
+        v = self._sum()
         kind, _, pos = self._next()
         if kind != "end":
             raise OperatorSyntaxError("unexpected trailing input", pos)
@@ -160,11 +158,16 @@ class _OpParser:
         if kind == "Dx":
             return {1: [K.one]}, pos
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_PARSED_DEPTH:
+                raise OperatorSyntaxError(
+                    f"parentheses nest deeper than {MAX_PARSED_DEPTH}", pos)
             v = self._sum()
             k2, _, p2 = self._next()
             if k2 != ")":
                 raise OperatorSyntaxError("expected a closing parenthesis",
                                           p2)
+            self.depth -= 1
             return v, pos
         raise OperatorSyntaxError("expected a term", pos)
 

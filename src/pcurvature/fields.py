@@ -57,7 +57,6 @@ hold k m (p-1)^2, for m <= N the most in a row.
 """
 
 import array
-import functools
 import itertools
 import operator
 import random
@@ -695,35 +694,24 @@ def is_irreducible(K, f):
     return True
 
 
-# Moduli kept per (field, degree); like interp.power_basis_solver, the
-# cache is bounded so a long-lived process cannot grow it without limit.
-IRREDUCIBLE_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=IRREDUCIBLE_CACHE_SIZE)
-def _seeded_irreducible(K, n):
-    rng = random.Random(f"pcurvature-irreducible:{K.q}:{n}")
-    while True:
-        f = [K.random_elem(rng) for _ in range(n)] + [K.one]
-        if is_irreducible(K, f):
-            return tuple(f)
-
-
 def find_irreducible(K, n):
     """A monic irreducible of degree n over K = F_p, found by seeded trial.
 
     Candidates u^n + (random lower coefficients) come from a generator
     seeded by p and n alone, so the result is deterministic for a given
-    (field, degree) pair.  About one candidate in n is irreducible, so the
-    expected number of tries is about n, whatever p is.  Results are kept
-    in a bounded cache; each call returns a fresh list.  Raises
-    FieldMismatch unless K is a PrimeField.
+    (field, degree) pair, and each call searches afresh.  About one
+    candidate in n is irreducible, so the expected number of tries is
+    about n, whatever p is.  Raises FieldMismatch unless K is a PrimeField.
     """
     if not isinstance(K, PrimeField):
         raise FieldMismatch(f"irreducibles are searched over F_p, not {K}")
     if n < 1:
         raise ValueError(f"degree must be at least 1, got {n}")
-    return list(_seeded_irreducible(K, n))
+    rng = random.Random(f"pcurvature-irreducible:{K.q}:{n}")
+    while True:
+        f = [K.random_elem(rng) for _ in range(n)] + [K.one]
+        if is_irreducible(K, f):
+            return f
 
 
 def frobenius_orbit(L, a, q):

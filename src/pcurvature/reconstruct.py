@@ -156,7 +156,7 @@ def effective_params(inp, params):
 def _point_field(K, k):
     """The field of the points of degree k over K: K itself when k = 1,
     else K[u]/(f) for a seeded irreducible f of degree k."""
-    # called at k = 1 too (one cached test): perfbench reads the degree here
+    # called at k = 1 too (one cheap test): perfbench reads the degree here
     f = fields.find_irreducible(K, k)
     if k == 1:
         return K

@@ -1,71 +1,16 @@
 """Exact linear algebra that a solve over F_p with cyclic classes never
-runs: the Smith form, the characteristic matrix and a linear solver.
+runs: the Smith form and the characteristic matrix.
 
 The Smith form reads the class of a derogatory matrix from its m x m
 Krylov relation matrix (linalg.invariant_factors_of), and the O(p)
 oracle's p-curvature over F_q(x) from T - A_p itself (char_matrix, for
-diffop.rational_invariant_factors only); the linear solver lifts values
-at points of degree k > 1 back to polynomials (interp.power_basis_solver).
-Each caller imports this module where it needs it.  Nothing here assumes
-the field is finite, so the Smith form also runs over K(x).
+diffop.rational_invariant_factors only).  Each caller imports this module
+where it needs it.  Nothing here assumes the field is finite, so the
+Smith form also runs over K(x).
 """
 
 from . import polys
-from .errors import DimensionMismatch, NotSquare
-
-
-class LinearSolver:
-    """Solver for M x = v with a fixed m x n matrix M over a field.
-
-    Elimination happens once on the augmented matrix [M | I]; solving a
-    right-hand side is then a matrix-vector product plus a consistency
-    check on the non-pivot rows.
-    """
-
-    def __init__(self, K, M):
-        self.K = K
-        self.m = len(M)
-        self.n = len(M[0]) if M else 0
-        R = [list(row) + [K.one if i == j else K.zero
-                          for j in range(self.m)]
-             for i, row in enumerate(M)]
-        pivots = []
-        r = 0
-        for c in range(self.n):
-            pr = next((i for i in range(r, self.m) if R[i][c] != K.zero),
-                      None)
-            if pr is None:
-                continue
-            R[r], R[pr] = R[pr], R[r]
-            inv = K.inv(R[r][c])
-            R[r] = [K.mul(inv, e) for e in R[r]]
-            for i in range(self.m):
-                if i != r and R[i][c] != K.zero:
-                    f = R[i][c]
-                    R[i] = [K.sub(a, K.mul(f, b))
-                            for a, b in zip(R[i], R[r])]
-            pivots.append(c)
-            r += 1
-        self.rank = r
-        self.pivots = pivots
-        self.transform = [row[self.n:] for row in R]
-
-    def solve(self, v):
-        """A solution x of M x = v, or None when the system is inconsistent.
-
-        When the matrix has full column rank the solution is unique.
-        """
-        K = self.K
-        if len(v) != self.m:
-            raise DimensionMismatch("matrix and vector sizes do not match")
-        w = [K.dot(row, v) for row in self.transform]
-        for i in range(self.rank, self.m):
-            if w[i] != K.zero:
-                return None
-        x = [K.zero] * self.n
-        for i, c in enumerate(self.pivots):
-            x[c] = w[i]
-        return x
+from .errors import NotSquare
 
 
 def char_matrix(K, A):

@@ -109,6 +109,27 @@ def rank(K, M):
     return r
 
 
+def inverse(K, M):
+    """M^-1 by Gauss-Jordan elimination of [M | I], or None when M is
+    singular."""
+    n = len(M)
+    rows = [list(row) + [K.one if i == j else K.zero for j in range(n)]
+            for i, row in enumerate(M)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != K.zero), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = K.inv(rows[c][c])
+        rows[c] = [K.mul(inv, e) for e in rows[c]]
+        for i in range(n):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [K.sub(a, K.mul(f, b))
+                           for a, b in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
+
+
 def rank_profile(K, M):
     """Ranks of M^0, M^1, ... up to the first repeat, as a tuple."""
     n = len(M)

@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -204,6 +207,45 @@ def test_deep_nesting_is_a_syntax_error(tmp_path, capsys):
         for n in range(1, sys.getrecursionlimit() // 5 + 2):
             with pytest.raises(OperatorSyntaxError):
                 parse_below(frames, "(" * n)
+
+
+def test_nesting_limit_holds_at_any_stack_depth(capsys):
+    # MAX_PARSED_DEPTH levels parse, and one more is refused at its own
+    # "(", alike from 0-4 extra caller frames, from main and from a fresh
+    # pcurv process
+    depth = cli.MAX_PARSED_DEPTH
+
+    def text(n):
+        return "(" * n + "x" + ")" * n + "*Dx"
+
+    def parse_below(frames, text):
+        if frames:
+            return parse_below(frames - 1, text)
+        return cli.parse_operator(text, F5)
+
+    refusals = set()
+    for frames in range(5):
+        assert parse_below(frames, text(depth)).coeffs == ((), (0, 1))
+        with pytest.raises(OperatorSyntaxError) as e:
+            parse_below(frames, text(depth + 1))
+        refusals.add((str(e.value), e.value.position))
+    assert refusals == {(f"parentheses nest deeper than {depth} "
+                         f"(at position {depth})", depth)}
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    codes = []
+    for n in (depth, depth + 1):
+        argv = ["--p", "5", "--op", text(n)]
+        code, out, err = _run(argv, capsys)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "pcurvature.cli", *argv], env=env,
+            capture_output=True, text=True, timeout=60)
+        assert (fresh.returncode, fresh.stderr) == (code, err)
+        if code == 0:
+            assert json.loads(fresh.stdout)["factors"] == json.loads(
+                out)["factors"]
+        codes.append(code)
+    assert codes == [0, 2]
+    assert json.loads(err)["position"] == depth
 
 
 def test_deeply_nested_system_file_is_a_system_file_error(tmp_path,

@@ -1,4 +1,5 @@
-"""The package's import graph runs one way, and its import path is short.
+"""The package's import graph runs one way, its import path is short, and
+what past simplifications removed stays removed.
 
 Imports are read from the source with ast, so the check sees every
 `from . import x`, `from .x import y` and `import pcurvature.x` without
@@ -60,8 +61,7 @@ def test_import_graph_runs_one_way():
     graph = _graph()
     # the reader sees the edges it must, so an empty graph cannot pass
     assert set(ENGINE) <= set(graph)
-    assert {"polys", "smith"} <= graph["interp"]
-    assert "linalg" not in graph["interp"]
+    assert graph["interp"] == {"polys", "errors"}
     assert "nilprofile" in graph["cli"]
     cyclic = sorted(m for m in graph if m in _reachable(graph, m))
     assert cyclic == []
@@ -73,9 +73,9 @@ def test_import_graph_runs_one_way():
 # Loaded by `import pcurvature` and `from pcurvature import cli` at start-up:
 # none of these serves a solve.  dataclasses pulls in inspect, ast, dis and
 # tokenize, and each decorated class execs generated source.  extension
-# serves only points of degree > 1, and smith those, the Krylov relations
-# of derogatory classes and the oracle; each is compiled from source when
-# it loads.
+# serves only points of degree > 1, and smith the Krylov relations of
+# derogatory classes and the oracle; each is compiled from source when it
+# loads.
 OFF_IMPORT_PATH = ("dataclasses", "inspect", "pcurvature.nilprofile",
                    "pcurvature.ratfunc", "pcurvature.extension",
                    "pcurvature.smith")
@@ -145,196 +145,225 @@ def test_fp_solves_load_neither_extension_nor_smith():
                        "pcurvature.extension pcurvature.smith"]
 
 
+def _name(node):
+    """The name a node defines, imports or refers to, if any."""
+    return getattr(node, "id", getattr(node, "attr",
+                                       getattr(node, "name", None)))
+
+
+def _calls(node):
+    return {_name(c.func) for c in ast.walk(node) if isinstance(c, ast.Call)}
+
+
+def _where(trees, test):
+    """file:line of every node, in every module, for which test holds."""
+    return [f"{stem}.py:{node.lineno}" for stem, tree in trees.items()
+            for node in ast.walk(tree) if test(stem, node)]
+
+
+def _reads_packed(stem, node):
+    # every ring the factorial runs on is packed, so no source asks a ring
+    # whether it is, by a dot or by getattr
+    return (isinstance(node, ast.Attribute) and node.attr == "packed"
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Call)
+            and _name(node.func) in ("getattr", "hasattr")
+            and any(isinstance(a, ast.Constant) and a.value == "packed"
+                    for a in node.args))
+
+
+def _cached(stem, node):
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and any(
+        _name(d.func if isinstance(d, ast.Call) else d) in ("lru_cache",
+                                                            "cache")
+        for d in node.decorator_list)
+
+
+def _classes(trees):
+    return {f"{stem}.{node.name}": node for stem, tree in trees.items()
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+
+
+def _methods(trees, qualname):
+    return {f.name: f for f in _classes(trees)[qualname].body
+            if isinstance(f, ast.FunctionDef)}
+
+
+def _callers(trees, stem, callee):
+    """Functions of a module (methods and nested ones included) whose
+    body calls callee."""
+    return {f.name for f in ast.walk(trees[stem])
+            if isinstance(f, ast.FunctionDef) and callee in _calls(f)}
+
+
+def _stores_rows(node):
+    return any(isinstance(sub, ast.Attribute)
+               and isinstance(sub.ctx, ast.Store)
+               and _name(sub.value) == "self" and "rows" in sub.attr
+               for sub in ast.walk(node))
+
+
+def _bytes_outside_unpacker(trees):
+    # in fields and extension only _unpack (and _column_bytes, the bytes
+    # of a list column) turns ints into bytes
+    return [f"{stem}.py:{c.lineno}" for stem in ("fields", "extension")
+            for f in ast.walk(trees[stem])
+            if isinstance(f, ast.FunctionDef)
+            and f.name not in ("_unpack", "_column_bytes")
+            for c in ast.walk(f)
+            if isinstance(c, ast.Call) and _name(c.func) == "to_bytes"]
+
+
+def _mentions(names):
+    """A reader of every file:line that defines, imports or mentions one
+    of names."""
+    return lambda t: _where(t, lambda stem, node: _name(node) in names)
+
+
+# What past simplifications removed or fixed, by the test that pins it:
+# (what is pinned, how to read it from the parsed modules, what it must
+# be).  Each name listed as removed may be defined, imported or mentioned
+# by no module again.
+PINS = {
+    # one reduction by a fixed modulus, fields.QuotientRing, whose rows
+    # ExtensionField inherits; only a subproduct tree node takes a Newton
+    # inverse
+    "test_fixed_modulus_division_lives_in_one_class": [
+        ("mentions of a removed name", _mentions({
+            "NEWTON_CUTOFF", "MonicModReducer", "rem_monic_precomp",
+            "pow_mod", "_init_reduction_rows", "reduce_product"}), []),
+        ("top-level owners of a series_inv call", lambda t: {
+            ".".join([stem] + ([top.name] if hasattr(top, "name") else []))
+            for stem, tree in t.items() for top in tree.body
+            if "series_inv" in _calls(top)}, {"polys.SubproductTree"}),
+        ("classes that store rows on self", lambda t: sorted(
+            name for name, node in _classes(t).items()
+            if _stores_rows(node)), ["fields.QuotientRing"]),
+    ],
+    "test_one_factorial_engine_reads_no_packed_flag": [
+        ("reads of an attribute named packed",
+         lambda t: _where(t, _reads_packed), []),
+    ],
+    # one product ring holds the factorial's kernels
+    "test_one_class_holds_the_factorial_kernels": [
+        ("classes defining matpoly_mul and chain", lambda t: sorted(
+            name for name, node in _classes(t).items()
+            if {"matpoly_mul", "chain"} <= set(_methods(t, name))),
+         ["fields.SplitRing"]),
+    ],
+    # one class routine, a Krylov decomposition, with no cyclic retry;
+    # only the O(p) oracle builds T*I - A
+    "test_one_class_routine_builds_no_characteristic_matrix": [
+        ("mentions of a removed name", _mentions({"_cyclic_charpoly"}), []),
+        ("modules that call char_matrix", lambda t: {
+            stem for stem, tree in t.items()
+            if "char_matrix" in _calls(tree)}, {"diffop"}),
+    ],
+    # s is a rule, so no fitted price can come back
+    "test_baby_step_length_is_a_rule_not_a_fitted_model": [
+        ("mentions of a removed name", _mentions({
+            "_FactorialCost", "_Pattern", "_degree_growth",
+            "_product_bytes"}), []),
+        ("float literals in linalg", lambda t: _where(
+            t, lambda stem, node: stem == "linalg" and isinstance(
+                node, ast.Constant) and isinstance(node.value, float)), []),
+    ],
+    # Ben-Or's test, which factors no degree; QuotientRing keeps its rows
+    # and reduction only, and ExtensionField.polymul is the schoolbook
+    "test_irreducibility_and_extension_products_are_plain": [
+        ("mentions of a removed name", _mentions({"_prime_factors"}), []),
+        ("QuotientRing's methods",
+         lambda t: set(_methods(t, "fields.QuotientRing")),
+         {"__init__", "_pad", "reduce"}),
+        ("ExtensionField.polymul's calls", lambda t: _calls(
+            _methods(t, "extension.ExtensionField")["polymul"]),
+         {"mul_schoolbook"}),
+    ],
+    # one packer and one unpacker, and SplitRing.polymul as a chain step
+    "test_one_packer_one_unpacker_and_polymul_as_a_chain_step": [
+        ("mentions of a removed name", _mentions({
+            "_pack_bytes", "_split_ints", "_polymul_kronecker"}), []),
+        ("to_bytes calls outside the unpacker", _bytes_outside_unpacker,
+         []),
+        ("SplitRing.polymul's calls of chain or a packed product",
+         lambda t: _calls(_methods(t, "fields.SplitRing")["polymul"]) & {
+             "chain", "_polymul_kronecker", "pack_values"}, {"chain"}),
+    ],
+    # a system and an operator share one theta-rewrite and one builder
+    "test_one_recurrence_builder": [
+        ("mentions of a removed name",
+         _mentions({"theta_rewrite", "taylor_block"}), []),
+        ("local_eval's callers of taylor_shift",
+         lambda t: _callers(t, "local_eval", "taylor_shift"),
+         {"_theta_rewrite"}),
+        ("local_eval's callers of _theta_rewrite",
+         lambda t: _callers(t, "local_eval", "_theta_rewrite"),
+         {"_recurrence"}),
+        ("local_eval's callers of _recurrence",
+         lambda t: _callers(t, "local_eval", "_recurrence"),
+         {"build_B_system", "build_B_operator"}),
+    ],
+    # no module state: a lift is one elimination, and the irreducible
+    # search runs afresh
+    "test_no_module_holds_state": [
+        ("mentions of a removed name", _mentions({
+            "LinearSolver", "power_basis_solver", "_seeded_irreducible",
+            "BASIS_CACHE_SIZE", "IRREDUCIBLE_CACHE_SIZE", "lru_cache"}),
+         []),
+        ("functions or classes under a cache decorator",
+         lambda t: _where(t, _cached), []),
+        ("smith's top-level functions and classes", lambda t: {
+            top.name for top in t["smith"].body
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef))},
+         {"char_matrix", "smith_form"}),
+    ],
+}
+
+
+def _holds(test):
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(PKG.glob("*.py"))}
+    rows = PINS[test]
+    found = {pin: read(trees) for pin, read, _ in rows}
+    assert found == {pin: want for pin, _, want in rows}
+
+
+def test_every_pin_is_checked():
+    tests = {name for name in globals() if name.startswith("test_")}
+    assert sorted(set(PINS) - tests) == []
+
+
 def test_fixed_modulus_division_lives_in_one_class():
-    # one reduction by a fixed monic modulus over F_p: no module names the
-    # Newton reducer, its cutoff or its helpers; only a subproduct tree
-    # node takes a Newton inverse (series_inv); and one fields class
-    # builds the packed rows u^(n + j) mod f, which ExtensionField
-    # inherits rather than defines
-    gone = {"NEWTON_CUTOFF", "MonicModReducer", "rem_monic_precomp",
-            "pow_mod"}
-    named, newton, row_builders, extension_defs = [], set(), [], set()
-    for path in sorted(PKG.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            owner = ".".join([path.stem] + (
-                [top.name] if hasattr(top, "name") else []))
-            for node in ast.walk(top):
-                if {getattr(node, key, None)
-                        for key in ("id", "attr", "name")} & gone:
-                    named.append(f"{path.name}:{node.lineno}")
-                if isinstance(node, ast.Call) and getattr(
-                        node.func, "id",
-                        getattr(node.func, "attr", None)) == "series_inv":
-                    newton.add(owner)
-                if isinstance(node, ast.ClassDef) and any(
-                        isinstance(sub, ast.Attribute)
-                        and isinstance(sub.ctx, ast.Store)
-                        and getattr(sub.value, "id", None) == "self"
-                        and "rows" in sub.attr for sub in ast.walk(node)):
-                    row_builders.append(f"{path.stem}.{node.name}")
-                if path.stem == "extension" and isinstance(
-                        node, ast.FunctionDef):
-                    extension_defs.add(node.name)
-    assert named == []
-    assert newton == {"polys.SubproductTree"}
-    assert row_builders == ["fields.QuotientRing"]
-    assert not {"_init_reduction_rows", "reduce_product"} & extension_defs
+    _holds("test_fixed_modulus_division_lives_in_one_class")
 
 
 def test_one_factorial_engine_reads_no_packed_flag():
-    # every ring the factorial runs on is packed, so no source asks a ring
-    # whether it is: no read of an attribute named packed, by a dot or by
-    # getattr
-    reads = []
-    for path in sorted(PKG.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Attribute) and node.attr == "packed"
-                    and isinstance(node.ctx, ast.Load)
-                    or isinstance(node, ast.Call)
-                    and getattr(node.func, "id", None) in ("getattr",
-                                                           "hasattr")
-                    and any(isinstance(a, ast.Constant) and a.value == "packed"
-                            for a in node.args)):
-                reads.append(f"{path.name}:{node.lineno}")
-    assert reads == []
+    _holds("test_one_factorial_engine_reads_no_packed_flag")
 
 
 def test_one_class_holds_the_factorial_kernels():
-    # one product ring: a single class in the package defines both
-    # matpoly_mul and chain, the kernels the factorial runs on
-    owners = []
-    for path in sorted(PKG.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef):
-                methods = {f.name for f in node.body
-                           if isinstance(f, ast.FunctionDef)}
-                if {"matpoly_mul", "chain"} <= methods:
-                    owners.append(f"{path.stem}.{node.name}")
-    assert owners == ["fields.SplitRing"]
+    _holds("test_one_class_holds_the_factorial_kernels")
 
 
 def test_one_class_routine_builds_no_characteristic_matrix():
-    # one Krylov decomposition classifies every matrix: no module defines
-    # the cyclic-vector retry, and only the O(p) oracle in diffop builds
-    # T*I - A (smith.char_matrix) for the Smith form
-    retry, callers = [], set()
-    for path in sorted(PKG.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and (
-                    node.name == "_cyclic_charpoly"):
-                retry.append(f"{path.name}:{node.lineno}")
-            if isinstance(node, ast.Call) and getattr(
-                    node.func, "id",
-                    getattr(node.func, "attr", None)) == "char_matrix":
-                callers.add(path.stem)
-    assert retry == []
-    assert callers == {"diffop"}
+    _holds("test_one_class_routine_builds_no_characteristic_matrix")
 
 
 def test_baby_step_length_is_a_rule_not_a_fitted_model():
-    # s is the largest power of two whose square is at most count: no
-    # module defines the fitted planner's cost model, zero pattern, degree
-    # growth or product pricing, and linalg holds no float literal, so no
-    # fitted price can come back
-    gone = {"_FactorialCost", "_Pattern", "_degree_growth", "_product_bytes"}
-    defined, floats = [], []
-    for path in sorted(PKG.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and (
-                    node.name in gone):
-                defined.append(f"{path.name}:{node.name}")
-            if path.stem == "linalg" and isinstance(
-                    node, ast.Constant) and isinstance(node.value, float):
-                floats.append(f"{path.name}:{node.lineno}")
-    assert defined == []
-    assert floats == []
+    _holds("test_baby_step_length_is_a_rule_not_a_fitted_model")
 
 
 def test_irreducibility_and_extension_products_are_plain():
-    # Ben-Or's test needs no factorization of the degree and no Frobenius
-    # matrix: no module defines _prime_factors, and QuotientRing keeps its
-    # rows and reduction only.  ExtensionField.polymul is the schoolbook,
-    # not a packed product
-    factorizers, ring_defs, polymul_calls = [], set(), set()
-    for path in sorted(PKG.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.FunctionDef) and (
-                    node.name == "_prime_factors"):
-                factorizers.append(f"{path.name}:{node.lineno}")
-            if not isinstance(node, ast.ClassDef):
-                continue
-            defs = [f for f in node.body if isinstance(f, ast.FunctionDef)]
-            if (path.stem, node.name) == ("fields", "QuotientRing"):
-                ring_defs = {f.name for f in defs}
-            if (path.stem, node.name) == ("extension", "ExtensionField"):
-                for f in defs:
-                    if f.name == "polymul":
-                        polymul_calls = {
-                            getattr(c.func, "id", getattr(c.func, "attr", None))
-                            for c in ast.walk(f) if isinstance(c, ast.Call)}
-    assert factorizers == []
-    assert ring_defs == {"__init__", "_pad", "reduce"}
-    assert polymul_calls == {"mul_schoolbook"}
+    _holds("test_irreducibility_and_extension_products_are_plain")
 
 
 def test_one_packer_one_unpacker_and_polymul_as_a_chain_step():
-    # every packed integer of one sequence is made by _pack (one column of
-    # _pack_cols) and read by _unpack, so no module defines another packer
-    # or splitter, and in fields and extension only _unpack (and
-    # _column_bytes, the bytes of a list column) turns ints into bytes.
-    # SplitRing.polymul is one step of the chain, with no product of its own
-    packers, to_bytes, polymul_calls = [], [], set()
-    for path in sorted(PKG.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) and node.name in (
-                    "_pack_bytes", "_split_ints"):
-                packers.append(f"{path.name}:{node.lineno}")
-        if path.stem not in ("fields", "extension"):
-            continue
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            calls = [c for c in ast.walk(node) if isinstance(c, ast.Call)]
-            if node.name not in ("_unpack", "_column_bytes"):
-                to_bytes += [f"{path.name}:{c.lineno}" for c in calls
-                             if getattr(c.func, "attr", None) == "to_bytes"]
-        for node in tree.body:
-            if isinstance(node, ast.ClassDef) and (
-                    path.stem, node.name) == ("fields", "SplitRing"):
-                for f in node.body:
-                    if isinstance(f, ast.FunctionDef) and f.name == "polymul":
-                        polymul_calls = {
-                            getattr(c.func, "id", getattr(c.func, "attr", None))
-                            for c in ast.walk(f) if isinstance(c, ast.Call)}
-    assert packers == []
-    assert to_bytes == []
-    assert "chain" in polymul_calls
-    assert not polymul_calls & {"_polymul_kronecker", "pack_values"}
+    _holds("test_one_packer_one_unpacker_and_polymul_as_a_chain_step")
 
 
 def test_one_recurrence_builder():
-    # a system and an operator are both sum C_i(x) d^i, so B(n) has one
-    # derivation: diffop keeps no theta-rewrite of its own, local_eval no
-    # hand block formula, and in local_eval only the builder's
-    # theta-rewrite recentres (polys.taylor_shift), only the builder
-    # calls it, and both entry points call the builder
-    def calls(fn):
-        return {getattr(c.func, "id", getattr(c.func, "attr", None))
-                for c in ast.walk(fn) if isinstance(c, ast.Call)}
+    _holds("test_one_recurrence_builder")
 
-    defs = {}
-    for stem in ("diffop", "local_eval"):
-        tree = ast.parse((PKG / f"{stem}.py").read_text())
-        defs[stem] = {node.name: node for node in ast.walk(tree)
-                      if isinstance(node, ast.FunctionDef)}
-    assert "theta_rewrite" not in defs["diffop"]
-    local = defs["local_eval"]
-    assert "taylor_block" not in local
-    callers = {name: calls(fn) for name, fn in local.items()}
-    assert {n for n, c in callers.items() if "taylor_shift" in c} == {
-        "_theta_rewrite"}
-    assert {n for n, c in callers.items() if "_theta_rewrite" in c} == {
-        "_recurrence"}
-    assert {n for n, c in callers.items() if "_recurrence" in c} == {
-        "build_B_system", "build_B_operator"}
+
+def test_no_module_holds_state():
+    _holds("test_no_module_holds_state")

@@ -351,14 +351,16 @@ def test_crt_basis_raises_as_interpolate_crt_does():
 
 
 def test_power_basis_lift_round_trip(rng):
-    ell = extension.ExtensionField(F3, fields.find_irreducible(F3, 4))
-    a = ell.gen
-    ap = ell.pow(a, 3)
-    for _ in range(10):
-        c = polys.trim(F3, [F3.from_int(rng.randrange(3)) for _ in range(4)])
-        v = polys.eval_at(ell, [ell.embed(x) for x in c], ap)
-        got = interp.lift_from_extension_value(F3, ell, ap, v, 3)
-        assert got == c
+    # each lift is one k x k elimination over F_3, at k = 2, 3 and 4
+    for k in (2, 3, 4):
+        ell = extension.ExtensionField(F3, fields.find_irreducible(F3, k))
+        ap = ell.pow(ell.gen, 3)
+        for _ in range(10):
+            c = polys.trim(F3, [F3.from_int(rng.randrange(3))
+                                for _ in range(k)])
+            v = polys.eval_at(ell, [ell.embed(x) for x in c], ap)
+            got = interp.lift_from_extension_value(F3, ell, ap, v, k - 1)
+            assert got == c, k
 
 
 def test_power_basis_lift_respects_bound():
@@ -391,45 +393,14 @@ def test_lift_over_the_base_field_itself(K):
 
 
 def test_power_basis_rejects_non_generator():
+    # 1 and b = a^10, which lies in the subfield F_9 of F_81, do not span
+    # F_81: the lift refuses them, even for a value that is a polynomial
+    # in b of degree below 4
     ell = extension.ExtensionField(F3, fields.find_irreducible(F3, 4))
-    with pytest.raises(NotAGenerator):
-        interp.power_basis_solver(ell, ell.one)
-
-
-def test_power_basis_cache_is_bounded():
-    ell = extension.ExtensionField(F13, fields.find_irreducible(F13, 2))
-    solver = interp.power_basis_solver
-    size = solver.cache_info().maxsize
-    # a + b*u with b != 0 generates F_169; more of them than the cache holds
-    points = [(F13.from_int(a), F13.from_int(b))
-              for b in range(1, 13) for a in range(13)][:size + 10]
-    solver.cache_clear()
-    for ap in points:
-        assert interp.lift_from_extension_value(F13, ell, ap, ap, 1) == [
-            F13.zero, F13.one]
-    assert solver.cache_info().currsize <= size
-    hits = solver.cache_info().hits
-    for _ in range(3):
-        interp.lift_from_extension_value(F13, ell, points[-1], points[-1],
-                                         1)
-    assert solver.cache_info().hits == hits + 3
-
-
-def test_irreducible_cache_is_bounded():
-    search = fields._seeded_irreducible
-    size = search.cache_info().maxsize
-    primes = [n for n in range(2, 1000) if fields.is_prime(n)][:size + 10]
-    search.cache_clear()
-    for p in primes:
-        f = fields.find_irreducible(fields.PrimeField(p), 2)
-        assert fields.is_irreducible(fields.PrimeField(p), f)
-    assert search.cache_info().currsize <= size
-    K = fields.PrimeField(primes[-1])
-    hits = search.cache_info().hits
-    first = fields.find_irreducible(K, 2)
-    first.append(K.one)  # callers get a fresh list every time
-    assert fields.find_irreducible(K, 2) == first[:-1]
-    assert search.cache_info().hits == hits + 2
+    b = ell.pow(ell.gen, 10)
+    for ap, v in ((ell.one, ell.one), (b, b), (b, ell.gen)):
+        with pytest.raises(NotAGenerator):
+            interp.lift_from_extension_value(F3, ell, ap, v, 3)
 
 
 class _LoggedField(fields.PrimeField):

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from pcurvature import (bivar, cli, diffop, extension, fields, linalg,
-                        local_eval, polys, reconstruct, smith)
+from pcurvature import (bivar, cli, diffop, extension, fields, interp,
+                        linalg, local_eval, polys, reconstruct, smith)
 from pcurvature.errors import (CharTooSmall, EpsilonOutOfRange,
                                FieldMismatch, PoleAtPoint, SelectionFailed)
 from pcurvature.reconstruct import ReconParams
@@ -454,6 +454,43 @@ def test_sym2_gauss_matches_the_oracle(p):
     assert reconstruct.reconstruct_deterministic(sysv, p) == want
     plan = reconstruct.select_params(sysv, epsilon=0.1, seed=1)
     assert reconstruct.reconstruct_montecarlo(sysv, p, plan) == want
+
+
+def test_repeated_solves_repeat_their_work(monkeypatch):
+    # no module keeps state from one solve for the next: a second det
+    # solve of sym2 + Gauss at 31 searches its irreducible of degree 2
+    # again, and each lift eliminates again (its powers of the point are
+    # ell products)
+    counts = {"irreducible": 0, "lift": 0, "mul": 0, "lift mul": 0}
+    test, lift = fields.is_irreducible, interp.lift_from_extension_value
+    mul = extension.ExtensionField.mul
+
+    def counting_test(K, f):
+        counts["irreducible"] += 1
+        return test(K, f)
+
+    def counting_mul(self, a, b):
+        counts["mul"] += 1
+        return mul(self, a, b)
+
+    def counting_lift(*args):
+        before = counts["mul"]
+        out = lift(*args)
+        counts["lift"] += 1
+        counts["lift mul"] += counts["mul"] - before
+        return out
+
+    monkeypatch.setattr(fields, "is_irreducible", counting_test)
+    monkeypatch.setattr(extension.ExtensionField, "mul", counting_mul)
+    monkeypatch.setattr(interp, "lift_from_extension_value", counting_lift)
+    sysv = sym2_gauss_system(fields.PrimeField(31))
+    runs = []
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        factors = reconstruct.reconstruct_deterministic(sysv, 31)
+        runs.append((factors, dict(counts)))
+    assert runs[0] == runs[1]
+    assert min(runs[0][1].values()) > 0
 
 
 def test_symk_system_extends_sym2_and_gauss():
